@@ -1,0 +1,111 @@
+#!/usr/bin/env bash
+# End-to-end smoke test for `privmark_cli serve`. One script — a freeze
+# stream, a drift stream, a `detect` and a streamed `fingerprint` — runs
+# twice: against serve's embedded loopback daemon, then against a
+# separate `privmark_cli daemon` through --connect. The two runs must
+# write byte-identical out.csv and manifest files, the manifests must
+# name the --key, the freeze stream must match a one-shot `protect` of
+# the same rows, and `privmark_cli detect` must recover that run's mark
+# from the served output.
+#
+# usage: cli_serve_smoke.sh <path/to/privmark_cli> <scratch dir>
+set -euo pipefail
+
+cli=$1
+work=$2
+rm -rf "$work"
+mkdir -p "$work"
+cd "$work"
+
+daemon_pid=
+cleanup() {
+  exec 3>&- 2>/dev/null || true
+  if [[ -n $daemon_pid ]]; then
+    kill "$daemon_pid" 2>/dev/null || true
+    wait "$daemon_pid" 2>/dev/null || true
+  fi
+}
+trap cleanup EXIT
+
+fail() {
+  echo "FAIL: $*" >&2
+  exit 1
+}
+
+"$cli" generate 1200 all.csv --seed=11 >/dev/null
+{ head -n 1 all.csv; sed -n '2,601p' all.csv; } > b0.csv
+{ head -n 1 all.csv; sed -n '602,1201p' all.csv; } > b1.csv
+"$cli" gen-key owner.key --name=clinic-owner --eta=20 --seed=7 >/dev/null
+"$cli" gen-key other.key --name=clinic-other --eta=20 --seed=8 >/dev/null
+{ cat owner.key; tail -n +2 other.key; } > registry.key
+
+run_serve() {  # <output dir> [serve flags...]
+  local out=$1
+  shift
+  mkdir -p "$out"
+  cat > "$out.script" <<EOF
+# freeze stream + drift stream, interleaved
+open ward $out/ward.csv $out/ward.man --k=10
+open icu $out/icu.csv $out/icu.man --k=10 --rebin-policy=drift --drift-threshold=0.3
+ingest ward b0.csv
+ingest icu b0.csv
+flush icu
+ingest ward b1.csv
+ingest icu b1.csv
+flush ward
+detect ward
+fingerprint icu registry.key --stream
+close ward
+EOF
+  "$cli" serve "$out.script" --key=owner.key "$@" > "$out.log" \
+    || fail "serve $* exited $? (log: $work/$out.log)"
+}
+
+# 1. Embedded loopback daemon.
+run_serve local --cap=2
+grep -q '^\[icu\] shard (epoch 0' local.log \
+  || fail "fingerprint --stream printed no shard lines"
+
+# 2. A separate daemon through --connect. Its stdin is a fifo this
+# script holds open; closing it stops the daemon.
+mkfifo ctl
+"$cli" daemon --port=0 --cap=2 < ctl > daemon.log &
+daemon_pid=$!
+exec 3> ctl
+port=
+for _ in $(seq 200); do
+  port=$(sed -n 's/^daemon listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+    daemon.log)
+  [[ -n $port ]] && break
+  sleep 0.05
+done
+[[ -n $port ]] || fail "daemon never printed its port"
+run_serve remote --connect="127.0.0.1:$port"
+exec 3>&-
+wait "$daemon_pid" || fail "daemon exited non-zero"
+daemon_pid=
+
+# 3. Same artifacts, byte for byte.
+[[ "$(ls local)" == "$(ls remote)" ]] \
+  || fail "artifact sets differ: $(ls local | tr '\n' ' ') vs $(ls remote | tr '\n' ' ')"
+[[ -f local/icu.man.epoch1 ]] || fail "drift stream sealed only one epoch"
+for f in local/*; do
+  cmp "$f" "remote/${f#local/}" || fail "${f#local/} differs across daemons"
+done
+
+# 4. The manifests name the key.
+grep -q 'clinic-owner' local/ward.man || fail "ward.man lacks the key_id"
+
+# 5. The freeze stream is the one-shot protect of the same rows, and
+# detect recovers protect's mark from the served output.
+"$cli" protect all.csv oneshot.csv oneshot.man --k=10 --key=owner.key \
+  > protect.log
+cmp oneshot.csv local/ward.csv || fail "served freeze stream != protect"
+mark=$(sed -n 's/^mark (keep secret until dispute): //p' protect.log)
+[[ -n $mark ]] || fail "protect printed no mark"
+"$cli" detect local/ward.csv local/ward.man --key=owner.key > detect.log
+recovered=$(sed -n 's/^recovered mark: //p' detect.log)
+[[ "$recovered" == "$mark" ]] \
+  || fail "detect recovered '$recovered', protect embedded '$mark'"
+
+echo "cli_serve: OK (port $port, mark $mark)"

@@ -81,41 +81,40 @@
 //       Shutdown(--shutdown-deadline-ms) (-1 = wait forever).
 //
 //   privmark_cli serve <script> [--cap=N] [--journal-dir=DIR]
-//                [--connect=host:port]
+//                [--connect=host:port] [--key=key.file]
 //                [--pass=...] [--k1=...] [--k2=...] [--eta=50]
-//       drive the async service front-end from a scripted request file:
-//       named streams protected concurrently on one shared pool of at
-//       most N workers (0 = hardware). With --journal-dir every stream
-//       is durable: batches are journaled write-ahead to
-//       DIR/<session>.wal, and re-opening a session whose journal
-//       already exists replays it first (the open line reports what was
-//       recovered). Script lines (# starts a comment):
+//       drive the service from a scripted request file. serve always
+//       speaks the daemon protocol: with --connect=host:port it drives a
+//       running `privmark_cli daemon` (--cap/--journal-dir are then that
+//       daemon's to decide); without it, a daemon embedded in this
+//       process on an ephemeral loopback port, built exactly like
+//       `daemon` — named streams protected concurrently on one shared
+//       pool of at most --cap=N workers (0 = hardware). With
+//       --journal-dir every stream is durable: batches are journaled
+//       write-ahead to DIR/<session>.wal, and re-opening a session whose
+//       journal already exists replays it first (the open line reports
+//       what was recovered). Script lines (# starts a comment):
 //         open <session> <out.csv> <manifest.out> [--k=20] [--joint]
 //              [--epsilon] [--threads=1] [--rebin-policy=freeze|drift]
 //              [--drift-threshold=0.5]
-//         ingest <session> <in.csv> [--threads=N]
-//         flush <session> [--threads=N]
-//         detect <session> [<table.csv>] [--threads=N]
-//         fingerprint <session> <registry.file> [<table.csv>] [--threads=N]
+//         ingest <session> <in.csv> [--threads=N] [--deadline-ms=N]
+//         flush <session> [--threads=N] [--deadline-ms=N]
+//         detect <session> [<table.csv>] [--threads=N] [--deadline-ms=N]
+//         fingerprint <session> <registry.file> [<table.csv>]
+//                     [--threads=N] [--deadline-ms=N] [--stream]
 //         close <session>
-//       Requests are submitted asynchronously and pipeline across
-//       sessions; a session's requests always execute in script order.
-//       `detect` with no table re-reads what the session emitted so far.
-//       `close` (implicit at end of script) writes the session's emitted
-//       rows to its out.csv and one manifest per epoch
-//       (<manifest.out>.epochN for N > 0).
-//       With --connect=host:port the same script drives a running
-//       privmark_cli daemon instead of an in-process service: each
-//       stream gets its own connection (script lines run one at a time;
-//       concurrency comes from the daemon's thread per connection),
-//       --journal-dir/--cap are the daemon's to decide, and close
-//       writes the manifests the daemon serialized — byte-identical to
-//       a local run's. Script lines gain an optional --deadline-ms=N
-//       per request (absent = the daemon's default), and `fingerprint`
-//       gains --stream: under protocol v2 the daemon streams each
-//       key-shard's verdicts as a partial frame, printed as they land,
-//       before the terminal ranking (byte-identical to the one-shot
-//       report).
+//       Each stream gets its own connection. Requests are pipelined and
+//       run concurrently across sessions; a session's requests always
+//       execute in script order. `detect` with no table re-reads what
+//       the session emitted so far. `close` (implicit at end of script)
+//       writes the session's emitted rows to its out.csv and one
+//       manifest per epoch (<manifest.out>.epochN for N > 0), serialized
+//       by the daemon — byte-identical whichever daemon served the
+//       script. --key=<file> names the key in every manifest (key_id).
+//       --deadline-ms=N bounds one request (absent = the daemon's
+//       default). fingerprint --stream prints each key-shard's verdicts
+//       as its partial frame lands, then the terminal ranking
+//       (byte-identical to the one-shot report).
 //
 // --threads=N runs the row-sharded pipeline stages on N workers (0 = one
 // per hardware thread); outputs are byte-identical for every N, so the
@@ -126,6 +125,7 @@
 // Secrets (k1/k2/eta, encryption passphrase) are parameters, never stored
 // in the manifest.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -136,6 +136,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -150,7 +151,6 @@
 #include "relation/csv.h"
 #include "service/client.h"
 #include "service/daemon.h"
-#include "service/service.h"
 #include "watermark/fingerprint.h"
 #include "watermark/key_registry.h"
 #include "watermark/ownership.h"
@@ -158,6 +158,13 @@
 using namespace privmark;  // NOLINT — example brevity
 
 namespace {
+
+// Strict unsigned decimal: digits only — no sign, spaces, or overflow.
+bool ParseU64(const std::string& text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 struct Args {
   std::vector<std::string> positional;
@@ -168,9 +175,18 @@ struct Args {
     auto it = flags.find(name);
     return it == flags.end() ? fallback : it->second;
   }
+  // A malformed number is a usage error (exit 2), never an exception.
   uint64_t FlagU64(const std::string& name, uint64_t fallback) const {
     auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    if (it == flags.end()) return fallback;
+    uint64_t value = 0;
+    if (!ParseU64(it->second, &value)) {
+      std::fprintf(stderr,
+                   "error: --%s needs a non-negative integer, got '%s'\n",
+                   name.c_str(), it->second.c_str());
+      std::exit(2);
+    }
+    return value;
   }
 };
 
@@ -250,7 +266,13 @@ int CmdGenerate(const Args& args) {
     return 2;
   }
   MedicalDataSpec spec;
-  spec.num_rows = std::stoull(args.positional[1]);
+  uint64_t rows = 0;
+  if (!ParseU64(args.positional[1], &rows)) {
+    std::fprintf(stderr, "error: <rows> must be a non-negative integer, "
+                 "got '%s'\n", args.positional[1].c_str());
+    return 2;
+  }
+  spec.num_rows = rows;
   spec.seed = args.FlagU64("seed", spec.seed);
   MedicalDataset dataset = Must(GenerateMedicalDataset(spec));
   if (auto st = WriteTableCsv(dataset.table, args.positional[2]); !st.ok()) {
@@ -278,11 +300,27 @@ FrameworkConfig FrameworkConfigFromArgs(const Args& args) {
   return config;
 }
 
-UsageMetrics MetricsForConfig(const FrameworkConfig& config,
-                              const MedicalDataset& ontologies) {
-  return config.binning.enforce_joint
-             ? UnconstrainedMetrics(ontologies.trees())
-             : Must(MetricsFromDepthCuts(ontologies.trees(), {2, 1, 2, 1, 1}));
+Result<UsageMetrics> MetricsForConfig(const FrameworkConfig& config,
+                                      const MedicalDataset& ontologies) {
+  if (config.binning.enforce_joint) {
+    return UnconstrainedMetrics(ontologies.trees());
+  }
+  return MetricsFromDepthCuts(ontologies.trees(), {2, 1, 2, 1, 1});
+}
+
+// The daemon config `daemon` and the embedded `serve` daemon share:
+// --cap workers, --journal-dir durability, and the medical metrics
+// factory (`ontologies` must outlive the daemon).
+DaemonConfig DaemonConfigFromArgs(const Args& args,
+                                  const MedicalDataset& ontologies) {
+  DaemonConfig config;
+  config.service.thread_cap = args.FlagU64("cap", 0);
+  config.service.journal_dir = args.Flag("journal-dir", "");
+  config.schema = MedicalSchema();
+  config.metrics_for_config = [&ontologies](const FrameworkConfig& fc) {
+    return MetricsForConfig(fc, ontologies);
+  };
+  return config;
 }
 
 // Fills `session_config` from --rebin-policy / --drift-threshold. Returns
@@ -387,7 +425,7 @@ int CmdProtect(const Args& args) {
   Table input = Must(ReadTableCsv(args.positional[1], MedicalSchema()));
 
   FrameworkConfig config = FrameworkConfigFromArgs(args);
-  UsageMetrics metrics = MetricsForConfig(config, ontologies);
+  UsageMetrics metrics = Must(MetricsForConfig(config, ontologies));
 
   const size_t batch_size = args.FlagU64("batch-size", 0);
   if (batch_size > 0) {
@@ -612,157 +650,76 @@ int CmdAttack(const Args& args) {
   return 0;
 }
 
-// ---- serve: scripted front-end over PrivmarkService ----------------------
+// ---- serve: one script interpreter over the daemon protocol --------------
 //
-// The driver keeps one client-side record per stream: the futures still
-// in flight (drained in submission order — which is execution order,
-// since a session's requests serialize), the emitted rows collected so
-// far, and the open-time config needed to write per-epoch manifests.
-struct ClientStream {
-  std::string out_path;
-  std::string manifest_path;
-  UsageMetrics metrics;
-  FrameworkConfig config;
-  std::deque<std::pair<RequestKind, ServiceFuture>> pending;
-  Table emitted{MedicalSchema()};
-  bool closed = false;
-};
-
-// Waits out every in-flight future of `stream`, folding emitted rows into
-// the client-side concatenation and printing one line per completed
-// request. Returns false on the first failed request.
-bool DrainStream(const std::string& name, ClientStream* stream) {
-  while (!stream->pending.empty()) {
-    auto [kind, future] = std::move(stream->pending.front());
-    stream->pending.pop_front();
-    Result<ServiceResponse> result = future.get();
-    if (!result.ok()) {
-      std::fprintf(stderr, "error: [%s] %s: %s\n", name.c_str(),
-                   RequestKindToString(kind),
-                   result.status().ToString().c_str());
-      return false;
-    }
-    const ServiceResponse& response = *result;
-    switch (response.kind) {
-      case RequestKind::kProtectBatch: {
-        for (size_t r = 0; r < response.ingest.emitted.num_rows(); ++r) {
-          (void)stream->emitted.AppendRow(response.ingest.emitted.row(r));
-        }
-        std::printf("[%s] ingest: +%zu rows emitted, %zu suppressed, "
-                    "%zu buffered (epoch %zu, %zu threads)\n",
-                    name.c_str(), response.ingest.rows_emitted,
-                    response.ingest.rows_suppressed,
-                    response.ingest.rows_buffered, response.ingest.epoch,
-                    response.threads_granted);
-        break;
-      }
-      case RequestKind::kFlush: {
-        const Table& table = response.epoch.outcome.watermarked;
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          (void)stream->emitted.AppendRow(table.row(r));
-        }
-        std::printf("[%s] flush: epoch %zu emitted %zu rows, v %.6f "
-                    "(%zu threads)\n",
-                    name.c_str(), response.epoch.epoch, table.num_rows(),
-                    response.epoch.outcome.identifier_statistic,
-                    response.threads_granted);
-        break;
-      }
-      case RequestKind::kDetect: {
-        for (const DetectReport& report : response.reports) {
-          size_t voted = 0;
-          for (bool b : report.bit_voted) voted += b ? 1 : 0;
-          std::printf("[%s] detect: mark %s, bits with votes %zu/%zu "
-                      "(%zu threads)\n",
-                      name.c_str(), report.recovered.ToString().c_str(),
-                      voted, report.recovered.size(),
-                      response.threads_granted);
-        }
-        break;
-      }
-      case RequestKind::kDetectFingerprint: {
-        for (const FingerprintReport& report : response.fingerprints) {
-          std::printf("[%s] fingerprint: %zu/%zu key(s) detected%s "
-                      "(%zu threads)\n",
-                      name.c_str(), report.keys_detected,
-                      report.verdicts.size(),
-                      report.collusion ? " COLLUSION" : "",
-                      response.threads_granted);
-          for (size_t i = 0; i < report.ranking.size(); ++i) {
-            const KeyVerdict& v = report.verdicts[report.ranking[i]];
-            std::printf("[%s]   %2zu. %-24s score %.6f  %s\n", name.c_str(),
-                        i + 1, v.key_name.c_str(), v.score,
-                        v.detected ? "DETECTED" : "clear");
-          }
-        }
-        break;
-      }
-      case RequestKind::kCloseSession: {
-        std::printf("[%s] close: ingested %zu, emitted %zu, suppressed "
-                    "%zu, %zu epoch(s)\n",
-                    name.c_str(), response.stats.rows_ingested,
-                    response.stats.rows_emitted,
-                    response.stats.rows_suppressed,
-                    response.stats.epochs.size());
-        // Write the stream's protected output and per-epoch manifests —
-        // the same artifacts the batch `protect` command produces.
-        if (auto st = WriteTableCsv(stream->emitted, stream->out_path);
-            !st.ok()) {
-          std::fprintf(stderr, "error: [%s] %s\n", name.c_str(),
-                       st.ToString().c_str());
-          return false;
-        }
-        for (const EpochRecord& epoch : response.stats.epochs) {
-          std::string path = stream->manifest_path;
-          if (epoch.epoch > 0) path += ".epoch" + std::to_string(epoch.epoch);
-          ProtectionManifest manifest =
-              Must(ManifestFromEpoch(epoch, MedicalSchema(), stream->metrics,
-                                     stream->config));
-          if (auto st = WriteManifestFile(manifest, path); !st.ok()) {
-            std::fprintf(stderr, "error: [%s] %s\n", name.c_str(),
-                         st.ToString().c_str());
-            return false;
-          }
-        }
-        stream->closed = true;
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-// ---- serve --connect: the same script against a remote daemon ------------
-//
-// One DaemonClient per stream: a connection's requests are synchronous
-// (the wire protocol pipelines across connections, not within one), so
-// there is no pending deque — every script line completes before the
-// next is read.
-struct RemoteStream {
+// Every stream gets its own DaemonClient connection, to the daemon named
+// by --connect or to one embedded in this process. Script lines become
+// pipelined CallAsync requests: a stream's calls execute in script order
+// on its session strand while other streams' calls run concurrently. A
+// stream waits its calls out, oldest first, only where the script needs
+// their results: `detect`/`fingerprint` with no table (they read what the
+// stream emitted so far), `close`, end of script, and whenever the
+// stream reaches the daemon's in-flight window.
+struct ServeStream {
+  struct Inflight {
+    WireFrameType type = WireFrameType::kClose;
+    bool streamed = false;
+    DaemonClient::PendingCall call;
+  };
   std::string out_path;
   std::string manifest_path;
   std::unique_ptr<DaemonClient> client;
+  std::deque<Inflight> inflight;
   Table emitted{MedicalSchema()};
   bool closed = false;
 };
 
-// Issues one request on the stream's connection and prints the outcome
-// in the same shape as the in-process DrainStream. Returns false on a
-// transport error or a non-OK service status.
-bool RemoteCall(const std::string& name, RemoteStream* stream,
-                const WireRequest& request) {
-  Result<WireResponse> result = stream->client->Call(request);
-  if (!result.ok()) {
-    std::fprintf(stderr, "error: [%s] %s: %s\n", name.c_str(),
-                 WireFrameTypeToString(request.type),
-                 result.status().ToString().c_str());
-    return false;
+bool ServeError(const std::string& name, const char* what,
+                const Status& status) {
+  std::fprintf(stderr, "error: [%s] %s: %s\n", name.c_str(), what,
+               status.ToString().c_str());
+  return false;
+}
+
+// Streamed fingerprint: prints each key-shard's verdicts as its partial
+// frame lands. The terminal ranking follows once Wait() has validated it
+// against these very shards.
+bool PrintShards(const std::string& name, DaemonClient::PendingCall* call) {
+  WireFingerprintShard shard;
+  for (;;) {
+    Result<bool> more = call->NextShard(&shard);
+    if (!more.ok()) {
+      return ServeError(name, "fingerprint --stream", more.status());
+    }
+    if (!*more) return true;
+    size_t detected = 0;
+    for (const KeyVerdict& v : shard.verdicts) detected += v.detected ? 1 : 0;
+    std::printf("[%s] shard (epoch %llu, #%llu, keys %llu..%llu): "
+                "%zu/%zu detected\n",
+                name.c_str(), static_cast<unsigned long long>(shard.epoch),
+                static_cast<unsigned long long>(shard.shard),
+                static_cast<unsigned long long>(shard.first_key),
+                static_cast<unsigned long long>(shard.first_key +
+                                                shard.verdicts.size()) -
+                    1,
+                detected, shard.verdicts.size());
   }
+}
+
+// Waits for the stream's oldest in-flight call and folds its response
+// into the stream: emitted rows, one printed line per outcome, and — on
+// close — the written out.csv and manifests. Returns false on a
+// transport error or a non-OK service status.
+bool AwaitOldest(const std::string& name, ServeStream* stream) {
+  ServeStream::Inflight inflight = std::move(stream->inflight.front());
+  stream->inflight.pop_front();
+  const char* verb = WireFrameTypeToString(inflight.type);
+  if (inflight.streamed && !PrintShards(name, &inflight.call)) return false;
+  Result<WireResponse> result = inflight.call.Wait();
+  if (!result.ok()) return ServeError(name, verb, result.status());
   const WireResponse& response = *result;
   if (!response.status.ok()) {
-    std::fprintf(stderr, "error: [%s] %s: %s\n", name.c_str(),
-                 WireFrameTypeToString(request.type),
-                 response.status.ToString().c_str());
+    ServeError(name, verb, response.status);
     if (response.status.retry_after_ms() >= 0) {
       std::fprintf(stderr, "error: [%s] daemon shed the request; retry in "
                    "%lld ms\n",
@@ -778,6 +735,8 @@ bool RemoteCall(const std::string& name, RemoteStream* stream,
   };
   switch (response.kind) {
     case WireFrameType::kOpen:
+      // A recovered stream already emitted rows before the crash; fold
+      // them in so close writes the complete output.
       if (response.open.recovered) {
         append_emitted(response.open.emitted);
         std::printf("[%s] recovered from journal: %llu batch(es), %llu "
@@ -858,9 +817,7 @@ bool RemoteCall(const std::string& name, RemoteStream* stream,
                   response.close.epochs.size());
       if (auto st = WriteTableCsv(stream->emitted, stream->out_path);
           !st.ok()) {
-        std::fprintf(stderr, "error: [%s] %s\n", name.c_str(),
-                     st.ToString().c_str());
-        return false;
+        return ServeError(name, verb, st);
       }
       // The daemon serialized each epoch's manifest server-side; write
       // the text verbatim (durably, like WriteManifestFile would).
@@ -870,9 +827,7 @@ bool RemoteCall(const std::string& name, RemoteStream* stream,
           path += ".epoch" + std::to_string(epoch.epoch);
         }
         if (auto st = WriteFileDurable(path, epoch.manifest_text); !st.ok()) {
-          std::fprintf(stderr, "error: [%s] %s\n", name.c_str(),
-                       st.ToString().c_str());
-          return false;
+          return ServeError(name, verb, st);
         }
       }
       stream->closed = true;
@@ -881,91 +836,43 @@ bool RemoteCall(const std::string& name, RemoteStream* stream,
     }
     case WireFrameType::kResponse:
     case WireFrameType::kPartial:
-      break;  // unreachable: Call validated the echoed kind
+      break;  // unreachable: the client validated the echoed kind
   }
   return true;
 }
 
-// Streamed fingerprint (v2 only): prints each key-shard's verdicts as
-// its kPartial frame arrives, then the terminal ranking — which Wait()
-// validated against the very shards just printed.
-bool RemoteFingerprintStreamed(const std::string& name, RemoteStream* stream,
-                               WireRequest request) {
-  request.stream = true;
-  Result<DaemonClient::PendingCall> call =
-      stream->client->CallAsync(request);
+bool DrainStream(const std::string& name, ServeStream* stream) {
+  while (!stream->inflight.empty()) {
+    if (!AwaitOldest(name, stream)) return false;
+  }
+  return true;
+}
+
+// Sends `request` on the stream's connection without waiting for it.
+// At the daemon's in-flight window the oldest call is waited out first,
+// so the daemon never stops reading while this process is still writing
+// (which could otherwise fill both socket buffers).
+bool Submit(const std::string& name, ServeStream* stream,
+            const WireRequest& request) {
+  static const size_t window = DaemonConfig().max_inflight_per_connection;
+  if (stream->inflight.size() >= window && !AwaitOldest(name, stream)) {
+    return false;
+  }
+  Result<DaemonClient::PendingCall> call = stream->client->CallAsync(request);
   if (!call.ok()) {
-    std::fprintf(stderr, "error: [%s] fingerprint --stream: %s\n",
-                 name.c_str(), call.status().ToString().c_str());
-    return false;
+    return ServeError(name, WireFrameTypeToString(request.type),
+                      call.status());
   }
-  WireFingerprintShard shard;
-  for (;;) {
-    Result<bool> more = call->NextShard(&shard);
-    if (!more.ok()) {
-      std::fprintf(stderr, "error: [%s] fingerprint --stream: %s\n",
-                   name.c_str(), more.status().ToString().c_str());
-      return false;
-    }
-    if (!*more) break;
-    size_t detected = 0;
-    for (const KeyVerdict& v : shard.verdicts) detected += v.detected ? 1 : 0;
-    std::printf("[%s] shard (epoch %llu, #%llu, keys %llu..%llu): "
-                "%zu/%zu detected\n",
-                name.c_str(), static_cast<unsigned long long>(shard.epoch),
-                static_cast<unsigned long long>(shard.shard),
-                static_cast<unsigned long long>(shard.first_key),
-                static_cast<unsigned long long>(shard.first_key +
-                                                shard.verdicts.size()) -
-                    1,
-                detected, shard.verdicts.size());
-  }
-  Result<WireResponse> result = call->Wait();
-  if (!result.ok()) {
-    std::fprintf(stderr, "error: [%s] fingerprint --stream: %s\n",
-                 name.c_str(), result.status().ToString().c_str());
-    return false;
-  }
-  if (!result->status.ok()) {
-    std::fprintf(stderr, "error: [%s] fingerprint: %s\n", name.c_str(),
-                 result->status.ToString().c_str());
-    return false;
-  }
-  for (const FingerprintReport& report : result->fingerprints) {
-    std::printf("[%s] fingerprint: %zu/%zu key(s) detected%s "
-                "(%llu threads)\n",
-                name.c_str(), report.keys_detected, report.verdicts.size(),
-                report.collusion ? " COLLUSION" : "",
-                static_cast<unsigned long long>(result->threads_granted));
-    for (size_t i = 0; i < report.ranking.size(); ++i) {
-      const KeyVerdict& v = report.verdicts[report.ranking[i]];
-      std::printf("[%s]   %2zu. %-24s score %.6f  %s\n", name.c_str(), i + 1,
-                  v.key_name.c_str(), v.score,
-                  v.detected ? "DETECTED" : "clear");
-    }
-  }
+  stream->inflight.push_back({request.type, request.stream, *std::move(call)});
   return true;
 }
 
-// Runs the serve script against a daemon at `endpoint` ("host:port").
-int ServeRemote(const Args& args, std::istream& script,
-                const std::string& endpoint) {
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == endpoint.size()) {
-    std::fprintf(stderr, "error: --connect needs host:port, got '%s'\n",
-                 endpoint.c_str());
-    return 2;
-  }
-  const std::string host = endpoint.substr(0, colon);
-  const uint64_t port = std::stoull(endpoint.substr(colon + 1));
-  if (port == 0 || port > 65535) {
-    std::fprintf(stderr, "error: --connect port out of range: '%s'\n",
-                 endpoint.c_str());
-    return 2;
-  }
-
-  std::map<std::string, RemoteStream> streams;
+// Runs the serve script against the daemon at `host`:`port`.
+int ServeScript(const Args& args, std::istream& script,
+                const std::string& host, uint16_t port) {
+  const std::string passphrase = args.Flag("pass", "cli-default-pass");
+  const NamedKey key = NamedKeyFromArgs(args);
+  std::map<std::string, ServeStream> streams;
   std::string line;
   size_t line_no = 0;
   while (std::getline(script, line)) {
@@ -989,14 +896,18 @@ int ServeRemote(const Args& args, std::istream& script,
       if (cmd.positional.size() != 4) {
         return bad_line("open <session> <out.csv> <manifest.out> [flags]");
       }
+      SessionConfig session_config;
+      std::string policy;
+      if (int rc = ParseSessionConfig(cmd, &session_config, &policy);
+          rc != 0) {
+        return rc;
+      }
       const std::string& name = cmd.positional[1];
-      RemoteStream stream;
+      ServeStream stream;
       stream.out_path = cmd.positional[2];
       stream.manifest_path = cmd.positional[3];
       stream.client = std::make_unique<DaemonClient>(MedicalSchema());
-      if (auto st =
-              stream.client->Connect(host, static_cast<uint16_t>(port));
-          !st.ok()) {
+      if (auto st = stream.client->Connect(host, port); !st.ok()) {
         return Fail(st);
       }
       WireRequest request;
@@ -1006,23 +917,20 @@ int ServeRemote(const Args& args, std::istream& script,
       request.open.enforce_joint = cmd.flags.count("joint") > 0;
       request.open.auto_epsilon = cmd.flags.count("epsilon") > 0;
       request.open.num_threads = cmd.FlagU64("threads", 1);
-      request.open.passphrase = args.Flag("pass", "cli-default-pass");
-      const WatermarkKey key = KeyFromArgs(args);
-      request.open.k1 = key.k1;
-      request.open.k2 = key.k2;
-      request.open.eta = key.eta;
-      const std::string policy = cmd.Flag("rebin-policy", "freeze");
-      if (policy == "drift") {
-        request.open.policy = 1;
-      } else if (policy != "freeze") {
-        return bad_line("--rebin-policy must be freeze or drift");
-      }
-      request.open.drift_threshold =
-          std::atof(cmd.Flag("drift-threshold", "0.5").c_str());
-      std::printf("[%s] open (k=%llu, %s, remote %s)\n", name.c_str(),
+      request.open.passphrase = passphrase;
+      request.open.k1 = key.key.k1;
+      request.open.k2 = key.key.k2;
+      request.open.eta = key.key.eta;
+      request.open.key_id = key.name;
+      request.open.policy =
+          session_config.policy == RebinPolicy::kRebinOnDrift ? 1 : 0;
+      request.open.drift_threshold = session_config.drift_threshold;
+      std::printf("[%s] open (k=%llu, %s)\n", name.c_str(),
                   static_cast<unsigned long long>(request.open.k),
-                  policy.c_str(), endpoint.c_str());
-      if (!RemoteCall(name, &stream, request)) return 1;
+                  policy.c_str());
+      if (!Submit(name, &stream, request) || !DrainStream(name, &stream)) {
+        return 1;
+      }
       streams[name] = std::move(stream);
       continue;
     }
@@ -1032,7 +940,7 @@ int ServeRemote(const Args& args, std::istream& script,
     if (it == streams.end() || it->second.closed) {
       return bad_line("unknown or closed session");
     }
-    RemoteStream& stream = it->second;
+    ServeStream& stream = it->second;
     WireRequest request;
     request.session = name;
     request.ask = cmd.flags.count("threads") > 0 ? cmd.FlagU64("threads", 1)
@@ -1041,6 +949,17 @@ int ServeRemote(const Args& args, std::istream& script,
       request.deadline_ms =
           static_cast<int64_t>(cmd.FlagU64("deadline-ms", 0));
     }
+    // detect/fingerprint default to what the session emitted so far,
+    // which requires the stream's in-flight calls to land first.
+    auto suspect_copy = [&](size_t table_arg, Table* copy) {
+      if (cmd.positional.size() > table_arg) {
+        *copy = Must(ReadTableCsv(cmd.positional[table_arg], MedicalSchema()));
+        return true;
+      }
+      if (!DrainStream(name, &stream)) return false;
+      *copy = stream.emitted.Clone();
+      return true;
+    };
     if (verb == "ingest") {
       if (cmd.positional.size() != 3) {
         return bad_line("ingest <session> <in.csv>");
@@ -1051,12 +970,7 @@ int ServeRemote(const Args& args, std::istream& script,
       request.type = WireFrameType::kFlush;
     } else if (verb == "detect") {
       request.type = WireFrameType::kDetect;
-      // Requests are synchronous, so "what the session emitted so far"
-      // needs no drain — it is already complete.
-      request.table = cmd.positional.size() == 3
-                          ? Must(ReadTableCsv(cmd.positional[2],
-                                              MedicalSchema()))
-                          : stream.emitted.Clone();
+      if (!suspect_copy(2, &request.table)) return 1;
     } else if (verb == "fingerprint") {
       if (cmd.positional.size() != 3 && cmd.positional.size() != 4) {
         return bad_line(
@@ -1065,27 +979,16 @@ int ServeRemote(const Args& args, std::istream& script,
       request.type = WireFrameType::kFingerprint;
       request.registry_text =
           Must(KeyRegistry::ReadFile(cmd.positional[2])).Serialize();
-      request.table = cmd.positional.size() == 4
-                          ? Must(ReadTableCsv(cmd.positional[3],
-                                              MedicalSchema()))
-                          : stream.emitted.Clone();
-      if (cmd.flags.count("stream") > 0) {
-        if (stream.client->protocol_version() < kWireProtocolV2) {
-          return bad_line(
-              "--stream needs a v2 daemon (this one negotiated v1)");
-        }
-        if (!RemoteFingerprintStreamed(name, &stream, std::move(request))) {
-          return 1;
-        }
-        continue;
-      }
+      request.stream = cmd.flags.count("stream") > 0;
+      if (!suspect_copy(3, &request.table)) return 1;
     } else if (verb == "close") {
       request.type = WireFrameType::kClose;
     } else {
       return bad_line(
           "unknown verb (open|ingest|flush|detect|fingerprint|close)");
     }
-    if (!RemoteCall(name, &stream, request)) return 1;
+    if (!Submit(name, &stream, request)) return 1;
+    if (verb == "close" && !DrainStream(name, &stream)) return 1;
   }
 
   // End of script: close whatever is still open.
@@ -1094,10 +997,12 @@ int ServeRemote(const Args& args, std::istream& script,
     WireRequest request;
     request.type = WireFrameType::kClose;
     request.session = name;
-    if (!RemoteCall(name, &stream, request)) return 1;
+    if (!Submit(name, &stream, request) || !DrainStream(name, &stream)) {
+      return 1;
+    }
   }
-  std::printf("served %zu stream(s) via %s\n", streams.size(),
-              endpoint.c_str());
+  std::printf("served %zu stream(s) via %s:%u\n", streams.size(),
+              host.c_str(), port);
   return 0;
 }
 
@@ -1105,8 +1010,8 @@ int CmdServe(const Args& args) {
   if (args.positional.size() != 2) {
     std::fprintf(stderr,
                  "usage: privmark_cli serve <script> [--cap=N] "
-                 "[--journal-dir=DIR] [--connect=host:port] [--pass=] "
-                 "[--k1=] [--k2=] [--eta=]\n");
+                 "[--journal-dir=DIR] [--connect=host:port] "
+                 "[--key=key.file] [--pass=] [--k1=] [--k2=] [--eta=]\n");
     return 2;
   }
   std::ifstream script(args.positional[1]);
@@ -1116,165 +1021,31 @@ int CmdServe(const Args& args) {
     return 1;
   }
   const std::string endpoint = args.Flag("connect", "");
-  if (!endpoint.empty()) return ServeRemote(args, script, endpoint);
-  // One ontology set serves every stream (trees must outlive the service).
+  if (!endpoint.empty()) {
+    const size_t colon = endpoint.rfind(':');
+    uint64_t port = 0;
+    if (colon == std::string::npos || colon == 0 ||
+        !ParseU64(endpoint.substr(colon + 1), &port) || port == 0 ||
+        port > 65535) {
+      std::fprintf(stderr,
+                   "error: --connect needs host:port with a port in "
+                   "1..65535, got '%s'\n",
+                   endpoint.c_str());
+      return 2;
+    }
+    return ServeScript(args, script, endpoint.substr(0, colon),
+                       static_cast<uint16_t>(port));
+  }
+  // No --connect: the same interpreter against a daemon embedded in this
+  // process, built exactly as `privmark_cli daemon` builds its own. The
+  // ontologies outlive the daemon (declared first, destroyed last).
   MedicalDataset ontologies = Must(GenerateMedicalDataset({.num_rows = 1}));
-
-  ServiceConfig service_config;
-  service_config.thread_cap = args.FlagU64("cap", 0);
-  service_config.journal_dir = args.Flag("journal-dir", "");
-  PrivmarkService service(service_config);
-  std::map<std::string, ClientStream> streams;
-
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(script, line)) {
-    ++line_no;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    std::istringstream words(line);
-    std::vector<std::string> tokens;
-    for (std::string word; words >> word;) tokens.push_back(word);
-    if (tokens.empty()) continue;
-    const Args cmd = ParseTokens(tokens);
-    auto bad_line = [&](const char* why) {
-      std::fprintf(stderr, "error: script line %zu: %s\n", line_no, why);
-      return 1;
-    };
-    if (cmd.positional.empty()) {
-      return bad_line("missing verb (open|ingest|flush|detect|close)");
-    }
-    const std::string& verb = cmd.positional[0];
-    if (verb == "open") {
-      if (cmd.positional.size() != 4) {
-        return bad_line("open <session> <out.csv> <manifest.out> [flags]");
-      }
-      const std::string& name = cmd.positional[1];
-      ClientStream stream;
-      stream.out_path = cmd.positional[2];
-      stream.manifest_path = cmd.positional[3];
-      stream.config.binning.k = cmd.FlagU64("k", 20);
-      stream.config.binning.enforce_joint = cmd.flags.count("joint") > 0;
-      stream.config.binning.encryption_passphrase =
-          args.Flag("pass", "cli-default-pass");
-      stream.config.binning.num_threads = cmd.FlagU64("threads", 1);
-      stream.config.watermark.num_threads = stream.config.binning.num_threads;
-      stream.config.key = KeyFromArgs(args);
-      stream.config.auto_epsilon = cmd.flags.count("epsilon") > 0;
-      stream.metrics =
-          stream.config.binning.enforce_joint
-              ? UnconstrainedMetrics(ontologies.trees())
-              : Must(MetricsFromDepthCuts(ontologies.trees(), {2, 1, 2, 1, 1}));
-      SessionConfig session_config;
-      const std::string policy = cmd.Flag("rebin-policy", "freeze");
-      if (policy == "drift") {
-        session_config.policy = RebinPolicy::kRebinOnDrift;
-      } else if (policy != "freeze") {
-        return bad_line("--rebin-policy must be freeze or drift");
-      }
-      session_config.drift_threshold =
-          std::atof(cmd.Flag("drift-threshold", "0.5").c_str());
-      SessionRecovery recovery;
-      if (auto st = service.OpenSession(name, stream.metrics, stream.config,
-                                        session_config, &recovery);
-          !st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      // A recovered stream already emitted rows before the crash; fold
-      // them in so close writes the complete output.
-      if (recovery.recovered) {
-        for (size_t r = 0; r < recovery.emitted.num_rows(); ++r) {
-          (void)stream.emitted.AppendRow(recovery.emitted.row(r));
-        }
-      }
-      streams[name] = std::move(stream);
-      std::printf("[%s] open (k=%zu, %s, cap %zu)\n", name.c_str(),
-                  streams[name].config.binning.k, policy.c_str(),
-                  service.thread_cap());
-      if (recovery.recovered) {
-        std::printf("[%s] recovered from journal: %zu batch(es), %zu sealed "
-                    "epoch(s), %zu row(s) re-emitted%s\n",
-                    name.c_str(), recovery.batches_applied,
-                    recovery.epochs_sealed, recovery.emitted.num_rows(),
-                    recovery.tail_truncated ? " (torn tail discarded)" : "");
-      }
-      continue;
-    }
-    if (cmd.positional.size() < 2) return bad_line("missing session name");
-    const std::string& name = cmd.positional[1];
-    auto it = streams.find(name);
-    if (it == streams.end() || it->second.closed) {
-      return bad_line("unknown or closed session");
-    }
-    ClientStream& stream = it->second;
-    const size_t threads =
-        cmd.flags.count("threads") > 0 ? cmd.FlagU64("threads", 1)
-                                       : kSessionThreads;
-    if (verb == "ingest") {
-      if (cmd.positional.size() != 3) {
-        return bad_line("ingest <session> <in.csv>");
-      }
-      Table batch = Must(ReadTableCsv(cmd.positional[2], MedicalSchema()));
-      stream.pending.emplace_back(
-          RequestKind::kProtectBatch,
-          service.ProtectBatch(name, std::move(batch), threads));
-    } else if (verb == "flush") {
-      stream.pending.emplace_back(RequestKind::kFlush,
-                                  service.Flush(name, threads));
-    } else if (verb == "detect") {
-      // Detect needs the outsourced copy; default to what the session
-      // emitted so far, which requires the in-flight requests to land.
-      Table copy{MedicalSchema()};
-      if (cmd.positional.size() == 3) {
-        copy = Must(ReadTableCsv(cmd.positional[2], MedicalSchema()));
-      } else {
-        if (!DrainStream(name, &stream)) return 1;
-        copy = stream.emitted.Clone();
-      }
-      stream.pending.emplace_back(
-          RequestKind::kDetect,
-          service.Detect(name, std::move(copy), threads));
-    } else if (verb == "fingerprint") {
-      // fingerprint <session> <registry.file> [<table.csv>] — scan the
-      // suspect copy (default: what the session emitted) against a key
-      // registry.
-      if (cmd.positional.size() != 3 && cmd.positional.size() != 4) {
-        return bad_line("fingerprint <session> <registry> [<table.csv>]");
-      }
-      auto registry = std::make_shared<KeyRegistry>(
-          Must(KeyRegistry::ReadFile(cmd.positional[2])));
-      Table copy{MedicalSchema()};
-      if (cmd.positional.size() == 4) {
-        copy = Must(ReadTableCsv(cmd.positional[3], MedicalSchema()));
-      } else {
-        if (!DrainStream(name, &stream)) return 1;
-        copy = stream.emitted.Clone();
-      }
-      stream.pending.emplace_back(
-          RequestKind::kDetectFingerprint,
-          service.DetectFingerprint(name, std::move(copy),
-                                    std::move(registry), threads));
-    } else if (verb == "close") {
-      stream.pending.emplace_back(RequestKind::kCloseSession,
-                                  service.CloseSession(name));
-      if (!DrainStream(name, &stream)) return 1;
-    } else {
-      return bad_line(
-          "unknown verb (open|ingest|flush|detect|fingerprint|close)");
-    }
-  }
-
-  // End of script: close whatever is still open, then drain.
-  for (auto& [name, stream] : streams) {
-    if (stream.closed) continue;
-    stream.pending.emplace_back(RequestKind::kCloseSession,
-                                service.CloseSession(name));
-    if (!DrainStream(name, &stream)) return 1;
-  }
-  service.Shutdown();
-  std::printf("served %zu stream(s)\n", streams.size());
-  return 0;
+  PrivmarkDaemon daemon(DaemonConfigFromArgs(args, ontologies));
+  if (auto st = daemon.Start(0); !st.ok()) return Fail(st);
+  const int rc = ServeScript(args, script, "127.0.0.1", daemon.port());
+  const Status st = daemon.Shutdown();
+  if (rc != 0) return rc;
+  return st.ok() ? 0 : Fail(st);
 }
 
 // ---- daemon: the network front-end ---------------------------------------
@@ -1300,22 +1071,12 @@ int CmdDaemon(const Args& args) {
   // reference their trees.
   MedicalDataset ontologies = Must(GenerateMedicalDataset({.num_rows = 1}));
 
-  DaemonConfig config;
-  config.service.thread_cap = args.FlagU64("cap", 0);
-  config.service.journal_dir = args.Flag("journal-dir", "");
+  DaemonConfig config = DaemonConfigFromArgs(args, ontologies);
   config.service.default_deadline_ms =
       static_cast<int64_t>(args.FlagU64("default-deadline-ms", 0));
   config.service.max_queue_depth = args.FlagU64("max-queue-depth", 0);
   config.service.max_admission_waiters =
       args.FlagU64("max-admission-waiters", 0);
-  config.schema = MedicalSchema();
-  config.metrics_for_config =
-      [&ontologies](const FrameworkConfig& fc) -> Result<UsageMetrics> {
-    if (fc.binning.enforce_joint) {
-      return UnconstrainedMetrics(ontologies.trees());
-    }
-    return MetricsFromDepthCuts(ontologies.trees(), {2, 1, 2, 1, 1});
-  };
 
   PrivmarkDaemon daemon(std::move(config));
   if (auto st = daemon.Start(static_cast<uint16_t>(port)); !st.ok()) {
@@ -1362,7 +1123,7 @@ int CmdRecover(const Args& args) {
   }
   MedicalDataset ontologies = Must(GenerateMedicalDataset({.num_rows = 1}));
   FrameworkConfig config = FrameworkConfigFromArgs(args);
-  UsageMetrics metrics = MetricsForConfig(config, ontologies);
+  UsageMetrics metrics = Must(MetricsForConfig(config, ontologies));
   SessionConfig session_config;
   std::string policy;
   if (int rc = ParseSessionConfig(args, &session_config, &policy); rc != 0) {

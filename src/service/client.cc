@@ -19,7 +19,7 @@ Status SocketError(const std::string& what) {
 
 }  // namespace
 
-// Everything the client remembers about one in-flight v2 call. Guarded
+// Everything the client remembers about one in-flight call. Guarded
 // by the client's mu_ (routing fills it, Wait/NextShard drain it).
 struct DaemonClient::PendingState {
   uint64_t id = 0;
@@ -39,10 +39,8 @@ struct DaemonClient::PendingState {
   WireResponse response;
 };
 
-DaemonClient::DaemonClient(Schema schema, uint8_t max_protocol_version)
-    : schema_(schema),
-      max_protocol_version_(max_protocol_version),
-      decoder_(std::move(schema)) {}
+DaemonClient::DaemonClient(Schema schema)
+    : schema_(schema), decoder_(std::move(schema)) {}
 
 DaemonClient::~DaemonClient() { Disconnect(); }
 
@@ -50,11 +48,6 @@ Status DaemonClient::Connect(const std::string& host, uint16_t port) {
   std::lock_guard<std::mutex> send_lock(send_mu_);
   std::unique_lock<std::mutex> lock(mu_);
   if (fd_ >= 0) return Status::InvalidArgument("client already connected");
-  char magic[kWireMagicSize];
-  if (!WireMagicFor(max_protocol_version_, magic)) {
-    return Status::InvalidArgument("unknown wire protocol version " +
-                                   std::to_string(max_protocol_version_));
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -70,20 +63,16 @@ Status DaemonClient::Connect(const std::string& host, uint16_t port) {
     ::close(fd);
     return st;
   }
-  // Handshake: offer our highest version, accept the daemon's echo of
-  // any version up to it (the daemon negotiates down, never up).
+  // Handshake: send the magic, expect it echoed back verbatim.
   char echo[kWireMagicSize];
-  uint8_t negotiated = 0;
-  if (!WriteFullySocket(fd, magic, kWireMagicSize) ||
+  if (!WriteFullySocket(fd, kWireMagic, kWireMagicSize) ||
       !ReadFullySocket(fd, echo, sizeof(echo)) ||
-      (negotiated = WireMagicVersion(echo)) == 0 ||
-      negotiated > max_protocol_version_) {
+      std::memcmp(echo, kWireMagic, kWireMagicSize) != 0) {
     ::close(fd);
     return Status::IOError("daemon handshake failed: magic mismatch or "
                            "connection lost");
   }
   fd_ = fd;
-  protocol_version_ = negotiated;
   // A reconnect starts a fresh dictionary epoch on both ends, a fresh
   // id space, and a clean poison slate.
   encoder_ = WireTableEncoder();
@@ -95,71 +84,8 @@ Status DaemonClient::Connect(const std::string& host, uint16_t port) {
 }
 
 Result<WireResponse> DaemonClient::Call(const WireRequest& request) {
-  uint8_t version = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (fd_ < 0) return Status::InvalidArgument("client is not connected");
-    version = protocol_version_;
-  }
-  if (version == kWireProtocolV1) return CallLockStep(request);
   PRIVMARK_ASSIGN_OR_RETURN(PendingCall call, CallAsync(request));
   return call.Wait();
-}
-
-Result<WireResponse> DaemonClient::CallLockStep(const WireRequest& request) {
-  const std::string payload = EncodeWireRequest(request, &encoder_);
-  Result<std::string> frame = EncodeWireFrame(request.type, payload);
-  if (!frame.ok()) return frame.status();
-  if (!WriteFullySocket(fd_, frame->data(), frame->size())) {
-    Disconnect();
-    return SocketError("cannot send " +
-                       std::string(WireFrameTypeToString(request.type)) +
-                       " request");
-  }
-  char header[kWireFrameHeaderBytes];
-  if (!ReadFullySocket(fd_, header, sizeof(header))) {
-    Disconnect();
-    return Status::IOError(
-        "connection lost waiting for the daemon's response (the daemon "
-        "closes the connection on a protocol error)");
-  }
-  Result<size_t> body_length = WireFrameBodyLength(header);
-  if (!body_length.ok()) {
-    Disconnect();
-    return body_length.status();
-  }
-  std::string body(*body_length, '\0');
-  if (!ReadFullySocket(fd_, body.data(), body.size())) {
-    Disconnect();
-    return Status::IOError("connection lost mid-response");
-  }
-  Result<WireFrame> decoded =
-      DecodeWireFrameBody(header, body.data(), body.size());
-  if (!decoded.ok()) {
-    Disconnect();
-    return decoded.status();
-  }
-  if (decoded->type != WireFrameType::kResponse) {
-    Disconnect();
-    return Status::InvalidArgument(
-        std::string("daemon sent a ") +
-        WireFrameTypeToString(decoded->type) + " frame where a response "
-        "was expected");
-  }
-  Result<WireResponse> response =
-      DecodeWireResponse(decoded->payload, &decoder_);
-  if (!response.ok()) {
-    Disconnect();
-    return response.status();
-  }
-  if (response->kind != request.type) {
-    Disconnect();
-    return Status::InvalidArgument(
-        std::string("daemon answered a ") +
-        WireFrameTypeToString(request.type) + " request with a " +
-        WireFrameTypeToString(response->kind) + " response");
-  }
-  return response;
 }
 
 Result<DaemonClient::PendingCall> DaemonClient::CallAsync(
@@ -171,11 +97,6 @@ Result<DaemonClient::PendingCall> DaemonClient::CallAsync(
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (fd_ < 0) return Status::InvalidArgument("client is not connected");
-    if (protocol_version_ != kWireProtocolV2) {
-      return Status::InvalidArgument(
-          "CallAsync requires a v2 connection (the daemon negotiated "
-          "lock-step v1); use Call");
-    }
     if (!poison_.ok()) return poison_;
     state->id = next_request_id_++;
     pending_.emplace(state->id, state);
@@ -228,14 +149,14 @@ Status DaemonClient::PumpOneFrame(int fd) {
         "connection lost waiting for a response frame (the daemon closes "
         "the connection on a protocol error)");
   }
-  Result<size_t> body_length = WireFrameBodyLength(header, kWireProtocolV2);
+  Result<size_t> body_length = WireFrameBodyLength(header);
   if (!body_length.ok()) return body_length.status();
   std::string body(*body_length, '\0');
   if (!ReadFullySocket(fd, body.data(), body.size())) {
     return Status::IOError("connection lost mid-response");
   }
   Result<WireFrame> frame =
-      DecodeWireFrameBody(header, body.data(), body.size(), kWireProtocolV2);
+      DecodeWireFrameBody(header, body.data(), body.size());
   if (!frame.ok()) return frame.status();
   if (frame->type != WireFrameType::kResponse &&
       frame->type != WireFrameType::kPartial) {
@@ -421,7 +342,6 @@ void DaemonClient::DisconnectLocked(std::unique_lock<std::mutex>& lock) {
   cv_.wait(lock, [this] { return !pumping_; });
   ::close(fd_);
   fd_ = -1;
-  protocol_version_ = 0;
   PoisonLocked(Status::IOError("client disconnected"));
   cv_.notify_all();
 }

@@ -1,21 +1,14 @@
 // Client side of the wire protocol, schema-typed like the daemon it
-// talks to. The handshake negotiates the protocol version down to the
-// lower of the two peers' maxima:
+// talks to. CallAsync() assigns a client-side request_id, sends
+// immediately, and returns a PendingCall handle; any number of calls may
+// be in flight, their response frames demultiplexed by the echoed id.
+// There is no dedicated reader thread: whichever caller is blocked in
+// Wait()/NextShard() pumps the socket (leader/follower — one pumper at a
+// time, so frames decode in wire order and the table-codec dictionaries
+// stay in sync), handing other requests' frames to their pending state
+// as they pass by. Call() is CallAsync().Wait().
 //
-//  - v1 (lock-step): one outstanding request at a time — Call() sends a
-//    frame and blocks for the response. The strict ordering is what
-//    keeps a v1 connection's table-codec dictionaries in sync.
-//  - v2 (multiplexed): CallAsync() assigns a client-side request_id,
-//    sends immediately, and returns a PendingCall handle; any number of
-//    calls may be in flight, their response frames demultiplexed by the
-//    echoed id. There is no dedicated reader thread: whichever caller
-//    is blocked in Wait()/NextShard() pumps the socket (leader/follower
-//    — one pumper at a time, so frames decode in wire order and the
-//    table-codec dictionaries stay in sync), handing other requests'
-//    frames to their pending state as they pass by. Call() under v2 is
-//    CallAsync().Wait().
-//
-// Streamed fingerprints (v2): set WireRequest::stream on a kFingerprint
+// Streamed fingerprints: set WireRequest::stream on a kFingerprint
 // request and the daemon answers with per-key-shard kPartial frames
 // before the terminal response. PendingCall::NextShard() hands the
 // shards over one at a time, in order, as they arrive; Wait()
@@ -50,25 +43,20 @@
 
 namespace privmark {
 
-/// \brief A daemon connection: lock-step under v1, multiplexed under
-/// v2. Thread-compatible under v1 (external synchronization required);
-/// under v2, CallAsync / Wait / NextShard are safe to call from any
-/// number of threads.
+/// \brief A multiplexed daemon connection. CallAsync / Wait / NextShard
+/// are safe to call from any number of threads.
 class DaemonClient {
   struct PendingState;
 
  public:
-  /// \brief `max_protocol_version` caps what Connect offers the daemon
-  /// (pin kWireProtocolV1 to force the lock-step path).
-  explicit DaemonClient(Schema schema,
-                        uint8_t max_protocol_version = kWireProtocolMax);
+  explicit DaemonClient(Schema schema);
   /// Disconnects if still connected.
   ~DaemonClient();
 
   DaemonClient(const DaemonClient&) = delete;
   DaemonClient& operator=(const DaemonClient&) = delete;
 
-  /// \brief One in-flight v2 call. Default-constructed handles are
+  /// \brief One in-flight call. Default-constructed handles are
   /// empty; real ones come from CallAsync. Handles may outlive nothing:
   /// the DaemonClient must outlive every PendingCall it issued.
   class PendingCall {
@@ -100,26 +88,22 @@ class DaemonClient {
   };
 
   /// \brief Connects to `host`:`port` (numeric IPv4, e.g. "127.0.0.1")
-  /// and runs the negotiating handshake.
+  /// and runs the handshake.
   Status Connect(const std::string& host, uint16_t port);
 
-  /// \brief Sends one request and blocks for its response (v1: the
-  /// lock-step exchange; v2: CallAsync(request).Wait()). The response's
-  /// kind echoes the request's type. On any transport or framing error
-  /// the connection is poisoned before returning.
+  /// \brief Sends one request and blocks for its response:
+  /// CallAsync(request).Wait(). The response's kind echoes the request's
+  /// type. On any transport or framing error the connection is poisoned
+  /// before returning.
   Result<WireResponse> Call(const WireRequest& request);
 
-  /// \brief v2 only: sends the request without waiting; the returned
+  /// \brief Sends the request without waiting; the returned
   /// handle collects the response (and any streamed shards). Pipelining
   /// is free — any number of calls may be outstanding. Same-session
   /// requests execute in the order CallAsync sent them.
   Result<PendingCall> CallAsync(const WireRequest& request);
 
-  /// \brief The negotiated protocol version (after Connect); 0 when
-  /// disconnected.
-  uint8_t protocol_version() const { return protocol_version_; }
-
-  /// \brief Closes the socket; in-flight v2 calls fail. Idempotent.
+  /// \brief Closes the socket; in-flight calls fail. Idempotent.
   void Disconnect();
 
   /// \brief True while the connection is open AND usable — a poisoned
@@ -130,7 +114,6 @@ class DaemonClient {
   }
 
  private:
-  Result<WireResponse> CallLockStep(const WireRequest& request);
   // Reads + routes exactly one frame off the socket. Called only by the
   // current pump leader (mu_ NOT held); takes mu_ briefly to route.
   Status PumpOneFrame(int fd);
@@ -143,13 +126,11 @@ class DaemonClient {
   void DisconnectLocked(std::unique_lock<std::mutex>& lock);
 
   Schema schema_;
-  const uint8_t max_protocol_version_;
-  uint8_t protocol_version_ = 0;
   int fd_ = -1;
   WireTableEncoder encoder_;
   WireTableDecoder decoder_;
 
-  // v2 multiplexing state. send_mu_ serializes request ENCODE + write
+  // Multiplexing state. send_mu_ serializes request ENCODE + write
   // (dictionary order = wire order); mu_ guards everything else.
   std::mutex send_mu_;
   mutable std::mutex mu_;

@@ -29,22 +29,6 @@ Result<RequestKind> RequestKindForFrame(WireFrameType type) {
                                  " frame has no service-request shape");
 }
 
-WireFrameType FrameForRequestKind(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kProtectBatch:
-      return WireFrameType::kIngest;
-    case RequestKind::kFlush:
-      return WireFrameType::kFlush;
-    case RequestKind::kDetect:
-      return WireFrameType::kDetect;
-    case RequestKind::kDetectFingerprint:
-      return WireFrameType::kFingerprint;
-    case RequestKind::kCloseSession:
-      return WireFrameType::kClose;
-  }
-  return WireFrameType::kClose;
-}
-
 Result<ServiceRequest> ToServiceRequest(const WireRequest& request) {
   ServiceRequest service_request;
   PRIVMARK_ASSIGN_OR_RETURN(service_request.kind,
@@ -60,22 +44,6 @@ Result<ServiceRequest> ToServiceRequest(const WireRequest& request) {
         std::make_shared<const KeyRegistry>(std::move(registry));
   }
   return service_request;
-}
-
-WireRequest ToWireRequest(const ServiceRequest& request) {
-  WireRequest wire_request;
-  wire_request.type = FrameForRequestKind(request.kind);
-  wire_request.session = request.session;
-  wire_request.ask = static_cast<uint64_t>(request.num_threads);
-  wire_request.deadline_ms = request.deadline_ms;
-  wire_request.table = request.table;
-  if (request.kind == RequestKind::kDetectFingerprint) {
-    if (request.registry != nullptr) {
-      wire_request.registry_text = request.registry->Serialize();
-    }
-    wire_request.stream = request.fingerprint_sink != nullptr;
-  }
-  return wire_request;
 }
 
 WireResponse ToWireResponse(WireFrameType kind, Result<ServiceResponse> result,

@@ -13,14 +13,13 @@
 // correspondence:
 //
 //   WireRequest  --ToServiceRequest-->  ServiceRequest
-//   ServiceRequest  --ToWireRequest-->  WireRequest      (inverse)
 //   (kind, Result<ServiceResponse>)  --ToWireResponse--> WireResponse
 //
-// ToWireResponse also pins down the NON-OK envelope (satellite of the
-// v2 redesign): a failed request's response has threads_granted = 0
-// (nothing was granted for any work that produced output),
-// journal_status OK (the failure says nothing about the stream's
-// durability barrier), and the retry hint riding on the status itself.
+// ToWireResponse also pins down the NON-OK envelope: a failed request's
+// response has threads_granted = 0 (nothing was granted for any work
+// that produced output), journal_status OK (the failure says nothing
+// about the stream's durability barrier), and the retry hint riding on
+// the status itself.
 
 #ifndef PRIVMARK_SERVICE_CONVERT_H_
 #define PRIVMARK_SERVICE_CONVERT_H_
@@ -40,22 +39,12 @@ namespace privmark {
 /// — registry bookkeeping, not strand work — kResponse, kPartial).
 Result<RequestKind> RequestKindForFrame(WireFrameType type);
 
-/// \brief The request frame type a service kind travels as (total —
-/// every RequestKind has a frame).
-WireFrameType FrameForRequestKind(RequestKind kind);
-
 /// \brief Builds the executable request for a decoded wire request.
 /// kOpen has no ServiceRequest shape (it is registry bookkeeping, not
 /// strand work) and is rejected with InvalidArgument; a kFingerprint
 /// request's registry_text is parsed here (its streamed flag becomes a
 /// null fingerprint_sink — the transport layer attaches the real sink).
 Result<ServiceRequest> ToServiceRequest(const WireRequest& request);
-
-/// \brief The inverse: the wire shape a service request travels as.
-/// A kDetectFingerprint request's registry is re-serialized
-/// (KeyRegistry::Serialize / Parse round-trip losslessly); the
-/// fingerprint_sink does not cross (it becomes the stream flag).
-WireRequest ToWireRequest(const ServiceRequest& request);
 
 /// \brief Builds manifest text for one sealed epoch of a closing
 /// session — the daemon injects ManifestFromEpoch + SerializeManifest

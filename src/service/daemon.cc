@@ -93,59 +93,9 @@ void PrivmarkDaemon::AcceptLoop() {
   }
 }
 
-void PrivmarkDaemon::ServeConnection(int fd) {
-  // Handshake: read the client's magic, negotiate down to the lower of
-  // the two maxima, echo the negotiated magic. An unknown magic = wrong
-  // protocol; hang up without guessing.
-  char magic[kWireMagicSize];
-  char echo[kWireMagicSize];
-  uint8_t version = 0;
-  if (!ReadFullySocket(fd, magic, sizeof(magic)) ||
-      (version = std::min(WireMagicVersion(magic),
-                          config_.max_protocol_version)) == 0 ||
-      !WireMagicFor(version, echo) ||
-      !WriteFullySocket(fd, echo, kWireMagicSize)) {
-    ::shutdown(fd, SHUT_RDWR);
-    return;
-  }
-  if (version == kWireProtocolV1) {
-    ServeLockStep(fd);
-  } else {
-    ServeMultiplexed(fd);
-  }
-  ::shutdown(fd, SHUT_RDWR);
-}
-
-void PrivmarkDaemon::ServeLockStep(int fd) {
-  // Per-connection codec state; see wire.h on dictionary scoping.
-  WireTableEncoder encoder;
-  WireTableDecoder decoder(config_.schema);
-
-  for (;;) {
-    char header[kWireFrameHeaderBytes];
-    if (!ReadFullySocket(fd, header, sizeof(header))) break;
-    Result<size_t> body_length = WireFrameBodyLength(header);
-    if (!body_length.ok()) break;  // oversized length: protocol error
-    std::string body(*body_length, '\0');
-    if (!ReadFullySocket(fd, body.data(), body.size())) break;
-    Result<WireFrame> frame = DecodeWireFrameBody(header, body.data(),
-                                                  body.size());
-    if (!frame.ok() || frame->type == WireFrameType::kResponse) break;
-    Result<WireRequest> request =
-        DecodeWireRequest(frame->type, frame->payload, &decoder);
-    if (!request.ok()) break;  // codec state unknowable: hang up
-
-    const WireResponse response = Execute(*request);
-    const std::string payload = EncodeWireResponse(response, &encoder);
-    Result<std::string> out = EncodeWireFrame(WireFrameType::kResponse,
-                                              payload);
-    if (!out.ok() || !WriteFullySocket(fd, out->data(), out->size())) break;
-  }
-}
-
-void PrivmarkDaemon::WriteResponseV2(MuxConnection* mux, uint64_t request_id,
-                                     const WireResponse& response,
-                                     bool streamed) {
+void PrivmarkDaemon::WriteResponse(MuxConnection* mux, uint64_t request_id,
+                                   const WireResponse& response,
+                                   bool streamed) {
   std::lock_guard<std::mutex> lock(mux->write_mu);
   if (mux->broken) return;
   WireFrame frame;
@@ -166,8 +116,8 @@ void PrivmarkDaemon::WriteResponseV2(MuxConnection* mux, uint64_t request_id,
   }
 }
 
-void PrivmarkDaemon::WritePartialV2(MuxConnection* mux, uint64_t request_id,
-                                    const FingerprintShard& shard) {
+void PrivmarkDaemon::WritePartial(MuxConnection* mux, uint64_t request_id,
+                                  const FingerprintShard& shard) {
   std::lock_guard<std::mutex> lock(mux->write_mu);
   if (mux->broken) return;
   WireFrame frame;
@@ -183,7 +133,17 @@ void PrivmarkDaemon::WritePartialV2(MuxConnection* mux, uint64_t request_id,
   }
 }
 
-void PrivmarkDaemon::ServeMultiplexed(int fd) {
+void PrivmarkDaemon::ServeConnection(int fd) {
+  // Handshake: read the client's magic and echo it. Any other magic =
+  // wrong protocol (or a retired version); hang up without an echo.
+  char magic[kWireMagicSize];
+  if (!ReadFullySocket(fd, magic, sizeof(magic)) ||
+      std::memcmp(magic, kWireMagic, kWireMagicSize) != 0 ||
+      !WriteFullySocket(fd, kWireMagic, kWireMagicSize)) {
+    ::shutdown(fd, SHUT_RDWR);
+    return;
+  }
+
   MuxConnection mux;
   mux.fd = fd;
   WireTableDecoder decoder(config_.schema);
@@ -220,7 +180,7 @@ void PrivmarkDaemon::ServeMultiplexed(int fd) {
       WireResponse response = FinishResponse(pending.type, pending.session,
                                              pending.future.get());
       response.request_id = pending.request_id;
-      WriteResponseV2(&mux, pending.request_id, response, pending.streamed);
+      WriteResponse(&mux, pending.request_id, response, pending.streamed);
       lock.lock();
       --busy;
       queue_cv.notify_all();  // the reader may be parked at the cap
@@ -230,12 +190,12 @@ void PrivmarkDaemon::ServeMultiplexed(int fd) {
   for (;;) {
     char header[kWireFrameHeaderBytes];
     if (!ReadFullySocket(fd, header, sizeof(header))) break;
-    Result<size_t> body_length = WireFrameBodyLength(header, kWireProtocolV2);
+    Result<size_t> body_length = WireFrameBodyLength(header);
     if (!body_length.ok()) break;
     std::string body(*body_length, '\0');
     if (!ReadFullySocket(fd, body.data(), body.size())) break;
     Result<WireFrame> frame =
-        DecodeWireFrameBody(header, body.data(), body.size(), kWireProtocolV2);
+        DecodeWireFrameBody(header, body.data(), body.size());
     // Clients send single-frame request types only; the streamed flag is
     // only meaningful on a fingerprint request (asking for a streamed
     // response).
@@ -254,7 +214,7 @@ void PrivmarkDaemon::ServeMultiplexed(int fd) {
       // pipelined request for the new session is submitted.
       WireResponse response = ExecuteOpen(*request);
       response.request_id = frame->request_id;
-      WriteResponseV2(&mux, frame->request_id, response, false);
+      WriteResponse(&mux, frame->request_id, response, false);
     } else {
       Result<ServiceRequest> service_request = ToServiceRequest(*request);
       if (!service_request.ok()) {
@@ -263,14 +223,14 @@ void PrivmarkDaemon::ServeMultiplexed(int fd) {
         WireResponse response = ToWireResponse(
             frame->type, Result<ServiceResponse>(service_request.status()));
         response.request_id = frame->request_id;
-        WriteResponseV2(&mux, frame->request_id, response, false);
+        WriteResponse(&mux, frame->request_id, response, false);
       } else {
         if (request->stream) {
           const uint64_t request_id = frame->request_id;
           MuxConnection* mux_ptr = &mux;
           service_request->fingerprint_sink =
               [this, mux_ptr, request_id](const FingerprintShard& shard) {
-                WritePartialV2(mux_ptr, request_id, shard);
+                WritePartial(mux_ptr, request_id, shard);
               };
         }
         Pending pending;
@@ -311,6 +271,7 @@ void PrivmarkDaemon::ServeMultiplexed(int fd) {
   }
   queue_cv.notify_all();
   for (std::thread& writer : writers) writer.join();
+  ::shutdown(fd, SHUT_RDWR);
 }
 
 WireResponse PrivmarkDaemon::ExecuteOpen(const WireRequest& request) {
@@ -363,18 +324,6 @@ WireResponse PrivmarkDaemon::ExecuteOpen(const WireRequest& request) {
   response.open.tail_truncated = recovery.tail_truncated;
   response.open.emitted = std::move(recovery.emitted);
   return response;
-}
-
-WireResponse PrivmarkDaemon::Execute(const WireRequest& request) {
-  if (request.type == WireFrameType::kOpen) return ExecuteOpen(request);
-
-  Result<ServiceRequest> service_request = ToServiceRequest(request);
-  if (!service_request.ok()) {
-    return ToWireResponse(request.type,
-                          Result<ServiceResponse>(service_request.status()));
-  }
-  return FinishResponse(request.type, request.session,
-                        service_.Submit(*std::move(service_request)).get());
 }
 
 WireResponse PrivmarkDaemon::FinishResponse(WireFrameType type,

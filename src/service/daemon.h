@@ -3,29 +3,24 @@
 // the service without linking it in-process.
 //
 // Execution model: one accept-loop thread, one reader thread per
-// connection (no event loop, no new dependencies). The handshake
-// negotiates the protocol version down to the lower of the two peers'
-// maxima:
+// connection (no event loop, no new dependencies). After the handshake
+// the reader decodes and submits pipelined requests as they arrive
+// (same-session order = submission order = the strand's execution
+// order) and a small lazily-grown writer pool completes their futures
+// and writes responses as they finish, in any order, demultiplexed by
+// the echoed request_id. A streamed kFingerprint request's verdict
+// shards are written as kPartial frames from the executing strand,
+// before its terminal response. max_inflight_per_connection bounds
+// dispatched-but-unanswered requests; at the cap the reader stops
+// reading (TCP backpressure).
 //
-//  - v1 (lock-step): the reader serves strictly synchronously — read a
-//    request frame, execute it against the service, write the response.
-//  - v2 (multiplexed): the reader decodes and submits pipelined
-//    requests as they arrive (same-session order = submission order =
-//    the strand's execution order) and a small lazily-grown writer pool
-//    completes their futures and writes responses as they finish, in
-//    any order, demultiplexed by the echoed request_id. A streamed
-//    kFingerprint request's verdict shards are written as kPartial
-//    frames from the executing strand, before its terminal response.
-//    max_inflight_per_connection bounds dispatched-but-unanswered
-//    requests; at the cap the reader stops reading (TCP backpressure).
+// All writes on a connection — partials from strand threads, responses
+// from writer threads, inline open responses from the reader — serialize
+// on one write mutex, and response payloads are ENCODED under that mutex
+// too, so the table codec's dictionary mutation order always equals the
+// wire order the client's decoder replays.
 //
-// All writes on a v2 connection — partials from strand threads,
-// responses from writer threads, inline open responses from the reader
-// — serialize on one write mutex, and response payloads are ENCODED
-// under that mutex too, so the table codec's dictionary mutation order
-// always equals the wire order the client's decoder replays.
-//
-// Protocol errors (bad magic, malformed frame, unknown v2 flags, a
+// Protocol errors (bad magic, malformed frame, unknown flags, a
 // kPartial/kResponse frame from a client, undecodable payload) are
 // fatal to the offending connection only: the codec's dictionary state
 // is unknowable after a framing error, so the daemon closes that socket
@@ -70,13 +65,9 @@ struct DaemonConfig {
   Schema schema;
   std::function<Result<UsageMetrics>(const FrameworkConfig&)>
       metrics_for_config;
-  /// Highest wire protocol version this daemon speaks; the handshake
-  /// negotiates min(client's, this). Pin to kWireProtocolV1 to force
-  /// every connection onto the lock-step path.
-  uint8_t max_protocol_version = kWireProtocolMax;
-  /// v2 connections: cap on requests dispatched but not yet answered on
-  /// one connection — also the writer-pool bound. At the cap the reader
-  /// stops reading until a response drains. Clamped to >= 1.
+  /// Cap on requests dispatched but not yet answered on one connection —
+  /// also the writer-pool bound. At the cap the reader stops reading
+  /// until a response drains. Clamped to >= 1.
   size_t max_inflight_per_connection = 32;
 };
 
@@ -123,7 +114,7 @@ class PrivmarkDaemon {
     std::thread thread;
   };
 
-  // Shared write-side state of one v2 connection: every frame write —
+  // Shared write-side state of one connection: every frame write —
   // and every response-payload ENCODE, so dictionary order equals wire
   // order — happens under write_mu. `broken` latches the first write
   // failure; later writes become no-ops (the reader tears down).
@@ -135,25 +126,22 @@ class PrivmarkDaemon {
   };
 
   void AcceptLoop();
+  // Handshake, then the connection's read loop.
   void ServeConnection(int fd);
-  void ServeLockStep(int fd);      // v1
-  void ServeMultiplexed(int fd);   // v2
-  // Executes one decoded request synchronously (the v1 path); the
-  // returned response is ready to encode. Never fails — errors travel
+  // Builds and registers an opened stream. Never fails — errors travel
   // inside the response's status.
-  WireResponse Execute(const WireRequest& request);
   WireResponse ExecuteOpen(const WireRequest& request);
   // Builds the wire response for a completed service future: the
   // convert-layer mapping plus the daemon's close-path manifest
   // building (which consumes the SessionContext on success).
   WireResponse FinishResponse(WireFrameType type, const std::string& session,
                               Result<ServiceResponse> result);
-  // v2 writes: encode + write under mux->write_mu. `streamed` selects
-  // the tails-only terminal payload of a streamed response.
-  void WriteResponseV2(MuxConnection* mux, uint64_t request_id,
-                       const WireResponse& response, bool streamed);
-  void WritePartialV2(MuxConnection* mux, uint64_t request_id,
-                      const FingerprintShard& shard);
+  // Encode + write under mux->write_mu. `streamed` selects the
+  // tails-only terminal payload of a streamed response.
+  void WriteResponse(MuxConnection* mux, uint64_t request_id,
+                     const WireResponse& response, bool streamed);
+  void WritePartial(MuxConnection* mux, uint64_t request_id,
+                    const FingerprintShard& shard);
 
   const DaemonConfig config_;
   PrivmarkService service_;

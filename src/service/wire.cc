@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -243,30 +242,8 @@ const char* WireFrameTypeToString(WireFrameType type) {
   return "unknown";
 }
 
-uint8_t WireMagicVersion(const char* magic) {
-  if (std::memcmp(magic, kWireMagic, kWireMagicSize) == 0) {
-    return kWireProtocolV1;
-  }
-  if (std::memcmp(magic, kWireMagicV2, kWireMagicSize) == 0) {
-    return kWireProtocolV2;
-  }
-  return 0;
-}
-
-bool WireMagicFor(uint8_t version, char* out) {
-  if (version == kWireProtocolV1) {
-    std::memcpy(out, kWireMagic, kWireMagicSize);
-    return true;
-  }
-  if (version == kWireProtocolV2) {
-    std::memcpy(out, kWireMagicV2, kWireMagicSize);
-    return true;
-  }
-  return false;
-}
-
 Result<std::string> EncodeWireFrame(const WireFrame& frame, uint8_t version) {
-  if (version != kWireProtocolV1 && version != kWireProtocolV2) {
+  if (version != kWireProtocolV2) {
     return Status::InvalidArgument("wire: unknown protocol version " +
                                    std::to_string(version));
   }
@@ -275,26 +252,18 @@ Result<std::string> EncodeWireFrame(const WireFrame& frame, uint8_t version) {
                                    std::to_string(frame.payload.size()) +
                                    " bytes exceeds the frame size cap");
   }
-  if (version == kWireProtocolV1 &&
-      (frame.request_id != 0 || !frame.final_frame || frame.streamed ||
-       frame.type == WireFrameType::kPartial)) {
-    return Status::InvalidArgument(
-        "wire: v1 frames carry no request id, flags, or continuations");
-  }
   if (frame.type == WireFrameType::kPartial && frame.final_frame) {
     return Status::InvalidArgument(
         "wire: a partial frame cannot be final");
   }
   std::string crc_input;
-  crc_input.reserve(1 + kWireV2EnvelopeBytes + frame.payload.size());
+  crc_input.reserve(1 + kWireEnvelopeBytes + frame.payload.size());
   crc_input.push_back(static_cast<char>(frame.type));
-  if (version == kWireProtocolV2) {
-    AppendLe64(&crc_input, frame.request_id);
-    uint8_t flags = 0;
-    if (frame.final_frame) flags |= kWireFlagFinal;
-    if (frame.streamed) flags |= kWireFlagStreamed;
-    crc_input.push_back(static_cast<char>(flags));
-  }
+  AppendLe64(&crc_input, frame.request_id);
+  uint8_t flags = 0;
+  if (frame.final_frame) flags |= kWireFlagFinal;
+  if (frame.streamed) flags |= kWireFlagStreamed;
+  crc_input.push_back(static_cast<char>(flags));
   crc_input.append(frame.payload);
 
   std::string encoded;
@@ -305,32 +274,21 @@ Result<std::string> EncodeWireFrame(const WireFrame& frame, uint8_t version) {
   return encoded;
 }
 
-Result<std::string> EncodeWireFrame(WireFrameType type,
-                                    const std::string& payload) {
-  WireFrame frame;
-  frame.type = type;
-  frame.payload = payload;
-  return EncodeWireFrame(frame, kWireProtocolV1);
-}
-
-Result<size_t> WireFrameBodyLength(const char* header, uint8_t version) {
+Result<size_t> WireFrameBodyLength(const char* header) {
   const uint32_t length = ReadLe32(header);
   if (length > kMaxWireFrameBytes) {
     return Status::InvalidArgument("wire: frame length " +
                                    std::to_string(length) +
                                    " exceeds the frame size cap");
   }
-  // + the type byte (+ the v2 envelope).
-  const size_t envelope =
-      version == kWireProtocolV2 ? 1 + kWireV2EnvelopeBytes : 1;
-  return static_cast<size_t>(length) + envelope;
+  // + the type byte and the envelope.
+  return static_cast<size_t>(length) + 1 + kWireEnvelopeBytes;
 }
 
 Result<WireFrame> DecodeWireFrameBody(const char* header, const char* body,
-                                      size_t body_length, uint8_t version) {
-  const size_t envelope =
-      version == kWireProtocolV2 ? 1 + kWireV2EnvelopeBytes : 1;
-  if (body_length < envelope) {
+                                      size_t body_length) {
+  constexpr size_t kEnvelope = 1 + kWireEnvelopeBytes;
+  if (body_length < kEnvelope) {
     return Status::InvalidArgument("wire: truncated frame body");
   }
   const uint32_t expected_crc = ReadLe32(header + 4);
@@ -338,29 +296,25 @@ Result<WireFrame> DecodeWireFrameBody(const char* header, const char* body,
     return Status::InvalidArgument("wire: frame checksum mismatch");
   }
   const uint8_t type = static_cast<uint8_t>(*body);
-  const uint8_t max_type = version == kWireProtocolV2
-                               ? static_cast<uint8_t>(WireFrameType::kPartial)
-                               : static_cast<uint8_t>(WireFrameType::kResponse);
-  if (type < static_cast<uint8_t>(WireFrameType::kOpen) || type > max_type) {
+  if (type < static_cast<uint8_t>(WireFrameType::kOpen) ||
+      type > static_cast<uint8_t>(WireFrameType::kPartial)) {
     return Status::InvalidArgument("wire: unknown frame type " +
                                    std::to_string(type));
   }
   WireFrame frame;
   frame.type = static_cast<WireFrameType>(type);
-  if (version == kWireProtocolV2) {
-    frame.request_id = ReadLe64(body + 1);
-    const uint8_t flags = static_cast<uint8_t>(body[9]);
-    if ((flags & ~kWireFlagMask) != 0) {
-      return Status::InvalidArgument("wire: unknown frame flags " +
-                                     std::to_string(flags));
-    }
-    frame.final_frame = (flags & kWireFlagFinal) != 0;
-    frame.streamed = (flags & kWireFlagStreamed) != 0;
-    if (frame.type == WireFrameType::kPartial && frame.final_frame) {
-      return Status::InvalidArgument("wire: a partial frame cannot be final");
-    }
+  frame.request_id = ReadLe64(body + 1);
+  const uint8_t flags = static_cast<uint8_t>(body[9]);
+  if ((flags & ~kWireFlagMask) != 0) {
+    return Status::InvalidArgument("wire: unknown frame flags " +
+                                   std::to_string(flags));
   }
-  frame.payload.assign(body + envelope, body_length - envelope);
+  frame.final_frame = (flags & kWireFlagFinal) != 0;
+  frame.streamed = (flags & kWireFlagStreamed) != 0;
+  if (frame.type == WireFrameType::kPartial && frame.final_frame) {
+    return Status::InvalidArgument("wire: a partial frame cannot be final");
+  }
+  frame.payload.assign(body + kEnvelope, body_length - kEnvelope);
   return frame;
 }
 
@@ -805,7 +759,7 @@ Result<WireResponse> DecodeWireResponse(const std::string& payload,
   return response;
 }
 
-// ---- streamed fingerprint responses (v2) ---------------------------------
+// ---- streamed fingerprint responses -------------------------------------
 
 namespace {
 

@@ -3,20 +3,11 @@
 // (open / ingest / flush / detect / fingerprint / close) so remote
 // hospital streams can reach a PrivmarkService over a socket.
 //
-// Connection handshake: the client sends an 8-byte magic "PRVMNET<v>"
-// (the trailing byte is the highest protocol version it speaks, '1' or
-// '2'); the server echoes the magic of min(client version, its own
-// max). Both sides then speak the echoed version for the connection's
-// lifetime — versions never mix mid-stream. An unknown magic prefix in
-// either direction is fatal to the connection.
+// Connection handshake: the client sends the 8-byte magic "PRVMNET2";
+// the server echoes it. Any other magic is fatal: the server hangs up
+// without echoing, and a client that reads back anything else gives up.
 //
-// Version 1 frames (both directions) reuse the journal's record shape:
-//
-//   [u32 payload length][u32 crc32][u8 type][payload bytes]
-//
-// and the connection is LOCK-STEP: one request, one response, in order.
-//
-// Version 2 widens the body into a multiplexing envelope:
+// Every frame (both directions) is one multiplexing envelope:
 //
 //   [u32 payload length][u32 crc32]
 //   [u8 type][u64 request_id][u8 flags][payload bytes]
@@ -33,15 +24,13 @@
 // already crossed in the partials. Unknown flag bits are a protocol
 // error. Requests are always single-frame (final=1).
 //
-// Both versions: little-endian, CRC-32 (IEEE) over the whole body
-// (type byte through payload), payloads capped at kMaxWireFrameBytes so
-// a corrupt length can never drive a huge allocation. Unlike the
-// torn-tail-tolerant journal reader, a socket peer is live: any
-// malformed frame (bad CRC, unknown type or flag, oversized length,
-// truncated payload) is a protocol error and the connection is closed —
-// there is no resynchronization point inside a byte stream. Payload
-// encodings are IDENTICAL across versions; v2 changes only the envelope
-// and the frame flow.
+// Little-endian, CRC-32 (IEEE) over the whole body (type byte through
+// payload), payloads capped at kMaxWireFrameBytes so a corrupt length
+// can never drive a huge allocation. Unlike the torn-tail-tolerant
+// journal reader, a socket peer is live: any malformed frame (bad CRC,
+// unknown type or flag, oversized length, truncated payload) is a
+// protocol error and the connection is closed — there is no
+// resynchronization point inside a byte stream.
 //
 // Table batches travel in a columnar encoding over the same lossless
 // cell shapes as SessionJournal::EncodeBatch: int64 and double columns
@@ -80,27 +69,14 @@
 namespace privmark {
 
 /// \brief Connection preamble: protocol name + version in 8 bytes.
-/// kWireMagic is the version-1 magic (kept under its historical name —
-/// existing lock-step code paths are all v1).
 inline constexpr char kWireMagic[8] = {'P', 'R', 'V', 'M',
-                                       'N', 'E', 'T', '1'};
-inline constexpr char kWireMagicV2[8] = {'P', 'R', 'V', 'M',
-                                         'N', 'E', 'T', '2'};
+                                       'N', 'E', 'T', '2'};
 inline constexpr size_t kWireMagicSize = sizeof(kWireMagic);
 
-/// \brief Protocol versions. V1 = lock-step request/response; V2 =
-/// multiplexed request ids + streamed responses.
-inline constexpr uint8_t kWireProtocolV1 = 1;
+/// \brief The protocol version the envelope below encodes (the digit in
+/// kWireMagic). EncodeWireFrame takes it so callers name the envelope
+/// they write; no other version exists.
 inline constexpr uint8_t kWireProtocolV2 = 2;
-inline constexpr uint8_t kWireProtocolMax = kWireProtocolV2;
-
-/// \brief Version carried by an 8-byte magic; 0 when the bytes are not
-/// a known privmark magic.
-uint8_t WireMagicVersion(const char* magic);
-
-/// \brief Writes the 8-byte magic for `version` into `out`; false for
-/// an unknown version (out untouched).
-bool WireMagicFor(uint8_t version, char* out);
 
 /// \brief Frame payloads larger than this are refused on both encode
 /// and decode (matches SessionJournal::kMaxRecordBytes).
@@ -112,8 +88,8 @@ inline constexpr size_t kWireFrameHeaderBytes = 8;
 
 /// \brief Frame types. 1–6 are requests (client → server) mirroring
 /// the serve grammar; kResponse carries (or, streamed, closes) every
-/// server reply; kPartial (v2 only) carries one continuation slice of a
-/// streamed response.
+/// server reply; kPartial carries one continuation slice of a streamed
+/// response.
 enum class WireFrameType : uint8_t {
   kOpen = 1,
   kIngest = 2,
@@ -127,52 +103,43 @@ enum class WireFrameType : uint8_t {
 
 const char* WireFrameTypeToString(WireFrameType type);
 
-/// \brief v2 envelope flag bits.
+/// \brief Envelope flag bits.
 inline constexpr uint8_t kWireFlagFinal = 0x1;
 inline constexpr uint8_t kWireFlagStreamed = 0x2;
 inline constexpr uint8_t kWireFlagMask = kWireFlagFinal | kWireFlagStreamed;
 
-/// \brief Fixed v2 envelope overhead past the type byte:
+/// \brief Fixed envelope overhead past the type byte:
 /// u64 request_id + u8 flags.
-inline constexpr size_t kWireV2EnvelopeBytes = 9;
+inline constexpr size_t kWireEnvelopeBytes = 9;
 
-/// \brief One decoded frame. Under v1 the envelope fields keep their
-/// defaults (no request ids, every frame final, nothing streamed).
+/// \brief One decoded frame.
 struct WireFrame {
   WireFrameType type = WireFrameType::kResponse;
-  /// v2: client-assigned id echoed on every frame of the response.
+  /// Client-assigned id echoed on every frame of the response.
   uint64_t request_id = 0;
-  /// v2: kWireFlagFinal — last frame of its logical message.
+  /// kWireFlagFinal — last frame of its logical message.
   bool final_frame = true;
-  /// v2: kWireFlagStreamed — part of a streamed response.
+  /// kWireFlagStreamed — part of a streamed response.
   bool streamed = false;
   std::string payload;
 };
 
-/// \brief Encodes a complete frame (header + body) under `version`.
-/// Under v1 the envelope fields must be at their defaults (a v1 frame
-/// cannot carry an id or a continuation). InvalidArgument when the
-/// payload exceeds kMaxWireFrameBytes.
+/// \brief Encodes a complete frame (header + body). InvalidArgument when
+/// `version` is not kWireProtocolV2, the payload exceeds
+/// kMaxWireFrameBytes, or a kPartial frame claims to be final.
 Result<std::string> EncodeWireFrame(const WireFrame& frame, uint8_t version);
-
-/// \brief v1 convenience overload (type + payload only).
-Result<std::string> EncodeWireFrame(WireFrameType type,
-                                    const std::string& payload);
 
 /// \brief Validates a frame header (first kWireFrameHeaderBytes bytes
 /// off the socket) and returns the body length still to read (type byte
-/// + v2 envelope + payload). InvalidArgument on an oversized length.
-Result<size_t> WireFrameBodyLength(const char* header,
-                                   uint8_t version = kWireProtocolV1);
+/// + envelope + payload). InvalidArgument on an oversized length.
+Result<size_t> WireFrameBodyLength(const char* header);
 
-/// \brief Validates CRC, type, and (v2) envelope flags of a frame body
-/// read after WireFrameBodyLength and splits it into a WireFrame.
-/// InvalidArgument on CRC mismatch, an unknown type for the version
-/// (kPartial is v2-only), unknown flag bits, or a kPartial frame
-/// claiming to be final.
+/// \brief Validates CRC, type, and envelope flags of a frame body read
+/// after WireFrameBodyLength and splits it into a WireFrame.
+/// InvalidArgument on CRC mismatch, an unknown type, unknown flag bits,
+/// or a kPartial frame claiming to be final.
 Result<WireFrame> DecodeWireFrameBody(const char* header, const char* body,
-                                      size_t body_length,
-                                      uint8_t version = kWireProtocolV1);
+                                      size_t body_length);
 
 // ---- columnar table codec ------------------------------------------------
 
@@ -260,9 +227,8 @@ struct WireRequest {
   uint64_t ask = UINT64_MAX;
   /// Per-request deadline; -1 = the daemon's default_deadline_ms.
   int64_t deadline_ms = -1;
-  /// v2 kFingerprint only: ask for a streamed response (travels as the
-  /// request frame's kWireFlagStreamed envelope bit, NOT in the payload
-  /// — v1 payload bytes are unchanged by it).
+  /// kFingerprint only: ask for a streamed response (travels as the
+  /// request frame's kWireFlagStreamed envelope bit, not in the payload).
   bool stream = false;
   WireOpenRequest open;
   Table table;
@@ -335,11 +301,11 @@ struct WireCloseResult {
 /// and selects which body member is meaningful; a non-OK `status`
 /// carries no body but a fully defined envelope (threads_granted = 0,
 /// journal_status OK unless the session's is known, the retry hint on
-/// `status` itself, and — v2 — the request_id echoed).
+/// `status` itself, and the request_id echoed).
 struct WireResponse {
   WireFrameType kind = WireFrameType::kOpen;
-  /// v2 envelope only (set from the frame, never encoded in the
-  /// payload): the id of the request this response answers.
+  /// Envelope only (set from the frame, never encoded in the payload):
+  /// the id of the request this response answers.
   uint64_t request_id = 0;
   /// The service-level outcome, reconstructed code + message + the
   /// typed retry_after_ms() backpressure hint (clients must never
@@ -366,7 +332,7 @@ std::string EncodeWireResponse(const WireResponse& response,
 Result<WireResponse> DecodeWireResponse(const std::string& payload,
                                         WireTableDecoder* tables);
 
-// ---- streamed fingerprint responses (v2) ---------------------------------
+// ---- streamed fingerprint responses -------------------------------------
 
 /// \brief One kPartial frame's payload: a FingerprintShard as it left
 /// the scan — the verdicts for a contiguous registry-order key run of

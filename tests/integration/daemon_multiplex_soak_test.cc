@@ -251,7 +251,6 @@ TEST(DaemonMultiplexSoakTest, PipelinedSessionsOnOneConnectionMatchReplay) {
   // ONE connection, one driver thread per session, all multiplexed.
   DaemonClient client(MedicalSchema());
   ASSERT_TRUE(client.Connect("127.0.0.1", daemon.port()).ok());
-  ASSERT_EQ(client.protocol_version(), kWireProtocolV2);
   {
     std::vector<std::thread> drivers;
     drivers.reserve(streams.size());

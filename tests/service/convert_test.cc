@@ -1,8 +1,7 @@
-// The conversion-seam suite (service/convert.h): one round-trip per
-// RequestKind through ToWireRequest -> ToServiceRequest, the frame/kind
-// bijection, and the non-OK response envelope that ToWireResponse pins
-// down (threads_granted = 0, journal_status OK, retry hint on the
-// status). A field added to either request surface must fail here, not
+// The conversion-seam suite (service/convert.h): one conversion per
+// request frame through ToServiceRequest, the frame/kind mapping, and
+// the non-OK response envelope that ToWireResponse pins down
+// (threads_granted = 0, journal_status OK, retry hint on the status). A field added to either request surface must fail here, not
 // silently drop in a hand-copy.
 
 #include "service/convert.h"
@@ -52,15 +51,27 @@ void ExpectTablesEqual(const Table& a, const Table& b) {
   }
 }
 
-// ---- kind <-> frame bijection ---------------------------------------------
+// ---- frame -> kind mapping ------------------------------------------------
 
-constexpr RequestKind kAllKinds[] = {
-    RequestKind::kProtectBatch, RequestKind::kFlush, RequestKind::kDetect,
-    RequestKind::kDetectFingerprint, RequestKind::kCloseSession};
+// Every RequestKind, with the request frame type it travels as.
+constexpr std::pair<WireFrameType, RequestKind> kAllKinds[] = {
+    {WireFrameType::kIngest, RequestKind::kProtectBatch},
+    {WireFrameType::kFlush, RequestKind::kFlush},
+    {WireFrameType::kDetect, RequestKind::kDetect},
+    {WireFrameType::kFingerprint, RequestKind::kDetectFingerprint},
+    {WireFrameType::kClose, RequestKind::kCloseSession}};
+
+WireFrameType FrameFor(RequestKind kind) {
+  for (const auto& [frame, mapped] : kAllKinds) {
+    if (mapped == kind) return frame;
+  }
+  ADD_FAILURE() << "no frame for " << RequestKindToString(kind);
+  return WireFrameType::kResponse;
+}
 
 TEST(ConvertKindTest, EveryKindRoundTripsThroughItsFrame) {
-  for (const RequestKind kind : kAllKinds) {
-    auto back = RequestKindForFrame(FrameForRequestKind(kind));
+  for (const auto& [frame, kind] : kAllKinds) {
+    auto back = RequestKindForFrame(frame);
     ASSERT_TRUE(back.ok()) << RequestKindToString(kind);
     EXPECT_EQ(*back, kind) << RequestKindToString(kind);
   }
@@ -78,12 +89,19 @@ TEST(ConvertKindTest, NonRequestFramesHaveNoKind) {
 
 // ---- per-kind request round-trips -----------------------------------------
 
-// Sends `request` through ToWireRequest -> ToServiceRequest and checks
-// the shared fields; returns the round-tripped request for kind-specific
-// assertions.
+// Builds the wire request `request` would travel as, sends it through
+// ToServiceRequest, and checks the shared fields; returns the converted
+// request for kind-specific assertions.
 ServiceRequest RoundTrip(const ServiceRequest& request) {
-  const WireRequest wire = ToWireRequest(request);
-  EXPECT_EQ(wire.type, FrameForRequestKind(request.kind));
+  WireRequest wire;
+  wire.type = FrameFor(request.kind);
+  wire.session = request.session;
+  wire.ask = static_cast<uint64_t>(request.num_threads);
+  wire.deadline_ms = request.deadline_ms;
+  wire.table = request.table;
+  if (request.registry != nullptr) {
+    wire.registry_text = request.registry->Serialize();
+  }
   auto back = ToServiceRequest(wire);
   EXPECT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->kind, request.kind);
@@ -140,18 +158,19 @@ TEST(ConvertRequestTest, FingerprintRoundTripsRegistryLosslessly) {
   EXPECT_EQ(back.fingerprint_sink, nullptr);
 }
 
-TEST(ConvertRequestTest, FingerprintSinkBecomesTheStreamFlag) {
-  ServiceRequest request;
-  request.kind = RequestKind::kDetectFingerprint;
-  request.session = "audit";
-  request.registry = TestRegistry();
-  EXPECT_FALSE(ToWireRequest(request).stream);
-  request.fingerprint_sink = [](const FingerprintShard&) {};
-  EXPECT_TRUE(ToWireRequest(request).stream);
-  // The flag is fingerprint-only: other kinds never set it.
-  ServiceRequest flush;
-  flush.kind = RequestKind::kFlush;
-  EXPECT_FALSE(ToWireRequest(flush).stream);
+TEST(ConvertRequestTest, StreamFlagLeavesTheSinkToTheTransport) {
+  // The stream flag asks the transport for a streamed response; the
+  // sink that writes the partial frames is the transport's to attach,
+  // so the conversion never invents one.
+  WireRequest wire;
+  wire.type = WireFrameType::kFingerprint;
+  wire.session = "audit";
+  wire.registry_text = TestRegistry()->Serialize();
+  wire.stream = true;
+  auto request = ToServiceRequest(wire);
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_EQ(request->kind, RequestKind::kDetectFingerprint);
+  EXPECT_EQ(request->fingerprint_sink, nullptr);
 }
 
 TEST(ConvertRequestTest, CloseRoundTrips) {

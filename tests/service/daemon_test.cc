@@ -21,7 +21,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/binenc.h"
 #include "common/failpoint.h"
+#include "core/journal.h"
 #include "datagen/medical_data.h"
 #include "relation/csv.h"
 #include "service/client.h"
@@ -86,6 +88,17 @@ int RawConnect(uint16_t port) {
     return -1;
   }
   return fd;
+}
+
+// One request frame under the wire envelope, as a client would send it.
+std::string RequestFrame(WireFrameType type, const std::string& payload) {
+  WireFrame frame;
+  frame.type = type;
+  frame.request_id = 1;
+  frame.payload = payload;
+  auto encoded = EncodeWireFrame(frame, kWireProtocolV2);
+  EXPECT_TRUE(encoded.ok()) << encoded.status().ToString();
+  return encoded.ok() ? *encoded : std::string();
 }
 
 // Sends `bytes` verbatim, then waits for the daemon to hang up (recv
@@ -223,9 +236,8 @@ TEST(DaemonTest, UnknownFrameTagIsFatalToTheConnectionOnly) {
   const int fd = RawConnect(env.daemon->port());
   ASSERT_GE(fd, 0);
   std::string bytes(kWireMagic, kWireMagicSize);
-  auto frame = EncodeWireFrame(static_cast<WireFrameType>(0x2a), "payload");
-  ASSERT_TRUE(frame.ok());
-  bytes += *frame;
+  // Encode is by-construction trusted; the daemon's decode is not.
+  bytes += RequestFrame(static_cast<WireFrameType>(0x2a), "payload");
   ExpectDisconnectAfter(fd, bytes, /*expect_back=*/kWireMagicSize);
   ExpectStillServing(env.daemon.get(), "after-unknown-tag");
   EXPECT_TRUE(env.daemon->Shutdown().ok());
@@ -237,19 +249,14 @@ TEST(DaemonTest, CorruptCrcIsFatalToTheConnectionOnly) {
   ASSERT_GE(fd, 0);
   std::string bytes(kWireMagic, kWireMagicSize);
   WireTableEncoder encoder;
-  auto frame = EncodeWireFrame(
-      WireFrameType::kClose,
-      EncodeWireRequest(
-          [] {
-            WireRequest request;
-            request.type = WireFrameType::kClose;
-            request.session = "x";
-            return request;
-          }(),
-          &encoder));
-  ASSERT_TRUE(frame.ok());
-  (*frame)[frame->size() - 1] ^= 0x40;  // damage the payload, not the CRC
-  bytes += *frame;
+  WireRequest request;
+  request.type = WireFrameType::kClose;
+  request.session = "x";
+  std::string frame =
+      RequestFrame(WireFrameType::kClose, EncodeWireRequest(request, &encoder));
+  ASSERT_FALSE(frame.empty());
+  frame[frame.size() - 1] ^= 0x40;  // damage the payload, not the CRC
+  bytes += frame;
   ExpectDisconnectAfter(fd, bytes, /*expect_back=*/kWireMagicSize);
   ExpectStillServing(env.daemon.get(), "after-crc");
   EXPECT_TRUE(env.daemon->Shutdown().ok());
@@ -261,12 +268,11 @@ TEST(DaemonTest, MidFrameDisconnectLeavesTheDaemonServing) {
   ASSERT_GE(fd, 0);
   std::string bytes(kWireMagic, kWireMagicSize);
   WireTableEncoder encoder;
-  auto frame =
-      EncodeWireFrame(WireFrameType::kOpen,
-                      EncodeWireRequest(OpenRequest("torn"), &encoder));
-  ASSERT_TRUE(frame.ok());
+  const std::string frame = RequestFrame(
+      WireFrameType::kOpen, EncodeWireRequest(OpenRequest("torn"), &encoder));
+  ASSERT_FALSE(frame.empty());
   // Half the frame, then hang up mid-read.
-  bytes += frame->substr(0, frame->size() / 2);
+  bytes += frame.substr(0, frame.size() / 2);
   ASSERT_TRUE(WriteFullySocket(fd, bytes.data(), bytes.size()));
   char echo[kWireMagicSize];
   ASSERT_TRUE(ReadFullySocket(fd, echo, sizeof(echo)));
@@ -387,78 +393,49 @@ TEST(DaemonTest, ShedRequestsCarryTypedRetryAfterMs) {
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 
-// ---- version negotiation ---------------------------------------------------
-
-// Runs one full session lifecycle over `client` and checks the daemon
-// answers correctly — the body is version-agnostic on purpose: the same
-// exchanges must work over v1 lock-step and v2 multiplexing.
-void ExpectLifecycleWorks(DaemonClient* client, const Table& rows,
-                          const std::string& session) {
-  auto open = client->Call(OpenRequest(session));
-  ASSERT_TRUE(open.ok()) << open.status().ToString();
-  ASSERT_TRUE(open->status.ok()) << open->status.ToString();
-  WireRequest ingest;
-  ingest.type = WireFrameType::kIngest;
-  ingest.session = session;
-  ingest.table = rows.Clone();
-  auto ingested = client->Call(ingest);
-  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
-  ASSERT_TRUE(ingested->status.ok()) << ingested->status.ToString();
-  WireRequest close;
-  close.type = WireFrameType::kClose;
-  close.session = session;
-  auto closed = client->Call(close);
-  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
-  ASSERT_TRUE(closed->status.ok()) << closed->status.ToString();
-  EXPECT_EQ(closed->close.rows_ingested, rows.num_rows());
-}
+// ---- handshake -------------------------------------------------------------
 
 TEST(DaemonNegotiationTest, V2PeersNegotiateV2) {
   Env env = StartDaemon();
   DaemonClient client(MedicalSchema());
   ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
-  EXPECT_EQ(client.protocol_version(), kWireProtocolV2);
-  ExpectLifecycleWorks(&client, env.dataset->table, "v2v2");
+  auto open = client.Call(OpenRequest("v2v2"));
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  ASSERT_TRUE(open->status.ok()) << open->status.ToString();
+  WireRequest ingest;
+  ingest.type = WireFrameType::kIngest;
+  ingest.session = "v2v2";
+  ingest.table = env.dataset->table.Clone();
+  auto ingested = client.Call(ingest);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  ASSERT_TRUE(ingested->status.ok()) << ingested->status.ToString();
+  WireRequest close;
+  close.type = WireFrameType::kClose;
+  close.session = "v2v2";
+  auto closed = client.Call(close);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  ASSERT_TRUE(closed->status.ok()) << closed->status.ToString();
+  EXPECT_EQ(closed->close.rows_ingested, env.dataset->table.num_rows());
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 
-TEST(DaemonNegotiationTest, V1ClientAgainstV2ServerStaysLockStep) {
+TEST(DaemonNegotiationTest, V1MagicGetsNoEchoAndAHangUp) {
   Env env = StartDaemon();
-  DaemonClient client(MedicalSchema(), kWireProtocolV1);
-  ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
-  EXPECT_EQ(client.protocol_version(), kWireProtocolV1);
-  ExpectLifecycleWorks(&client, env.dataset->table, "v1v2");
-  // CallAsync is a v2 surface; a v1 connection refuses it rather than
-  // desynchronizing the lock-step exchange.
-  EXPECT_FALSE(client.CallAsync(OpenRequest("nope")).ok());
-  EXPECT_TRUE(env.daemon->Shutdown().ok());
-}
-
-TEST(DaemonNegotiationTest, V2ClientAgainstV1PinnedServerDowngrades) {
-  Env env;
-  MedicalDataSpec spec;
-  spec.num_rows = kRows;
-  spec.seed = 515151;
-  env.dataset = std::make_unique<MedicalDataset>(
-      std::move(GenerateMedicalDataset(spec)).ValueOrDie());
-  MedicalDataset* ontologies = env.dataset.get();
-  DaemonConfig config;
-  config.schema = MedicalSchema();
-  config.max_protocol_version = kWireProtocolV1;  // a pre-v2 daemon
-  config.metrics_for_config =
-      [ontologies](const FrameworkConfig& fc) -> Result<UsageMetrics> {
-    if (fc.binning.enforce_joint) {
-      return UnconstrainedMetrics(ontologies->trees());
-    }
-    return MetricsFromDepthCuts(ontologies->trees(), {2, 1, 2, 1, 1});
-  };
-  env.daemon = std::make_unique<PrivmarkDaemon>(std::move(config));
-  ASSERT_TRUE(env.daemon->Start(0).ok());
-
-  DaemonClient client(MedicalSchema());  // offers v2
-  ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
-  EXPECT_EQ(client.protocol_version(), kWireProtocolV1);
-  ExpectLifecycleWorks(&client, env.dataset->table, "v2v1");
+  // A client still speaking the retired lock-step protocol: its magic
+  // and a well-formed v1 open frame behind it. The daemon must not echo
+  // anything (there is no version to agree on) and must hang up.
+  const int fd = RawConnect(env.daemon->port());
+  ASSERT_GE(fd, 0);
+  std::string bytes = "PRVMNET1";
+  WireTableEncoder encoder;
+  const std::string payload = EncodeWireRequest(OpenRequest("v1"), &encoder);
+  const std::string body =
+      std::string(1, static_cast<char>(WireFrameType::kOpen)) + payload;
+  AppendLe32(&bytes, static_cast<uint32_t>(payload.size()));
+  AppendLe32(&bytes, JournalCrc32(body.data(), body.size()));
+  bytes += body;
+  ExpectDisconnectAfter(fd, bytes, /*expect_back=*/0);
+  ExpectStillServing(env.daemon.get(), "after-v1-magic");
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 
@@ -477,16 +454,8 @@ TEST(DaemonNegotiationTest, UnknownFrameTypeUnderV2ClosesConnection) {
   Env env = StartDaemon();
   const int fd = RawConnect(env.daemon->port());
   ASSERT_GE(fd, 0);
-  char magic[kWireMagicSize];
-  ASSERT_TRUE(WireMagicFor(kWireProtocolV2, magic));
-  std::string bytes(magic, kWireMagicSize);
-  WireFrame frame;
-  frame.type = static_cast<WireFrameType>(0x2a);
-  frame.request_id = 1;
-  frame.payload = "payload";
-  auto encoded = EncodeWireFrame(frame, kWireProtocolV2);
-  ASSERT_TRUE(encoded.ok());  // encode is by-construction trusted
-  bytes += *encoded;
+  std::string bytes(kWireMagic, kWireMagicSize);
+  bytes += RequestFrame(static_cast<WireFrameType>(0x2a), "payload");
   ExpectDisconnectAfter(fd, bytes, /*expect_back=*/kWireMagicSize);
   ExpectStillServing(env.daemon.get(), "after-v2-unknown-tag");
   EXPECT_TRUE(env.daemon->Shutdown().ok());
@@ -496,15 +465,9 @@ TEST(DaemonNegotiationTest, ResponseTypedFrameFromClientIsFatal) {
   Env env = StartDaemon();
   const int fd = RawConnect(env.daemon->port());
   ASSERT_GE(fd, 0);
-  char magic[kWireMagicSize];
-  ASSERT_TRUE(WireMagicFor(kWireProtocolV2, magic));
-  std::string bytes(magic, kWireMagicSize);
-  WireFrame frame;
-  frame.type = WireFrameType::kResponse;  // clients never send this
-  frame.request_id = 1;
-  auto encoded = EncodeWireFrame(frame, kWireProtocolV2);
-  ASSERT_TRUE(encoded.ok());
-  bytes += *encoded;
+  std::string bytes(kWireMagic, kWireMagicSize);
+  // Clients never send a response frame.
+  bytes += RequestFrame(WireFrameType::kResponse, "");
   ExpectDisconnectAfter(fd, bytes, /*expect_back=*/kWireMagicSize);
   ExpectStillServing(env.daemon.get(), "after-response-frame");
   EXPECT_TRUE(env.daemon->Shutdown().ok());
@@ -516,7 +479,6 @@ TEST(DaemonMultiplexTest, PipelinedCallsCompleteAndMatchTheirIds) {
   Env env = StartDaemon();
   DaemonClient client(MedicalSchema());
   ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
-  ASSERT_EQ(client.protocol_version(), kWireProtocolV2);
 
   // Pipeline open + ingest + flush + close on one session without
   // waiting in between: same-session order is FIFO by send order, so

@@ -304,7 +304,6 @@ TEST(StreamedFingerprintTest, WireStreamMatchesTheOneShotCall) {
   WireEnv env = StartDaemon();
   DaemonClient client(MedicalSchema());
   ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
-  ASSERT_EQ(client.protocol_version(), kWireProtocolV2);
 
   WireRequest open;
   open.type = WireFrameType::kOpen;

@@ -78,35 +78,63 @@ void ExpectTablesEqual(const Table& a, const Table& b) {
 
 // ---- framing -------------------------------------------------------------
 
+// A single-frame request/response envelope around `payload`.
+Result<std::string> EncodeFrame(WireFrameType type, const std::string& payload,
+                                uint64_t request_id = 1) {
+  WireFrame frame;
+  frame.type = type;
+  frame.request_id = request_id;
+  frame.payload = payload;
+  return EncodeWireFrame(frame, kWireProtocolV2);
+}
+
+Result<WireFrame> DecodeFrame(const std::string& encoded) {
+  PRIVMARK_ASSIGN_OR_RETURN(size_t body_length,
+                            WireFrameBodyLength(encoded.data()));
+  if (body_length != encoded.size() - kWireFrameHeaderBytes) {
+    return Status::InvalidArgument("body length disagrees with the frame");
+  }
+  return DecodeWireFrameBody(encoded.data(),
+                             encoded.data() + kWireFrameHeaderBytes,
+                             body_length);
+}
+
+// Re-stamps the CRC over a deliberately bent body, so the decoder sees
+// the contradiction itself rather than a checksum mismatch.
+void RestampCrc(std::string* frame) {
+  const uint32_t crc = JournalCrc32(frame->data() + kWireFrameHeaderBytes,
+                                    frame->size() - kWireFrameHeaderBytes);
+  std::memcpy(frame->data() + 4, &crc, sizeof(crc));
+}
+
 TEST(WireFrameTest, RoundTrip) {
-  auto frame = EncodeWireFrame(WireFrameType::kIngest, "payload");
+  auto frame = EncodeFrame(WireFrameType::kIngest, "payload", 42);
   ASSERT_TRUE(frame.ok());
-  ASSERT_GE(frame->size(), kWireFrameHeaderBytes + 1);
-  auto body_length = WireFrameBodyLength(frame->data());
-  ASSERT_TRUE(body_length.ok());
-  EXPECT_EQ(*body_length, frame->size() - kWireFrameHeaderBytes);
-  auto decoded = DecodeWireFrameBody(
-      frame->data(), frame->data() + kWireFrameHeaderBytes, *body_length);
-  ASSERT_TRUE(decoded.ok());
+  ASSERT_GE(frame->size(), kWireFrameHeaderBytes + 1 + kWireEnvelopeBytes);
+  auto decoded = DecodeFrame(*frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->type, WireFrameType::kIngest);
+  EXPECT_EQ(decoded->request_id, 42u);
+  EXPECT_TRUE(decoded->final_frame);
+  EXPECT_FALSE(decoded->streamed);
   EXPECT_EQ(decoded->payload, "payload");
 }
 
 TEST(WireFrameTest, EmptyPayloadRoundTrips) {
-  auto frame = EncodeWireFrame(WireFrameType::kClose, "");
+  auto frame = EncodeFrame(WireFrameType::kClose, "");
   ASSERT_TRUE(frame.ok());
   auto body_length = WireFrameBodyLength(frame->data());
   ASSERT_TRUE(body_length.ok());
-  EXPECT_EQ(*body_length, 1u);  // just the type byte
-  auto decoded = DecodeWireFrameBody(
-      frame->data(), frame->data() + kWireFrameHeaderBytes, *body_length);
+  // Just the type byte and the envelope.
+  EXPECT_EQ(*body_length, 1 + kWireEnvelopeBytes);
+  auto decoded = DecodeFrame(*frame);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->payload, "");
 }
 
 TEST(WireFrameTest, OversizedEncodeRefused) {
   std::string huge(kMaxWireFrameBytes + 1, 'x');
-  auto frame = EncodeWireFrame(WireFrameType::kIngest, huge);
+  auto frame = EncodeFrame(WireFrameType::kIngest, huge);
   EXPECT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
 }
@@ -124,35 +152,36 @@ TEST(WireFrameTest, OversizedLengthHeaderRefusedBeforeAllocation) {
 }
 
 TEST(WireFrameTest, CrcDamageDetected) {
-  auto frame = EncodeWireFrame(WireFrameType::kDetect, "abcdef");
+  auto frame = EncodeFrame(WireFrameType::kDetect, "abcdef");
   ASSERT_TRUE(frame.ok());
-  // Flip one payload bit.
-  std::string bent = *frame;
-  bent[kWireFrameHeaderBytes + 3] ^= 0x01;
-  auto body_length = WireFrameBodyLength(bent.data());
-  ASSERT_TRUE(body_length.ok());
-  auto decoded = DecodeWireFrameBody(
-      bent.data(), bent.data() + kWireFrameHeaderBytes, *body_length);
-  EXPECT_FALSE(decoded.ok());
+  // Flip one payload bit, then one request-id bit: the CRC covers the
+  // whole body, envelope included.
+  for (const size_t offset :
+       {frame->size() - 3, kWireFrameHeaderBytes + 2}) {
+    std::string bent = *frame;
+    bent[offset] ^= 0x01;
+    EXPECT_FALSE(DecodeFrame(bent).ok()) << "offset " << offset;
+  }
 }
 
 TEST(WireFrameTest, UnknownTypeTagRefused) {
-  for (const uint8_t tag : {uint8_t{0}, uint8_t{255}}) {
-    auto frame = EncodeWireFrame(static_cast<WireFrameType>(tag), "x");
+  for (const uint8_t tag : {uint8_t{0}, uint8_t{9}, uint8_t{255}}) {
+    auto frame = EncodeFrame(static_cast<WireFrameType>(tag), "x");
     ASSERT_TRUE(frame.ok());  // encode is by-construction trusted
-    auto body_length = WireFrameBodyLength(frame->data());
-    ASSERT_TRUE(body_length.ok());
-    auto decoded = DecodeWireFrameBody(
-        frame->data(), frame->data() + kWireFrameHeaderBytes, *body_length);
-    EXPECT_FALSE(decoded.ok()) << "tag " << int{tag};
+    EXPECT_FALSE(DecodeFrame(*frame).ok()) << "tag " << int{tag};
   }
-  // kPartial (tag 8) is a v2-only continuation: a v1 peer neither
-  // encodes nor accepts it.
-  auto partial = EncodeWireFrame(WireFrameType::kPartial, "x");
-  EXPECT_FALSE(partial.ok());
 }
 
-// ---- v2 framing ----------------------------------------------------------
+TEST(WireFrameTest, TruncatedBodyRefused) {
+  // A body shorter than the envelope cannot carry a frame at all.
+  auto frame = EncodeFrame(WireFrameType::kFlush, "");
+  ASSERT_TRUE(frame.ok());
+  for (size_t body = 0; body < 1 + kWireEnvelopeBytes; ++body) {
+    auto decoded = DecodeWireFrameBody(
+        frame->data(), frame->data() + kWireFrameHeaderBytes, body);
+    EXPECT_FALSE(decoded.ok()) << "body " << body;
+  }
+}
 
 TEST(WireFrameV2Test, EnvelopeRoundTripsIdAndFlags) {
   WireFrame frame;
@@ -163,12 +192,7 @@ TEST(WireFrameV2Test, EnvelopeRoundTripsIdAndFlags) {
   frame.payload = "payload";
   auto encoded = EncodeWireFrame(frame, kWireProtocolV2);
   ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-  auto body_length = WireFrameBodyLength(encoded->data(), kWireProtocolV2);
-  ASSERT_TRUE(body_length.ok());
-  EXPECT_EQ(*body_length, encoded->size() - kWireFrameHeaderBytes);
-  auto decoded = DecodeWireFrameBody(encoded->data(),
-                                     encoded->data() + kWireFrameHeaderBytes,
-                                     *body_length, kWireProtocolV2);
+  auto decoded = DecodeFrame(*encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->type, WireFrameType::kFingerprint);
   EXPECT_EQ(decoded->request_id, 0x0123456789abcdefULL);
@@ -186,11 +210,7 @@ TEST(WireFrameV2Test, PartialFrameRoundTrips) {
   frame.payload = "shard";
   auto encoded = EncodeWireFrame(frame, kWireProtocolV2);
   ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-  auto body_length = WireFrameBodyLength(encoded->data(), kWireProtocolV2);
-  ASSERT_TRUE(body_length.ok());
-  auto decoded = DecodeWireFrameBody(encoded->data(),
-                                     encoded->data() + kWireFrameHeaderBytes,
-                                     *body_length, kWireProtocolV2);
+  auto decoded = DecodeFrame(*encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->type, WireFrameType::kPartial);
   EXPECT_EQ(decoded->request_id, 7u);
@@ -211,60 +231,38 @@ TEST(WireFrameV2Test, FinalPartialRefusedAtBothEnds) {
   ASSERT_TRUE(encoded.ok());
   std::string bent = *encoded;
   bent[kWireFrameHeaderBytes + 9] |= static_cast<char>(kWireFlagFinal);
-  // Re-stamp the CRC over the bent body.
-  const uint32_t crc = JournalCrc32(bent.data() + kWireFrameHeaderBytes,
-                                    bent.size() - kWireFrameHeaderBytes);
-  std::memcpy(bent.data() + 4, &crc, sizeof(crc));
-  auto body_length = WireFrameBodyLength(bent.data(), kWireProtocolV2);
-  ASSERT_TRUE(body_length.ok());
-  auto decoded = DecodeWireFrameBody(bent.data(),
-                                     bent.data() + kWireFrameHeaderBytes,
-                                     *body_length, kWireProtocolV2);
-  EXPECT_FALSE(decoded.ok());
+  RestampCrc(&bent);
+  EXPECT_FALSE(DecodeFrame(bent).ok());
 }
 
 TEST(WireFrameV2Test, UnknownFlagBitsRefused) {
-  WireFrame frame;
-  frame.type = WireFrameType::kIngest;
-  frame.request_id = 3;
-  frame.payload = "x";
-  auto encoded = EncodeWireFrame(frame, kWireProtocolV2);
+  auto encoded = EncodeFrame(WireFrameType::kIngest, "x", 3);
   ASSERT_TRUE(encoded.ok());
   std::string bent = *encoded;
-  bent[kWireFrameHeaderBytes + 9] |= 0x40;  // a flag v2 never defined
-  const uint32_t crc = JournalCrc32(bent.data() + kWireFrameHeaderBytes,
-                                    bent.size() - kWireFrameHeaderBytes);
-  std::memcpy(bent.data() + 4, &crc, sizeof(crc));
-  auto body_length = WireFrameBodyLength(bent.data(), kWireProtocolV2);
-  ASSERT_TRUE(body_length.ok());
-  auto decoded = DecodeWireFrameBody(bent.data(),
-                                     bent.data() + kWireFrameHeaderBytes,
-                                     *body_length, kWireProtocolV2);
-  EXPECT_FALSE(decoded.ok());
+  bent[kWireFrameHeaderBytes + 9] |= 0x40;  // a flag never defined
+  RestampCrc(&bent);
+  EXPECT_FALSE(DecodeFrame(bent).ok());
 }
 
 TEST(WireFrameV2Test, V1EncoderRefusesV2Envelope) {
+  // Protocol v1 is retired: asking the encoder for it (or any version
+  // but kWireProtocolV2) is refused, with or without envelope fields.
   WireFrame frame;
   frame.type = WireFrameType::kIngest;
   frame.payload = "x";
-  frame.request_id = 1;  // v1 has nowhere to put this
-  EXPECT_FALSE(EncodeWireFrame(frame, kWireProtocolV1).ok());
+  frame.request_id = 1;
+  for (const uint8_t version : {uint8_t{0}, uint8_t{1}, uint8_t{3}}) {
+    auto encoded = EncodeWireFrame(frame, version);
+    ASSERT_FALSE(encoded.ok()) << "version " << int{version};
+    EXPECT_EQ(encoded.status().code(), StatusCode::kInvalidArgument);
+  }
   frame.request_id = 0;
-  frame.streamed = true;
-  EXPECT_FALSE(EncodeWireFrame(frame, kWireProtocolV1).ok());
+  EXPECT_FALSE(EncodeWireFrame(frame, 1).ok());
 }
 
-TEST(WireMagicTest, VersionParseAndFormat) {
-  char magic[kWireMagicSize];
-  ASSERT_TRUE(WireMagicFor(kWireProtocolV1, magic));
-  EXPECT_EQ(WireMagicVersion(magic), kWireProtocolV1);
-  ASSERT_TRUE(WireMagicFor(kWireProtocolV2, magic));
-  EXPECT_EQ(WireMagicVersion(magic), kWireProtocolV2);
-  EXPECT_FALSE(WireMagicFor(0, magic));
-  EXPECT_FALSE(WireMagicFor(3, magic));
-  // A foreign magic (wrong prefix or unknown version byte) parses as 0.
-  EXPECT_EQ(WireMagicVersion("NOTMAGIC"), 0);
-  EXPECT_EQ(WireMagicVersion("PRVMNET9"), 0);
+TEST(WireMagicTest, OnlyMagicIsPrvmnet2) {
+  EXPECT_EQ(std::string(kWireMagic, kWireMagicSize), "PRVMNET2");
+  EXPECT_EQ(kWireMagic[kWireMagicSize - 1], '0' + kWireProtocolV2);
 }
 
 // ---- table codec ---------------------------------------------------------
