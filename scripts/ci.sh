@@ -16,10 +16,11 @@
 #   3. Release with failpoints compiled in (everything, incl. the
 #      fork/kill crash-recovery acceptance suite)
 # plus a fault-injection replay of the faultinject-labeled suites under
-# ASan with three fixed PRIVMARK_FAULT_SEED values, and a short-min-time
+# ASan with three fixed PRIVMARK_FAULT_SEED values, a short-min-time
 # benchmark smoke run on a failpoint-free Release build, gated
 # by scripts/bench_check.py against the checked-in Release baseline
-# (set PRIVMARK_BENCH_OVERRIDE=1 to report without failing).
+# (set PRIVMARK_BENCH_OVERRIDE=1 to report without failing), and a
+# one-second perfbench run of every workload (scripts/perfbench_smoke.sh).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -76,10 +77,11 @@ echo "=== Release ==="
 # PRIVMARK_FAILPOINTS=ON keeps the crash-recovery acceptance suite alive in
 # the Release test tree; unarmed failpoints are a branch on a relaxed atomic
 # load, and the benchmark tree below is configured without them, so the
-# published numbers never carry the instrumentation.
-cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DPRIVMARK_FAILPOINTS=ON
-cmake --build build -j "${JOBS}"
-(cd build && ctest --output-on-failure -j "${JOBS}")
+# published numbers never carry the instrumentation. It gets its own tree
+# (build-fp/) so build/ keeps the default, failpoint-free configuration.
+cmake -B build-fp -S . -DCMAKE_BUILD_TYPE=Release -DPRIVMARK_FAILPOINTS=ON
+cmake --build build-fp -j "${JOBS}"
+(cd build-fp && ctest --output-on-failure -j "${JOBS}")
 
 echo "=== Benchmark smoke (Release-enforced, double-valued min_time) ==="
 # run_benches.sh builds its own dedicated Release tree (build-bench/, tests
@@ -88,5 +90,10 @@ MIN_TIME=0.01 scripts/run_benches.sh BENCH_micro.json
 
 echo "=== Benchmark regression gate ==="
 python3 scripts/bench_check.py BENCH_micro.json
+
+echo "=== perfbench smoke (every workload, --trace 0 and 1) ==="
+# perfbench drives library entry points directly; a change that breaks
+# it must fail here, not when the benchmark next runs.
+scripts/perfbench_smoke.sh
 
 echo "CI OK"

@@ -56,7 +56,8 @@ Status ApplyGeneralization(Table* table, const std::vector<size_t>& qi_columns,
 Result<Table> MaterializeProtected(
     const Table& input, const std::vector<size_t>& qi_columns,
     size_t ident_column, const std::vector<GeneralizationSet>& ultimate,
-    const EncodedView& view, const Aes128& cipher, ThreadPool* pool) {
+    const EncodedView& view, const Aes128& cipher, ThreadPool* pool,
+    std::vector<std::vector<NodeId>>* nodes) {
   if (qi_columns.size() != ultimate.size() ||
       qi_columns.size() != view.num_columns()) {
     return Status::InvalidArgument(
@@ -74,7 +75,11 @@ Result<Table> MaterializeProtected(
   }
   // Rows are built per contiguous shard (encryption and label lookups are
   // per-row independent) and appended in shard order, so the output table
-  // is byte-identical to the serial pass for any worker count.
+  // is byte-identical to the serial pass for any worker count. Node ids
+  // land in pre-sized vectors, each shard writing only its own rows.
+  if (nodes != nullptr) {
+    nodes->assign(qi_columns.size(), std::vector<NodeId>(input.num_rows()));
+  }
   PRIVMARK_ASSIGN_OR_RETURN(
       std::vector<Row> rows,
       ParallelReduce<std::vector<Row>>(
@@ -99,6 +104,7 @@ Result<Table> MaterializeProtected(
                   PRIVMARK_ASSIGN_OR_RETURN(
                       NodeId node,
                       ultimate[ci].NodeForLeaf(view.column(ci).id(r)));
+                  if (nodes != nullptr) (*nodes)[ci][r] = node;
                   row.push_back(
                       Value::String(ultimate[ci].tree()->node(node).label));
                   continue;
@@ -293,7 +299,7 @@ Result<BinningOutcome> BinningAgent::RunImpl(
   PRIVMARK_ASSIGN_OR_RETURN(
       outcome.binned,
       MaterializeProtected(*working, qi_columns, ident_col, outcome.ultimate,
-                           view, cipher, pool));
+                           view, cipher, pool, &outcome.bin_nodes));
   return outcome;
 }
 

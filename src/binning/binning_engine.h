@@ -75,6 +75,10 @@ struct BinningOutcome {
   /// Per-column ultimate generalization nodes (after multi-attribute
   /// binning); what the binned table's labels come from.
   std::vector<GeneralizationSet> ultimate;
+  /// Per quasi-identifying column (parallel to qi_columns), the ultimate
+  /// NodeId of every row of `binned` — the node whose label the cell
+  /// holds. Lets consumers count bins without re-resolving labels.
+  std::vector<std::vector<NodeId>> bin_nodes;
   /// Eq. (1)/(2) information loss per column after mono-attribute binning
   /// only (the Fig. 11 "Mono-attribute Binning" series).
   std::vector<double> mono_column_loss;
@@ -150,11 +154,14 @@ Status ApplyGeneralization(Table* table, const std::vector<size_t>& qi_columns,
 /// Rows build per contiguous shard and append in shard order, so the
 /// output is byte-identical to a serial pass for any worker count. Shared
 /// by BinningAgent's phase 3 and the streaming session's per-batch
-/// emission, which must produce identical bytes.
+/// emission, which must produce identical bytes. When `nodes` is set it
+/// receives, per quasi-identifying column, each output row's ultimate
+/// NodeId (the BinningOutcome::bin_nodes layout).
 Result<Table> MaterializeProtected(
     const Table& input, const std::vector<size_t>& qi_columns,
     size_t ident_column, const std::vector<GeneralizationSet>& ultimate,
-    const EncodedView& view, const Aes128& cipher, ThreadPool* pool);
+    const EncodedView& view, const Aes128& cipher, ThreadPool* pool,
+    std::vector<std::vector<NodeId>>* nodes = nullptr);
 
 }  // namespace privmark
 

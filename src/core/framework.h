@@ -8,8 +8,11 @@
 //
 // The framework wires the two agents together, derives the ownership mark
 // from the cleartext identifiers (Sec. 5.4: wm = F(v)), optionally applies
-// the Sec. 6 conservative k+epsilon adjustment, and measures the Fig. 14
-// seamlessness statistics.
+// the Sec. 6 conservative k+epsilon adjustment, and reports the Fig. 14
+// seamlessness statistics. Those come from the flush's own node counts —
+// the binning's per-row bin NodeIds and the embed's cell moves — not from
+// re-reading the tables; MeasureSeamlessness below is the table-level
+// reference they are tested against.
 
 #ifndef PRIVMARK_CORE_FRAMEWORK_H_
 #define PRIVMARK_CORE_FRAMEWORK_H_
@@ -75,7 +78,8 @@ struct ProtectionOutcome {
   EmbedReport embed;
   /// The epsilon actually used (0 unless auto_epsilon or configured).
   size_t epsilon_used = 0;
-  /// Fig. 14 rows, one per quasi-identifying attribute.
+  /// Fig. 14 rows, one per quasi-identifying attribute; equal to
+  /// MeasureSeamlessness(binning.binned, watermarked, ...).
   std::vector<AttributeSeamlessness> seamlessness;
 };
 
@@ -106,7 +110,9 @@ class ProtectionFramework {
 };
 
 /// \brief Fig. 14 measurement: per attribute, group the binned and the
-/// watermarked tables by that column alone and compare bin sizes.
+/// watermarked tables by that column alone and compare bin sizes. The
+/// table-level reference for ProtectionOutcome::seamlessness, which a
+/// flush derives from node counts instead.
 Result<std::vector<AttributeSeamlessness>> MeasureSeamlessness(
     const Table& binned, const Table& watermarked,
     const std::vector<size_t>& qi_columns, size_t k);

@@ -1,9 +1,7 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <map>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -27,37 +25,39 @@ size_t SessionThreadAsk(const FrameworkConfig& config) {
 
 namespace {
 
+// Per column, how many binned rows fall in each ultimate node's bin —
+// the NodeId form of grouping the binned table by that column.
+std::vector<std::vector<size_t>> BinHistograms(const BinningOutcome& binning) {
+  std::vector<std::vector<size_t>> counts(binning.bin_nodes.size());
+  for (size_t c = 0; c < counts.size(); ++c) {
+    counts[c].assign(binning.ultimate[c].tree()->num_nodes(), 0);
+    for (const NodeId node : binning.bin_nodes[c]) ++counts[c][node];
+  }
+  return counts;
+}
+
 // Per-attribute epoch-k enforcement: drop rows of sub-k bins per column,
 // iterating because a dropped row shrinks its bins in *other* columns.
-// Counts are built once; each round judges every surviving row against
-// the current counts, then decrements the victims' bins — the same
-// counts(all) - counts(removed) discipline CountState::Subtract uses, so
-// rounds cost O(rows x columns) map-free lookups instead of a recount.
-// Converges (rows only ever decrease) and is deterministic (victims are
-// chosen per round from a fixed snapshot, in row order).
-Result<size_t> EnforceEpochK(Table* binned,
-                             const std::vector<size_t>& qi_columns, size_t k) {
-  const size_t num_rows = binned->num_rows();
-  const size_t num_cols = qi_columns.size();
-  std::vector<std::map<std::string, size_t>> counts(num_cols);
-  using CountIt = std::map<std::string, size_t>::iterator;
-  std::vector<CountIt> row_bins(num_rows * num_cols);
-  for (size_t r = 0; r < num_rows; ++r) {
-    for (size_t c = 0; c < num_cols; ++c) {
-      const auto [it, inserted] =
-          counts[c].try_emplace(binned->at(r, qi_columns[c]).ToString(), 0);
-      ++it->second;
-      row_bins[r * num_cols + c] = it;
-    }
-  }
+// Counts are built once over the rows' bin NodeIds; each round judges
+// every surviving row against the current counts, then decrements the
+// victims' bins — the same counts(all) - counts(removed) discipline
+// CountState::Subtract uses, so rounds cost O(rows x columns) array
+// lookups instead of a recount. Converges (rows only ever decrease) and
+// is deterministic (victims are chosen per round from a fixed snapshot,
+// in row order). The bin NodeIds are filtered in lock step with the
+// table, so they keep describing the surviving rows.
+size_t EnforceEpochK(BinningOutcome* binning, size_t k) {
+  std::vector<std::vector<NodeId>>& nodes = binning->bin_nodes;
+  const size_t num_rows = binning->binned.num_rows();
+  std::vector<std::vector<size_t>> counts = BinHistograms(*binning);
   std::vector<char> alive(num_rows, 1);
   std::vector<size_t> victims;
   for (;;) {
     victims.clear();
     for (size_t r = 0; r < num_rows; ++r) {
       if (!alive[r]) continue;
-      for (size_t c = 0; c < num_cols; ++c) {
-        if (row_bins[r * num_cols + c]->second < k) {
+      for (size_t c = 0; c < nodes.size(); ++c) {
+        if (counts[c][nodes[c][r]] < k) {
           victims.push_back(r);
           break;
         }
@@ -66,18 +66,51 @@ Result<size_t> EnforceEpochK(Table* binned,
     if (victims.empty()) break;
     for (size_t r : victims) {
       alive[r] = 0;
-      for (size_t c = 0; c < num_cols; ++c) {
-        --row_bins[r * num_cols + c]->second;
-      }
+      for (size_t c = 0; c < nodes.size(); ++c) --counts[c][nodes[c][r]];
     }
   }
   std::vector<size_t> drop;
   for (size_t r = 0; r < num_rows; ++r) {
     if (!alive[r]) drop.push_back(r);
   }
+  if (drop.empty()) return 0;
+  for (std::vector<NodeId>& column : nodes) {
+    size_t kept = 0;
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (alive[r]) column[kept++] = column[r];
+    }
+    column.resize(kept);
+  }
   const size_t dropped_total = drop.size();
-  if (!drop.empty()) binned->RemoveRows(std::move(drop));
+  binning->binned.RemoveRows(std::move(drop));
   return dropped_total;
+}
+
+// Fig. 14 from the flush's own NodeIds: per column, the before-count is
+// the binned rows' bin histogram and the after-count is that histogram
+// with the embed's cell moves applied. Labels are unique within a tree,
+// so this equals MeasureSeamlessness over the binned and watermarked
+// tables (the property suite holds the two to field-for-field equality).
+std::vector<AttributeSeamlessness> SeamlessnessFromNodes(
+    const Schema& schema, const std::vector<size_t>& qi_columns,
+    const std::vector<std::vector<size_t>>& before,
+    const std::vector<CellMove>& moves, size_t k) {
+  std::vector<std::vector<size_t>> after = before;
+  for (const CellMove& move : moves) {
+    --after[move.col_idx][move.from];
+    ++after[move.col_idx][move.to];
+  }
+  std::vector<AttributeSeamlessness> rows(qi_columns.size());
+  for (size_t c = 0; c < qi_columns.size(); ++c) {
+    AttributeSeamlessness& row = rows[c];
+    row.attribute = schema.column(qi_columns[c]).name;
+    for (size_t n = 0; n < before[c].size(); ++n) {
+      if (before[c][n] > 0) ++row.total_bins;
+      if (before[c][n] != after[c][n]) ++row.bins_size_changed;
+      if (after[c][n] > 0 && after[c][n] < k) ++row.bins_below_k;
+    }
+  }
+  return rows;
 }
 
 }  // namespace
@@ -251,8 +284,10 @@ Result<EpochOutput> ProtectionSession::Flush() {
   return FlushBuffer();
 }
 
-Result<ProtectionSession::LiveEpoch> ProtectionSession::SnapshotEpoch(
-    const BinningOutcome& binning, const EpochRecord& record) const {
+ProtectionSession::LiveEpoch ProtectionSession::SnapshotEpoch(
+    const BinningOutcome& binning,
+    const std::vector<std::vector<size_t>>& bin_counts,
+    const EpochRecord& record) const {
   LiveEpoch live;
   live.index = record.epoch;
   live.ultimate = binning.ultimate;
@@ -267,43 +302,24 @@ Result<ProtectionSession::LiveEpoch> ProtectionSession::SnapshotEpoch(
   // is exactly what keeps the concatenated output k-anonymous when later
   // frozen batches join only established bins. Only frozen emission
   // (kFreezeBins) ever consults this state — drift sessions re-bin every
-  // window, so skip the per-cell label resolution for them.
+  // window, so skip it for them.
   if (session_.policy != RebinPolicy::kFreezeBins) return live;
-  const Table& binned = binning.binned;
-  std::string scratch;
-  const auto label_of = [&scratch](const Value& cell) -> std::string_view {
-    if (cell.type() == ValueType::kString) return cell.AsString();
-    scratch = cell.ToString();
-    return scratch;
-  };
   if (config_.binning.enforce_joint) {
     std::unordered_map<std::vector<NodeId>, size_t, NodeVectorHash> joint;
-    std::vector<NodeId> key(qi_columns_.size());
-    for (size_t r = 0; r < binned.num_rows(); ++r) {
-      for (size_t c = 0; c < qi_columns_.size(); ++c) {
-        PRIVMARK_ASSIGN_OR_RETURN(
-            key[c], live.ultimate[c].NodeForLabel(
-                        label_of(binned.at(r, qi_columns_[c]))));
-      }
+    std::vector<NodeId> key(binning.bin_nodes.size());
+    for (size_t r = 0; r < binning.binned.num_rows(); ++r) {
+      for (size_t c = 0; c < key.size(); ++c) key[c] = binning.bin_nodes[c][r];
       ++joint[key];
     }
     for (const auto& [bin_key, count] : joint) {
       if (count >= live.effective_k) live.joint_established.insert(bin_key);
     }
   } else {
-    live.established.resize(qi_columns_.size());
-    for (size_t c = 0; c < qi_columns_.size(); ++c) {
-      const DomainHierarchy& tree = *live.ultimate[c].tree();
-      std::vector<size_t> node_counts(tree.num_nodes(), 0);
-      for (size_t r = 0; r < binned.num_rows(); ++r) {
-        PRIVMARK_ASSIGN_OR_RETURN(
-            NodeId node, live.ultimate[c].NodeForLabel(
-                             label_of(binned.at(r, qi_columns_[c]))));
-        ++node_counts[node];
-      }
-      live.established[c].assign(tree.num_nodes(), 0);
-      for (size_t n = 0; n < tree.num_nodes(); ++n) {
-        if (node_counts[n] >= live.effective_k) live.established[c][n] = 1;
+    live.established.resize(bin_counts.size());
+    for (size_t c = 0; c < bin_counts.size(); ++c) {
+      live.established[c].assign(bin_counts[c].size(), 0);
+      for (size_t n = 0; n < bin_counts[c].size(); ++n) {
+        if (bin_counts[c][n] >= live.effective_k) live.established[c][n] = 1;
       }
     }
   }
@@ -402,24 +418,25 @@ Result<EpochOutput> ProtectionSession::FlushBuffer() {
   size_t epoch_dropped = 0;
   if (session_.policy == RebinPolicy::kRebinOnDrift && !epochs_.empty() &&
       !config_.binning.enforce_joint) {
-    PRIVMARK_ASSIGN_OR_RETURN(
-        epoch_dropped,
-        EnforceEpochK(&outcome.binning.binned, outcome.binning.qi_columns,
-                      config_.binning.k + outcome.epsilon_used));
+    epoch_dropped = EnforceEpochK(&outcome.binning,
+                                  config_.binning.k + outcome.epsilon_used);
   }
 
   // Watermarking pass over the epoch's emitted rows.
   outcome.watermarked = outcome.binning.binned.Clone();
   HierarchicalWatermarker watermarker = MakeWatermarker(outcome.binning.ultimate);
+  std::vector<CellMove> moves;
   PRIVMARK_ASSIGN_OR_RETURN(
-      outcome.embed,
-      watermarker.Embed(&outcome.watermarked, outcome.mark, config_.copies));
+      outcome.embed, watermarker.Embed(&outcome.watermarked, outcome.mark,
+                                       config_.copies, &moves));
 
-  // Fig. 14 seamlessness rows.
-  PRIVMARK_ASSIGN_OR_RETURN(
-      outcome.seamlessness,
-      MeasureSeamlessness(outcome.binning.binned, outcome.watermarked,
-                          outcome.binning.qi_columns, config_.binning.k));
+  // Fig. 14 seamlessness rows, from the binned rows' bin histogram and the
+  // embed's cell moves; the same histogram decides established bins.
+  const std::vector<std::vector<size_t>> bin_counts =
+      BinHistograms(outcome.binning);
+  outcome.seamlessness = SeamlessnessFromNodes(
+      *schema_, outcome.binning.qi_columns, bin_counts, moves,
+      config_.binning.k);
 
   // Record the epoch and freeze its generalization.
   EpochRecord record;
@@ -432,9 +449,7 @@ Result<EpochOutput> ProtectionSession::FlushBuffer() {
   record.epsilon_used = outcome.epsilon_used;
   record.rows_emitted = outcome.watermarked.num_rows();
   record.rows_suppressed = outcome.binning.suppressed_rows + epoch_dropped;
-  PRIVMARK_ASSIGN_OR_RETURN(LiveEpoch live,
-                            SnapshotEpoch(outcome.binning, record));
-  live_ = std::move(live);
+  live_ = SnapshotEpoch(outcome.binning, bin_counts, record);
   epochs_.push_back(std::move(record));
   rows_emitted_ += outcome.watermarked.num_rows();
   rows_suppressed_ += outcome.binning.suppressed_rows + epoch_dropped;

@@ -290,8 +290,10 @@ class ProtectionSession {
   Status InitSchema(const Schema& schema);
   Result<EpochOutput> FlushBuffer();
   Result<IngestResult> EmitFrozen(const Table& batch, const EncodedView& view);
-  Result<LiveEpoch> SnapshotEpoch(const BinningOutcome& binning,
-                                  const EpochRecord& record) const;
+  // `bin_counts` is BinHistograms(binning): per column, rows per bin.
+  LiveEpoch SnapshotEpoch(const BinningOutcome& binning,
+                          const std::vector<std::vector<size_t>>& bin_counts,
+                          const EpochRecord& record) const;
   HierarchicalWatermarker MakeWatermarker(
       const std::vector<GeneralizationSet>& ultimate) const;
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -63,6 +64,10 @@ Status DaemonClient::Connect(const std::string& host, uint16_t port) {
     ::close(fd);
     return st;
   }
+  // Pipelined request frames go out as they are issued; without
+  // TCP_NODELAY, Nagle holds each one for the daemon's delayed ACK.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   // Handshake: send the magic, expect it echoed back verbatim.
   char echo[kWireMagicSize];
   if (!WriteFullySocket(fd, kWireMagic, kWireMagicSize) ||

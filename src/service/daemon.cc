@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -79,6 +80,10 @@ void PrivmarkDaemon::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener closed (Shutdown) or fatal accept error
     }
+    // Responses are small frames written as they complete; without
+    // TCP_NODELAY, Nagle holds each one for the peer's delayed ACK.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) {
       ::close(fd);

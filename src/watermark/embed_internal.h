@@ -21,6 +21,7 @@
 
 #include "relation/table.h"
 #include "relation/value.h"
+#include "watermark/hierarchical.h"
 #include "watermark/watermark_key.h"
 
 namespace privmark {
@@ -129,17 +130,21 @@ void MergeResolve(ResolvedShard<SlotT>* acc, ResolvedShard<SlotT>&& shard) {
   acc->bandwidth += shard.bandwidth;
 }
 
-/// \brief One tuple-shard's write-pass tally.
+/// \brief One tuple-shard's write-pass tally. `moves` is filled only when
+/// the caller asked for them; shards concatenate in shard order, so the
+/// merged list is the serial one.
 struct WriteTally {
   size_t slots_embedded = 0;
   size_t slots_skipped_no_gap = 0;  // single-level: empty parity candidates
   size_t cells_changed = 0;
+  std::vector<CellMove> moves;
 };
 
 inline void MergeWrites(WriteTally* acc, WriteTally&& tally) {
   acc->slots_embedded += tally.slots_embedded;
   acc->slots_skipped_no_gap += tally.slots_skipped_no_gap;
   acc->cells_changed += tally.cells_changed;
+  acc->moves.insert(acc->moves.end(), tally.moves.begin(), tally.moves.end());
 }
 
 /// \brief One row-shard's detection tally: weighted votes per wmd

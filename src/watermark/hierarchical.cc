@@ -136,9 +136,9 @@ Result<size_t> HierarchicalWatermarker::EstimateBandwidth(
       [](size_t* acc, size_t&& slots) { *acc += slots; });
 }
 
-Result<EmbedReport> HierarchicalWatermarker::Embed(Table* table,
-                                                   const BitVector& wm,
-                                                   size_t copies) const {
+Result<EmbedReport> HierarchicalWatermarker::Embed(
+    Table* table, const BitVector& wm, size_t copies,
+    std::vector<CellMove>* moves) const {
   if (wm.empty()) {
     return Status::InvalidArgument("Embed: empty watermark");
   }
@@ -276,6 +276,10 @@ Result<EmbedReport> HierarchicalWatermarker::Embed(Table* table,
                 if (cur != slot.node) {
                   table->Set(tuple.row, col, Value::String(tree.node(cur).label));
                   ++shard.cells_changed;
+                  if (moves != nullptr) {
+                    shard.moves.push_back(
+                        CellMove{tuple.row, slot.col_idx, slot.node, cur});
+                  }
                 }
               }
             }
@@ -284,6 +288,7 @@ Result<EmbedReport> HierarchicalWatermarker::Embed(Table* table,
           watermark_internal::MergeWrites));
   report.slots_embedded = tally.slots_embedded;
   report.cells_changed = tally.cells_changed;
+  if (moves != nullptr) *moves = std::move(tally.moves);
   return report;
 }
 

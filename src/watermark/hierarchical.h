@@ -55,6 +55,17 @@ struct EmbedReport {
   size_t cells_changed = 0;
 };
 
+/// \brief One cell an embed rewrote: row `row` of quasi-identifying column
+/// `col_idx` (an index into qi_columns, not the schema) moved from the
+/// ultimate node `from` to the ultimate node `to`. Applying every move of
+/// an embed to the pre-embed table reproduces the embedded table.
+struct CellMove {
+  size_t row = 0;
+  size_t col_idx = 0;
+  NodeId from = kInvalidNode;
+  NodeId to = kInvalidNode;
+};
+
 /// \brief Outcome of the key-independent half of detection for one
 /// (tuple, column) slot: the slot abstains (unknown label, no gap, tied
 /// levels) or votes a bit. Detection splits along Eq. (5): this value
@@ -105,8 +116,12 @@ class HierarchicalWatermarker {
   ///
   /// \param copies how many times to duplicate the mark (the paper's
   ///        multiple embedding). 0 = auto: floor(bandwidth / |wm|), >= 1.
+  /// \param moves when set, receives one CellMove per changed cell
+  ///        (report.cells_changed of them) in row order, identical for
+  ///        any worker count.
   Result<EmbedReport> Embed(Table* table, const BitVector& wm,
-                            size_t copies = 0) const;
+                            size_t copies = 0,
+                            std::vector<CellMove>* moves = nullptr) const;
 
   /// \brief Recovers a mark of `wm_size` bits assuming `wmd_size` embedded
   /// positions (from the EmbedReport). Never fails on attacked cells; they

@@ -197,6 +197,69 @@ TEST(ProtectionSessionTest, FreezeSuppressesRowsOfUnestablishedBins) {
   EXPECT_EQ(session.rows_suppressed(), 2u);
 }
 
+TEST(ProtectionSessionTest, FreezeJointSuppressesRowsOfUnestablishedJointBins) {
+  // Joint counterpart: after the first flush every per-column bin is
+  // established, but only two of the four (age, role) combinations are.
+  // A frozen row must land in an established *joint* bin to be emitted.
+  DomainHierarchy age =
+      BuildNumericHierarchy("age", {0, 25, 50, 75, 100}).ValueOrDie();
+  DomainHierarchy role = HierarchyBuilder::FromOutline("role", R"(Person
+  Doctor
+  Nurse)").ValueOrDie();
+  Schema schema;
+  ASSERT_TRUE(
+      schema.AddColumn({"id", ColumnRole::kIdentifying, ValueType::kString})
+          .ok());
+  ASSERT_TRUE(
+      schema.AddColumn({"age", ColumnRole::kQuasiNumeric, ValueType::kInt64})
+          .ok());
+  ASSERT_TRUE(schema
+                  .AddColumn({"role", ColumnRole::kQuasiCategorical,
+                              ValueType::kString})
+                  .ok());
+  UsageMetrics metrics;
+  metrics.trees = {&age, &role};
+  metrics.maximal = {CutAtDepth(&age, 1), CutAtDepth(&role, 1)};
+
+  FrameworkConfig config;
+  config.binning.k = 2;
+  config.binning.enforce_joint = true;
+  ProtectionSession session(metrics, config);
+
+  int next_id = 0;
+  const auto make_batch = [&](const std::vector<std::pair<int, std::string>>&
+                                  rows) {
+    Table batch(schema);
+    for (const auto& [age_value, role_value] : rows) {
+      EXPECT_TRUE(
+          batch
+              .AppendRow({Value::String("id" + std::to_string(next_id++)),
+                          Value::Int64(age_value), Value::String(role_value)})
+              .ok());
+    }
+    return batch;
+  };
+
+  ASSERT_TRUE(session
+                  .Ingest(make_batch({{10, "Doctor"},
+                                      {10, "Doctor"},
+                                      {30, "Nurse"},
+                                      {30, "Nurse"}}))
+                  .ok());
+  ASSERT_TRUE(session.Flush().ok());
+
+  // Established joint bins (young doctor, older nurse) emit; the young
+  // nurse and older doctor have established columns but no joint bin.
+  const auto result = session.Ingest(make_batch(
+      {{20, "Doctor"}, {20, "Nurse"}, {40, "Doctor"}, {40, "Nurse"}}));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows_emitted, 2u);
+  EXPECT_EQ(result->rows_suppressed, 2u);
+  ASSERT_EQ(result->emitted.num_rows(), 2u);
+  EXPECT_EQ(result->emitted.at(0, 2).AsString(), "Doctor");
+  EXPECT_EQ(result->emitted.at(1, 2).AsString(), "Nurse");
+}
+
 TEST(ProtectionSessionTest, DriftPolicyAutoRebinsAndDetects) {
   Env env = MakeEnv();
   env.config.auto_epsilon = true;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 
@@ -357,6 +360,81 @@ TEST(HierarchicalWatermarkTest, FullDeletionLosesEveryBitStrictly) {
   auto detect = env.watermarker->Detect(empty, wm.size(), embed->wmd_size);
   ASSERT_TRUE(detect.ok());
   EXPECT_DOUBLE_EQ(*StrictMarkLoss(wm, *detect), 1.0);
+}
+
+// The embed's cell moves are a complete, thread-count-independent account
+// of what it wrote: replayed onto the pre-embed table they reproduce the
+// embedded table, there is one per changed cell, and asking for them
+// changes nothing else.
+TEST(HierarchicalWatermarkTest, CellMovesReplayTheEmbedAcrossThreads) {
+  Env env = MakeSetup();
+  env.table = MakeBinnedTable(*env.tree, 3000, 23);
+  const BitVector wm = TestMark();
+  Table unsunk = env.table.Clone();
+  auto unsunk_report = env.watermarker->Embed(&unsunk, wm);
+  ASSERT_TRUE(unsunk_report.ok());
+
+  std::vector<CellMove> serial_moves;
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  for (size_t t : {size_t{1}, size_t{2}, hw}) {
+    WatermarkOptions options = env.watermarker->options();
+    options.num_threads = t;
+    const HierarchicalWatermarker watermarker(
+        env.watermarker->qi_columns(), env.watermarker->ident_column(),
+        env.watermarker->maximal(), env.watermarker->ultimate(), env.key,
+        options);
+    Table marked = env.table.Clone();
+    std::vector<CellMove> moves;
+    auto report = watermarker.Embed(&marked, wm, /*copies=*/0, &moves);
+    ASSERT_TRUE(report.ok());
+    const std::string context = "num_threads " + std::to_string(t);
+
+    // A null sink leaves the report (and the table) unchanged.
+    EXPECT_EQ(report->tuples_selected, unsunk_report->tuples_selected)
+        << context;
+    EXPECT_EQ(report->slots_embedded, unsunk_report->slots_embedded)
+        << context;
+    EXPECT_EQ(report->slots_skipped_no_gap,
+              unsunk_report->slots_skipped_no_gap)
+        << context;
+    EXPECT_EQ(report->copies, unsunk_report->copies) << context;
+    EXPECT_EQ(report->wmd_size, unsunk_report->wmd_size) << context;
+    EXPECT_EQ(report->cells_changed, unsunk_report->cells_changed) << context;
+
+    // One move per changed cell.
+    EXPECT_GT(moves.size(), 0u) << context;
+    EXPECT_EQ(moves.size(), report->cells_changed) << context;
+
+    // Replayed onto the pre-embed table, the moves reproduce the embed.
+    Table replayed = env.table.Clone();
+    for (const CellMove& move : moves) {
+      const size_t col = watermarker.qi_columns()[move.col_idx];
+      EXPECT_EQ(replayed.at(move.row, col),
+                Value::String(env.tree->node(move.from).label))
+          << context << " row " << move.row;
+      EXPECT_NE(move.from, move.to) << context << " row " << move.row;
+      replayed.Set(move.row, col,
+                   Value::String(env.tree->node(move.to).label));
+    }
+    ASSERT_EQ(replayed.num_rows(), marked.num_rows());
+    for (size_t r = 0; r < marked.num_rows(); ++r) {
+      EXPECT_EQ(replayed.row(r), marked.row(r)) << context << " row " << r;
+      EXPECT_EQ(unsunk.row(r), marked.row(r)) << context << " row " << r;
+    }
+
+    // The same moves, in the same order, for every worker count.
+    if (t == 1) {
+      serial_moves = moves;
+      continue;
+    }
+    ASSERT_EQ(moves.size(), serial_moves.size()) << context;
+    for (size_t i = 0; i < moves.size(); ++i) {
+      EXPECT_EQ(moves[i].row, serial_moves[i].row) << context << " move " << i;
+      EXPECT_EQ(moves[i].col_idx, serial_moves[i].col_idx) << context;
+      EXPECT_EQ(moves[i].from, serial_moves[i].from) << context;
+      EXPECT_EQ(moves[i].to, serial_moves[i].to) << context;
+    }
+  }
 }
 
 }  // namespace
