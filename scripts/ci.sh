@@ -3,7 +3,8 @@
 #   1. Debug + address/undefined sanitizers (slow-labeled suites excluded),
 #      then a crypto-only rerun with UBSan findings made fatal
 #      (halt_on_error) so misaligned loads in the multi-buffer SHA-1
-#      backends fail the job instead of merely printing
+#      backends or either AES-128 backend fail the job instead of
+#      merely printing
 #   2. Debug + thread sanitizer over the parallel-labeled suites (pool
 #      substrate incl. concurrent submission/leases, binning,
 #      watermarking, sessions, the service and daemon suites, failure
@@ -39,7 +40,10 @@ echo "=== Crypto kernels under UBSan (alignment findings made fatal) ==="
 # kernels — notably misaligned loads in the multi-buffer SHA-1 backends,
 # which read caller-provided message bytes at arbitrary offsets — into a
 # hard failure. The multibuffer suite forces every compiled backend
-# (portable/SSE2/AVX2) in turn, so each SIMD path is exercised here.
+# (portable/SSE2/AVX2) in turn, so each SIMD path is exercised here. The
+# 'Aes' filter covers both AES-128 backends: Aes128BackendTest runs the
+# portable kernel and the AES-NI kernel (unaligned loads of caller
+# blocks) side by side, skipping the AES-NI cases on CPUs without it.
 (cd build-asan && \
  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
  ctest --output-on-failure -j "${JOBS}" \

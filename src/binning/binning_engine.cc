@@ -92,9 +92,14 @@ Result<Table> MaterializeProtected(
               row.reserve(input.num_columns());
               for (size_t col = 0; col < input.num_columns(); ++col) {
                 if (col == ident_column) {
+                  // A string identifier is encrypted straight from the
+                  // cell; other types are rendered to text first.
+                  const Value& ident = input.at(r, col);
                   PRIVMARK_ASSIGN_OR_RETURN(
                       std::string encrypted,
-                      cipher.EncryptValue(input.at(r, col).ToString()));
+                      ident.type() == ValueType::kString
+                          ? cipher.EncryptValue(ident.AsString())
+                          : cipher.EncryptValue(ident.ToString()));
                   row.push_back(Value::String(std::move(encrypted)));
                   continue;
                 }

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/strings.h"
+#include "crypto/aes128_internal.h"
 #include "crypto/sha1.h"
 
 namespace privmark {
@@ -70,16 +71,23 @@ inline uint8_t XTime(uint8_t a) {
   return static_cast<uint8_t>((a << 1) ^ ((a >> 7) * 0x1b));
 }
 
+// The block kernels below are free functions; these mirror Aes128's
+// constants for them.
+constexpr size_t kBlockSize = Aes128::kBlockSize;
+constexpr int kRounds = 10;
 constexpr size_t kChunk = 15;  // plaintext bytes per block (1 byte header)
 
 }  // namespace
 
-Aes128::Aes128(const std::array<uint8_t, kKeySize>& key) {
+namespace crypto_internal {
+
+void Aes128ExpandKey(const uint8_t key[16],
+                     uint8_t round_keys[kAes128RoundKeyBytes]) {
   // Key expansion (FIPS 197 Sec. 5.2), word-oriented.
-  std::memcpy(round_keys_.data(), key.data(), kKeySize);
+  std::memcpy(round_keys, key, 16);
   for (int i = 4; i < 4 * (kRounds + 1); ++i) {
     uint8_t temp[4];
-    std::memcpy(temp, round_keys_.data() + 4 * (i - 1), 4);
+    std::memcpy(temp, round_keys + 4 * (i - 1), 4);
     if (i % 4 == 0) {
       // RotWord + SubWord + Rcon.
       const uint8_t t0 = temp[0];
@@ -89,23 +97,15 @@ Aes128::Aes128(const std::array<uint8_t, kKeySize>& key) {
       temp[3] = kSbox[t0];
     }
     for (int b = 0; b < 4; ++b) {
-      round_keys_[4 * i + b] =
-          round_keys_[4 * (i - 4) + b] ^ temp[b];
+      round_keys[4 * i + b] = round_keys[4 * (i - 4) + b] ^ temp[b];
     }
   }
 }
 
-Aes128 Aes128::FromPassphrase(const std::string& passphrase) {
-  const std::vector<uint8_t> digest = Sha1::Hash("privmark-aes:" + passphrase);
-  std::array<uint8_t, kKeySize> key;
-  std::memcpy(key.data(), digest.data(), kKeySize);
-  return Aes128(key);
-}
-
-void Aes128::EncryptBlock(uint8_t block[kBlockSize]) const {
+void Aes128EncryptBlockPortable(const uint8_t* round_keys, uint8_t* block) {
   auto add_round_key = [&](int round) {
     for (size_t i = 0; i < kBlockSize; ++i) {
-      block[i] ^= round_keys_[round * kBlockSize + i];
+      block[i] ^= round_keys[round * kBlockSize + i];
     }
   };
   auto sub_bytes = [&] {
@@ -145,10 +145,10 @@ void Aes128::EncryptBlock(uint8_t block[kBlockSize]) const {
   add_round_key(kRounds);
 }
 
-void Aes128::DecryptBlock(uint8_t block[kBlockSize]) const {
+void Aes128DecryptBlockPortable(const uint8_t* round_keys, uint8_t* block) {
   auto add_round_key = [&](int round) {
     for (size_t i = 0; i < kBlockSize; ++i) {
-      block[i] ^= round_keys_[round * kBlockSize + i];
+      block[i] ^= round_keys[round * kBlockSize + i];
     }
   };
   auto inv_sub_bytes = [&] {
@@ -204,6 +204,52 @@ void Aes128::DecryptBlock(uint8_t block[kBlockSize]) const {
   inv_shift_rows();
   inv_sub_bytes();
   add_round_key(0);
+}
+
+bool AesNiActive() {
+#if defined(__x86_64__) || defined(_M_X64)
+  // A function-local static: resolved on first use, after the runtime has
+  // initialised the CPU model __builtin_cpu_supports reads.
+  static const bool active =
+      AesNiCompiled() && __builtin_cpu_supports("aes");
+  return active;
+#else
+  return false;
+#endif
+}
+
+}  // namespace crypto_internal
+
+Aes128::Aes128(const std::array<uint8_t, kKeySize>& key) {
+  static_assert(sizeof(round_keys_) == crypto_internal::kAes128RoundKeyBytes);
+  crypto_internal::Aes128ExpandKey(key.data(), round_keys_.data());
+}
+
+Aes128 Aes128::FromPassphrase(const std::string& passphrase) {
+  const std::vector<uint8_t> digest = Sha1::Hash("privmark-aes:" + passphrase);
+  std::array<uint8_t, kKeySize> key;
+  std::memcpy(key.data(), digest.data(), kKeySize);
+  return Aes128(key);
+}
+
+void Aes128::EncryptBlock(uint8_t block[kBlockSize]) const {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (crypto_internal::AesNiActive()) {
+    crypto_internal::Aes128EncryptBlockAesNi(round_keys_.data(), block);
+    return;
+  }
+#endif
+  crypto_internal::Aes128EncryptBlockPortable(round_keys_.data(), block);
+}
+
+void Aes128::DecryptBlock(uint8_t block[kBlockSize]) const {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (crypto_internal::AesNiActive()) {
+    crypto_internal::Aes128DecryptBlockAesNi(round_keys_.data(), block);
+    return;
+  }
+#endif
+  crypto_internal::Aes128DecryptBlockPortable(round_keys_.data(), block);
 }
 
 Result<std::string> Aes128::EncryptValue(const std::string& value) const {

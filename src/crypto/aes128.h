@@ -7,8 +7,17 @@
 // and apply it per-value in ECB mode over length-prefixed padded input —
 // deterministic and injective, exactly the property the paper relies on.
 //
-// This is a table-free, constant-size implementation tuned for clarity, not
-// a side-channel-hardened production cipher.
+// Two block backends, chosen per process on first use:
+//   - AES-NI (x86-64, when the build compiled the kernels in and the CPU
+//     reports AES-NI): one AESENC/AESDEC instruction per round. It does no
+//     table lookups, so its timing does not depend on the data or the key.
+//   - portable: byte-wise FIPS-197 rounds (xtime MixColumns, no T-tables).
+//     It still indexes an S-box with secret bytes, so it is not hardened
+//     against cache-timing side channels.
+// Both backends produce byte-identical ciphertexts and round-trip each
+// other's output: a table protected on one machine decrypts on any other.
+// There is no way to choose a backend; tests hold the two equal through
+// crypto/aes128_internal.h.
 
 #ifndef PRIVMARK_CRYPTO_AES128_H_
 #define PRIVMARK_CRYPTO_AES128_H_

@@ -1,40 +1,64 @@
 #include "watermark/ownership.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string_view>
 
 #include "common/strings.h"
 #include "crypto/keyed_hash.h"
 
 namespace privmark {
 
-Result<double> IdentifierStatistic(const std::vector<std::string>& idents) {
-  if (idents.empty()) {
-    return Status::InvalidArgument("IdentifierStatistic: no identifiers");
+namespace {
+
+// The numeric reading of one identifier: its digits in order, of which the
+// first 15 are read as an integer — below 10^15 < 2^53, so the double is
+// exact and equals what std::stod gives on the same digit string.
+Result<double> IdentifierNumber(std::string_view ident) {
+  uint64_t number = 0;
+  size_t digits = 0;
+  for (char ch : ident) {
+    if (ch < '0' || ch > '9') continue;
+    number = number * 10 + static_cast<uint64_t>(ch - '0');
+    if (++digits == 15) break;
   }
+  if (digits == 0) {
+    return Status::InvalidArgument("identifier '" + std::string(ident) +
+                                   "' contains no digits");
+  }
+  return static_cast<double>(number);
+}
+
+Status NoIdentifiers() {
+  return Status::InvalidArgument("IdentifierStatistic: no identifiers");
+}
+
+}  // namespace
+
+Result<double> IdentifierStatistic(const std::vector<std::string>& idents) {
+  if (idents.empty()) return NoIdentifiers();
   double sum = 0.0;
   for (const std::string& ident : idents) {
-    std::string digits;
-    for (char ch : ident) {
-      if (ch >= '0' && ch <= '9') digits += ch;
-    }
-    if (digits.empty()) {
-      return Status::InvalidArgument("identifier '" + ident +
-                                     "' contains no digits");
-    }
-    // Use at most 15 digits so the double conversion stays exact.
-    if (digits.size() > 15) digits.resize(15);
-    sum += std::stod(digits);
+    PRIVMARK_ASSIGN_OR_RETURN(double number, IdentifierNumber(ident));
+    sum += number;
   }
   return sum / static_cast<double>(idents.size());
 }
 
 Result<double> StatisticFromTable(const Table& table, size_t ident_column) {
-  std::vector<std::string> idents;
-  idents.reserve(table.num_rows());
+  if (table.num_rows() == 0) return NoIdentifiers();
+  // Same sum order as IdentifierStatistic over the rendered column, so the
+  // double is bit-identical; string cells are read in place.
+  double sum = 0.0;
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    idents.push_back(table.at(r, ident_column).ToString());
+    const Value& cell = table.at(r, ident_column);
+    PRIVMARK_ASSIGN_OR_RETURN(
+        double number, cell.type() == ValueType::kString
+                           ? IdentifierNumber(cell.AsString())
+                           : IdentifierNumber(cell.ToString()));
+    sum += number;
   }
-  return IdentifierStatistic(idents);
+  return sum / static_cast<double>(table.num_rows());
 }
 
 Result<double> StatisticFromEncrypted(const Table& table, size_t ident_column,

@@ -55,7 +55,8 @@ struct OwnershipConfig {
 };
 
 /// \brief v: the mean of the numeric interpretation of cleartext
-/// identifiers (digits extracted from each identifier, e.g. SSNs).
+/// identifiers (digits extracted from each identifier, e.g. SSNs; the first
+/// 15 digits are read, so each term is exact in a double).
 /// InvalidArgument if an identifier contains no digits.
 Result<double> IdentifierStatistic(const std::vector<std::string>& idents);
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+
 #include "core/framework.h"
 #include "datagen/medical_data.h"
 
@@ -23,6 +29,116 @@ TEST(IdentifierStatisticTest, StripsNonDigits) {
 TEST(IdentifierStatisticTest, RejectsDigitFreeIdentifier) {
   EXPECT_FALSE(IdentifierStatistic({"abc"}).ok());
   EXPECT_FALSE(IdentifierStatistic({}).ok());
+}
+
+// v as it was computed before the digits were read as an integer: collect
+// the digit string, keep 15 digits, std::stod. The integer reading must
+// give the same double bit for bit.
+double StodStatistic(const std::vector<std::string>& idents) {
+  double sum = 0.0;
+  for (const std::string& ident : idents) {
+    std::string digits;
+    for (char ch : ident) {
+      if (ch >= '0' && ch <= '9') digits += ch;
+    }
+    if (digits.size() > 15) digits.resize(15);
+    sum += std::stod(digits);
+  }
+  return sum / static_cast<double>(idents.size());
+}
+
+TEST(IdentifierStatisticTest, LeadingZerosAreDropped) {
+  auto v = IdentifierStatistic({"007", "0003", "000"});
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, 10.0 / 3.0);
+}
+
+TEST(IdentifierStatisticTest, ReadsTheFirstFifteenDigits) {
+  auto v = IdentifierStatistic({"1234567890123456789"});
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, 123456789012345.0);
+  // Separators don't count towards the fifteen.
+  auto split =
+      IdentifierStatistic({"123-456-789-012-345-678", "999999999999999"});
+  ASSERT_TRUE(split.ok());
+  EXPECT_EQ(*split, (123456789012345.0 + 999999999999999.0) / 2.0);
+}
+
+TEST(IdentifierStatisticTest, MixedLettersAndDigits) {
+  auto v = IdentifierStatistic({"a1b2c3", "x9y", "MRN-0042z"});
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, (123.0 + 9.0 + 42.0) / 3.0);
+}
+
+TEST(IdentifierStatisticTest, DigitFreeIdentifierNamesItself) {
+  auto v = IdentifierStatistic({"123", "no-digits-here", "456"});
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v.status().message().find("'no-digits-here' contains no digits"),
+            std::string::npos)
+      << v.status().ToString();
+}
+
+TEST(IdentifierStatisticTest, BitIdenticalToStodReading) {
+  Random rng(20050405);
+  std::vector<std::string> idents;
+  for (int i = 0; i < 5000; ++i) {
+    std::string ident;
+    const size_t length = 1 + rng.Uniform(30);
+    for (size_t j = 0; j < length; ++j) {
+      ident += rng.Uniform(4) == 0 ? static_cast<char>('a' + rng.Uniform(26))
+                                   : static_cast<char>('0' + rng.Uniform(10));
+    }
+    ident += static_cast<char>('0' + rng.Uniform(10));
+    idents.push_back(ident);
+  }
+  auto v = IdentifierStatistic(idents);
+  ASSERT_TRUE(v.ok());
+  const double reference = StodStatistic(idents);
+  EXPECT_EQ(std::memcmp(&*v, &reference, sizeof(double)), 0)
+      << *v << " vs " << reference;
+}
+
+TEST(StatisticFromTableTest, MatchesRenderedColumnForStringAndInt64) {
+  for (ValueType type : {ValueType::kString, ValueType::kInt64}) {
+    Schema schema;
+    ASSERT_TRUE(schema.AddColumn({"age", ColumnRole::kOther,
+                                  ValueType::kInt64}).ok());
+    ASSERT_TRUE(schema.AddColumn({"id", ColumnRole::kIdentifying, type}).ok());
+    Table t(schema);
+    std::vector<std::string> rendered;
+    Random rng(7);
+    for (int i = 0; i < 200; ++i) {
+      const int64_t number = static_cast<int64_t>(rng.Uniform(1000000000)) -
+                             (i % 5 == 0 ? 500000000 : 0);
+      const Value ident = type == ValueType::kString
+                              ? Value::String("ssn:" + std::to_string(number))
+                              : Value::Int64(number);
+      rendered.push_back(ident.ToString());
+      ASSERT_TRUE(t.AppendRow({Value::Int64(i), ident}).ok());
+    }
+    auto from_table = StatisticFromTable(t, 1);
+    auto from_strings = IdentifierStatistic(rendered);
+    ASSERT_TRUE(from_table.ok());
+    ASSERT_TRUE(from_strings.ok());
+    EXPECT_EQ(*from_table, *from_strings) << ValueTypeToString(type);
+  }
+}
+
+TEST(StatisticFromTableTest, RejectsEmptyAndDigitFreeColumns) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddColumn({"id", ColumnRole::kIdentifying,
+                                ValueType::kString}).ok());
+  Table t(schema);
+  EXPECT_EQ(StatisticFromTable(t, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(t.AppendRow({Value::String("42")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value::String("anon")}).ok());
+  auto v = StatisticFromTable(t, 0);
+  ASSERT_FALSE(v.ok());
+  EXPECT_NE(v.status().message().find("'anon' contains no digits"),
+            std::string::npos)
+      << v.status().ToString();
 }
 
 TEST(DeriveOwnershipMarkTest, DeterministicAndLengthCorrect) {
