@@ -6,7 +6,7 @@
 # write byte-identical out.csv and manifest files, the manifests must
 # name the --key, the freeze stream must match a one-shot `protect` of
 # the same rows, and `privmark_cli detect` must recover that run's mark
-# from the served output.
+# from the served output. A zero --eta must be a usage error (exit 2).
 #
 # usage: cli_serve_smoke.sh <path/to/privmark_cli> <scratch dir>
 set -euo pipefail
@@ -107,5 +107,11 @@ mark=$(sed -n 's/^mark (keep secret until dispute): //p' protect.log)
 recovered=$(sed -n 's/^recovered mark: //p' detect.log)
 [[ "$recovered" == "$mark" ]] \
   || fail "detect recovered '$recovered', protect embedded '$mark'"
+
+# 6. eta = 0 is a usage error (exit 2), not a division by zero.
+status=0
+"$cli" protect all.csv zero.csv zero.man --k=10 --eta=0 2>/dev/null \
+  || status=$?
+[[ $status -eq 2 ]] || fail "protect --eta=0 exited $status, want 2"
 
 echo "cli_serve: OK (port $port, mark $mark)"

@@ -188,6 +188,15 @@ struct Args {
     }
     return value;
   }
+  // FlagU64 for a divisor such as --eta: 0 is a usage error too.
+  uint64_t FlagPositive(const std::string& name, uint64_t fallback) const {
+    const uint64_t value = FlagU64(name, fallback);
+    if (value == 0) {
+      std::fprintf(stderr, "error: --%s must be positive\n", name.c_str());
+      std::exit(2);
+    }
+    return value;
+  }
 };
 
 Args ParseTokens(const std::vector<std::string>& tokens) {
@@ -230,7 +239,7 @@ T Must(Result<T> result) {
 WatermarkKey KeyFromArgs(const Args& args) {
   return WatermarkKey{args.Flag("k1", "cli-default-k1"),
                       args.Flag("k2", "cli-default-k2"),
-                      args.FlagU64("eta", 50)};
+                      args.FlagPositive("eta", 50)};
 }
 
 // The key named by --key=<file> (a gen-key output), else flag-supplied
@@ -537,7 +546,7 @@ int CmdGenKey(const Args& args) {
     return 2;
   }
   const std::string name = args.Flag("name", "recipient");
-  const uint64_t eta = args.FlagU64("eta", 50);
+  const uint64_t eta = args.FlagPositive("eta", 50);
   NamedKey key;
   if (args.flags.count("k1") > 0 || args.flags.count("k2") > 0) {
     key = NamedKey{name, KeyFromArgs(args)};

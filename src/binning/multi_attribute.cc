@@ -23,19 +23,8 @@ Result<std::vector<NodeId>> RowLeaves(const Table& table, size_t column,
   return leaves;
 }
 
-// FNV-1a over the node-id vector; bins are only scanned for < k violations
-// and point-queried, so hashed (unordered) grouping is free speed.
-struct NodeVectorHash {
-  size_t operator()(const std::vector<NodeId>& key) const {
-    uint64_t h = 1469598103934665603ull;
-    for (const NodeId id : key) {
-      h ^= static_cast<uint64_t>(static_cast<uint32_t>(id));
-      h *= 1099511628211ull;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
+// Bins are only scanned for < k violations and point-queried, so hashed
+// (unordered) grouping is free speed.
 using BinSizeMap =
     std::unordered_map<std::vector<NodeId>, size_t, NodeVectorHash>;
 

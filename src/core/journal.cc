@@ -365,32 +365,7 @@ std::string SessionJournal::EncodeBatch(const Table& batch) {
   AppendLe32(&out, static_cast<uint32_t>(batch.num_columns()));
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     for (size_t c = 0; c < batch.num_columns(); ++c) {
-      const Value& cell = batch.at(r, c);
-      out.push_back(static_cast<char>(cell.type()));
-      switch (cell.type()) {
-        case ValueType::kNull:
-          break;
-        case ValueType::kInt64:
-          AppendLe64(&out, static_cast<uint64_t>(cell.AsInt64()));
-          break;
-        case ValueType::kDouble: {
-          // Bit pattern, not decimal text: replay must rebuild the exact
-          // double (sign of zero, subnormals, all 17 digits), or the
-          // recovered session diverges from the crashed one.
-          uint64_t bits = 0;
-          const double v = cell.AsDouble();
-          static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
-          std::memcpy(&bits, &v, sizeof(bits));
-          AppendLe64(&out, bits);
-          break;
-        }
-        case ValueType::kString: {
-          const std::string& s = cell.AsString();
-          AppendLe32(&out, static_cast<uint32_t>(s.size()));
-          out.append(s);
-          break;
-        }
-      }
+      AppendCell(batch.at(r, c), &out);
     }
   }
   return out;
@@ -398,14 +373,14 @@ std::string SessionJournal::EncodeBatch(const Table& batch) {
 
 Result<Table> SessionJournal::DecodeBatch(const std::string& payload,
                                           const Schema& schema) {
-  size_t pos = 0;
-  const auto have = [&](size_t n) { return payload.size() - pos >= n; };
+  BinReader reader(payload);
   const Status truncated =
       Status::InvalidArgument("journal: batch record is truncated");
-  if (!have(8)) return truncated;
-  const uint32_t num_rows = ReadLe32(payload.data());
-  const uint32_t num_cols = ReadLe32(payload.data() + 4);
-  pos = 8;
+  uint32_t num_rows = 0;
+  uint32_t num_cols = 0;
+  if (!reader.ReadU32(&num_rows) || !reader.ReadU32(&num_cols)) {
+    return truncated;
+  }
   if (num_cols != schema.num_columns()) {
     return Status::InvalidArgument(
         "journal: batch record has " + std::to_string(num_cols) +
@@ -413,41 +388,17 @@ Result<Table> SessionJournal::DecodeBatch(const std::string& payload,
   }
   Table table(schema);
   for (uint32_t r = 0; r < num_rows; ++r) {
-    Row row;
-    row.reserve(num_cols);
+    Row row(num_cols);
     for (uint32_t c = 0; c < num_cols; ++c) {
-      if (!have(1)) return truncated;
-      const uint8_t tag = static_cast<uint8_t>(payload[pos++]);
-      if (tag == static_cast<uint8_t>(ValueType::kNull)) {
-        row.push_back(Value::Null());
-      } else if (tag == static_cast<uint8_t>(ValueType::kInt64)) {
-        if (!have(8)) return truncated;
-        row.push_back(Value::Int64(
-            static_cast<int64_t>(ReadLe64(payload.data() + pos))));
-        pos += 8;
-      } else if (tag == static_cast<uint8_t>(ValueType::kDouble)) {
-        if (!have(8)) return truncated;
-        const uint64_t bits = ReadLe64(payload.data() + pos);
-        pos += 8;
-        double v = 0;
-        std::memcpy(&v, &bits, sizeof(v));
-        row.push_back(Value::Double(v));
-      } else if (tag == static_cast<uint8_t>(ValueType::kString)) {
-        if (!have(4)) return truncated;
-        const uint32_t length = ReadLe32(payload.data() + pos);
-        pos += 4;
-        if (!have(length)) return truncated;
-        row.push_back(Value::String(payload.substr(pos, length)));
-        pos += length;
-      } else {
-        return Status::InvalidArgument(
-            "journal: batch record has unknown cell tag " +
-            std::to_string(tag));
-      }
+      uint8_t tag = 0;
+      if (ReadCell(&reader, payload.size(), &tag, &row[c])) continue;
+      if (!reader.ok()) return truncated;
+      return Status::InvalidArgument(
+          "journal: batch record has unknown cell tag " + std::to_string(tag));
     }
     PRIVMARK_RETURN_NOT_OK(table.AppendRow(std::move(row)));
   }
-  if (pos != payload.size()) {
+  if (!reader.Exhausted()) {
     return Status::InvalidArgument(
         "journal: batch record has trailing bytes");
   }

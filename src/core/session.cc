@@ -115,16 +115,6 @@ std::vector<AttributeSeamlessness> SeamlessnessFromNodes(
 
 }  // namespace
 
-size_t ProtectionSession::NodeVectorHash::operator()(
-    const std::vector<NodeId>& key) const {
-  uint64_t h = 1469598103934665603ull;
-  for (const NodeId id : key) {
-    h ^= static_cast<uint64_t>(static_cast<uint32_t>(id));
-    h *= 1099511628211ull;
-  }
-  return static_cast<size_t>(h);
-}
-
 ProtectionSession::ProtectionSession(UsageMetrics metrics,
                                      FrameworkConfig config,
                                      SessionConfig session)

@@ -264,10 +264,6 @@ class ProtectionSession {
   const UsageMetrics& metrics() const { return metrics_; }
 
  private:
-  struct NodeVectorHash {
-    size_t operator()(const std::vector<NodeId>& key) const;
-  };
-
   // The frozen state of the most recent flush.
   struct LiveEpoch {
     size_t index = 0;

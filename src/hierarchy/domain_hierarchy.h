@@ -40,6 +40,19 @@ using NodeId = int32_t;
 /// \brief Sentinel for "no node" (e.g. the root's parent).
 constexpr NodeId kInvalidNode = -1;
 
+/// \brief FNV-1a over a node-id vector, for hashed maps and sets keyed by
+/// a joint bin (one node per column).
+struct NodeVectorHash {
+  size_t operator()(const std::vector<NodeId>& key) const {
+    uint64_t h = 1469598103934665603ull;
+    for (const NodeId id : key) {
+      h ^= static_cast<uint64_t>(static_cast<uint32_t>(id));
+      h *= 1099511628211ull;
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
 /// \brief One node of a domain hierarchy tree.
 struct HierarchyNode {
   /// Unique label within the tree; doubles as the generalized cell value.

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "common/binenc.h"
 #include "common/strings.h"
 
 namespace privmark {
@@ -113,6 +114,52 @@ bool Value::operator<(const Value& other) const {
       return std::get<std::string>(data_) < std::get<std::string>(other.data_);
   }
   return false;
+}
+
+void AppendCell(const Value& cell, std::string* out) {
+  out->push_back(static_cast<char>(cell.type()));
+  switch (cell.type()) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt64:
+      AppendLe64(out, static_cast<uint64_t>(cell.AsInt64()));
+      break;
+    case ValueType::kDouble:
+      AppendDoubleBits(out, cell.AsDouble());
+      break;
+    case ValueType::kString:
+      AppendLengthPrefixed(out, cell.AsString());
+      break;
+  }
+}
+
+bool ReadCell(BinReader* reader, size_t max_string_bytes, uint8_t* tag,
+              Value* cell) {
+  if (!reader->ReadU8(tag)) return false;
+  switch (static_cast<ValueType>(*tag)) {
+    case ValueType::kNull:
+      *cell = Value::Null();
+      return true;
+    case ValueType::kInt64: {
+      uint64_t bits = 0;
+      if (!reader->ReadU64(&bits)) return false;
+      *cell = Value::Int64(static_cast<int64_t>(bits));
+      return true;
+    }
+    case ValueType::kDouble: {
+      double v = 0;
+      if (!reader->ReadDoubleBits(&v)) return false;
+      *cell = Value::Double(v);
+      return true;
+    }
+    case ValueType::kString: {
+      std::string s;
+      if (!reader->ReadLengthPrefixed(&s, max_string_bytes)) return false;
+      *cell = Value::String(std::move(s));
+      return true;
+    }
+  }
+  return false;  // unknown tag; the reader is still ok
 }
 
 }  // namespace privmark

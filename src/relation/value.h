@@ -11,6 +11,8 @@
 
 namespace privmark {
 
+class BinReader;
+
 /// \brief Runtime type of a Value.
 enum class ValueType {
   kNull,
@@ -66,6 +68,20 @@ class Value {
 
   std::variant<std::monostate, int64_t, double, std::string> data_;
 };
+
+/// \brief The binary cell codec shared by the session journal and the wire
+/// table codec: a one-byte ValueType tag, then the payload — nothing for
+/// null, a little-endian int64, the double's IEEE bit pattern (exact
+/// replay: sign of zero, subnormals, NaN payloads), or a u32
+/// length-prefixed string.
+void AppendCell(const Value& cell, std::string* out);
+
+/// \brief Decodes one AppendCell encoding into *cell. Returns false on a
+/// truncated payload or a string longer than `max_string_bytes` (the
+/// reader fails) and on an unknown tag (the reader stays ok and *tag holds
+/// it); callers word their own errors.
+bool ReadCell(BinReader* reader, size_t max_string_bytes, uint8_t* tag,
+              Value* cell);
 
 }  // namespace privmark
 

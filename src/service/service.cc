@@ -122,6 +122,11 @@ Status PrivmarkService::OpenSession(const std::string& name,
                                     FrameworkConfig config,
                                     SessionConfig session,
                                     SessionRecovery* recovery) {
+  // Checked here, not at the first flush: every selection hash divides by
+  // eta, and a session that cannot flush must never be opened.
+  if (config.key.eta == 0) {
+    return Status::InvalidArgument("OpenSession: watermark key eta is 0");
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (shutdown_) {
     return Status::InvalidArgument("OpenSession: service is shut down");

@@ -267,7 +267,8 @@ class PrivmarkService {
   /// construction) and starts its strand. AlreadyExists for a live name
   /// and for a closed name whose strand is still draining (retry; the
   /// name frees the moment the drain finishes — OpenSession never
-  /// blocks the registry on another session's backlog).
+  /// blocks the registry on another session's backlog). InvalidArgument
+  /// for a key with eta == 0, before anything is registered.
   ///
   /// With a journal_dir configured, the session is durable: a fresh
   /// name starts a new journal; a name whose journal already exists is

@@ -366,23 +366,7 @@ void WireTableEncoder::Encode(const Table& batch, std::string* out) {
     } else {
       // Mixed or Null-bearing column: per-cell tags (the journal codec).
       out->push_back(static_cast<char>(WireColumnEncoding::kCells));
-      for (size_t r = 0; r < rows; ++r) {
-        const Value& cell = batch.at(r, c);
-        out->push_back(static_cast<char>(cell.type()));
-        switch (cell.type()) {
-          case ValueType::kNull:
-            break;
-          case ValueType::kInt64:
-            AppendLe64(out, static_cast<uint64_t>(cell.AsInt64()));
-            break;
-          case ValueType::kDouble:
-            AppendDoubleBits(out, cell.AsDouble());
-            break;
-          case ValueType::kString:
-            AppendLengthPrefixed(out, cell.AsString());
-            break;
-        }
-      }
+      for (size_t r = 0; r < rows; ++r) AppendCell(batch.at(r, c), out);
     }
   }
 }
@@ -452,27 +436,13 @@ Result<Table> WireTableDecoder::Decode(BinReader* reader) {
     } else if (encoding == static_cast<uint8_t>(WireColumnEncoding::kCells)) {
       for (uint32_t r = 0; r < rows; ++r) {
         uint8_t tag = 0;
-        if (!reader->ReadU8(&tag)) return Truncated("cell column");
-        if (tag == static_cast<uint8_t>(ValueType::kNull)) {
-          columns[c].push_back(Value::Null());
-        } else if (tag == static_cast<uint8_t>(ValueType::kInt64)) {
-          uint64_t bits = 0;
-          if (!reader->ReadU64(&bits)) return Truncated("cell column");
-          columns[c].push_back(Value::Int64(static_cast<int64_t>(bits)));
-        } else if (tag == static_cast<uint8_t>(ValueType::kDouble)) {
-          double v = 0;
-          if (!reader->ReadDoubleBits(&v)) return Truncated("cell column");
-          columns[c].push_back(Value::Double(v));
-        } else if (tag == static_cast<uint8_t>(ValueType::kString)) {
-          std::string s;
-          if (!reader->ReadLengthPrefixed(&s, kMaxWireFrameBytes)) {
-            return Truncated("cell column");
-          }
-          columns[c].push_back(Value::String(std::move(s)));
-        } else {
+        Value cell;
+        if (!ReadCell(reader, kMaxWireFrameBytes, &tag, &cell)) {
+          if (!reader->ok()) return Truncated("cell column");
           return Status::InvalidArgument(
               "wire: table cell has unknown tag " + std::to_string(tag));
         }
+        columns[c].push_back(std::move(cell));
       }
     } else {
       return Status::InvalidArgument(

@@ -4,150 +4,30 @@
 #include <utility>
 
 #include "common/parallel.h"
+#include "watermark/embed_internal.h"
 
 namespace privmark {
 
 namespace {
 
-using watermark_internal::IdentText;
 using watermark_internal::MergeVotes;
+using watermark_internal::ValidateDetectSizes;
+using watermark_internal::ValidateEta;
 using watermark_internal::VoteShard;
-
-// One row-shard of the index build: its slot outcomes plus identifier
-// bytes and per-row lengths (offsets are prefix-summed after the merge).
-struct IndexShard {
-  std::vector<SlotVote> slots;
-  std::string ident_bytes;
-  std::vector<size_t> ident_sizes;
-};
-
-void MergeIndex(IndexShard* acc, IndexShard&& shard) {
-  acc->slots.insert(acc->slots.end(), shard.slots.begin(), shard.slots.end());
-  acc->ident_bytes += shard.ident_bytes;
-  acc->ident_sizes.insert(acc->ident_sizes.end(), shard.ident_sizes.begin(),
-                          shard.ident_sizes.end());
-}
-
-// Shared build skeleton; `slot_of(cell, c, &level_scratch)` is each
-// scheme's ReadSlot.
-template <typename SlotFn>
-Result<DetectIndex> BuildIndexImpl(const Table& table, size_t ident_column,
-                                   const std::vector<size_t>& qi_columns,
-                                   const WatermarkOptions& options,
-                                   const SlotFn& slot_of) {
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* const pool =
-      PoolOrMake(options.pool, options.num_threads, &owned_pool);
-  const size_t num_cols = qi_columns.size();
-  PRIVMARK_ASSIGN_OR_RETURN(
-      IndexShard merged,
-      ParallelReduce<IndexShard>(
-          pool, table.num_rows(), IndexShard{},
-          [&](size_t, size_t begin, size_t end) -> Result<IndexShard> {
-            IndexShard shard;
-            shard.slots.reserve((end - begin) * num_cols);
-            shard.ident_sizes.reserve(end - begin);
-            std::string scratch;
-            std::vector<std::pair<bool, int>> level_scratch;
-            for (size_t r = begin; r < end; ++r) {
-              const std::string_view ident =
-                  IdentText(table.at(r, ident_column), &scratch);
-              shard.ident_bytes.append(ident.data(), ident.size());
-              shard.ident_sizes.push_back(ident.size());
-              for (size_t c = 0; c < num_cols; ++c) {
-                shard.slots.push_back(
-                    slot_of(table.at(r, qi_columns[c]), c, &level_scratch));
-              }
-            }
-            return shard;
-          },
-          MergeIndex));
-
-  DetectIndex index;
-  index.num_rows = table.num_rows();
-  index.column_names.reserve(num_cols);
-  for (size_t col : qi_columns) {
-    index.column_names.push_back(table.schema().column(col).name);
-  }
-  index.slots = std::move(merged.slots);
-  index.ident_bytes = std::move(merged.ident_bytes);
-  index.ident_offsets.resize(index.num_rows + 1, 0);
-  for (size_t r = 0; r < index.num_rows; ++r) {
-    index.ident_offsets[r + 1] = index.ident_offsets[r] +
-                                 merged.ident_sizes[r];
-  }
-  return index;
-}
-
-// The keyed inner loop of TallyDetect: replays selection and position
-// hashing over [begin, end), reading slot votes from the index. Row
-// blocks batch both hash kinds through the multi-buffer kernel (identifier
-// views come straight from the index, position messages from a per-block
-// arena), so values, counters, and tallies come out identical to the fused
-// Detect() — only the hashing schedule differs.
-void TallyRows(const DetectIndex& index, WatermarkHasher* hasher,
-               size_t wmd_size, size_t begin, size_t end, VoteShard* shard) {
-  const size_t num_cols = index.num_columns();
-  constexpr size_t kRows = WatermarkHasher::kBlockRows;
-  std::string_view idents[kRows];
-  uint8_t selected[kRows];
-  std::string arena;
-  std::vector<size_t> msg_ends;
-  std::vector<uint8_t> vote_ones;
-  std::vector<std::string_view> messages;
-  std::vector<size_t> positions;
-  for (size_t b = begin; b < end; b += kRows) {
-    const size_t n = std::min(kRows, end - b);
-    for (size_t i = 0; i < n; ++i) idents[i] = index.ident(b + i);
-    hasher->SelectBlock(idents, n, selected);
-    arena.clear();
-    msg_ends.clear();
-    vote_ones.clear();
-    for (size_t i = 0; i < n; ++i) {
-      if (selected[i] == 0) continue;
-      ++shard->tuples_selected;
-      const size_t r = b + i;
-      for (size_t c = 0; c < num_cols; ++c) {
-        const SlotVote vote = index.slots[r * num_cols + c];
-        if (vote == SlotVote::kSkip) {
-          ++shard->slots_skipped;
-          continue;
-        }
-        WatermarkHasher::AppendPositionMessage(idents[i],
-                                               index.column_names[c], &arena);
-        msg_ends.push_back(arena.size());
-        vote_ones.push_back(vote == SlotVote::kOne ? 1 : 0);
-      }
-    }
-    messages.resize(msg_ends.size());
-    positions.resize(msg_ends.size());
-    size_t start = 0;
-    for (size_t j = 0; j < msg_ends.size(); ++j) {
-      messages[j] = std::string_view(arena).substr(start, msg_ends[j] - start);
-      start = msg_ends[j];
-    }
-    hasher->PositionBlock(messages.data(), messages.size(), wmd_size,
-                          positions.data());
-    for (size_t j = 0; j < msg_ends.size(); ++j) {
-      (vote_ones[j] != 0 ? shard->ones[positions[j]]
-                         : shard->zeros[positions[j]]) += 1.0;
-      ++shard->slots_read;
-    }
-  }
-}
+using watermark_internal::VoteTally;
 
 // Keys per multi-key tally group: one AVX2 lane group's worth, so even a
 // single row's position message fills the widest kernel when all group
 // keys select it.
 constexpr size_t kKeyLanes = 8;
 
-// The multi-key twin of TallyRows: tallies rows [begin, end) for
+// The multi-key twin of TallyDetect's loop: tallies rows [begin, end) for
 // `num_keys` (<= kKeyLanes) keys at once into shards[0..num_keys).
 // Amortizes per-row work across the whole group — identifier views are
 // gathered once, selection hashes for all (key, row) pairs of a block go
 // through one batched call, and each voting (row, column) position message
 // is assembled once and then hashed per selecting key. Per key the values,
-// counters, and tallies are identical to a single-key TallyRows pass.
+// counters, and tallies are identical to a single-key TallyDetect.
 void TallyRowsMultiKey(const DetectIndex& index, const WatermarkKey* keys,
                        size_t num_keys, HashAlgorithm algo, size_t wmd_size,
                        size_t begin, size_t end, VoteShard* shards) {
@@ -157,10 +37,8 @@ void TallyRowsMultiKey(const DetectIndex& index, const WatermarkKey* keys,
   std::vector<KeyedHashInput> sel_inputs;
   std::vector<uint64_t> sel_hashes;
   std::vector<uint8_t> selected;  // [key * kRows + row-in-block]
-  std::string arena;
-  std::vector<size_t> msg_ends;
+  watermark_internal::MessageArena arena;
   std::vector<int> msg_idx;  // [row-in-block * num_cols], -1 = no message
-  std::vector<std::string_view> messages;
   std::vector<KeyedHashInput> pos_inputs;
   std::vector<uint64_t> pos_hashes;
   struct PendingVote {
@@ -193,7 +71,6 @@ void TallyRowsMultiKey(const DetectIndex& index, const WatermarkKey* keys,
     // Assemble each voting (row, column) message once — for rows any key
     // selected — then hash it once per selecting key below.
     arena.clear();
-    msg_ends.clear();
     msg_idx.assign(n * num_cols, -1);
     for (size_t i = 0; i < n; ++i) {
       bool any = false;
@@ -204,17 +81,9 @@ void TallyRowsMultiKey(const DetectIndex& index, const WatermarkKey* keys,
       const size_t r = b + i;
       for (size_t c = 0; c < num_cols; ++c) {
         if (index.slots[r * num_cols + c] == SlotVote::kSkip) continue;
-        msg_idx[i * num_cols + c] = static_cast<int>(msg_ends.size());
-        WatermarkHasher::AppendPositionMessage(idents[i],
-                                               index.column_names[c], &arena);
-        msg_ends.push_back(arena.size());
+        msg_idx[i * num_cols + c] = static_cast<int>(arena.size());
+        arena.Append(idents[i], index.column_names[c]);
       }
-    }
-    messages.resize(msg_ends.size());
-    size_t start = 0;
-    for (size_t j = 0; j < msg_ends.size(); ++j) {
-      messages[j] = std::string_view(arena).substr(start, msg_ends[j] - start);
-      start = msg_ends[j];
     }
 
     pos_inputs.clear();
@@ -231,7 +100,7 @@ void TallyRowsMultiKey(const DetectIndex& index, const WatermarkKey* keys,
             continue;
           }
           pos_inputs.push_back(
-              {keys[k].k2, messages[msg_idx[i * num_cols + c]]});
+              {keys[k].k2, arena.at(msg_idx[i * num_cols + c])});
           pending.push_back({static_cast<uint32_t>(k),
                              vote == SlotVote::kOne ? uint8_t{1}
                                                     : uint8_t{0}});
@@ -250,10 +119,11 @@ void TallyRowsMultiKey(const DetectIndex& index, const WatermarkKey* keys,
   }
 }
 
-Status ValidateSizes(size_t wm_size, size_t wmd_size) {
-  if (wm_size == 0 || wmd_size == 0 || wmd_size % wm_size != 0) {
-    return Status::InvalidArgument(
-        "Detect: wmd_size must be a positive multiple of wm_size");
+Status ValidateSizes(const WatermarkKey* keys, size_t num_keys,
+                     size_t wm_size, size_t wmd_size) {
+  PRIVMARK_RETURN_NOT_OK(ValidateDetectSizes(wm_size, wmd_size));
+  for (size_t k = 0; k < num_keys; ++k) {
+    PRIVMARK_RETURN_NOT_OK(ValidateEta(keys[k]));
   }
   return Status::OK();
 }
@@ -282,39 +152,33 @@ void FoldVotes(const VoteShard& votes, size_t wm_size, size_t wmd_size,
   }
 }
 
-Result<DetectIndex> BuildDetectIndex(const HierarchicalWatermarker& wm,
-                                     const Table& table) {
-  return BuildIndexImpl(
-      table, wm.ident_column(), wm.qi_columns(), wm.options(),
-      [&wm](const Value& cell, size_t c,
-            std::vector<std::pair<bool, int>>* scratch) {
-        return wm.ReadSlot(c, cell, scratch);
-      });
-}
-
-Result<DetectIndex> BuildDetectIndex(const SingleLevelWatermarker& wm,
-                                     const Table& table) {
-  return BuildIndexImpl(
-      table, wm.ident_column(), wm.qi_columns(), wm.options(),
-      [&wm](const Value& cell, size_t c,
-            std::vector<std::pair<bool, int>>*) {
-        return wm.ReadSlot(c, cell);
-      });
-}
-
 Result<DetectReport> TallyDetect(const DetectIndex& index,
                                  const WatermarkKey& key, HashAlgorithm algo,
                                  size_t wm_size, size_t wmd_size,
                                  ThreadPool* pool) {
-  PRIVMARK_RETURN_NOT_OK(ValidateSizes(wm_size, wmd_size));
+  PRIVMARK_RETURN_NOT_OK(ValidateSizes(&key, 1, wm_size, wmd_size));
   PRIVMARK_ASSIGN_OR_RETURN(
       VoteShard votes,
       ParallelReduce<VoteShard>(
           pool, index.num_rows, VoteShard(wmd_size),
           [&](size_t, size_t begin, size_t end) -> Result<VoteShard> {
+            // Identifier views come straight from the index and slot
+            // votes from its table, so values, counters and tallies come
+            // out identical to the fused Detect().
             VoteShard shard(wmd_size);
             WatermarkHasher hasher(key, algo);
-            TallyRows(index, &hasher, wmd_size, begin, end, &shard);
+            VoteTally tally(&hasher, &index.column_names, wmd_size, &shard);
+            constexpr size_t kRows = WatermarkHasher::kBlockRows;
+            std::string_view idents[kRows];
+            uint8_t selected[kRows];
+            for (size_t b = begin; b < end; b += kRows) {
+              const size_t n = std::min(kRows, end - b);
+              for (size_t i = 0; i < n; ++i) idents[i] = index.ident(b + i);
+              hasher.SelectBlock(idents, n, selected);
+              tally.Block(b, n, idents, selected, [&](size_t r, size_t c) {
+                return index.slot(r, c);
+              });
+            }
             return shard;
           },
           MergeVotes));
@@ -327,7 +191,8 @@ Result<std::vector<DetectReport>> MultiKeyTally(
     const DetectIndex& index, const std::vector<WatermarkKey>& keys,
     HashAlgorithm algo, size_t wm_size, size_t wmd_size, ThreadPool* pool,
     const MultiKeyTallySink& sink) {
-  PRIVMARK_RETURN_NOT_OK(ValidateSizes(wm_size, wmd_size));
+  PRIVMARK_RETURN_NOT_OK(
+      ValidateSizes(keys.data(), keys.size(), wm_size, wmd_size));
   std::vector<DetectReport> reports;
   if (sink == nullptr) reports.reserve(keys.size());
 

@@ -31,13 +31,16 @@
 
 #include "common/status.h"
 #include "relation/table.h"
-#include "watermark/embed_internal.h"
 #include "watermark/hierarchical.h"
 #include "watermark/single_level.h"
 
 namespace privmark {
 
 class ThreadPool;
+
+namespace watermark_internal {
+struct VoteShard;
+}  // namespace watermark_internal
 
 /// \brief The key-independent half of detection over one table: per-slot
 /// votes and per-row identifier texts, reusable across candidate keys.
@@ -67,8 +70,8 @@ struct DetectIndex {
 };
 
 /// \brief Builds the index with the watermarker's ReadSlot() — the same
-/// function the fused Detect() uses — sharded on the watermarker's
-/// configured pool / thread count.
+/// read rule the fused Detect() uses, defined beside it — sharded on the
+/// watermarker's configured pool / thread count.
 Result<DetectIndex> BuildDetectIndex(const HierarchicalWatermarker& wm,
                                      const Table& table);
 Result<DetectIndex> BuildDetectIndex(const SingleLevelWatermarker& wm,

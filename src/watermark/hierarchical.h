@@ -146,10 +146,6 @@ class HierarchicalWatermarker {
   const std::vector<GeneralizationSet>& ultimate() const { return ultimate_; }
 
  private:
-  // Walks up from `node` to the first member of maximal[c]; kInvalidNode if
-  // none is found (attacked label above the ceiling).
-  NodeId MaximalAbove(size_t c, NodeId node) const;
-
   std::vector<size_t> qi_columns_;
   size_t ident_column_;
   std::vector<GeneralizationSet> maximal_;

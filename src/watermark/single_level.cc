@@ -1,26 +1,71 @@
 #include "watermark/single_level.h"
 
-#include <algorithm>
 #include <cassert>
 
-#include "common/parallel.h"
-#include "watermark/detect_index.h"
 #include "watermark/embed_internal.h"
 
 namespace privmark {
 
 namespace {
 
-using watermark_internal::IdentBlock;
-using watermark_internal::MergeResolve;
-using watermark_internal::ResolvedShard;
-using watermark_internal::SelectedTuple;
+using watermark_internal::EmbedSlot;
+using watermark_internal::SlotKind;
+using watermark_internal::SlotWrite;
 
-// The single-level slot carries no maximal node: permutation happens only
-// among the resolved node's own siblings.
-struct EmbedSlot {
-  size_t col_idx;
-  NodeId node;
+// The single-level slot rules (Sec. 5.2): a bit lives in the sibling-index
+// parity of the cell's own ultimate node. embed_internal.h runs the rest.
+struct Rules {
+  const SingleLevelWatermarker& wm;
+
+  struct Scratch {
+    std::vector<NodeId> candidates;
+  };
+
+  // Calls sink(parity, sibling) for every ultimate sibling of `node`, node
+  // itself included; a root has no siblings and can carry only a 0, as
+  // itself.
+  template <typename Sink>
+  void ForEachCandidate(size_t c, NodeId node, const Sink& sink) const {
+    const GeneralizationSet& ultimate = wm.ultimate()[c];
+    const DomainHierarchy& tree = *ultimate.tree();
+    const NodeId parent = tree.Parent(node);
+    if (parent == kInvalidNode) {
+      if (ultimate.Contains(node)) sink(false, node);
+      return;
+    }
+    const std::vector<NodeId>& sibs = tree.Children(parent);
+    for (size_t i = 0; i < sibs.size(); ++i) {
+      if (ultimate.Contains(sibs[i])) sink((i & 1) != 0, sibs[i]);
+    }
+  }
+
+  // Bandwidth counts a slot only when both parities have a candidate; a
+  // slot with one parity is still written when its bit matches.
+  SlotKind Resolve(size_t c, NodeId node, NodeId*) const {
+    bool parity[2] = {false, false};
+    ForEachCandidate(c, node, [&](bool bit, NodeId) { parity[bit] = true; });
+    if (parity[0] && parity[1]) return SlotKind::kFull;
+    return parity[0] || parity[1] ? SlotKind::kPartial : SlotKind::kNoGap;
+  }
+
+  SlotWrite Write(const EmbedSlot& slot, bool bit, std::string_view ident,
+                  std::string_view column, WatermarkHasher* hasher,
+                  Scratch* scratch) const {
+    std::vector<NodeId>& candidates = scratch->candidates;
+    candidates.clear();
+    ForEachCandidate(slot.col_idx, slot.node, [&](bool parity, NodeId node) {
+      if (parity == bit) candidates.push_back(node);
+    });
+    if (candidates.empty()) return SlotWrite{kInvalidNode, false};
+    const DomainHierarchy& tree = *wm.ultimate()[slot.col_idx].tree();
+    const size_t pick = hasher->PermutationIndex(
+        ident, column, tree.Depth(slot.node), candidates.size());
+    return SlotWrite{candidates[pick], true};
+  }
+
+  SlotVote Read(size_t c, const Value& cell, Scratch*) const {
+    return wm.ReadSlot(c, cell);
+  }
 };
 
 }  // namespace
@@ -37,196 +82,16 @@ SingleLevelWatermarker::SingleLevelWatermarker(
   assert(qi_columns_.size() == ultimate_.size());
 }
 
-void SingleLevelWatermarker::ParityCandidates(
-    size_t c, NodeId node, bool bit, std::vector<NodeId>* candidates) const {
-  const DomainHierarchy& tree = *ultimate_[c].tree();
-  candidates->clear();
-  const NodeId parent = tree.Parent(node);
-  if (parent == kInvalidNode) {
-    if (!bit && ultimate_[c].Contains(node)) candidates->push_back(node);
-    return;
-  }
-  const std::vector<NodeId>& sibs = tree.Children(parent);
-  for (size_t i = 0; i < sibs.size(); ++i) {
-    if (((i & 1) != 0) == bit && ultimate_[c].Contains(sibs[i])) {
-      candidates->push_back(sibs[i]);
-    }
-  }
-}
-
 Result<size_t> SingleLevelWatermarker::EstimateBandwidth(
     const Table& table) const {
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* const pool =
-      PoolOrMake(options_.pool, options_.num_threads, &owned_pool);
-  return ParallelReduce<size_t>(
-      pool, table.num_rows(), size_t{0},
-      [&](size_t, size_t begin, size_t end) -> Result<size_t> {
-        WatermarkHasher hasher(key_, options_.hash);
-        IdentBlock block;
-        std::vector<NodeId> zeros;
-        std::vector<NodeId> ones;
-        size_t slots = 0;
-        for (size_t b = begin; b < end; b += IdentBlock::kRows) {
-          const size_t n = std::min(IdentBlock::kRows, end - b);
-          block.Load(table, ident_column_, b, n, &hasher);
-          for (size_t i = 0; i < n; ++i) {
-            if (!block.selected(i)) continue;
-            const size_t r = b + i;
-            for (size_t c = 0; c < qi_columns_.size(); ++c) {
-              const Value& cell = table.at(r, qi_columns_[c]);
-              auto node = cell.type() == ValueType::kString
-                              ? ultimate_[c].NodeForLabel(cell.AsString())
-                              : ultimate_[c].NodeForLabel(cell.ToString());
-              if (!node.ok()) continue;
-              // Encodable iff both parities are reachable among ultimate
-              // siblings.
-              ParityCandidates(c, *node, false, &zeros);
-              if (zeros.empty()) continue;
-              ParityCandidates(c, *node, true, &ones);
-              if (!ones.empty()) ++slots;
-            }
-          }
-        }
-        return slots;
-      },
-      [](size_t* acc, size_t&& slots) { *acc += slots; });
+  return watermark_internal::EstimateBandwidth(Rules{*this}, table);
 }
 
 Result<EmbedReport> SingleLevelWatermarker::Embed(Table* table,
                                                   const BitVector& wm,
                                                   size_t copies) const {
-  if (wm.empty()) {
-    return Status::InvalidArgument("Embed: empty watermark");
-  }
-  EmbedReport report;
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* const pool =
-      PoolOrMake(options_.pool, options_.num_threads, &owned_pool);
-
-  // Pass 1 — resolve labels once per (selected tuple, column); see the
-  // hierarchical embedder for the pass/shard structure.
-  const bool need_bandwidth = copies == 0;
-  using Resolved = ResolvedShard<EmbedSlot>;
-  PRIVMARK_ASSIGN_OR_RETURN(
-      Resolved resolved,
-      ParallelReduce<Resolved>(
-          pool, table->num_rows(), Resolved{},
-          [&](size_t, size_t begin, size_t end) -> Result<Resolved> {
-            Resolved shard;
-            WatermarkHasher hasher(key_, options_.hash);
-            IdentBlock block;
-            std::vector<NodeId> zeros;
-            std::vector<NodeId> ones;
-            for (size_t b = begin; b < end; b += IdentBlock::kRows) {
-              const size_t n = std::min(IdentBlock::kRows, end - b);
-              block.Load(*table, ident_column_, b, n, &hasher);
-              for (size_t i = 0; i < n; ++i) {
-                if (!block.selected(i)) continue;
-                const size_t r = b + i;
-                const std::string_view ident = block.ident(i);
-                ++shard.tuples_selected;
-                SelectedTuple tuple{r, std::string(ident),
-                                    shard.slots.size(), shard.slots.size()};
-                for (size_t c = 0; c < qi_columns_.size(); ++c) {
-                  const Value& cell = table->at(r, qi_columns_[c]);
-                  PRIVMARK_ASSIGN_OR_RETURN(
-                      NodeId node,
-                      cell.type() == ValueType::kString
-                          ? ultimate_[c].NodeForLabel(cell.AsString())
-                          : ultimate_[c].NodeForLabel(cell.ToString()));
-                  shard.slots.push_back(EmbedSlot{c, node});
-                  // Assemble the slot's position message now so the write
-                  // pass can batch-hash whole shards of slots.
-                  WatermarkHasher::AppendPositionMessage(
-                      ident, table->schema().column(qi_columns_[c]).name,
-                      &shard.pos_bytes);
-                  shard.pos_ends.push_back(shard.pos_bytes.size());
-                  if (!need_bandwidth) continue;
-                  // Bandwidth counts slots where both parities are
-                  // encodable, exactly like EstimateBandwidth (the
-                  // copies=0 auto-sizing contract).
-                  ParityCandidates(c, node, false, &zeros);
-                  if (zeros.empty()) continue;
-                  ParityCandidates(c, node, true, &ones);
-                  if (!ones.empty()) ++shard.bandwidth;
-                }
-                tuple.slot_end = shard.slots.size();
-                shard.tuples.push_back(std::move(tuple));
-              }
-            }
-            return shard;
-          },
-          MergeResolve<EmbedSlot>));
-  report.tuples_selected = resolved.tuples_selected;
-
-  if (copies == 0) {
-    copies = resolved.bandwidth / wm.size();
-    if (copies == 0) copies = 1;
-  }
-  report.copies = copies;
-  const BitVector wmd = wm.Duplicate(copies);
-  report.wmd_size = wmd.size();
-
-  // Pass 2 — embed over the recorded slots; tuples shard contiguously and
-  // each writes only its own row.
-  PRIVMARK_ASSIGN_OR_RETURN(
-      watermark_internal::WriteTally tally,
-      ParallelReduce<watermark_internal::WriteTally>(
-          pool, resolved.tuples.size(), {},
-          [&](size_t, size_t begin,
-              size_t end) -> Result<watermark_internal::WriteTally> {
-            watermark_internal::WriteTally shard;
-            if (begin == end) return shard;
-            WatermarkHasher hasher(key_, options_.hash);
-            std::vector<NodeId> candidates;
-            // Batch-hash the shard's contiguous slot range up front from
-            // the resolve pass's pre-assembled position messages; the
-            // parity pick below stays scalar (one hash per slot, dependent
-            // on the candidate count).
-            const size_t slot0 = resolved.tuples[begin].slot_begin;
-            const size_t slot1 = resolved.tuples[end - 1].slot_end;
-            std::vector<std::string_view> messages(slot1 - slot0);
-            std::vector<size_t> positions(slot1 - slot0);
-            for (size_t i = slot0; i < slot1; ++i) {
-              messages[i - slot0] = resolved.pos_msg(i);
-            }
-            hasher.PositionBlock(messages.data(), messages.size(),
-                                 wmd.size(), positions.data());
-            for (size_t t = begin; t < end; ++t) {
-              const SelectedTuple& tuple = resolved.tuples[t];
-              for (size_t i = tuple.slot_begin; i < tuple.slot_end; ++i) {
-                const EmbedSlot& slot = resolved.slots[i];
-                const size_t col = qi_columns_[slot.col_idx];
-                const std::string& column_name =
-                    table->schema().column(col).name;
-                const DomainHierarchy& tree = *ultimate_[slot.col_idx].tree();
-
-                const bool bit = wmd.Get(positions[i - slot0]);
-                ParityCandidates(slot.col_idx, slot.node, bit, &candidates);
-                if (candidates.empty()) {
-                  ++shard.slots_skipped_no_gap;
-                  continue;
-                }
-                const size_t pick = hasher.PermutationIndex(
-                    tuple.ident, column_name, tree.Depth(slot.node),
-                    candidates.size());
-                const NodeId target = candidates[pick];
-                ++shard.slots_embedded;
-                if (target != slot.node) {
-                  table->Set(tuple.row, col,
-                             Value::String(tree.node(target).label));
-                  ++shard.cells_changed;
-                }
-              }
-            }
-            return shard;
-          },
-          watermark_internal::MergeWrites));
-  report.slots_embedded = tally.slots_embedded;
-  report.slots_skipped_no_gap = tally.slots_skipped_no_gap;
-  report.cells_changed = tally.cells_changed;
-  return report;
+  return watermark_internal::Embed(Rules{*this}, table, wm, copies,
+                                   /*moves=*/nullptr);
 }
 
 SlotVote SingleLevelWatermarker::ReadSlot(size_t c, const Value& cell) const {
@@ -243,77 +108,12 @@ SlotVote SingleLevelWatermarker::ReadSlot(size_t c, const Value& cell) const {
 Result<DetectReport> SingleLevelWatermarker::Detect(const Table& table,
                                                     size_t wm_size,
                                                     size_t wmd_size) const {
-  if (wm_size == 0 || wmd_size == 0 || wmd_size % wm_size != 0) {
-    return Status::InvalidArgument(
-        "Detect: wmd_size must be a positive multiple of wm_size");
-  }
-  DetectReport report;
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* const pool =
-      PoolOrMake(options_.pool, options_.num_threads, &owned_pool);
+  return watermark_internal::Detect(Rules{*this}, table, wm_size, wmd_size);
+}
 
-  using watermark_internal::VoteShard;
-  PRIVMARK_ASSIGN_OR_RETURN(
-      VoteShard votes,
-      ParallelReduce<VoteShard>(
-          pool, table.num_rows(), VoteShard(wmd_size),
-          [&](size_t, size_t begin, size_t end) -> Result<VoteShard> {
-            VoteShard shard(wmd_size);
-            WatermarkHasher hasher(key_, options_.hash);
-            IdentBlock block;
-            // Same block structure as the hierarchical Detect: gather the
-            // block's voting slots and their position messages, batch-hash
-            // once the arena is stable, then apply the votes.
-            std::string arena;
-            std::vector<size_t> msg_ends;
-            std::vector<uint8_t> vote_ones;
-            std::vector<std::string_view> messages;
-            std::vector<size_t> positions;
-            for (size_t b = begin; b < end; b += IdentBlock::kRows) {
-              const size_t n = std::min(IdentBlock::kRows, end - b);
-              block.Load(table, ident_column_, b, n, &hasher);
-              arena.clear();
-              msg_ends.clear();
-              vote_ones.clear();
-              for (size_t i = 0; i < n; ++i) {
-                if (!block.selected(i)) continue;
-                const size_t r = b + i;
-                ++shard.tuples_selected;
-                for (size_t c = 0; c < qi_columns_.size(); ++c) {
-                  const size_t col = qi_columns_[c];
-                  const SlotVote vote = ReadSlot(c, table.at(r, col));
-                  if (vote == SlotVote::kSkip) {
-                    ++shard.slots_skipped;
-                    continue;
-                  }
-                  WatermarkHasher::AppendPositionMessage(
-                      block.ident(i), table.schema().column(col).name,
-                      &arena);
-                  msg_ends.push_back(arena.size());
-                  vote_ones.push_back(vote == SlotVote::kOne ? 1 : 0);
-                }
-              }
-              messages.resize(msg_ends.size());
-              positions.resize(msg_ends.size());
-              size_t start = 0;
-              for (size_t j = 0; j < msg_ends.size(); ++j) {
-                messages[j] = std::string_view(arena).substr(
-                    start, msg_ends[j] - start);
-                start = msg_ends[j];
-              }
-              hasher.PositionBlock(messages.data(), messages.size(),
-                                   wmd_size, positions.data());
-              for (size_t j = 0; j < msg_ends.size(); ++j) {
-                (vote_ones[j] != 0 ? shard.ones[positions[j]]
-                                   : shard.zeros[positions[j]]) += 1.0;
-                ++shard.slots_read;
-              }
-            }
-            return shard;
-          },
-          watermark_internal::MergeVotes));
-  FoldVotes(votes, wm_size, wmd_size, &report);
-  return report;
+Result<DetectIndex> BuildDetectIndex(const SingleLevelWatermarker& wm,
+                                     const Table& table) {
+  return watermark_internal::BuildIndex(Rules{wm}, table);
 }
 
 }  // namespace privmark

@@ -61,12 +61,6 @@ class SingleLevelWatermarker {
   const std::vector<GeneralizationSet>& ultimate() const { return ultimate_; }
 
  private:
-  // Same-parity ultimate siblings of `node` (including node itself when the
-  // parity matches) into `candidates` (cleared first); empty if the slot
-  // cannot encode the bit. Out-parameter form so hot loops reuse one buffer.
-  void ParityCandidates(size_t c, NodeId node, bool bit,
-                        std::vector<NodeId>* candidates) const;
-
   std::vector<size_t> qi_columns_;
   size_t ident_column_;
   std::vector<GeneralizationSet> ultimate_;

@@ -18,6 +18,7 @@
 #include "core/session.h"
 #include "datagen/medical_data.h"
 #include "relation/csv.h"
+#include "testing/temp_dir.h"
 
 namespace privmark {
 namespace {
@@ -47,10 +48,10 @@ Env MakeEnv() {
   return env;
 }
 
-// A fresh path under the test temp dir; removes any previous run's file
-// (SessionJournal::Create refuses to clobber).
+// A fresh path under the test's own temp dir; removes any earlier file of
+// the same name (SessionJournal::Create refuses to clobber).
 std::string FreshPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = TestTempPath(name);
   std::remove(path.c_str());
   return path;
 }

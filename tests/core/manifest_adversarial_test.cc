@@ -16,6 +16,7 @@
 
 #include "common/durable_file.h"
 #include "common/failpoint.h"
+#include "testing/temp_dir.h"
 
 namespace privmark {
 namespace {
@@ -166,8 +167,7 @@ TEST(ManifestAdversarialTest, StructurallyMalformedLinesAreRejected) {
 // ---- file-level caps and faults -------------------------------------------
 
 TEST(ManifestAdversarialTest, OversizedManifestFileIsRefused) {
-  const std::string path =
-      ::testing::TempDir() + "/privmark_manifest_oversized.txt";
+  const std::string path = TestTempPath("privmark_manifest_oversized.txt");
   // A syntactically valid manifest padded past the cap with comment-free
   // filler (empty lines are legal, so the size cap is what must refuse
   // it — not the parser).
@@ -188,8 +188,7 @@ TEST(ManifestAdversarialTest, FsyncFaultSurfacesAsIOError) {
   ProtectionManifest manifest;
   manifest.mark_bits = 8;
   manifest.wmd_size = 16;
-  const std::string path =
-      ::testing::TempDir() + "/privmark_manifest_fsync.txt";
+  const std::string path = TestTempPath("privmark_manifest_fsync.txt");
   for (const char* point : {"manifest.write", "manifest.fsync"}) {
     ASSERT_TRUE(FailpointRegistry::Instance().Configure(point, "once:1").ok());
     const Status status = WriteManifestFile(manifest, path);

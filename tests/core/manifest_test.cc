@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "datagen/medical_data.h"
+#include "testing/temp_dir.h"
 
 namespace privmark {
 namespace {
@@ -128,7 +129,7 @@ TEST_F(ManifestTest, WatermarkerFromManifestChecksTrees) {
 
 TEST_F(ManifestTest, FileRoundTrip) {
   const ProtectionManifest manifest = Build();
-  const std::string path = ::testing::TempDir() + "/privmark_manifest.txt";
+  const std::string path = TestTempPath("privmark_manifest.txt");
   ASSERT_TRUE(WriteManifestFile(manifest, path).ok());
   auto loaded = ReadManifestFile(path);
   ASSERT_TRUE(loaded.ok());

@@ -36,6 +36,7 @@
 #include "core/session.h"
 #include "datagen/medical_data.h"
 #include "relation/csv.h"
+#include "testing/temp_dir.h"
 
 namespace privmark {
 namespace {
@@ -78,8 +79,7 @@ CrashEnv MakeEnv(size_t num_threads) {
 }
 
 std::string FreshPath(const std::string& tag) {
-  const std::string path =
-      ::testing::TempDir() + "privmark_crash_" + tag + ".wal";
+  const std::string path = TestTempPath("privmark_crash_" + tag + ".wal");
   std::remove(path.c_str());
   return path;
 }

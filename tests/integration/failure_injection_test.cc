@@ -17,6 +17,7 @@
 #include "datagen/medical_data.h"
 #include "relation/csv.h"
 #include "service/service.h"
+#include "testing/temp_dir.h"
 #include "watermark/ownership.h"
 
 namespace privmark {
@@ -293,8 +294,7 @@ class JournalFaultTest : public FailureInjectionTest {
   }
 
   std::string FreshPath(const std::string& tag) const {
-    const std::string path =
-        ::testing::TempDir() + "privmark_fi_" + tag + ".wal";
+    const std::string path = TestTempPath("privmark_fi_" + tag + ".wal");
     std::remove(path.c_str());
     return path;
   }
@@ -376,7 +376,7 @@ TEST_F(JournalFaultTest, ServiceResponsesSurfaceSealDegradation) {
   // A post-commit seal failure must reach service clients: every later
   // ServiceResponse carries the session's sticky journal_status, so the
   // degraded durability barrier is visible, not silent.
-  const std::string dir = ::testing::TempDir() + "privmark_fi_seal_dir";
+  const std::string dir = TestTempPath("privmark_fi_seal_dir");
   ::system(("mkdir -p '" + dir + "'").c_str());
   std::remove((dir + "/ward.wal").c_str());
   ServiceConfig service_config;

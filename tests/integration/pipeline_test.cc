@@ -12,6 +12,7 @@
 #include "core/framework.h"
 #include "datagen/medical_data.h"
 #include "relation/csv.h"
+#include "testing/temp_dir.h"
 #include "watermark/ownership.h"
 
 namespace privmark {
@@ -166,7 +167,7 @@ TEST_F(PipelineTest, OwnershipSurvivesAttackedTable) {
 }
 
 TEST_F(PipelineTest, ProtectedTableRoundTripsThroughCsv) {
-  const std::string path = ::testing::TempDir() + "/privmark_pipeline.csv";
+  const std::string path = TestTempPath("privmark_pipeline.csv");
   ASSERT_TRUE(WriteTableCsv(outcome_->watermarked, path).ok());
   auto loaded = ReadTableCsv(path, outcome_->watermarked.schema());
   ASSERT_TRUE(loaded.ok());

@@ -14,14 +14,13 @@
 #include "common/status.h"
 #include "relation/csv.h"
 #include "relation/table.h"
+#include "testing/temp_dir.h"
 #include "watermark/key_registry.h"
 
 namespace privmark {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+std::string TempPath(const std::string& name) { return TestTempPath(name); }
 
 void WriteText(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary);

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include "testing/temp_dir.h"
+
 namespace privmark {
 namespace {
 
@@ -87,7 +89,7 @@ TEST(CsvTest, FileRoundTrip) {
   Table t(MixedSchema());
   ASSERT_TRUE(t.AppendRow({Value::String("s1"), Value::Int64(30),
                            Value::String("n1")}).ok());
-  const std::string path = ::testing::TempDir() + "/privmark_csv_test.csv";
+  const std::string path = TestTempPath("privmark_csv_test.csv");
   ASSERT_TRUE(WriteTableCsv(t, path).ok());
   auto back = ReadTableCsv(path, MixedSchema());
   ASSERT_TRUE(back.ok());

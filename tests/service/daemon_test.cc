@@ -205,6 +205,38 @@ TEST(DaemonTest, ServiceErrorsTravelAsResponsesNotDisconnects) {
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 
+TEST(DaemonTest, ZeroEtaOpenIsRefusedAndTheConnectionKeepsServing) {
+  Env env = StartDaemon();
+  DaemonClient client(MedicalSchema());
+  ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
+  WireRequest zero = OpenRequest("ward");
+  zero.open.eta = 0;
+  auto refused = client.Call(zero);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->status.code(), StatusCode::kInvalidArgument)
+      << refused->status.ToString();
+
+  // Same connection: a valid session opens, ingests and flushes.
+  auto open = client.Call(OpenRequest("ward"));
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  ASSERT_TRUE(open->status.ok()) << open->status.ToString();
+  WireRequest ingest;
+  ingest.type = WireFrameType::kIngest;
+  ingest.session = "ward";
+  ingest.table = env.dataset->table.Clone();
+  auto ingested = client.Call(ingest);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  ASSERT_TRUE(ingested->status.ok()) << ingested->status.ToString();
+  WireRequest flush;
+  flush.type = WireFrameType::kFlush;
+  flush.session = "ward";
+  auto flushed = client.Call(flush);
+  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+  ASSERT_TRUE(flushed->status.ok()) << flushed->status.ToString();
+  EXPECT_EQ(flushed->flush.emitted.num_rows(), kRows);
+  EXPECT_TRUE(env.daemon->Shutdown().ok());
+}
+
 // ---- hostile peers --------------------------------------------------------
 
 TEST(DaemonTest, BadMagicIsFatalToTheConnectionOnly) {

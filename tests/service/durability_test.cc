@@ -22,6 +22,7 @@
 #include "relation/csv.h"
 #include "service/admission.h"
 #include "service/service.h"
+#include "testing/temp_dir.h"
 
 namespace privmark {
 namespace {
@@ -56,7 +57,7 @@ Env MakeEnv() {
 
 // A per-test journal directory (flat; the service requires it to exist).
 std::string FreshJournalDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "privmark_dur_" + tag;
+  const std::string dir = TestTempPath("privmark_dur_" + tag);
   std::remove((dir + "/ward.wal").c_str());
   ::system(("mkdir -p '" + dir + "'").c_str());
   return dir;

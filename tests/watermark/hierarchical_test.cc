@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "common/random.h"
+#include "relation/csv.h"
+#include "watermark/detect_index.h"
+#include "watermark/single_level.h"
 
 namespace privmark {
 namespace {
@@ -192,6 +195,49 @@ TEST(HierarchicalWatermarkTest, DetectValidatesSizes) {
   EXPECT_FALSE(env.watermarker->Detect(env.table, 0, 20).ok());
   EXPECT_FALSE(env.watermarker->Detect(env.table, 20, 0).ok());
   EXPECT_FALSE(env.watermarker->Detect(env.table, 20, 30).ok());
+}
+
+TEST(HierarchicalWatermarkTest, ZeroEtaIsInvalidArgumentNotACrash) {
+  // Eq. (5) divides by eta: every entry point must refuse eta == 0 with a
+  // typed error instead of raising SIGFPE.
+  Env env = MakeSetup(/*eta=*/0);
+  Table marked = env.table.Clone();
+  const BitVector wm = TestMark();
+  EXPECT_EQ(env.watermarker->Embed(&marked, wm).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TableToCsv(marked), TableToCsv(env.table));
+  EXPECT_EQ(env.watermarker->Detect(env.table, wm.size(), wm.size())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(env.watermarker->EstimateBandwidth(env.table).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const SingleLevelWatermarker single(
+      std::vector<size_t>{1}, 0,
+      std::vector<GeneralizationSet>{env.Ultimate()}, env.key,
+      WatermarkOptions());
+  EXPECT_EQ(single.Embed(&marked, wm).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(single.Detect(env.table, wm.size(), wm.size()).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(single.EstimateBandwidth(env.table).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto index = BuildDetectIndex(*env.watermarker, env.table);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(TallyDetect(*index, env.key, HashAlgorithm::kSha1, wm.size(),
+                        wm.size(), nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  WatermarkKey valid = env.key;
+  valid.eta = 3;
+  EXPECT_EQ(MultiKeyTally(*index, {valid, env.key}, HashAlgorithm::kSha1,
+                          wm.size(), wm.size(), nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(HierarchicalWatermarkTest, ZeroGapSlotsAreSkippedAndUnchanged) {

@@ -6,13 +6,12 @@
 #include <string>
 
 #include "common/random.h"
+#include "testing/temp_dir.h"
 
 namespace privmark {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+std::string TempPath(const std::string& name) { return TestTempPath(name); }
 
 void WriteText(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary);
