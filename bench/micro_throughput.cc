@@ -545,7 +545,7 @@ void BM_StreamedFingerprintLoopback(benchmark::State& state) {
     scan.table = suspect.Clone();
     auto pending = client.CallAsync(scan);
     CheckOk(pending.status(), "scan send");
-    WireFingerprintShard shard;
+    FingerprintShard shard;
     while (true) {
       auto more = pending->NextShard(&shard);
       CheckOk(more.status(), "shard");

@@ -6,7 +6,8 @@
 # write byte-identical out.csv and manifest files, the manifests must
 # name the --key, the freeze stream must match a one-shot `protect` of
 # the same rows, and `privmark_cli detect` must recover that run's mark
-# from the served output. A zero --eta must be a usage error (exit 2).
+# from the served output. A zero --eta and a non-finite --drift-threshold
+# must be usage errors (exit 2).
 #
 # usage: cli_serve_smoke.sh <path/to/privmark_cli> <scratch dir>
 set -euo pipefail
@@ -113,5 +114,20 @@ status=0
 "$cli" protect all.csv zero.csv zero.man --k=10 --eta=0 2>/dev/null \
   || status=$?
 [[ $status -eq 2 ]] || fail "protect --eta=0 exited $status, want 2"
+
+# 7. A non-finite drift threshold is a usage error (exit 2): a NaN would
+#    compare false against every drift and silently never re-bin. The
+#    same run with a finite threshold succeeds.
+drift_protect() {  # <threshold>
+  "$cli" protect all.csv drift.csv drift.man --k=10 --batch-size=600 \
+    --rebin-policy=drift --drift-threshold="$1"
+}
+drift_protect 0.5 >/dev/null || fail "protect --drift-threshold=0.5 failed"
+for threshold in nan inf; do
+  status=0
+  drift_protect "$threshold" >/dev/null 2>&1 || status=$?
+  [[ $status -eq 2 ]] \
+    || fail "protect --drift-threshold=$threshold exited $status, want 2"
+done
 
 echo "cli_serve: OK (port $port, mark $mark)"

@@ -126,6 +126,7 @@
 // in the manifest.
 
 #include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -348,10 +349,14 @@ int ParseSessionConfig(const Args& args, SessionConfig* session_config,
   char* threshold_end = nullptr;
   session_config->drift_threshold =
       std::strtod(threshold_text.c_str(), &threshold_end);
+  // A NaN threshold compares false against every drift, so re-binning
+  // would silently never happen.
   if (threshold_end == threshold_text.c_str() || *threshold_end != '\0' ||
+      !std::isfinite(session_config->drift_threshold) ||
       session_config->drift_threshold <= 0.0) {
     std::fprintf(stderr,
-                 "--drift-threshold must be a positive number, got '%s'\n",
+                 "--drift-threshold must be a positive finite number, got "
+                 "'%s'\n",
                  threshold_text.c_str());
     return 2;
   }
@@ -694,7 +699,7 @@ bool ServeError(const std::string& name, const char* what,
 // frame lands. The terminal ranking follows once Wait() has validated it
 // against these very shards.
 bool PrintShards(const std::string& name, DaemonClient::PendingCall* call) {
-  WireFingerprintShard shard;
+  FingerprintShard shard;
   for (;;) {
     Result<bool> more = call->NextShard(&shard);
     if (!more.ok()) {
@@ -703,15 +708,11 @@ bool PrintShards(const std::string& name, DaemonClient::PendingCall* call) {
     if (!*more) return true;
     size_t detected = 0;
     for (const KeyVerdict& v : shard.verdicts) detected += v.detected ? 1 : 0;
-    std::printf("[%s] shard (epoch %llu, #%llu, keys %llu..%llu): "
+    std::printf("[%s] shard (epoch %zu, #%zu, keys %zu..%zu): "
                 "%zu/%zu detected\n",
-                name.c_str(), static_cast<unsigned long long>(shard.epoch),
-                static_cast<unsigned long long>(shard.shard),
-                static_cast<unsigned long long>(shard.first_key),
-                static_cast<unsigned long long>(shard.first_key +
-                                                shard.verdicts.size()) -
-                    1,
-                detected, shard.verdicts.size());
+                name.c_str(), shard.epoch, shard.shard, shard.first_key,
+                shard.first_key + shard.verdicts.size() - 1, detected,
+                shard.verdicts.size());
   }
 }
 

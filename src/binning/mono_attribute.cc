@@ -146,19 +146,6 @@ Result<MonoBinningResult> MonoAttributeBin(const GeneralizationSet& maximal,
   return MonoAttributeBinCounts(maximal, counts, options);
 }
 
-Result<MonoBinningResult> MonoAttributeBinEncoded(
-    const GeneralizationSet& maximal, const EncodedColumn& column,
-    const MonoBinningOptions& options, ThreadPool* pool) {
-  if (column.tree() != maximal.tree()) {
-    return Status::InvalidArgument(
-        "MonoAttributeBin: encoded column and maximal nodes use different "
-        "trees");
-  }
-  PRIVMARK_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                            CountPerNode(*maximal.tree(), column.ids(), pool));
-  return MonoAttributeBinCounts(maximal, counts, options);
-}
-
 Result<MonoBinningResult> MonoAttributeBinCounts(
     const GeneralizationSet& maximal, const std::vector<size_t>& counts,
     const MonoBinningOptions& options) {

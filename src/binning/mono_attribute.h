@@ -9,7 +9,7 @@
 //
 // Hot path: the search itself only ever touches per-node tuple counts, so
 // the Value-based entry points are thin wrappers that encode the column to
-// leaf NodeIds once (or accept a pre-encoded column) and hand a flat counts
+// leaf NodeIds once (or take pre-encoded leaf ids) and hand a flat counts
 // vector to the integer-only kernel.
 
 #ifndef PRIVMARK_BINNING_MONO_ATTRIBUTE_H_
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "hierarchy/encoded_view.h"
 #include "hierarchy/generalization.h"
 #include "relation/value.h"
 
@@ -100,15 +99,6 @@ Result<std::vector<size_t>> CountPerNode(const DomainHierarchy& tree,
 Result<MonoBinningResult> MonoAttributeBin(const GeneralizationSet& maximal,
                                            const std::vector<Value>& values,
                                            const MonoBinningOptions& options);
-
-/// \brief Same over a pre-encoded column (leaf ids); the hot-loop form the
-/// binning agent uses — the column is resolved to integers exactly once
-/// per pipeline run, not once per binning pass. (Distinct name rather than
-/// an overload: brace-initialized empty arguments would otherwise be
-/// ambiguous against the Value form.)
-Result<MonoBinningResult> MonoAttributeBinEncoded(
-    const GeneralizationSet& maximal, const EncodedColumn& column,
-    const MonoBinningOptions& options, ThreadPool* pool = nullptr);
 
 /// \brief Same over precomputed per-node counts (from CountPerNode).
 Result<MonoBinningResult> MonoAttributeBinCounts(

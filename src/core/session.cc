@@ -660,29 +660,38 @@ HierarchicalWatermarker ProtectionSession::MakeEpochWatermarker(
   return MakeWatermarker(rec.ultimate);
 }
 
-Result<std::vector<DetectReport>> ProtectionSession::DetectAcrossEpochs(
-    const Table& concatenated) const {
+Result<std::vector<Table>> ProtectionSession::SliceByEpoch(
+    const Table& concatenated, const char* caller) const {
   size_t total = 0;
   for (const EpochRecord& rec : epochs_) total += rec.rows_emitted;
   if (concatenated.num_rows() != total) {
     return Status::InvalidArgument(
-        "DetectAcrossEpochs: table has " +
+        std::string(caller) + ": table has " +
         std::to_string(concatenated.num_rows()) + " rows, session emitted " +
         std::to_string(total));
   }
-  std::vector<DetectReport> reports;
-  reports.reserve(epochs_.size());
+  std::vector<Table> slices;
+  slices.reserve(epochs_.size());
   size_t offset = 0;
   for (const EpochRecord& rec : epochs_) {
-    Table segment(concatenated.schema());
-    for (size_t r = offset; r < offset + rec.rows_emitted; ++r) {
-      PRIVMARK_RETURN_NOT_OK(segment.AppendRow(concatenated.row(r)));
-    }
+    slices.push_back(concatenated.Slice(offset, offset + rec.rows_emitted));
     offset += rec.rows_emitted;
-    HierarchicalWatermarker watermarker = MakeEpochWatermarker(rec);
+  }
+  return slices;
+}
+
+Result<std::vector<DetectReport>> ProtectionSession::DetectAcrossEpochs(
+    const Table& concatenated) const {
+  PRIVMARK_ASSIGN_OR_RETURN(std::vector<Table> slices,
+                            SliceByEpoch(concatenated, "DetectAcrossEpochs"));
+  std::vector<DetectReport> reports;
+  reports.reserve(epochs_.size());
+  for (size_t e = 0; e < epochs_.size(); ++e) {
+    const EpochRecord& rec = epochs_[e];
     PRIVMARK_ASSIGN_OR_RETURN(
         DetectReport report,
-        watermarker.Detect(segment, rec.mark.size(), rec.wmd_size));
+        MakeEpochWatermarker(rec).Detect(slices[e], rec.mark.size(),
+                                         rec.wmd_size));
     reports.push_back(std::move(report));
   }
   return reports;
@@ -690,41 +699,23 @@ Result<std::vector<DetectReport>> ProtectionSession::DetectAcrossEpochs(
 
 Result<std::vector<FingerprintReport>> ProtectionSession::
     FingerprintAcrossEpochs(const Table& concatenated,
-                            const KeyRegistry& registry) const {
-  return FingerprintAcrossEpochsStreamed(concatenated, registry, nullptr);
-}
-
-Result<std::vector<FingerprintReport>> ProtectionSession::
-    FingerprintAcrossEpochsStreamed(const Table& concatenated,
-                                    const KeyRegistry& registry,
-                                    const FingerprintShardSink& sink) const {
-  size_t total = 0;
-  for (const EpochRecord& rec : epochs_) total += rec.rows_emitted;
-  if (concatenated.num_rows() != total) {
-    return Status::InvalidArgument(
-        "FingerprintAcrossEpochs: table has " +
-        std::to_string(concatenated.num_rows()) + " rows, session emitted " +
-        std::to_string(total));
-  }
+                            const KeyRegistry& registry,
+                            const FingerprintShardSink& sink) const {
+  PRIVMARK_ASSIGN_OR_RETURN(
+      std::vector<Table> slices,
+      SliceByEpoch(concatenated, "FingerprintAcrossEpochs"));
   std::vector<FingerprintReport> reports;
   reports.reserve(epochs_.size());
-  size_t offset = 0;
   for (size_t e = 0; e < epochs_.size(); ++e) {
     const EpochRecord& rec = epochs_[e];
-    Table segment(concatenated.schema());
-    for (size_t r = offset; r < offset + rec.rows_emitted; ++r) {
-      PRIVMARK_RETURN_NOT_OK(segment.AppendRow(concatenated.row(r)));
-    }
-    offset += rec.rows_emitted;
-    HierarchicalWatermarker watermarker = MakeEpochWatermarker(rec);
     FingerprintConfig scan;
     scan.wm_size = rec.mark.size();
     scan.wmd_size = rec.wmd_size;
     scan.expected_mark = rec.mark;
     PRIVMARK_ASSIGN_OR_RETURN(
         FingerprintReport report,
-        ScanForFingerprintsStreamed(watermarker, segment, registry, scan,
-                                    sink, /*epoch=*/e));
+        ScanForFingerprints(MakeEpochWatermarker(rec), slices[e], registry,
+                            scan, sink, /*epoch=*/e));
     reports.push_back(std::move(report));
   }
   return reports;

@@ -232,20 +232,13 @@ class ProtectionSession {
   /// epoch's slice of `concatenated` against the whole registry, using
   /// the epoch's own generalization, recorded mark (as the expected
   /// mark), and wmd size. One report per epoch, registry scan order.
+  /// With a `sink`, per-key-shard verdicts are also delivered as each
+  /// epoch's scan completes them, stamped with the epoch index, in
+  /// (epoch, shard) order, before the call returns; the reports do not
+  /// depend on it (see ScanIndexForFingerprints).
   Result<std::vector<FingerprintReport>> FingerprintAcrossEpochs(
-      const Table& concatenated, const KeyRegistry& registry) const;
-
-  /// \brief Streaming form of FingerprintAcrossEpochs: per-key-shard
-  /// verdicts are delivered through `sink` as each epoch's scan
-  /// completes them, stamped with the epoch index, in (epoch, shard)
-  /// order, before the call returns. The returned reports are identical
-  /// to the one-shot overload's (which is this function with a null
-  /// sink), and the concatenation of each epoch's streamed shard
-  /// verdicts is byte-identical to that epoch's report.verdicts — see
-  /// ScanIndexForFingerprintsStreamed.
-  Result<std::vector<FingerprintReport>> FingerprintAcrossEpochsStreamed(
       const Table& concatenated, const KeyRegistry& registry,
-      const FingerprintShardSink& sink) const;
+      const FingerprintShardSink& sink = nullptr) const;
 
   /// \brief The watermarker for one epoch's output (detection tooling).
   HierarchicalWatermarker MakeEpochWatermarker(const EpochRecord& rec) const;
@@ -292,6 +285,11 @@ class ProtectionSession {
                           const EpochRecord& record) const;
   HierarchicalWatermarker MakeWatermarker(
       const std::vector<GeneralizationSet>& ultimate) const;
+  // Splits `concatenated` into one slice per epoch by the recorded
+  // emitted row counts; InvalidArgument (prefixed with `caller`) when
+  // its row count is not the session's total.
+  Result<std::vector<Table>> SliceByEpoch(const Table& concatenated,
+                                          const char* caller) const;
 
   UsageMetrics metrics_;
   FrameworkConfig config_;

@@ -38,18 +38,6 @@ Result<EncodedColumn> EncodedColumn::Leaves(const Table& table, size_t column,
   return EncodedColumn(tree, std::move(ids), 0);
 }
 
-Result<EncodedColumn> EncodedColumn::Leaves(const std::vector<Value>& values,
-                                            const DomainHierarchy* tree) {
-  if (tree == nullptr) {
-    return Status::InvalidArgument("EncodedColumn: null tree");
-  }
-  std::vector<NodeId> ids(values.size());
-  for (size_t r = 0; r < values.size(); ++r) {
-    PRIVMARK_ASSIGN_OR_RETURN(ids[r], tree->LeafForValue(values[r]));
-  }
-  return EncodedColumn(tree, std::move(ids), 0);
-}
-
 Result<EncodedColumn> EncodedColumn::Labels(const Table& table, size_t column,
                                             const DomainHierarchy* tree) {
   PRIVMARK_RETURN_NOT_OK(CheckColumn(table, column, tree));

@@ -53,11 +53,6 @@ class EncodedColumn {
                                       const DomainHierarchy* tree,
                                       ThreadPool* pool = nullptr);
 
-  /// \brief Same, over an already-extracted value vector (for callers that
-  /// hold a std::vector<Value> instead of a table).
-  static Result<EncodedColumn> Leaves(const std::vector<Value>& values,
-                                      const DomainHierarchy* tree);
-
   /// \brief Encodes generalized cells (node labels): each cell maps to the
   /// tree node carrying its label. Labels outside the domain — attacked
   /// cells — encode as kInvalidNode and are tallied in unknown_cells();

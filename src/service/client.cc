@@ -27,11 +27,11 @@ struct DaemonClient::PendingState {
   WireFrameType type = WireFrameType::kClose;
   bool streamed = false;
   /// Shards queued for NextShard, in arrival order.
-  std::deque<WireFingerprintShard> shards;
+  std::deque<FingerprintShard> shards;
   /// Reassembly store: per-epoch verdicts accumulated from the shards
   /// (kept separately so NextShard can still drain after the terminal).
   std::vector<std::vector<KeyVerdict>> epoch_verdicts;
-  std::vector<uint64_t> epoch_next_shard;
+  std::vector<size_t> epoch_next_shard;
   bool done = false;
   /// Non-OK iff the call failed at the transport/protocol level.
   Status error;
@@ -172,7 +172,7 @@ Status DaemonClient::PumpOneFrame(int fd) {
 
   // Decode the payload before taking mu_ — the pumping_ flag already
   // serializes decoder_ access, and table decodes can be large.
-  WireFingerprintShard shard;
+  FingerprintShard shard;
   WireResponse response;
   if (frame->type == WireFrameType::kPartial) {
     PRIVMARK_ASSIGN_OR_RETURN(shard,
@@ -200,7 +200,7 @@ Status DaemonClient::PumpOneFrame(int fd) {
     }
     // The shard sequence contract: epochs in order, ordinals counting
     // up, key runs contiguous from 0 within each epoch.
-    const size_t epoch = static_cast<size_t>(shard.epoch);
+    const size_t epoch = shard.epoch;
     if (epoch == state.epoch_verdicts.size()) {
       state.epoch_verdicts.emplace_back();
       state.epoch_next_shard.push_back(0);
@@ -311,7 +311,7 @@ Result<WireResponse> DaemonClient::PendingCall::Wait() {
   return state_->response;
 }
 
-Result<bool> DaemonClient::PendingCall::NextShard(WireFingerprintShard* shard) {
+Result<bool> DaemonClient::PendingCall::NextShard(FingerprintShard* shard) {
   if (state_ == nullptr) {
     return Status::InvalidArgument("NextShard on an empty PendingCall");
   }

@@ -74,7 +74,7 @@ class DaemonClient {
     /// with *shard filled, false when every shard has been handed over
     /// (Wait() then completes without further I/O). Shards arrive in
     /// (epoch, shard) order with contiguous key runs.
-    Result<bool> NextShard(WireFingerprintShard* shard);
+    Result<bool> NextShard(FingerprintShard* shard);
 
     /// \brief The id this call's frames carry (diagnostic).
     uint64_t request_id() const;

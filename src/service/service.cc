@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -126,6 +127,12 @@ Status PrivmarkService::OpenSession(const std::string& name,
   // eta, and a session that cannot flush must never be opened.
   if (config.key.eta == 0) {
     return Status::InvalidArgument("OpenSession: watermark key eta is 0");
+  }
+  // A NaN threshold compares false against every drift: the session
+  // would silently never re-bin.
+  if (!std::isfinite(session.drift_threshold)) {
+    return Status::InvalidArgument(
+        "OpenSession: drift threshold is not a finite number");
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (shutdown_) {
@@ -302,18 +309,6 @@ ServiceFuture PrivmarkService::Detect(const std::string& session,
 
 ServiceFuture PrivmarkService::DetectFingerprint(
     const std::string& session, Table concatenated,
-    std::shared_ptr<const KeyRegistry> registry, size_t num_threads) {
-  ServiceRequest request;
-  request.kind = RequestKind::kDetectFingerprint;
-  request.session = session;
-  request.table = std::move(concatenated);
-  request.registry = std::move(registry);
-  request.num_threads = num_threads;
-  return Submit(std::move(request));
-}
-
-ServiceFuture PrivmarkService::DetectFingerprintStreamed(
-    const std::string& session, Table concatenated,
     std::shared_ptr<const KeyRegistry> registry, FingerprintShardSink sink,
     size_t num_threads) {
   ServiceRequest request;
@@ -434,7 +429,7 @@ Result<ServiceResponse> PrivmarkService::Execute(Strand* strand,
         }
         PRIVMARK_ASSIGN_OR_RETURN(
             response.fingerprints,
-            strand->session->FingerprintAcrossEpochsStreamed(
+            strand->session->FingerprintAcrossEpochs(
                 request->table, *request->registry,
                 request->fingerprint_sink));
         break;

@@ -295,18 +295,15 @@ class PrivmarkService {
                       size_t num_threads = kSessionThreads);
   ServiceFuture Detect(const std::string& session, Table concatenated,
                        size_t num_threads = kSessionThreads);
+  /// \brief Fingerprint scan. With a `sink`, per-key-shard verdicts
+  /// are also streamed to it in deterministic (epoch, shard) order on
+  /// the strand thread, all before the returned future completes; the
+  /// response is the same with or without one.
   ServiceFuture DetectFingerprint(const std::string& session,
                                   Table concatenated,
                                   std::shared_ptr<const KeyRegistry> registry,
+                                  FingerprintShardSink sink = nullptr,
                                   size_t num_threads = kSessionThreads);
-  /// \brief Streaming fingerprint scan: `sink` receives per-key-shard
-  /// verdicts in deterministic (epoch, shard) order on the strand
-  /// thread, all before the returned future completes with the same
-  /// one-shot response DetectFingerprint would have produced.
-  ServiceFuture DetectFingerprintStreamed(
-      const std::string& session, Table concatenated,
-      std::shared_ptr<const KeyRegistry> registry, FingerprintShardSink sink,
-      size_t num_threads = kSessionThreads);
   ServiceFuture CloseSession(const std::string& session);
 
   /// \brief Closes intake on every session, drains every queue, joins

@@ -154,16 +154,22 @@ void AppendFingerprintTail(std::string* out, const FingerprintReport& report) {
 Status ReadFingerprintTail(BinReader* reader, FingerprintReport* report) {
   uint32_t ranked = 0;
   if (!reader->ReadU32(&ranked)) return Truncated("ranking");
-  const uint32_t verdicts = ranked;
   if (reader->remaining() / 4 < ranked) return Truncated("ranking");
   report->ranking.reserve(ranked);
+  std::vector<bool> seen(ranked, false);
   for (uint32_t i = 0; i < ranked; ++i) {
     uint32_t index = 0;
     if (!reader->ReadU32(&index)) return Truncated("ranking");
-    if (index >= verdicts) {
+    if (index >= ranked) {
       return Status::InvalidArgument(
           "wire: fingerprint ranking index out of range");
     }
+    // In range and never repeated over `ranked` entries: a permutation.
+    if (seen[index]) {
+      return Status::InvalidArgument(
+          "wire: fingerprint ranking repeats index " + std::to_string(index));
+    }
+    seen[index] = true;
     report->ranking.push_back(index);
   }
   uint64_t detected = 0;
@@ -176,32 +182,50 @@ Status ReadFingerprintTail(BinReader* reader, FingerprintReport* report) {
   return Status::OK();
 }
 
-void AppendFingerprintReport(std::string* out,
-                             const FingerprintReport& report) {
-  AppendLe32(out, static_cast<uint32_t>(report.verdicts.size()));
-  for (const KeyVerdict& verdict : report.verdicts) {
-    AppendKeyVerdict(out, verdict);
+// Per-epoch fingerprint reports: [u32 count], then per report the
+// verdicts ([u32 n][n × verdict]) and the tail. A streamed terminal
+// carries the tails only (with_verdicts = false): its verdicts already
+// crossed as kPartial shards.
+void AppendFingerprintReports(std::string* out,
+                              const std::vector<FingerprintReport>& reports,
+                              bool with_verdicts) {
+  AppendLe32(out, static_cast<uint32_t>(reports.size()));
+  for (const FingerprintReport& report : reports) {
+    if (with_verdicts) {
+      AppendLe32(out, static_cast<uint32_t>(report.verdicts.size()));
+      for (const KeyVerdict& verdict : report.verdicts) {
+        AppendKeyVerdict(out, verdict);
+      }
+    }
+    AppendFingerprintTail(out, report);
   }
-  AppendFingerprintTail(out, report);
 }
 
-Result<FingerprintReport> ReadFingerprintReport(BinReader* reader) {
-  FingerprintReport report;
-  uint32_t verdicts = 0;
-  if (!reader->ReadU32(&verdicts)) return Truncated("fingerprint report");
-  // Every verdict holds at least a name prefix and the fixed numerics.
-  if (reader->remaining() / 8 < verdicts) return Truncated("verdicts");
-  report.verdicts.reserve(verdicts);
-  for (uint32_t i = 0; i < verdicts; ++i) {
-    PRIVMARK_ASSIGN_OR_RETURN(KeyVerdict verdict, ReadKeyVerdict(reader));
-    report.verdicts.push_back(std::move(verdict));
+Status ReadFingerprintReports(BinReader* reader, bool with_verdicts,
+                              std::vector<FingerprintReport>* reports) {
+  uint32_t count = 0;
+  if (!reader->ReadU32(&count)) return Truncated("fingerprint reports");
+  if (reader->remaining() / 4 < count) return Truncated("fingerprint reports");
+  reports->resize(count);
+  for (FingerprintReport& report : *reports) {
+    if (with_verdicts) {
+      uint32_t verdicts = 0;
+      if (!reader->ReadU32(&verdicts)) return Truncated("fingerprint report");
+      // Every verdict holds at least a name prefix and the fixed numerics.
+      if (reader->remaining() / 8 < verdicts) return Truncated("verdicts");
+      report.verdicts.reserve(verdicts);
+      for (uint32_t i = 0; i < verdicts; ++i) {
+        PRIVMARK_ASSIGN_OR_RETURN(KeyVerdict verdict, ReadKeyVerdict(reader));
+        report.verdicts.push_back(std::move(verdict));
+      }
+    }
+    PRIVMARK_RETURN_NOT_OK(ReadFingerprintTail(reader, &report));
+    if (with_verdicts && report.ranking.size() != report.verdicts.size()) {
+      return Status::InvalidArgument(
+          "wire: fingerprint ranking length differs from verdict count");
+    }
   }
-  PRIVMARK_RETURN_NOT_OK(ReadFingerprintTail(reader, &report));
-  if (report.ranking.size() != report.verdicts.size()) {
-    return Status::InvalidArgument(
-        "wire: fingerprint ranking length differs from verdict count");
-  }
-  return report;
+  return Status::OK();
 }
 
 void AppendEpochSummary(std::string* out, const WireEpochSummary& epoch) {
@@ -224,6 +248,36 @@ Result<WireEpochSummary> ReadEpochSummary(BinReader* reader) {
     return Truncated("epoch summary");
   }
   return epoch;
+}
+
+// The envelope every response payload opens with, streamed terminal
+// included: [u8 kind][status][journal status][u64 threads_granted]. A
+// non-OK status ends the payload there.
+void AppendResponseEnvelope(std::string* out, const WireResponse& response) {
+  out->push_back(static_cast<char>(response.kind));
+  AppendStatus(out, response.status);
+  AppendStatus(out, response.journal_status);
+  AppendLe64(out, response.threads_granted);
+}
+
+// Reads the envelope; `kind` must echo a request type.
+Status ReadResponseEnvelope(BinReader* reader, const char* what,
+                            WireResponse* response) {
+  uint8_t kind = 0;
+  if (!reader->ReadU8(&kind)) return Truncated(what);
+  if (kind < static_cast<uint8_t>(WireFrameType::kOpen) ||
+      kind > static_cast<uint8_t>(WireFrameType::kClose)) {
+    return Status::InvalidArgument(std::string("wire: ") + what +
+                                   " echoes unknown kind " +
+                                   std::to_string(kind));
+  }
+  response->kind = static_cast<WireFrameType>(kind);
+  PRIVMARK_RETURN_NOT_OK(
+      ReadStatus(reader, "response status", &response->status));
+  PRIVMARK_RETURN_NOT_OK(
+      ReadStatus(reader, "journal status", &response->journal_status));
+  if (!reader->ReadU64(&response->threads_granted)) return Truncated(what);
+  return Status::OK();
 }
 
 }  // namespace
@@ -558,10 +612,7 @@ Result<WireRequest> DecodeWireRequest(WireFrameType type,
 std::string EncodeWireResponse(const WireResponse& response,
                                WireTableEncoder* tables) {
   std::string out;
-  out.push_back(static_cast<char>(response.kind));
-  AppendStatus(&out, response.status);
-  AppendStatus(&out, response.journal_status);
-  AppendLe64(&out, response.threads_granted);
+  AppendResponseEnvelope(&out, response);
   if (!response.status.ok()) return out;
   switch (response.kind) {
     case WireFrameType::kOpen:
@@ -591,10 +642,8 @@ std::string EncodeWireResponse(const WireResponse& response,
       }
       break;
     case WireFrameType::kFingerprint:
-      AppendLe32(&out, static_cast<uint32_t>(response.fingerprints.size()));
-      for (const FingerprintReport& report : response.fingerprints) {
-        AppendFingerprintReport(&out, report);
-      }
+      AppendFingerprintReports(&out, response.fingerprints,
+                               /*with_verdicts=*/true);
       break;
     case WireFrameType::kClose:
       AppendLe64(&out, response.close.rows_ingested);
@@ -616,19 +665,7 @@ Result<WireResponse> DecodeWireResponse(const std::string& payload,
                                         WireTableDecoder* tables) {
   WireResponse response;
   BinReader reader(payload);
-  uint8_t kind = 0;
-  if (!reader.ReadU8(&kind)) return Truncated("response");
-  if (kind < static_cast<uint8_t>(WireFrameType::kOpen) ||
-      kind > static_cast<uint8_t>(WireFrameType::kClose)) {
-    return Status::InvalidArgument("wire: response echoes unknown kind " +
-                                   std::to_string(kind));
-  }
-  response.kind = static_cast<WireFrameType>(kind);
-  PRIVMARK_RETURN_NOT_OK(
-      ReadStatus(&reader, "response status", &response.status));
-  PRIVMARK_RETURN_NOT_OK(
-      ReadStatus(&reader, "journal status", &response.journal_status));
-  if (!reader.ReadU64(&response.threads_granted)) return Truncated("response");
+  PRIVMARK_RETURN_NOT_OK(ReadResponseEnvelope(&reader, "response", &response));
   if (response.status.ok()) {
     switch (response.kind) {
       case WireFrameType::kOpen: {
@@ -683,22 +720,10 @@ Result<WireResponse> DecodeWireResponse(const std::string& payload,
         }
         break;
       }
-      case WireFrameType::kFingerprint: {
-        uint32_t reports = 0;
-        if (!reader.ReadU32(&reports)) {
-          return Truncated("fingerprint response");
-        }
-        if (reader.remaining() / 4 < reports) {
-          return Truncated("fingerprint response");
-        }
-        response.fingerprints.reserve(reports);
-        for (uint32_t i = 0; i < reports; ++i) {
-          PRIVMARK_ASSIGN_OR_RETURN(FingerprintReport report,
-                                    ReadFingerprintReport(&reader));
-          response.fingerprints.push_back(std::move(report));
-        }
+      case WireFrameType::kFingerprint:
+        PRIVMARK_RETURN_NOT_OK(ReadFingerprintReports(
+            &reader, /*with_verdicts=*/true, &response.fingerprints));
         break;
-      }
       case WireFrameType::kClose: {
         uint32_t epochs = 0;
         if (!reader.ReadU64(&response.close.rows_ingested) ||
@@ -731,15 +756,11 @@ Result<WireResponse> DecodeWireResponse(const std::string& payload,
 
 // ---- streamed fingerprint responses -------------------------------------
 
-namespace {
-
-// Shared by both shard shapes (they differ only in integer widths).
-template <typename Shard>
-std::string EncodeShardImpl(const Shard& shard) {
+std::string EncodeWireFingerprintShard(const FingerprintShard& shard) {
   std::string out;
-  AppendLe64(&out, static_cast<uint64_t>(shard.epoch));
-  AppendLe64(&out, static_cast<uint64_t>(shard.shard));
-  AppendLe64(&out, static_cast<uint64_t>(shard.first_key));
+  AppendLe64(&out, shard.epoch);
+  AppendLe64(&out, shard.shard);
+  AppendLe64(&out, shard.first_key);
   AppendLe32(&out, static_cast<uint32_t>(shard.verdicts.size()));
   for (const KeyVerdict& verdict : shard.verdicts) {
     AppendKeyVerdict(&out, verdict);
@@ -747,26 +768,22 @@ std::string EncodeShardImpl(const Shard& shard) {
   return out;
 }
 
-}  // namespace
-
-std::string EncodeWireFingerprintShard(const WireFingerprintShard& shard) {
-  return EncodeShardImpl(shard);
-}
-
-std::string EncodeWireFingerprintShard(const FingerprintShard& shard) {
-  return EncodeShardImpl(shard);
-}
-
-Result<WireFingerprintShard> DecodeWireFingerprintShard(
+Result<FingerprintShard> DecodeWireFingerprintShard(
     const std::string& payload) {
-  WireFingerprintShard shard;
   BinReader reader(payload);
+  uint64_t epoch = 0;
+  uint64_t ordinal = 0;
+  uint64_t first_key = 0;
   uint32_t verdicts = 0;
-  if (!reader.ReadU64(&shard.epoch) || !reader.ReadU64(&shard.shard) ||
-      !reader.ReadU64(&shard.first_key) || !reader.ReadU32(&verdicts)) {
+  if (!reader.ReadU64(&epoch) || !reader.ReadU64(&ordinal) ||
+      !reader.ReadU64(&first_key) || !reader.ReadU32(&verdicts)) {
     return Truncated("fingerprint shard");
   }
   if (reader.remaining() / 8 < verdicts) return Truncated("shard verdicts");
+  FingerprintShard shard;
+  shard.epoch = epoch;
+  shard.shard = ordinal;
+  shard.first_key = first_key;
   shard.verdicts.reserve(verdicts);
   for (uint32_t i = 0; i < verdicts; ++i) {
     PRIVMARK_ASSIGN_OR_RETURN(KeyVerdict verdict, ReadKeyVerdict(&reader));
@@ -781,15 +798,10 @@ Result<WireFingerprintShard> DecodeWireFingerprintShard(
 
 std::string EncodeWireResponseStreamedTails(const WireResponse& response) {
   std::string out;
-  out.push_back(static_cast<char>(response.kind));
-  AppendStatus(&out, response.status);
-  AppendStatus(&out, response.journal_status);
-  AppendLe64(&out, response.threads_granted);
+  AppendResponseEnvelope(&out, response);
   if (!response.status.ok()) return out;
-  AppendLe32(&out, static_cast<uint32_t>(response.fingerprints.size()));
-  for (const FingerprintReport& report : response.fingerprints) {
-    AppendFingerprintTail(&out, report);
-  }
+  AppendFingerprintReports(&out, response.fingerprints,
+                           /*with_verdicts=*/false);
   return out;
 }
 
@@ -797,32 +809,18 @@ Result<WireResponse> DecodeWireResponseStreamedTails(
     const std::string& payload) {
   WireResponse response;
   BinReader reader(payload);
-  uint8_t kind = 0;
-  if (!reader.ReadU8(&kind)) return Truncated("streamed response");
-  if (kind != static_cast<uint8_t>(WireFrameType::kFingerprint)) {
+  PRIVMARK_RETURN_NOT_OK(
+      ReadResponseEnvelope(&reader, "streamed response", &response));
+  if (response.kind != WireFrameType::kFingerprint) {
     return Status::InvalidArgument(
         "wire: streamed terminal echoes non-fingerprint kind " +
-        std::to_string(kind));
+        std::to_string(static_cast<int>(response.kind)));
   }
-  response.kind = static_cast<WireFrameType>(kind);
-  PRIVMARK_RETURN_NOT_OK(
-      ReadStatus(&reader, "response status", &response.status));
-  PRIVMARK_RETURN_NOT_OK(
-      ReadStatus(&reader, "journal status", &response.journal_status));
-  if (!reader.ReadU64(&response.threads_granted)) {
-    return Truncated("streamed response");
-  }
+  // Each tail's ranking length is its epoch's verdict count; the caller
+  // checks its reassembled shard verdicts against it.
   if (response.status.ok()) {
-    uint32_t epochs = 0;
-    if (!reader.ReadU32(&epochs)) return Truncated("streamed response");
-    if (reader.remaining() / 4 < epochs) return Truncated("streamed response");
-    response.fingerprints.resize(epochs);
-    for (uint32_t e = 0; e < epochs; ++e) {
-      // The tail's ranking length is the epoch's verdict count; the
-      // caller checks its reassembled shard verdicts against it.
-      PRIVMARK_RETURN_NOT_OK(
-          ReadFingerprintTail(&reader, &response.fingerprints[e]));
-    }
+    PRIVMARK_RETURN_NOT_OK(ReadFingerprintReports(
+        &reader, /*with_verdicts=*/false, &response.fingerprints));
   }
   if (!reader.Exhausted()) {
     return Status::InvalidArgument(

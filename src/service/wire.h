@@ -336,20 +336,10 @@ Result<WireResponse> DecodeWireResponse(const std::string& payload,
 
 /// \brief One kPartial frame's payload: a FingerprintShard as it left
 /// the scan — the verdicts for a contiguous registry-order key run of
-/// one epoch's scan. Shards carry no table blocks, so they never touch
-/// the connection's dictionary state.
-struct WireFingerprintShard {
-  uint64_t epoch = 0;
-  uint64_t shard = 0;
-  uint64_t first_key = 0;
-  std::vector<KeyVerdict> verdicts;
-};
-
-std::string EncodeWireFingerprintShard(const WireFingerprintShard& shard);
-/// \brief Overload straight off the scan's shard type — what the
-/// daemon's streaming sink encodes, copy-free.
+/// one epoch's scan, its three counters as u64. Shards carry no table
+/// blocks, so they never touch the connection's dictionary state.
 std::string EncodeWireFingerprintShard(const FingerprintShard& shard);
-Result<WireFingerprintShard> DecodeWireFingerprintShard(
+Result<FingerprintShard> DecodeWireFingerprintShard(
     const std::string& payload);
 
 /// \brief Encodes the terminal kResponse payload of a streamed

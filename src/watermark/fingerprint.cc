@@ -67,13 +67,6 @@ void FinishFingerprintReport(FingerprintReport* report) {
 
 Result<FingerprintReport> ScanIndexForFingerprints(
     const DetectIndex& index, HashAlgorithm algo, const KeyRegistry& registry,
-    const FingerprintConfig& config, ThreadPool* pool) {
-  return ScanIndexForFingerprintsStreamed(index, algo, registry, config, pool,
-                                          nullptr);
-}
-
-Result<FingerprintReport> ScanIndexForFingerprintsStreamed(
-    const DetectIndex& index, HashAlgorithm algo, const KeyRegistry& registry,
     const FingerprintConfig& config, ThreadPool* pool,
     const FingerprintShardSink& sink, size_t epoch) {
   if (registry.empty()) {
@@ -132,48 +125,36 @@ Result<FingerprintReport> ScanIndexForFingerprintsStreamed(
 namespace {
 
 template <typename Watermarker>
-Result<FingerprintReport> ScanStreamedImpl(const Watermarker& watermarker,
-                                           const Table& suspect,
-                                           const KeyRegistry& registry,
-                                           const FingerprintConfig& config,
-                                           const FingerprintShardSink& sink,
-                                           size_t epoch) {
+Result<FingerprintReport> ScanImpl(const Watermarker& watermarker,
+                                   const Table& suspect,
+                                   const KeyRegistry& registry,
+                                   const FingerprintConfig& config,
+                                   const FingerprintShardSink& sink,
+                                   size_t epoch) {
   PRIVMARK_ASSIGN_OR_RETURN(DetectIndex index,
                             BuildDetectIndex(watermarker, suspect));
   std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* const pool =
       PoolOrMake(watermarker.options().pool, watermarker.options().num_threads,
                  &owned_pool);
-  return ScanIndexForFingerprintsStreamed(index, watermarker.options().hash,
-                                          registry, config, pool, sink, epoch);
+  return ScanIndexForFingerprints(index, watermarker.options().hash, registry,
+                                  config, pool, sink, epoch);
 }
 
 }  // namespace
 
 Result<FingerprintReport> ScanForFingerprints(
     const HierarchicalWatermarker& watermarker, const Table& suspect,
-    const KeyRegistry& registry, const FingerprintConfig& config) {
-  return ScanStreamedImpl(watermarker, suspect, registry, config, nullptr, 0);
+    const KeyRegistry& registry, const FingerprintConfig& config,
+    const FingerprintShardSink& sink, size_t epoch) {
+  return ScanImpl(watermarker, suspect, registry, config, sink, epoch);
 }
 
 Result<FingerprintReport> ScanForFingerprints(
     const SingleLevelWatermarker& watermarker, const Table& suspect,
-    const KeyRegistry& registry, const FingerprintConfig& config) {
-  return ScanStreamedImpl(watermarker, suspect, registry, config, nullptr, 0);
-}
-
-Result<FingerprintReport> ScanForFingerprintsStreamed(
-    const HierarchicalWatermarker& watermarker, const Table& suspect,
     const KeyRegistry& registry, const FingerprintConfig& config,
     const FingerprintShardSink& sink, size_t epoch) {
-  return ScanStreamedImpl(watermarker, suspect, registry, config, sink, epoch);
-}
-
-Result<FingerprintReport> ScanForFingerprintsStreamed(
-    const SingleLevelWatermarker& watermarker, const Table& suspect,
-    const KeyRegistry& registry, const FingerprintConfig& config,
-    const FingerprintShardSink& sink, size_t epoch) {
-  return ScanStreamedImpl(watermarker, suspect, registry, config, sink, epoch);
+  return ScanImpl(watermarker, suspect, registry, config, sink, epoch);
 }
 
 }  // namespace privmark

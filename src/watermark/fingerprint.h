@@ -109,45 +109,31 @@ struct FingerprintShard {
 using FingerprintShardSink = std::function<void(const FingerprintShard&)>;
 
 /// \brief Scans a prebuilt index against every registry key. `pool` may
-/// be null (serial).
+/// be null (serial). With a `sink`, verdicts are also delivered per key
+/// block as the tally engine completes them, before the call returns;
+/// `epoch` is stamped into every emitted shard. The returned report is
+/// the same with or without a sink, and the concatenation of the shard
+/// verdicts is byte-identical to its verdict vector — ranking, margins
+/// and the collusion flag are finalized over exactly the streamed
+/// verdicts. Shard boundaries depend on the thread count, verdict bytes
+/// do not.
 Result<FingerprintReport> ScanIndexForFingerprints(
     const DetectIndex& index, HashAlgorithm algo, const KeyRegistry& registry,
-    const FingerprintConfig& config, ThreadPool* pool);
-
-/// \brief Streaming form: delivers verdicts through `sink` per key
-/// block as the tally engine completes them, then returns the same
-/// one-shot report. The one-shot overload IS this function with a null
-/// sink, so the concatenation of streamed shard verdicts is
-/// byte-identical to the returned report's verdict vector by
-/// construction — ranking, margins, and the collusion flag are
-/// finalized over exactly the streamed verdicts. `epoch` is stamped
-/// into every emitted shard; shard boundaries depend on the thread
-/// count, verdict bytes do not.
-Result<FingerprintReport> ScanIndexForFingerprintsStreamed(
-    const DetectIndex& index, HashAlgorithm algo, const KeyRegistry& registry,
     const FingerprintConfig& config, ThreadPool* pool,
-    const FingerprintShardSink& sink, size_t epoch = 0);
+    const FingerprintShardSink& sink = nullptr, size_t epoch = 0);
 
 /// \brief Convenience: builds the index from the watermarker's structure
 /// (its key material is NOT used — only the registry's candidate keys
 /// are) and scans, on the watermarker's configured pool / thread count.
+/// `sink` and `epoch` as for ScanIndexForFingerprints.
 Result<FingerprintReport> ScanForFingerprints(
     const HierarchicalWatermarker& watermarker, const Table& suspect,
-    const KeyRegistry& registry, const FingerprintConfig& config);
+    const KeyRegistry& registry, const FingerprintConfig& config,
+    const FingerprintShardSink& sink = nullptr, size_t epoch = 0);
 Result<FingerprintReport> ScanForFingerprints(
     const SingleLevelWatermarker& watermarker, const Table& suspect,
-    const KeyRegistry& registry, const FingerprintConfig& config);
-
-/// \brief Streaming convenience overloads (see
-/// ScanIndexForFingerprintsStreamed for the equivalence contract).
-Result<FingerprintReport> ScanForFingerprintsStreamed(
-    const HierarchicalWatermarker& watermarker, const Table& suspect,
     const KeyRegistry& registry, const FingerprintConfig& config,
-    const FingerprintShardSink& sink, size_t epoch = 0);
-Result<FingerprintReport> ScanForFingerprintsStreamed(
-    const SingleLevelWatermarker& watermarker, const Table& suspect,
-    const KeyRegistry& registry, const FingerprintConfig& config,
-    const FingerprintShardSink& sink, size_t epoch = 0);
+    const FingerprintShardSink& sink = nullptr, size_t epoch = 0);
 
 }  // namespace privmark
 

@@ -45,7 +45,7 @@ struct Stream {
   // What the multiplexed run produced, filled by the driver thread.
   std::string daemon_csv;
   std::vector<FingerprintReport> daemon_reports;
-  std::vector<WireFingerprintShard> daemon_shards;
+  std::vector<FingerprintShard> daemon_shards;
   std::string failure;  // non-empty = this stream's run broke
 };
 
@@ -204,7 +204,7 @@ void DriveStream(DaemonClient* client, Stream* stream) {
   scan.stream = true;
   auto pending = client->CallAsync(scan);
   if (!pending.ok()) return fail("fingerprint send", pending.status());
-  WireFingerprintShard shard;
+  FingerprintShard shard;
   while (true) {
     auto more = pending->NextShard(&shard);
     if (!more.ok()) return fail("shard", more.status());
@@ -278,7 +278,7 @@ TEST(DaemonMultiplexSoakTest, PipelinedSessionsOnOneConnectionMatchReplay) {
     // The interleaved shards, reassembled, are the reference verdicts.
     std::vector<std::vector<KeyVerdict>> epochs;
     std::vector<uint64_t> next_shard;
-    for (const WireFingerprintShard& shard : stream.daemon_shards) {
+    for (const FingerprintShard& shard : stream.daemon_shards) {
       if (shard.epoch == epochs.size()) {
         epochs.emplace_back();
         next_shard.push_back(0);

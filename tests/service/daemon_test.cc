@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -234,6 +235,27 @@ TEST(DaemonTest, ZeroEtaOpenIsRefusedAndTheConnectionKeepsServing) {
   ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
   ASSERT_TRUE(flushed->status.ok()) << flushed->status.ToString();
   EXPECT_EQ(flushed->flush.emitted.num_rows(), kRows);
+  EXPECT_TRUE(env.daemon->Shutdown().ok());
+}
+
+TEST(DaemonTest, NonFiniteDriftThresholdOpenIsRefused) {
+  Env env = StartDaemon();
+  DaemonClient client(MedicalSchema());
+  ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
+  WireRequest nan = OpenRequest("ward");
+  nan.open.policy = 1;  // RebinPolicy::kRebinOnDrift
+  nan.open.drift_threshold = std::numeric_limits<double>::quiet_NaN();
+  auto refused = client.Call(nan);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->status.code(), StatusCode::kInvalidArgument)
+      << refused->status.ToString();
+
+  // Same connection, same name: a finite threshold opens.
+  WireRequest finite = OpenRequest("ward");
+  finite.open.policy = 1;
+  auto open = client.Call(finite);
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  EXPECT_TRUE(open->status.ok()) << open->status.ToString();
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 

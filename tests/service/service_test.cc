@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -176,6 +177,25 @@ TEST(PrivmarkServiceTest, LifecycleAndRegistryErrors) {
   EXPECT_EQ(after_shutdown.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(
       service.OpenSession("other", env.metrics, env.config).ok());
+}
+
+TEST(PrivmarkServiceTest, NonFiniteDriftThresholdIsRefusedAtOpen) {
+  Env env = MakeEnv();
+  PrivmarkService service;
+  for (const double threshold : {std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity()}) {
+    SessionConfig session;
+    session.policy = RebinPolicy::kRebinOnDrift;
+    session.drift_threshold = threshold;
+    const Status refused =
+        service.OpenSession("ward", env.metrics, env.config, session);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << threshold << ": " << refused.ToString();
+    EXPECT_EQ(service.num_sessions(), 0u) << threshold;
+  }
+  // The name was never taken.
+  EXPECT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
 }
 
 TEST(PrivmarkServiceTest, ZeroEtaIsRefusedAtOpen) {

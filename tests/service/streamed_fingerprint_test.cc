@@ -2,11 +2,12 @@
 // that streaming is an ordering of the one-shot scan, never a different
 // computation:
 //
-//  1. In process: DetectFingerprintStreamed over a 300+-key registry,
-//     across thread counts, must emit shards whose concatenation is
-//     byte-identical (exact doubles, full DetectReports) to the one-shot
-//     DetectFingerprint response — and the streamed call's own terminal
-//     response must equal it too (verdicts, ranking, margins, collusion).
+//  1. In process: DetectFingerprint with a sink, over a 300+-key
+//     registry, across thread counts, must emit shards whose
+//     concatenation is byte-identical (exact doubles, full DetectReports)
+//     to the sink-less DetectFingerprint response — and the streamed
+//     call's own terminal response must equal it too (verdicts, ranking,
+//     margins, collusion).
 //  2. Over the wire: a v2 streamed scan's kPartial shards and reassembled
 //     terminal response must equal the same connection's non-streamed
 //     Call() for the same suspect table and registry.
@@ -194,7 +195,8 @@ Fixture& SharedFixture() {
 
     auto baseline = f->service
                         ->DetectFingerprint("audit", f->suspect.Clone(),
-                                            f->registry, /*num_threads=*/1)
+                                            f->registry, /*sink=*/nullptr,
+                                            /*num_threads=*/1)
                         .get();
     EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
     EXPECT_EQ(baseline->fingerprints.size(), 2u);
@@ -224,7 +226,7 @@ TEST(StreamedFingerprintTest, ShardsConcatenateToTheOneShotScan) {
     std::vector<FingerprintShard> shards;
     auto streamed =
         f.service
-            ->DetectFingerprintStreamed(
+            ->DetectFingerprint(
                 "audit", f.suspect.Clone(), f.registry,
                 [&shards](const FingerprintShard& shard) {
                   shards.push_back(shard);
@@ -262,9 +264,9 @@ TEST(StreamedFingerprintTest, ShardsConcatenateToTheOneShotScan) {
 TEST(StreamedFingerprintTest, NullSinkIsExactlyTheOneShotCall) {
   Fixture& f = SharedFixture();
   auto scanned = f.service
-                     ->DetectFingerprintStreamed("audit", f.suspect.Clone(),
-                                                 f.registry, nullptr,
-                                                 /*num_threads=*/2)
+                     ->DetectFingerprint("audit", f.suspect.Clone(),
+                                         f.registry, nullptr,
+                                         /*num_threads=*/2)
                      .get();
   ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   ASSERT_EQ(scanned->fingerprints.size(), f.baseline.fingerprints.size());
@@ -375,8 +377,8 @@ TEST(StreamedFingerprintTest, WireStreamMatchesTheOneShotCall) {
   scan.stream = true;
   auto pending = client.CallAsync(scan);
   ASSERT_TRUE(pending.ok()) << pending.status().ToString();
-  std::vector<WireFingerprintShard> shards;
-  WireFingerprintShard shard;
+  std::vector<FingerprintShard> shards;
+  FingerprintShard shard;
   while (true) {
     auto more = pending->NextShard(&shard);
     ASSERT_TRUE(more.ok()) << more.status().ToString();

@@ -725,6 +725,29 @@ TEST(WireStreamedTailsTest, ErrorTailsCarryStatus) {
   EXPECT_TRUE(decoded->fingerprints.empty());
 }
 
+// A ranking must be a permutation of the verdict indices: a repeated
+// index would make a client print one suspect twice and never another.
+TEST(WireStreamedTailsTest, RankingWithARepeatedIndexRefused) {
+  WireResponse response = TestFingerprintResponse();
+  response.fingerprints[0].verdicts.resize(2);
+  response.fingerprints[0].ranking = {0, 0};
+  WireTableEncoder encoder;
+  WireTableDecoder decoder(TestSchema());
+  auto full =
+      DecodeWireResponse(EncodeWireResponse(response, &encoder), &decoder);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), StatusCode::kInvalidArgument);
+  auto tails =
+      DecodeWireResponseStreamedTails(EncodeWireResponseStreamedTails(response));
+  ASSERT_FALSE(tails.ok());
+  EXPECT_EQ(tails.status().code(), StatusCode::kInvalidArgument);
+  // The same two verdicts ranked as a permutation still decode.
+  response.fingerprints[0].ranking = {1, 0};
+  EXPECT_TRUE(
+      DecodeWireResponse(EncodeWireResponse(response, &encoder), &decoder)
+          .ok());
+}
+
 TEST(WireStreamedTailsTest, TruncationAtEveryByteRefused) {
   const std::string payload =
       EncodeWireResponseStreamedTails(TestFingerprintResponse());
