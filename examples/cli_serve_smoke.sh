@@ -6,8 +6,8 @@
 # write byte-identical out.csv and manifest files, the manifests must
 # name the --key, the freeze stream must match a one-shot `protect` of
 # the same rows, and `privmark_cli detect` must recover that run's mark
-# from the served output. A zero --eta and a non-finite --drift-threshold
-# must be usage errors (exit 2).
+# from the served output. A zero --eta or --k and a non-finite
+# --drift-threshold must be usage errors (exit 2).
 #
 # usage: cli_serve_smoke.sh <path/to/privmark_cli> <scratch dir>
 set -euo pipefail
@@ -114,6 +114,17 @@ status=0
 "$cli" protect all.csv zero.csv zero.man --k=10 --eta=0 2>/dev/null \
   || status=$?
 [[ $status -eq 2 ]] || fail "protect --eta=0 exited $status, want 2"
+
+# 6b. So is k = 0, wherever a stream is opened: protect, recover and a
+#     serve open line — not a failure at the first flush.
+echo "open ward zero.csv zero.man --k=0" > zero.script
+for cmd in "protect all.csv zero.csv zero.man" \
+           "recover missing.wal zero.csv zero.man" "serve zero.script"; do
+  status=0
+  # shellcheck disable=SC2086  # $cmd is a word list on purpose
+  "$cli" $cmd --k=0 >/dev/null 2>&1 || status=$?
+  [[ $status -eq 2 ]] || fail "${cmd%% *} --k=0 exited $status, want 2"
+done
 
 # 7. A non-finite drift threshold is a usage error (exit 2): a NaN would
 #    compare false against every drift and silently never re-bin. The

@@ -125,7 +125,6 @@
 // Secrets (k1/k2/eta, encryption passphrase) are parameters, never stored
 // in the manifest.
 
-#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -160,13 +159,6 @@ using namespace privmark;  // NOLINT — example brevity
 
 namespace {
 
-// Strict unsigned decimal: digits only — no sign, spaces, or overflow.
-bool ParseU64(const std::string& text, uint64_t* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
@@ -180,16 +172,17 @@ struct Args {
   uint64_t FlagU64(const std::string& name, uint64_t fallback) const {
     auto it = flags.find(name);
     if (it == flags.end()) return fallback;
-    uint64_t value = 0;
-    if (!ParseU64(it->second, &value)) {
+    const Result<uint64_t> value = ParseDecimalU64(it->second, name);
+    if (!value.ok()) {
       std::fprintf(stderr,
                    "error: --%s needs a non-negative integer, got '%s'\n",
                    name.c_str(), it->second.c_str());
       std::exit(2);
     }
-    return value;
+    return *value;
   }
-  // FlagU64 for a divisor such as --eta: 0 is a usage error too.
+  // FlagU64 for a divisor such as --eta or a level such as --k: 0 is a
+  // usage error too.
   uint64_t FlagPositive(const std::string& name, uint64_t fallback) const {
     const uint64_t value = FlagU64(name, fallback);
     if (value == 0) {
@@ -276,13 +269,13 @@ int CmdGenerate(const Args& args) {
     return 2;
   }
   MedicalDataSpec spec;
-  uint64_t rows = 0;
-  if (!ParseU64(args.positional[1], &rows)) {
+  const Result<uint64_t> rows = ParseDecimalU64(args.positional[1], "<rows>");
+  if (!rows.ok()) {
     std::fprintf(stderr, "error: <rows> must be a non-negative integer, "
                  "got '%s'\n", args.positional[1].c_str());
     return 2;
   }
-  spec.num_rows = rows;
+  spec.num_rows = *rows;
   spec.seed = args.FlagU64("seed", spec.seed);
   MedicalDataset dataset = Must(GenerateMedicalDataset(spec));
   if (auto st = WriteTableCsv(dataset.table, args.positional[2]); !st.ok()) {
@@ -298,7 +291,7 @@ int CmdGenerate(const Args& args) {
 // fingerprint validates the non-secret part).
 FrameworkConfig FrameworkConfigFromArgs(const Args& args) {
   FrameworkConfig config;
-  config.binning.k = args.FlagU64("k", 20);
+  config.binning.k = args.FlagPositive("k", 20);
   config.binning.enforce_joint = args.flags.count("joint") > 0;
   config.binning.encryption_passphrase = args.Flag("pass", "cli-default-pass");
   config.binning.num_threads = args.FlagU64("threads", 1);
@@ -407,12 +400,13 @@ int ProtectStreaming(const Args& args, const Table& input,
   if (auto st = WriteTableCsv(output, args.positional[2]); !st.ok()) {
     return Fail(st);
   }
-  for (const EpochRecord& epoch : session.epochs()) {
+  const std::vector<ProtectionManifest> manifests =
+      Must(SessionManifests(session));
+  for (size_t e = 0; e < manifests.size(); ++e) {
+    const EpochRecord& epoch = session.epochs()[e];
     std::string path = args.positional[3];
     if (epoch.epoch > 0) path += ".epoch" + std::to_string(epoch.epoch);
-    ProtectionManifest manifest =
-        Must(ManifestFromEpoch(epoch, input.schema(), metrics, config));
-    if (auto st = WriteManifestFile(manifest, path); !st.ok()) {
+    if (auto st = WriteManifestFile(manifests[e], path); !st.ok()) {
       return Fail(st);
     }
     std::printf("epoch %zu: emitted %zu rows, suppressed %zu, wmd %zu, "
@@ -923,7 +917,7 @@ int ServeScript(const Args& args, std::istream& script,
       WireRequest request;
       request.type = WireFrameType::kOpen;
       request.session = name;
-      request.open.k = cmd.FlagU64("k", 20);
+      request.open.k = cmd.FlagPositive("k", 20);
       request.open.enforce_joint = cmd.flags.count("joint") > 0;
       request.open.auto_epsilon = cmd.flags.count("epsilon") > 0;
       request.open.num_threads = cmd.FlagU64("threads", 1);
@@ -1033,10 +1027,10 @@ int CmdServe(const Args& args) {
   const std::string endpoint = args.Flag("connect", "");
   if (!endpoint.empty()) {
     const size_t colon = endpoint.rfind(':');
-    uint64_t port = 0;
-    if (colon == std::string::npos || colon == 0 ||
-        !ParseU64(endpoint.substr(colon + 1), &port) || port == 0 ||
-        port > 65535) {
+    const Result<uint64_t> port =
+        ParseDecimalU64(endpoint.substr(colon + 1), "port");
+    if (colon == std::string::npos || colon == 0 || !port.ok() ||
+        *port == 0 || *port > 65535) {
       std::fprintf(stderr,
                    "error: --connect needs host:port with a port in "
                    "1..65535, got '%s'\n",
@@ -1044,7 +1038,7 @@ int CmdServe(const Args& args) {
       return 2;
     }
     return ServeScript(args, script, endpoint.substr(0, colon),
-                       static_cast<uint16_t>(port));
+                       static_cast<uint16_t>(*port));
   }
   // No --connect: the same interpreter against a daemon embedded in this
   // process, built exactly as `privmark_cli daemon` builds its own. The
@@ -1156,12 +1150,13 @@ int CmdRecover(const Args& args) {
   }
   std::printf("recovered %zu emitted row(s) -> %s\n", rec.emitted.num_rows(),
               args.positional[2].c_str());
-  for (const EpochRecord& epoch : rec.session->epochs()) {
+  const std::vector<ProtectionManifest> manifests =
+      Must(SessionManifests(*rec.session));
+  for (size_t e = 0; e < manifests.size(); ++e) {
+    const EpochRecord& epoch = rec.session->epochs()[e];
     std::string path = args.positional[3];
     if (epoch.epoch > 0) path += ".epoch" + std::to_string(epoch.epoch);
-    ProtectionManifest manifest = Must(
-        ManifestFromEpoch(epoch, MedicalSchema(), metrics, config));
-    if (auto st = WriteManifestFile(manifest, path); !st.ok()) {
+    if (auto st = WriteManifestFile(manifests[e], path); !st.ok()) {
       return Fail(st);
     }
     std::printf("epoch %zu: %zu rows, v %.6f, manifest -> %s\n", epoch.epoch,

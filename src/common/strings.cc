@@ -83,6 +83,23 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
+Result<uint64_t> ParseDecimalU64(const std::string& text,
+                                 const std::string& what) {
+  if (text.empty()) return Status::InvalidArgument(what + " is empty");
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument(what + " is not a number: " + text);
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) {
+      return Status::InvalidArgument(what + " overflows: " + text);
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 std::string FormatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);

@@ -30,6 +30,13 @@ std::string Trim(const std::string& s);
 /// \brief True if `s` begins with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
+/// \brief Strict unsigned decimal: ASCII digits only — no sign, spaces
+/// or overflow past 2^64-1. Errors are InvalidArgument naming `what`
+/// ("<what> is empty", "<what> is not a number: <text>", "<what>
+/// overflows: <text>"), never an exception.
+Result<uint64_t> ParseDecimalU64(const std::string& text,
+                                 const std::string& what);
+
 /// \brief Formats a double with fixed precision (e.g. FormatDouble(3.14159,2)
 /// == "3.14"); used by bench output so tables align.
 std::string FormatDouble(double v, int precision);

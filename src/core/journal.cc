@@ -34,27 +34,6 @@ bool IsKnownRecordType(uint8_t type) {
          type <= static_cast<uint8_t>(JournalRecordType::kEpochSealed);
 }
 
-Result<size_t> ParseCount(const std::string& text, const char* field) {
-  if (text.empty()) {
-    return Status::InvalidArgument(std::string("journal: field '") + field +
-                                   "' is empty");
-  }
-  size_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument(std::string("journal: field '") + field +
-                                     "' is not a number: " + text);
-    }
-    const size_t digit = static_cast<size_t>(c - '0');
-    if (value > (SIZE_MAX - digit) / 10) {
-      return Status::InvalidArgument(std::string("journal: field '") + field +
-                                     "' overflows: " + text);
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 Result<ColumnRole> RoleFromString(const std::string& text) {
   if (text == "identifying") return ColumnRole::kIdentifying;
   if (text == "quasi-categorical") return ColumnRole::kQuasiCategorical;
@@ -443,6 +422,9 @@ Result<EpochSeal> SessionJournal::DecodeEpochSealed(
     const std::string& payload) {
   EpochSeal seal;
   bool saw_epoch = false;
+  auto parse_count = [](const std::string& value, const std::string& key) {
+    return ParseDecimalU64(value, "journal: field '" + key + "'");
+  };
   for (const std::string& raw_line : Split(payload, '\n')) {
     const std::string line = Trim(raw_line);
     if (line.empty()) continue;
@@ -453,14 +435,13 @@ Result<EpochSeal> SessionJournal::DecodeEpochSealed(
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 3);
     if (key == "epoch") {
-      PRIVMARK_ASSIGN_OR_RETURN(seal.epoch, ParseCount(value, "epoch"));
+      PRIVMARK_ASSIGN_OR_RETURN(seal.epoch, parse_count(value, key));
       saw_epoch = true;
     } else if (key == "rows_emitted") {
-      PRIVMARK_ASSIGN_OR_RETURN(seal.rows_emitted,
-                                ParseCount(value, "rows_emitted"));
+      PRIVMARK_ASSIGN_OR_RETURN(seal.rows_emitted, parse_count(value, key));
     } else if (key == "rows_suppressed") {
       PRIVMARK_ASSIGN_OR_RETURN(seal.rows_suppressed,
-                                ParseCount(value, "rows_suppressed"));
+                                parse_count(value, key));
     } else {
       return Status::InvalidArgument("journal: unknown seal field: " + key);
     }

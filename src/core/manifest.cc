@@ -59,31 +59,6 @@ std::string JoinEscaped(const std::vector<std::string>& labels) {
   return Join(escaped, "|");
 }
 
-Result<size_t> ParseSize(const std::string& text, const char* field) {
-  if (text.empty()) {
-    return Status::InvalidArgument(std::string("manifest: field '") + field +
-                                   "' is empty");
-  }
-  // Overflow-checked accumulate (the key-file eta / journal count
-  // pattern): std::stoull would throw std::out_of_range past 2^64-1,
-  // and an adversarial manifest must yield InvalidArgument, not an
-  // uncaught exception.
-  size_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument(std::string("manifest: field '") +
-                                     field + "' is not a number: " + text);
-    }
-    const size_t digit = static_cast<size_t>(c - '0');
-    if (value > (SIZE_MAX - digit) / 10) {
-      return Status::InvalidArgument(std::string("manifest: field '") +
-                                     field + "' overflows: " + text);
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 }  // namespace
 
 Result<ProtectionManifest> BuildManifest(const ProtectionOutcome& outcome,
@@ -151,6 +126,20 @@ Result<ProtectionManifest> ManifestFromEpoch(const EpochRecord& epoch,
   return manifest;
 }
 
+Result<std::vector<ProtectionManifest>> SessionManifests(
+    const ProtectionSession& session) {
+  std::vector<ProtectionManifest> manifests;
+  for (const EpochRecord& epoch : session.epochs()) {
+    // An epoch exists only after a batch fixed the session's schema.
+    PRIVMARK_ASSIGN_OR_RETURN(
+        ProtectionManifest manifest,
+        ManifestFromEpoch(epoch, *session.schema(), session.metrics(),
+                          session.config()));
+    manifests.push_back(std::move(manifest));
+  }
+  return manifests;
+}
+
 std::string SerializeManifest(const ProtectionManifest& manifest) {
   std::string out;
   out += "privmark-manifest-version = 1\n";
@@ -180,6 +169,11 @@ Result<ProtectionManifest> ParseManifest(const std::string& text) {
   // a file the writer never produced.
   std::set<std::string> seen_scalar;
   std::set<std::string> seen_column;
+  // Strict decimal: an adversarial manifest must yield InvalidArgument,
+  // never an exception or a wrapped value.
+  auto parse_size = [](const std::string& value, const std::string& key) {
+    return ParseDecimalU64(value, "manifest: field '" + key + "'");
+  };
 
   for (const std::string& raw_line : Split(text, '\n')) {
     const std::string line = Trim(raw_line);
@@ -235,16 +229,13 @@ Result<ProtectionManifest> ParseManifest(const std::string& text) {
       }
       saw_version = true;
     } else if (key == "mark_bits") {
-      PRIVMARK_ASSIGN_OR_RETURN(manifest.mark_bits,
-                                ParseSize(value, "mark_bits"));
+      PRIVMARK_ASSIGN_OR_RETURN(manifest.mark_bits, parse_size(value, key));
     } else if (key == "wmd_size") {
-      PRIVMARK_ASSIGN_OR_RETURN(manifest.wmd_size,
-                                ParseSize(value, "wmd_size"));
+      PRIVMARK_ASSIGN_OR_RETURN(manifest.wmd_size, parse_size(value, key));
     } else if (key == "copies") {
-      PRIVMARK_ASSIGN_OR_RETURN(manifest.copies, ParseSize(value, "copies"));
+      PRIVMARK_ASSIGN_OR_RETURN(manifest.copies, parse_size(value, key));
     } else if (key == "epsilon") {
-      PRIVMARK_ASSIGN_OR_RETURN(manifest.epsilon,
-                                ParseSize(value, "epsilon"));
+      PRIVMARK_ASSIGN_OR_RETURN(manifest.epsilon, parse_size(value, key));
     } else if (key == "hash") {
       if (value == "SHA1") {
         manifest.hash = HashAlgorithm::kSha1;

@@ -63,6 +63,11 @@ Result<ProtectionManifest> ManifestFromEpoch(const EpochRecord& epoch,
                                              const UsageMetrics& metrics,
                                              const FrameworkConfig& config);
 
+/// \brief ManifestFromEpoch for every sealed epoch of `session`, in
+/// epoch order, from the session's own schema, metrics and config.
+Result<std::vector<ProtectionManifest>> SessionManifests(
+    const ProtectionSession& session);
+
 /// \brief Serializes to the text format.
 std::string SerializeManifest(const ProtectionManifest& manifest);
 

@@ -255,6 +255,8 @@ class ProtectionSession {
   const FrameworkConfig& config() const { return config_; }
   const SessionConfig& session_config() const { return session_; }
   const UsageMetrics& metrics() const { return metrics_; }
+  /// \brief The stream's schema, fixed by its first batch (empty before).
+  const std::optional<Schema>& schema() const { return schema_; }
 
  private:
   // The frozen state of the most recent flush.

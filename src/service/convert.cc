@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/manifest.h"
 #include "watermark/key_registry.h"
 
 namespace privmark {
@@ -46,8 +47,8 @@ Result<ServiceRequest> ToServiceRequest(const WireRequest& request) {
   return service_request;
 }
 
-WireResponse ToWireResponse(WireFrameType kind, Result<ServiceResponse> result,
-                            const EpochManifestFn& manifest_fn) {
+WireResponse ToWireResponse(WireFrameType kind,
+                            Result<ServiceResponse> result) {
   WireResponse response;
   response.kind = kind;
   if (!result.ok()) {
@@ -85,23 +86,21 @@ WireResponse ToWireResponse(WireFrameType kind, Result<ServiceResponse> result,
       response.close.rows_ingested = executed.stats.rows_ingested;
       response.close.rows_emitted = executed.stats.rows_emitted;
       response.close.rows_suppressed = executed.stats.rows_suppressed;
-      for (const EpochRecord& epoch : executed.stats.epochs) {
+      for (size_t e = 0; e < executed.stats.epochs.size(); ++e) {
+        const EpochRecord& epoch = executed.stats.epochs[e];
         WireEpochSummary summary;
         summary.epoch = epoch.epoch;
         summary.rows_emitted = epoch.rows_emitted;
         summary.rows_suppressed = epoch.rows_suppressed;
         summary.wmd_size = epoch.wmd_size;
         summary.identifier_statistic = epoch.identifier_statistic;
-        if (manifest_fn != nullptr) {
-          Result<std::string> manifest = manifest_fn(epoch);
-          if (!manifest.ok()) {
-            response = WireResponse();
-            response.kind = kind;
-            response.status = manifest.status();
-            response.threads_granted = 0;
-            return response;
-          }
-          summary.manifest_text = *std::move(manifest);
+        // Serialized server-side: EpochRecord holds tree-pointer state
+        // that cannot cross the wire, but its manifest text can — and
+        // SerializeManifest is deterministic, so the client's file is
+        // byte-identical to a local run's.
+        if (e < executed.stats.manifests.size()) {
+          summary.manifest_text =
+              SerializeManifest(executed.stats.manifests[e]);
         }
         response.close.epochs.push_back(std::move(summary));
       }

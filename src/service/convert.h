@@ -24,7 +24,6 @@
 #ifndef PRIVMARK_SERVICE_CONVERT_H_
 #define PRIVMARK_SERVICE_CONVERT_H_
 
-#include <functional>
 #include <string>
 
 #include "common/status.h"
@@ -46,21 +45,14 @@ Result<RequestKind> RequestKindForFrame(WireFrameType type);
 /// null fingerprint_sink — the transport layer attaches the real sink).
 Result<ServiceRequest> ToServiceRequest(const WireRequest& request);
 
-/// \brief Builds manifest text for one sealed epoch of a closing
-/// session — the daemon injects ManifestFromEpoch + SerializeManifest
-/// here, keeping this layer free of the manifest dependency. Null =
-/// close responses carry no manifests (in-process callers).
-using EpochManifestFn =
-    std::function<Result<std::string>(const EpochRecord& epoch)>;
-
 /// \brief Builds the wire response for one executed request. `kind` is
 /// the request's frame type (the response echoes it). On a non-OK
 /// result the envelope is fully defined: threads_granted = 0,
-/// journal_status OK, the retry hint on the status. Never fails —
-/// a manifest-build failure becomes the response's status. Takes the
-/// result by value so emitted tables move, not copy.
-WireResponse ToWireResponse(WireFrameType kind, Result<ServiceResponse> result,
-                            const EpochManifestFn& manifest_fn = nullptr);
+/// journal_status OK, the retry hint on the status. A close response
+/// carries each epoch's serialized stats.manifests entry (empty text
+/// for an epoch without one). Takes the result by value so emitted
+/// tables move, not copy.
+WireResponse ToWireResponse(WireFrameType kind, Result<ServiceResponse> result);
 
 }  // namespace privmark
 

@@ -9,14 +9,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
+#include <memory>
+#include <mutex>
 #include <utility>
 
-#include "core/manifest.h"
 #include "service/convert.h"
-#include "watermark/key_registry.h"
 
 namespace privmark {
 
@@ -24,6 +24,62 @@ namespace {
 
 Status SocketError(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
+}
+
+// Shared write-side state of one connection, owned jointly by its
+// reader and every completion and sink it handed the service. Every
+// frame write — and every response-payload ENCODE, so dictionary order
+// equals wire order — happens under mu. `broken` latches the first
+// write failure; later writes become no-ops (the reader tears down).
+struct MuxConnection {
+  int fd = -1;
+  std::mutex mu;
+  std::condition_variable drained;  // signalled when inflight drops
+  WireTableEncoder encoder;         // guarded by mu
+  bool broken = false;              // guarded by mu
+  size_t inflight = 0;              // guarded by mu: submitted, unanswered
+};
+
+// Frames and writes one payload; requires mux->mu held. The first
+// failure latches `broken` and turns later writes into no-ops.
+void SendLocked(MuxConnection* mux, const WireFrame& frame) {
+  if (mux->broken) return;
+  Result<std::string> encoded = EncodeWireFrame(frame, kWireProtocolV2);
+  if (!encoded.ok() ||
+      !WriteFullySocket(mux->fd, encoded->data(), encoded->size())) {
+    mux->broken = true;
+  }
+}
+
+// Encodes and writes `response` as its request's terminal frame.
+// `streamed` selects the tails-only payload of a streamed response.
+void WriteResponse(MuxConnection* mux, const WireResponse& response,
+                   bool streamed) {
+  std::lock_guard<std::mutex> lock(mux->mu);
+  if (mux->broken) return;
+  WireFrame frame;
+  frame.type = WireFrameType::kResponse;
+  frame.request_id = response.request_id;
+  frame.final_frame = true;
+  frame.streamed = streamed;
+  // Encode under mu: the encoder's dictionary mutations must land on
+  // the wire in the order they happened (an unencodable frame breaks
+  // the connection, as the dictionary already advanced).
+  frame.payload = streamed ? EncodeWireResponseStreamedTails(response)
+                           : EncodeWireResponse(response, &mux->encoder);
+  SendLocked(mux, frame);
+}
+
+void WritePartial(MuxConnection* mux, uint64_t request_id,
+                  const FingerprintShard& shard) {
+  WireFrame frame;
+  frame.type = WireFrameType::kPartial;
+  frame.request_id = request_id;
+  frame.final_frame = false;
+  frame.streamed = true;
+  frame.payload = EncodeWireFingerprintShard(shard);
+  std::lock_guard<std::mutex> lock(mux->mu);
+  SendLocked(mux, frame);
 }
 
 }  // namespace
@@ -70,15 +126,23 @@ Status PrivmarkDaemon::Start(uint16_t port) {
 }
 
 void PrivmarkDaemon::AcceptLoop() {
-  // Capture the fd once: Shutdown() writes listen_fd_ = -1 after
-  // shutting the socket down (which is what actually fails the blocking
-  // accept), so re-reading the member here would race that store.
-  const int listen_fd = listen_fd_;
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    // Shutdown() resets listen_fd_ only after joining this thread.
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed (Shutdown) or fatal accept error
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // Out of fds or kernel memory: the peer stays queued on the
+        // listener. Reaping may free fds; retry after a short back-off.
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          ReapFinishedLocked();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
+      return;  // the listener was shut down (Shutdown)
     }
     // Responses are small frames written as they complete; without
     // TCP_NODELAY, Nagle holds each one for the peer's delayed ACK.
@@ -89,53 +153,29 @@ void PrivmarkDaemon::AcceptLoop() {
       ::close(fd);
       return;
     }
+    ReapFinishedLocked();
     ++accepted_;
     auto connection = std::make_unique<Connection>();
     connection->fd = fd;
     Connection* raw = connection.get();
     connections_.push_back(std::move(connection));
-    raw->thread = std::thread([this, fd] { ServeConnection(fd); });
+    raw->thread = std::thread([this, raw] {
+      ServeConnection(raw->fd);
+      raw->finished.store(true, std::memory_order_release);
+    });
   }
 }
 
-void PrivmarkDaemon::WriteResponse(MuxConnection* mux, uint64_t request_id,
-                                   const WireResponse& response,
-                                   bool streamed) {
-  std::lock_guard<std::mutex> lock(mux->write_mu);
-  if (mux->broken) return;
-  WireFrame frame;
-  frame.type = WireFrameType::kResponse;
-  frame.request_id = request_id;
-  frame.final_frame = true;
-  frame.streamed = streamed;
-  // Encode under write_mu: the encoder's dictionary mutations must land
-  // on the wire in the order they happened.
-  frame.payload = streamed ? EncodeWireResponseStreamedTails(response)
-                           : EncodeWireResponse(response, &mux->encoder);
-  Result<std::string> encoded = EncodeWireFrame(frame, kWireProtocolV2);
-  if (!encoded.ok() ||
-      !WriteFullySocket(mux->fd, encoded->data(), encoded->size())) {
-    // An unencodable frame also breaks the connection: the dictionary
-    // already advanced for bytes that never left.
-    mux->broken = true;
-  }
-}
-
-void PrivmarkDaemon::WritePartial(MuxConnection* mux, uint64_t request_id,
-                                  const FingerprintShard& shard) {
-  std::lock_guard<std::mutex> lock(mux->write_mu);
-  if (mux->broken) return;
-  WireFrame frame;
-  frame.type = WireFrameType::kPartial;
-  frame.request_id = request_id;
-  frame.final_frame = false;
-  frame.streamed = true;
-  frame.payload = EncodeWireFingerprintShard(shard);
-  Result<std::string> encoded = EncodeWireFrame(frame, kWireProtocolV2);
-  if (!encoded.ok() ||
-      !WriteFullySocket(mux->fd, encoded->data(), encoded->size())) {
-    mux->broken = true;
-  }
+void PrivmarkDaemon::ReapFinishedLocked() {
+  auto finished = [](const std::unique_ptr<Connection>& connection) {
+    if (!connection->finished.load(std::memory_order_acquire)) return false;
+    connection->thread.join();  // instant: the thread's last act is done
+    ::close(connection->fd);
+    return true;
+  };
+  connections_.erase(
+      std::remove_if(connections_.begin(), connections_.end(), finished),
+      connections_.end());
 }
 
 void PrivmarkDaemon::ServeConnection(int fd) {
@@ -149,48 +189,12 @@ void PrivmarkDaemon::ServeConnection(int fd) {
     return;
   }
 
-  MuxConnection mux;
-  mux.fd = fd;
+  // Shared with every completion and sink this connection hands the
+  // service, which run on strand threads.
+  auto mux = std::make_shared<MuxConnection>();
+  mux->fd = fd;
   WireTableDecoder decoder(config_.schema);
-
-  // One queued unit of writer work: a dispatched request whose future
-  // the writer completes and answers.
-  struct Pending {
-    uint64_t request_id = 0;
-    WireFrameType type = WireFrameType::kClose;
-    std::string session;
-    ServiceFuture future;
-    bool streamed = false;
-  };
-  std::mutex queue_mu;
-  std::condition_variable queue_cv;
-  std::deque<Pending> queue;   // guarded by queue_mu
-  size_t busy = 0;             // guarded by queue_mu
-  bool closed = false;         // guarded by queue_mu
-  std::vector<std::thread> writers;
-
   const size_t cap = std::max<size_t>(1, config_.max_inflight_per_connection);
-  auto writer_loop = [&] {
-    std::unique_lock<std::mutex> lock(queue_mu);
-    for (;;) {
-      queue_cv.wait(lock, [&] { return closed || !queue.empty(); });
-      if (queue.empty()) return;  // closed and drained
-      Pending pending = std::move(queue.front());
-      queue.pop_front();
-      ++busy;
-      lock.unlock();
-      // Completing the future happens-after every partial the strand
-      // streamed for this request, so the terminal frame always trails
-      // its partials on the wire.
-      WireResponse response = FinishResponse(pending.type, pending.session,
-                                             pending.future.get());
-      response.request_id = pending.request_id;
-      WriteResponse(&mux, pending.request_id, response, pending.streamed);
-      lock.lock();
-      --busy;
-      queue_cv.notify_all();  // the reader may be parked at the cap
-    }
-  };
 
   for (;;) {
     char header[kWireFrameHeaderBytes];
@@ -213,69 +217,65 @@ void PrivmarkDaemon::ServeConnection(int fd) {
         DecodeWireRequest(frame->type, frame->payload, &decoder);
     if (!request.ok()) break;  // codec state unknowable: hang up
     request->stream = frame->streamed;
+    const uint64_t request_id = frame->request_id;
 
     if (frame->type == WireFrameType::kOpen) {
       // Inline on the reader: the open must complete before any later
       // pipelined request for the new session is submitted.
       WireResponse response = ExecuteOpen(*request);
-      response.request_id = frame->request_id;
-      WriteResponse(&mux, frame->request_id, response, false);
+      response.request_id = request_id;
+      WriteResponse(mux.get(), response, false);
+    } else if (Result<ServiceRequest> service_request =
+                   ToServiceRequest(*request);
+               !service_request.ok()) {
+      // Conversion failures (e.g. an unparsable registry) are
+      // service-level: answer, keep the connection.
+      WireResponse response = ToWireResponse(
+          frame->type, Result<ServiceResponse>(service_request.status()));
+      response.request_id = request_id;
+      WriteResponse(mux.get(), response, false);
     } else {
-      Result<ServiceRequest> service_request = ToServiceRequest(*request);
-      if (!service_request.ok()) {
-        // Conversion failures (e.g. an unparsable registry) are
-        // service-level: answer, keep the connection.
-        WireResponse response = ToWireResponse(
-            frame->type, Result<ServiceResponse>(service_request.status()));
-        response.request_id = frame->request_id;
-        WriteResponse(&mux, frame->request_id, response, false);
-      } else {
-        if (request->stream) {
-          const uint64_t request_id = frame->request_id;
-          MuxConnection* mux_ptr = &mux;
-          service_request->fingerprint_sink =
-              [this, mux_ptr, request_id](const FingerprintShard& shard) {
-                WritePartial(mux_ptr, request_id, shard);
-              };
-        }
-        Pending pending;
-        pending.request_id = frame->request_id;
-        pending.type = frame->type;
-        pending.session = request->session;
-        pending.streamed = request->stream;
-        {
-          // Backpressure: stop reading at the inflight cap.
-          std::unique_lock<std::mutex> lock(queue_mu);
-          queue_cv.wait(lock, [&] { return queue.size() + busy < cap; });
-        }
-        // Submit on the reader so same-session submission order equals
-        // frame arrival order (the strand executes in that order).
-        pending.future = service_.Submit(*std::move(service_request));
-        {
-          std::lock_guard<std::mutex> lock(queue_mu);
-          queue.push_back(std::move(pending));
-          if (writers.size() < cap && writers.size() < queue.size() + busy) {
-            writers.emplace_back(writer_loop);
-          }
-        }
-        queue_cv.notify_one();
+      const bool streamed = request->stream;
+      if (streamed) {
+        service_request->fingerprint_sink =
+            [mux, request_id](const FingerprintShard& shard) {
+              WritePartial(mux.get(), request_id, shard);
+            };
       }
+      {
+        // Backpressure: stop reading at the inflight cap.
+        std::unique_lock<std::mutex> lock(mux->mu);
+        mux->drained.wait(lock, [&] { return mux->inflight < cap; });
+        ++mux->inflight;
+      }
+      // Submit on the reader so same-session submission order equals
+      // frame arrival order (the strand executes in that order). The
+      // completion answers on whichever thread finishes the request —
+      // the strand, or this reader for an early rejection — and runs
+      // after every partial the strand streamed for it, so the terminal
+      // frame always trails its partials on the wire.
+      service_.Submit(
+          *std::move(service_request),
+          [mux, request_id, type = frame->type,
+           streamed](Result<ServiceResponse> result) {
+            WireResponse response = ToWireResponse(type, std::move(result));
+            response.request_id = request_id;
+            WriteResponse(mux.get(), response, streamed);
+            std::lock_guard<std::mutex> lock(mux->mu);
+            --mux->inflight;
+            mux->drained.notify_all();
+          });
     }
-    {
-      std::lock_guard<std::mutex> lock(mux.write_mu);
-      if (mux.broken) break;
-    }
+    std::lock_guard<std::mutex> lock(mux->mu);
+    if (mux->broken) break;
   }
 
-  // Teardown: stop reading, let the writers drain every dispatched
-  // future (accepted work always executes — and its partials/responses
-  // simply fail to write if the socket is gone), then hang up.
-  {
-    std::lock_guard<std::mutex> lock(queue_mu);
-    closed = true;
-  }
-  queue_cv.notify_all();
-  for (std::thread& writer : writers) writer.join();
+  // Teardown: stop reading and wait until every dispatched request has
+  // answered (accepted work always executes — its partials and response
+  // simply fail to write if the socket is gone), then hang up. The
+  // accept loop closes the fd once this thread has finished.
+  std::unique_lock<std::mutex> lock(mux->mu);
+  mux->drained.wait(lock, [&] { return mux->inflight == 0; });
   ::shutdown(fd, SHUT_RDWR);
 }
 
@@ -284,8 +284,7 @@ WireResponse PrivmarkDaemon::ExecuteOpen(const WireRequest& request) {
   response.kind = WireFrameType::kOpen;
   const WireOpenRequest& open = request.open;
 
-  auto context = std::make_shared<SessionContext>();
-  FrameworkConfig& config = context->config;
+  FrameworkConfig config;
   config.binning.k = static_cast<size_t>(open.k);
   config.binning.enforce_joint = open.enforce_joint;
   config.binning.encryption_passphrase = open.passphrase;
@@ -308,7 +307,6 @@ WireResponse PrivmarkDaemon::ExecuteOpen(const WireRequest& request) {
     response.status = metrics.status();
     return response;
   }
-  context->metrics = *metrics;
 
   SessionConfig session_config;
   session_config.policy = open.policy == 1 ? RebinPolicy::kRebinOnDrift
@@ -316,60 +314,15 @@ WireResponse PrivmarkDaemon::ExecuteOpen(const WireRequest& request) {
   session_config.drift_threshold = open.drift_threshold;
 
   SessionRecovery recovery;
-  response.status = service_.OpenSession(request.session, context->metrics,
+  response.status = service_.OpenSession(request.session, *std::move(metrics),
                                          config, session_config, &recovery);
   if (!response.status.ok()) return response;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sessions_[request.session] = std::move(context);
-  }
   response.open.recovered = recovery.recovered;
   response.open.batches_applied = recovery.batches_applied;
   response.open.epochs_sealed = recovery.epochs_sealed;
   response.open.tail_truncated = recovery.tail_truncated;
   response.open.emitted = std::move(recovery.emitted);
   return response;
-}
-
-WireResponse PrivmarkDaemon::FinishResponse(WireFrameType type,
-                                            const std::string& session,
-                                            Result<ServiceResponse> result) {
-  EpochManifestFn manifest_fn;
-  if (type == WireFrameType::kClose && result.ok()) {
-    std::shared_ptr<SessionContext> context;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = sessions_.find(session);
-      if (it != sessions_.end()) {
-        context = it->second;
-        sessions_.erase(it);
-      }
-    }
-    if (context == nullptr) {
-      // The service closed a session this daemon never opened — only
-      // possible if open raced shutdown; without its config the
-      // manifests cannot be rebuilt.
-      WireResponse response;
-      response.kind = type;
-      response.status = Status::InvalidArgument(
-          "daemon lost the session context for '" + session + "'");
-      response.threads_granted = 0;
-      return response;
-    }
-    // Serialize server-side: EpochRecord holds tree-pointer state that
-    // cannot cross the wire, but its manifest text can — and
-    // SerializeManifest is deterministic, so the client's file is
-    // byte-identical to a local run's.
-    manifest_fn = [this, context](
-                      const EpochRecord& epoch) -> Result<std::string> {
-      PRIVMARK_ASSIGN_OR_RETURN(
-          ProtectionManifest manifest,
-          ManifestFromEpoch(epoch, config_.schema, context->metrics,
-                            context->config));
-      return SerializeManifest(manifest);
-    };
-  }
-  return ToWireResponse(type, std::move(result), manifest_fn);
 }
 
 Status PrivmarkDaemon::Shutdown(int64_t deadline_ms) {
@@ -382,17 +335,19 @@ Status PrivmarkDaemon::Shutdown(int64_t deadline_ms) {
     connections.swap(connections_);
     accept_thread = std::move(accept_thread_);
   }
-  // Closing the listener fails the blocking accept; live connections
-  // get their sockets shut down so mid-read threads unblock.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Shutting the listener down fails the blocking accept; live
+  // connections get their sockets shut down so mid-read threads unblock.
+  // The listener is closed only after the accept loop is joined, so its
+  // fd number cannot be reused under a still-running accept.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   for (auto& connection : connections) {
     ::shutdown(connection->fd, SHUT_RDWR);
   }
   if (accept_thread.joinable()) accept_thread.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
   for (auto& connection : connections) {
     if (connection->thread.joinable()) connection->thread.join();
     ::close(connection->fd);

@@ -2,23 +2,36 @@
 // the wire protocol of service/wire.h so remote hospital streams reach
 // the service without linking it in-process.
 //
-// Execution model: one accept-loop thread, one reader thread per
-// connection (no event loop, no new dependencies). After the handshake
+// Execution model: one accept-loop thread and one reader thread per
+// connection (no event loop, no new dependencies); the daemon keeps no
+// other threads and no session state of its own. After the handshake
 // the reader decodes and submits pipelined requests as they arrive
 // (same-session order = submission order = the strand's execution
-// order) and a small lazily-grown writer pool completes their futures
-// and writes responses as they finish, in any order, demultiplexed by
+// order). Each request's response is encoded and written by whichever
+// thread completes it — normally the session's strand, right after it
+// executes the request — in any order across sessions, demultiplexed by
 // the echoed request_id. A streamed kFingerprint request's verdict
-// shards are written as kPartial frames from the executing strand,
-// before its terminal response. max_inflight_per_connection bounds
-// dispatched-but-unanswered requests; at the cap the reader stops
-// reading (TCP backpressure).
+// shards are written as kPartial frames from the same strand, before
+// its terminal response. A client that stops reading therefore stalls
+// only the strands writing to it, never a thread-admission grant (the
+// grant is released before the response is written). Close responses
+// carry the per-epoch manifests the service built from the session
+// itself.
 //
-// All writes on a connection — partials from strand threads, responses
-// from writer threads, inline open responses from the reader — serialize
-// on one write mutex, and response payloads are ENCODED under that mutex
-// too, so the table codec's dictionary mutation order always equals the
-// wire order the client's decoder replays.
+// max_inflight_per_connection bounds submitted-but-unanswered requests:
+// at the cap the reader stops reading (TCP backpressure). The same
+// counter is the connection's teardown barrier — the reader returns
+// only once every submitted request has answered — and the accept loop
+// reaps finished connections (joins the thread, closes the fd), so a
+// long-lived daemon holds fds and threads for live connections only.
+// An accept that fails for lack of fds or memory backs off and retries;
+// the loop ends only at Shutdown.
+//
+// All writes on a connection — partials and responses from strand
+// threads, inline open responses from the reader — serialize on one
+// mutex, and response payloads are ENCODED under that mutex too, so the
+// table codec's dictionary mutation order always equals the wire order
+// the client's decoder replays.
 //
 // Protocol errors (bad magic, malformed frame, unknown flags, a
 // kPartial/kResponse frame from a client, undecodable payload) are
@@ -37,9 +50,9 @@
 #ifndef PRIVMARK_SERVICE_DAEMON_H_
 #define PRIVMARK_SERVICE_DAEMON_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,9 +78,9 @@ struct DaemonConfig {
   Schema schema;
   std::function<Result<UsageMetrics>(const FrameworkConfig&)>
       metrics_for_config;
-  /// Cap on requests dispatched but not yet answered on one connection —
-  /// also the writer-pool bound. At the cap the reader stops reading
-  /// until a response drains. Clamped to >= 1.
+  /// Cap on requests submitted but not yet answered on one connection.
+  /// At the cap the reader stops reading until a response drains.
+  /// Clamped to >= 1.
   size_t max_inflight_per_connection = 32;
 };
 
@@ -102,46 +115,22 @@ class PrivmarkDaemon {
   PrivmarkService& service() { return service_; }
 
  private:
-  // Everything the daemon must remember about an open stream to answer
-  // its close (per-epoch manifests are built server-side).
-  struct SessionContext {
-    FrameworkConfig config;
-    UsageMetrics metrics;
-  };
-
   struct Connection {
     int fd = -1;
     std::thread thread;
-  };
-
-  // Shared write-side state of one connection: every frame write —
-  // and every response-payload ENCODE, so dictionary order equals wire
-  // order — happens under write_mu. `broken` latches the first write
-  // failure; later writes become no-ops (the reader tears down).
-  struct MuxConnection {
-    int fd = -1;
-    std::mutex write_mu;
-    WireTableEncoder encoder;      // guarded by write_mu
-    bool broken = false;           // guarded by write_mu
+    // Set by the connection thread as its last action; once true the
+    // join is instant and the connection is reapable.
+    std::atomic<bool> finished{false};
   };
 
   void AcceptLoop();
+  // Joins and closes finished connections. Requires mu_ held.
+  void ReapFinishedLocked();
   // Handshake, then the connection's read loop.
   void ServeConnection(int fd);
   // Builds and registers an opened stream. Never fails — errors travel
   // inside the response's status.
   WireResponse ExecuteOpen(const WireRequest& request);
-  // Builds the wire response for a completed service future: the
-  // convert-layer mapping plus the daemon's close-path manifest
-  // building (which consumes the SessionContext on success).
-  WireResponse FinishResponse(WireFrameType type, const std::string& session,
-                              Result<ServiceResponse> result);
-  // Encode + write under mux->write_mu. `streamed` selects the
-  // tails-only terminal payload of a streamed response.
-  void WriteResponse(MuxConnection* mux, uint64_t request_id,
-                     const WireResponse& response, bool streamed);
-  void WritePartial(MuxConnection* mux, uint64_t request_id,
-                    const FingerprintShard& shard);
 
   const DaemonConfig config_;
   PrivmarkService service_;
@@ -152,8 +141,6 @@ class PrivmarkDaemon {
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Connection>> connections_;  // guarded by mu_
-  std::map<std::string, std::shared_ptr<SessionContext>>
-      sessions_;             // guarded by mu_
   size_t accepted_ = 0;      // guarded by mu_
   bool shutdown_ = false;    // guarded by mu_
 };

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "core/journal.h"
@@ -58,7 +59,7 @@ const char* RequestKindToString(RequestKind kind) {
   return "Unknown";
 }
 
-bool ServiceQueue::Push(Item item) {
+bool ServiceQueue::Push(Item&& item) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return false;
@@ -98,11 +99,8 @@ size_t ServiceQueue::Abandon(const Status& status) {
     taken.swap(items_);
   }
   cv_.notify_all();
-  // Promises complete outside mu_: a waiter's continuation may call
-  // back into the queue.
-  for (Item& item : taken) {
-    item.done.set_value(Result<ServiceResponse>(status));
-  }
+  // Completions run outside mu_: one may call back into the queue.
+  for (Item& item : taken) item.done(Result<ServiceResponse>(status));
   return taken.size();
 }
 
@@ -127,6 +125,10 @@ Status PrivmarkService::OpenSession(const std::string& name,
   // eta, and a session that cannot flush must never be opened.
   if (config.key.eta == 0) {
     return Status::InvalidArgument("OpenSession: watermark key eta is 0");
+  }
+  // Likewise k: every flush would fail in MonoAttributeBin.
+  if (config.binning.k == 0) {
+    return Status::InvalidArgument("OpenSession: anonymity level k is 0");
   }
   // A NaN threshold compares false against every drift: the session
   // would silently never re-bin.
@@ -212,29 +214,37 @@ Status PrivmarkService::OpenSession(const std::string& name,
   return Status::OK();
 }
 
-ServiceFuture PrivmarkService::FailedFuture(Status status) {
-  std::promise<Result<ServiceResponse>> promise;
-  ServiceFuture future = promise.get_future();
-  promise.set_value(Result<ServiceResponse>(std::move(status)));
-  return future;
+void PrivmarkService::Submit(ServiceRequest request, ServiceCompletion done) {
+  Status rejected = Enqueue(std::move(request), &done);
+  if (!rejected.ok()) done(Result<ServiceResponse>(std::move(rejected)));
 }
 
 ServiceFuture PrivmarkService::Submit(ServiceRequest request) {
+  // shared_ptr: std::function needs a copyable callable.
+  auto promise = std::make_shared<std::promise<Result<ServiceResponse>>>();
+  ServiceFuture future = promise->get_future();
+  Submit(std::move(request), [promise](Result<ServiceResponse> result) {
+    promise->set_value(std::move(result));
+  });
+  return future;
+}
+
+Status PrivmarkService::Enqueue(ServiceRequest request,
+                                ServiceCompletion* done) {
   std::lock_guard<std::mutex> lock(mu_);
   if (shutdown_) {
-    return FailedFuture(
-        Status::InvalidArgument("Submit: service is shut down"));
+    return Status::InvalidArgument("Submit: service is shut down");
   }
   ReapFinishedLocked();
   auto it = strands_.find(request.session);
   if (it == strands_.end()) {
-    return FailedFuture(
-        Status::KeyError("Submit: unknown session '" + request.session + "'"));
+    return Status::KeyError("Submit: unknown session '" + request.session +
+                            "'");
   }
   Strand* strand = it->second.get();
   if (strand->closing) {
-    return FailedFuture(Status::InvalidArgument(
-        "Submit: session '" + request.session + "' is closed"));
+    return Status::InvalidArgument("Submit: session '" + request.session +
+                                   "' is closed");
   }
 
   const bool closes = request.kind == RequestKind::kCloseSession;
@@ -246,11 +256,10 @@ ServiceFuture PrivmarkService::Submit(ServiceRequest request) {
     if (depth >= config_.max_queue_depth) {
       // Crude service-time guess (~50ms/request) for the typed hint.
       const int64_t retry_after_ms = 50 * static_cast<int64_t>(depth);
-      return FailedFuture(
-          Status::ResourceExhausted("Submit: session '" + request.session +
-                                    "' queue is full (" +
-                                    std::to_string(depth) + " pending)")
-              .WithRetryAfterMs(retry_after_ms));
+      return Status::ResourceExhausted("Submit: session '" +
+                                       request.session + "' queue is full (" +
+                                       std::to_string(depth) + " pending)")
+          .WithRetryAfterMs(retry_after_ms);
     }
   }
   const int64_t deadline_ms = request.deadline_ms == kDeadlineFromConfig
@@ -258,15 +267,15 @@ ServiceFuture PrivmarkService::Submit(ServiceRequest request) {
                                   : request.deadline_ms;
   ServiceQueue::Item item;
   item.request = std::move(request);
+  item.done = std::move(*done);
   if (deadline_ms > 0) {
     item.has_deadline = true;
     item.deadline = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(deadline_ms);
   }
-  ServiceFuture future = item.done.get_future();
   if (!strand->queue.Push(std::move(item))) {
-    return FailedFuture(Status::InvalidArgument(
-        "Submit: session queue is closed"));
+    *done = std::move(item.done);  // Push left the item untouched
+    return Status::InvalidArgument("Submit: session queue is closed");
   }
   if (closes) {
     // Mark-then-close under mu_: every earlier Submit already queued, no
@@ -275,7 +284,7 @@ ServiceFuture PrivmarkService::Submit(ServiceRequest request) {
     strand->closing = true;
     strand->queue.Close();
   }
-  return future;
+  return Status::OK();
 }
 
 ServiceFuture PrivmarkService::ProtectBatch(const std::string& session,
@@ -329,20 +338,24 @@ ServiceFuture PrivmarkService::CloseSession(const std::string& session) {
 }
 
 void PrivmarkService::RunStrand(Strand* strand) {
-  ServiceQueue::Item item;
-  while (strand->queue.Pop(&item)) {
+  for (;;) {
+    // Scoped per request, so a completion's captures die with its
+    // request rather than waiting for the session's next one.
+    ServiceQueue::Item item;
+    if (!strand->queue.Pop(&item)) break;
     if (item.has_deadline &&
         std::chrono::steady_clock::now() >= item.deadline) {
       // Expired while queued: fail without executing. The session state
       // is untouched, so the stream stays byte-identical to a replay
       // that never submitted this request.
-      item.done.set_value(Result<ServiceResponse>(Status::DeadlineExceeded(
+      item.done(Result<ServiceResponse>(Status::DeadlineExceeded(
           std::string("request '") + RequestKindToString(item.request.kind) +
           "' spent its whole deadline queued; it was not executed")));
       continue;
     }
-    Result<ServiceResponse> result = Execute(strand, &item);
-    item.done.set_value(std::move(result));
+    // Execute has returned — and released the admission grant — before
+    // the completion runs.
+    item.done(Execute(strand, &item));
   }
   strand->finished.store(true, std::memory_order_release);
 }
@@ -374,6 +387,8 @@ Result<ServiceResponse> PrivmarkService::Execute(Strand* strand,
     response.stats.rows_emitted = session.rows_emitted();
     response.stats.rows_suppressed = session.rows_suppressed();
     response.stats.epochs = session.epochs();
+    PRIVMARK_ASSIGN_OR_RETURN(response.stats.manifests,
+                              SessionManifests(session));
     response.journal_status = session.journal_status();
     return response;
   }
@@ -440,7 +455,7 @@ Result<ServiceResponse> PrivmarkService::Execute(Strand* strand,
   } catch (const std::exception& e) {
     // The core library reports data-dependent failures as Status; an
     // exception here is a programming error surfaced by the pool. Turn
-    // it into a failed future rather than losing the strand.
+    // it into a failed result rather than losing the strand.
     return Status::InvalidArgument(std::string("request '") +
                                    RequestKindToString(request->kind) +
                                    "' threw: " + e.what());

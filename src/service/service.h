@@ -34,9 +34,9 @@
 //     grant reaches the agents through a ThreadPool lease whose reported
 //     worker count IS the grant, so they shard exactly that wide.
 //
-// Shutdown drains: once a request is accepted (its future exists), it
-// executes — Shutdown() closes intake, lets every strand drain its
-// queue, and joins. Accepted work is never dropped. The deadline form,
+// Shutdown drains: once a request is accepted (Submit did not reject
+// it), it executes — Shutdown() closes intake, lets every strand drain
+// its queue, and joins. Accepted work is never dropped. The deadline form,
 // Shutdown(deadline_ms), trades that guarantee for boundedness: when
 // the deadline passes, still-queued requests fail DeadlineExceeded
 // without executing (in-flight ones always finish — they cannot be
@@ -50,7 +50,7 @@
 // OpenSession finds an existing journal for the name and RECOVERS the
 // session from it — replaying the journaled stream to byte-identical
 // state — before accepting new requests; a crash between Submit and the
-// future's completion therefore costs at most the un-journaled tail of
+// request's completion therefore costs at most the un-journaled tail of
 // the in-flight batch.
 //
 // Overload control: per-request deadlines (deadline_ms, counted from
@@ -67,6 +67,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -77,6 +78,7 @@
 
 #include "common/parallel.h"
 #include "common/status.h"
+#include "core/manifest.h"
 #include "core/session.h"
 #include "service/admission.h"
 
@@ -121,9 +123,9 @@ struct ServiceRequest {
   std::shared_ptr<const KeyRegistry> registry;
   /// kDetectFingerprint only: when non-null, per-key-shard verdicts are
   /// streamed through this sink as each epoch's scan completes them, in
-  /// deterministic (epoch, shard) order, BEFORE the request's future
-  /// completes. The sink runs on the session's strand thread, so it must
-  /// not block on the request's own future. The concatenation of the
+  /// deterministic (epoch, shard) order, BEFORE the request's completion
+  /// runs. The sink runs on the session's strand thread, so it must not
+  /// block on the request's own result. The concatenation of the
   /// streamed shard verdicts is byte-identical to the final response's
   /// per-epoch FingerprintReport verdicts (fingerprint.h contract).
   FingerprintShardSink fingerprint_sink;
@@ -144,6 +146,9 @@ struct SessionStats {
   size_t rows_emitted = 0;
   size_t rows_suppressed = 0;
   std::vector<EpochRecord> epochs;
+  /// One manifest per entry of `epochs`, built from the session's own
+  /// schema, metrics and config (SessionManifests, core/manifest.h).
+  std::vector<ProtectionManifest> manifests;
 };
 
 /// \brief One request's result; `kind` says which member is meaningful.
@@ -167,9 +172,14 @@ struct ServiceResponse {
   Status journal_status;
 };
 
-/// \brief Future type every Submit returns; errors travel as the
-/// Result's Status (the service never throws across the future).
+/// \brief Future type the future-returning Submit returns; errors
+/// travel as the Result's Status (the service never throws across the
+/// future).
 using ServiceFuture = std::future<Result<ServiceResponse>>;
+
+/// \brief Receives one request's result (see PrivmarkService::Submit
+/// for when and where it runs).
+using ServiceCompletion = std::function<void(Result<ServiceResponse>)>;
 
 /// \brief Thread-safe FIFO of pending requests — one per session strand.
 ///
@@ -181,7 +191,7 @@ class ServiceQueue {
  public:
   struct Item {
     ServiceRequest request;
-    std::promise<Result<ServiceResponse>> done;
+    ServiceCompletion done;
     /// Absolute deadline, meaningful iff has_deadline: the strand fails
     /// the item without executing it when popped past this point.
     std::chrono::steady_clock::time_point deadline{};
@@ -189,7 +199,7 @@ class ServiceQueue {
   };
 
   /// \brief Enqueues; false iff the queue was closed (item untouched).
-  bool Push(Item item);
+  bool Push(Item&& item);
 
   /// \brief Blocks for the next item; false when closed *and* drained.
   bool Pop(Item* item);
@@ -197,8 +207,8 @@ class ServiceQueue {
   /// \brief Closes intake; queued items remain poppable.
   void Close();
 
-  /// \brief Closes intake AND fails every still-queued item's promise
-  /// with `status` (the deadline path of Shutdown). Returns how many
+  /// \brief Closes intake AND completes every still-queued item with
+  /// `status` (the deadline path of Shutdown). Returns how many
   /// items were failed. The item currently executing — already popped —
   /// is not affected.
   size_t Abandon(const Status& status);
@@ -268,7 +278,8 @@ class PrivmarkService {
   /// and for a closed name whose strand is still draining (retry; the
   /// name frees the moment the drain finishes — OpenSession never
   /// blocks the registry on another session's backlog). InvalidArgument
-  /// for a key with eta == 0, before anything is registered.
+  /// for a key with eta == 0 or a config with k == 0, before anything
+  /// is registered.
   ///
   /// With a journal_dir configured, the session is durable: a fresh
   /// name starts a new journal; a name whose journal already exists is
@@ -283,9 +294,23 @@ class PrivmarkService {
                      SessionConfig session = SessionConfig(),
                      SessionRecovery* recovery = nullptr);
 
-  /// \brief Enqueues one typed request; the future completes when the
-  /// session's strand has executed it. Unknown/closed session or a
-  /// shut-down service yields an already-failed future (never a throw).
+  /// \brief Enqueues one typed request; `done` receives its result.
+  ///
+  /// The completion contract: `done` runs exactly once, and never with
+  /// the service's registry lock held.
+  ///  - An early rejection (unknown or closed session, shut-down
+  ///    service, a full queue) runs it inline, before Submit returns.
+  ///  - An executed request runs it on the session's strand thread
+  ///    after Execute returns, so the request's admission grant is
+  ///    already released; the strand pops its next request only after
+  ///    `done` returns, so a slow completion delays its own session.
+  ///  - A request that expires while queued, or that Shutdown(deadline)
+  ///    abandons, runs it with DeadlineExceeded without executing.
+  /// A kDetectFingerprint request's sink calls all happen before `done`.
+  void Submit(ServiceRequest request, ServiceCompletion done);
+
+  /// \brief Submit with a future: completes when `done` would run.
+  /// Errors travel as the Result's Status (never a throw).
   ServiceFuture Submit(ServiceRequest request);
 
   // Typed conveniences over Submit().
@@ -350,7 +375,10 @@ class PrivmarkService {
   // every OpenSession/Submit so a long-lived service does not accumulate
   // retired sessions' state. Requires mu_ held.
   void ReapFinishedLocked();
-  static ServiceFuture FailedFuture(Status status);
+  // Submit's registry half: queues the request with `*done` moved into
+  // its item, or returns the rejection (leaving `*done` to the caller,
+  // which runs it after mu_ is released).
+  Status Enqueue(ServiceRequest request, ServiceCompletion* done);
 
   const ServiceConfig config_;
   AdmissionController admission_;

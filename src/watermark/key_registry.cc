@@ -16,29 +16,6 @@ constexpr char kMagicPrefix[] = "privmark-keys v";
 // binary blob handed to it by mistake (or on purpose).
 constexpr uint64_t kMaxKeyFileBytes = 1ull << 20;
 
-// Overflow-checked decimal parse for eta. std::stoull throws on overflow,
-// which would escape the Status-based error model as an exception from a
-// file read.
-Result<uint64_t> ParseEta(const std::string& value) {
-  if (value.empty()) {
-    return Status::InvalidArgument("key file: eta is empty");
-  }
-  uint64_t eta = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("key file: eta is not a number: " +
-                                     value);
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (eta > (UINT64_MAX - digit) / 10) {
-      return Status::InvalidArgument("key file: eta overflows uint64: " +
-                                     value);
-    }
-    eta = eta * 10 + digit;
-  }
-  return eta;
-}
-
 std::string RandomBytes(size_t count, Random* rng) {
   std::string bytes;
   bytes.reserve(count);
@@ -190,7 +167,8 @@ Result<KeyRegistry> KeyRegistry::Parse(const std::string& text) {
                                 BytesOfHex(value, "k2"));
       pending.has_k2 = true;
     } else if (key == "eta") {
-      PRIVMARK_ASSIGN_OR_RETURN(pending.entry.key.eta, ParseEta(value));
+      PRIVMARK_ASSIGN_OR_RETURN(pending.entry.key.eta,
+                                ParseDecimalU64(value, "key file: eta"));
       pending.has_eta = true;
     } else {
       return Status::InvalidArgument("key file: unknown key " + key);

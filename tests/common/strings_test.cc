@@ -67,5 +67,27 @@ TEST(FormatDoubleTest, FixedPrecision) {
   EXPECT_EQ(FormatDouble(2.5, 3), "2.500");
 }
 
+TEST(ParseDecimalU64Test, AcceptsDigitsUpTo2Pow64Minus1) {
+  EXPECT_EQ(*ParseDecimalU64("0", "n"), 0u);
+  EXPECT_EQ(*ParseDecimalU64("007", "n"), 7u);
+  EXPECT_EQ(*ParseDecimalU64("18446744073709551615", "n"), UINT64_MAX);
+}
+
+TEST(ParseDecimalU64Test, RejectsWithMessagesNamingTheField) {
+  auto message = [](const std::string& text) {
+    return ParseDecimalU64(text, "field 'n'").status().message();
+  };
+  EXPECT_EQ(message(""), "field 'n' is empty");
+  EXPECT_EQ(message("12a"), "field 'n' is not a number: 12a");
+  EXPECT_EQ(message("+5"), "field 'n' is not a number: +5");
+  EXPECT_EQ(message("-5"), "field 'n' is not a number: -5");
+  EXPECT_EQ(message(" 5"), "field 'n' is not a number:  5");
+  // 2^64: one past the largest value.
+  EXPECT_EQ(message("18446744073709551616"),
+            "field 'n' overflows: 18446744073709551616");
+  EXPECT_EQ(ParseDecimalU64("", "n").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace privmark

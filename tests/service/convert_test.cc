@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/manifest.h"
 #include "relation/schema.h"
 #include "relation/table.h"
 #include "watermark/key_registry.h"
@@ -228,7 +229,7 @@ TEST(ConvertResponseTest, IngestResultCopiesEveryField) {
   EXPECT_EQ(response.ingest.emitted.num_rows(), 2u);
 }
 
-TEST(ConvertResponseTest, CloseRunsTheManifestFnPerEpoch) {
+TEST(ConvertResponseTest, CloseSerializesEachEpochManifest) {
   ServiceResponse executed;
   executed.kind = RequestKind::kCloseSession;
   executed.stats.rows_ingested = 30;
@@ -238,35 +239,17 @@ TEST(ConvertResponseTest, CloseRunsTheManifestFnPerEpoch) {
   epoch.epoch = 1;
   epoch.rows_emitted = 28;
   executed.stats.epochs.push_back(epoch);
-  std::vector<uint64_t> seen;
+  ProtectionManifest manifest;
+  manifest.mark_bits = 16;
+  manifest.key_id = "clinic-a";
+  executed.stats.manifests.push_back(manifest);
   const WireResponse response = ToWireResponse(
-      WireFrameType::kClose, Result<ServiceResponse>(std::move(executed)),
-      [&seen](const EpochRecord& record) -> Result<std::string> {
-        seen.push_back(record.epoch);
-        return "manifest-for-" + std::to_string(record.epoch);
-      });
+      WireFrameType::kClose, Result<ServiceResponse>(std::move(executed)));
   ASSERT_TRUE(response.status.ok());
-  EXPECT_EQ(seen, (std::vector<uint64_t>{1}));
   ASSERT_EQ(response.close.epochs.size(), 1u);
-  EXPECT_EQ(response.close.epochs[0].manifest_text, "manifest-for-1");
+  EXPECT_EQ(response.close.epochs[0].manifest_text,
+            SerializeManifest(manifest));
   EXPECT_EQ(response.close.rows_ingested, 30u);
-}
-
-TEST(ConvertResponseTest, ManifestFailureBecomesAnErrorEnvelope) {
-  ServiceResponse executed;
-  executed.kind = RequestKind::kCloseSession;
-  executed.threads_granted = 1;
-  EpochRecord epoch;
-  epoch.epoch = 0;
-  executed.stats.epochs.push_back(epoch);
-  const WireResponse response = ToWireResponse(
-      WireFrameType::kClose, Result<ServiceResponse>(std::move(executed)),
-      [](const EpochRecord&) -> Result<std::string> {
-        return Status::IOError("manifest build failed");
-      });
-  EXPECT_FALSE(response.status.ok());
-  EXPECT_EQ(response.threads_granted, 0u);
-  EXPECT_TRUE(response.close.epochs.empty());
 }
 
 }  // namespace

@@ -9,13 +9,18 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -135,6 +140,17 @@ void ExpectStillServing(PrivmarkDaemon* daemon, const std::string& session) {
   EXPECT_TRUE(closed->status.ok());
 }
 
+// Entries of a /proc directory: /proc/self/fd counts open fds,
+// /proc/self/task counts threads.
+size_t CountEntries(const char* dir) {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
 // ---- happy path -----------------------------------------------------------
 
 TEST(DaemonTest, FullLifecycleOverTheWire) {
@@ -218,6 +234,38 @@ TEST(DaemonTest, ZeroEtaOpenIsRefusedAndTheConnectionKeepsServing) {
       << refused->status.ToString();
 
   // Same connection: a valid session opens, ingests and flushes.
+  auto open = client.Call(OpenRequest("ward"));
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  ASSERT_TRUE(open->status.ok()) << open->status.ToString();
+  WireRequest ingest;
+  ingest.type = WireFrameType::kIngest;
+  ingest.session = "ward";
+  ingest.table = env.dataset->table.Clone();
+  auto ingested = client.Call(ingest);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  ASSERT_TRUE(ingested->status.ok()) << ingested->status.ToString();
+  WireRequest flush;
+  flush.type = WireFrameType::kFlush;
+  flush.session = "ward";
+  auto flushed = client.Call(flush);
+  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+  ASSERT_TRUE(flushed->status.ok()) << flushed->status.ToString();
+  EXPECT_EQ(flushed->flush.emitted.num_rows(), kRows);
+  EXPECT_TRUE(env.daemon->Shutdown().ok());
+}
+
+TEST(DaemonTest, ZeroKOpenIsRefusedAndTheConnectionKeepsServing) {
+  Env env = StartDaemon();
+  DaemonClient client(MedicalSchema());
+  ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
+  WireRequest zero = OpenRequest("ward");
+  zero.open.k = 0;
+  auto refused = client.Call(zero);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->status.code(), StatusCode::kInvalidArgument)
+      << refused->status.ToString();
+
+  // Same connection, same name: a valid session opens and flushes.
   auto open = client.Call(OpenRequest("ward"));
   ASSERT_TRUE(open.ok()) << open.status().ToString();
   ASSERT_TRUE(open->status.ok()) << open->status.ToString();
@@ -568,6 +616,99 @@ TEST(DaemonMultiplexTest, PipelinedCallsCompleteAndMatchTheirIds) {
     EXPECT_EQ(response->request_id, calls[i].request_id());
   }
   EXPECT_TRUE(env.daemon->Shutdown().ok());
+}
+
+TEST(DaemonMultiplexTest, PipelinedIngestsLeaveNoThreadsBehind) {
+  Env env = StartDaemon();
+  DaemonClient client(MedicalSchema());
+  ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok());
+  auto open = client.Call(OpenRequest("window"));
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  ASSERT_TRUE(open->status.ok()) << open->status.ToString();
+  const size_t threads_after_open = CountEntries("/proc/self/task");
+
+  // A full in-flight window of ingests on one connection. Responses are
+  // written by the threads that complete the requests, so answering
+  // them must not leave any thread behind.
+  const Table batch = env.dataset->table.Slice(0, 40);
+  std::vector<DaemonClient::PendingCall> calls;
+  for (size_t i = 0; i < DaemonConfig().max_inflight_per_connection; ++i) {
+    WireRequest ingest;
+    ingest.type = WireFrameType::kIngest;
+    ingest.session = "window";
+    ingest.table = batch.Clone();
+    auto call = client.CallAsync(ingest);
+    ASSERT_TRUE(call.ok()) << call.status().ToString();
+    calls.push_back(*std::move(call));
+  }
+  for (DaemonClient::PendingCall& call : calls) {
+    auto response = call.Wait();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->status.ok()) << response->status.ToString();
+  }
+  EXPECT_EQ(CountEntries("/proc/self/task"), threads_after_open);
+  EXPECT_TRUE(env.daemon->Shutdown().ok());
+}
+
+// ---- connection lifetime ---------------------------------------------------
+
+TEST(DaemonTest, FinishedConnectionsAreReaped) {
+  Env env = StartDaemon();
+  const size_t fds_before = CountEntries("/proc/self/fd");
+  const size_t threads_before = CountEntries("/proc/self/task");
+  for (int i = 0; i < 500; ++i) {
+    DaemonClient client(MedicalSchema());
+    ASSERT_TRUE(client.Connect("127.0.0.1", env.daemon->port()).ok()) << i;
+  }
+  // Each accept reaps the connections that finished before it; only the
+  // last few may still be winding down.
+  EXPECT_LE(CountEntries("/proc/self/fd"), fds_before + 16);
+  EXPECT_LE(CountEntries("/proc/self/task"), threads_before + 16);
+  ExpectStillServing(env.daemon.get(), "after-churn");
+  EXPECT_TRUE(env.daemon->Shutdown().ok());
+  EXPECT_EQ(env.daemon->connections_accepted(), 501u);
+}
+
+// The body of AcceptSurvivesFdExhaustion, run in a forked child so the
+// lowered fd limit dies with it. Returns 0 on success, else the number
+// of the step that failed.
+int HandshakeAfterFdExhaustion() {
+  Env env = StartDaemon();
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 1;
+  limit.rlim_cur = CountEntries("/proc/self/fd") + 8;
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return 2;
+  // Take every free fd, then give one back for the client's socket: the
+  // daemon's accept of that connection fails with EMFILE.
+  std::vector<int> hogs;
+  for (int fd; (fd = ::dup(STDERR_FILENO)) >= 0;) hogs.push_back(fd);
+  if (errno != EMFILE || hogs.empty()) return 3;
+  ::close(hogs.back());
+  hogs.pop_back();
+  const int fd = RawConnect(env.daemon->port());
+  if (fd < 0) return 4;
+  // Without a retrying accept loop the echo never comes: time out
+  // instead of hanging.
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int hog : hogs) ::close(hog);
+  if (!WriteFullySocket(fd, kWireMagic, kWireMagicSize)) return 5;
+  char echo[kWireMagicSize];
+  if (!ReadFullySocket(fd, echo, sizeof(echo))) return 6;
+  if (std::memcmp(echo, kWireMagic, kWireMagicSize) != 0) return 7;
+  return 0;
+}
+
+TEST(DaemonTest, AcceptSurvivesFdExhaustion) {
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0) << std::strerror(errno);
+  if (pid == 0) ::_exit(HandshakeAfterFdExhaustion());
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child did not exit normally";
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "child failed at step " << WEXITSTATUS(status);
 }
 
 // ---- shutdown -------------------------------------------------------------

@@ -218,6 +218,26 @@ TEST(PrivmarkServiceTest, ZeroEtaIsRefusedAtOpen) {
   EXPECT_EQ(flushed->epoch.outcome.watermarked.num_rows(), kRows);
 }
 
+TEST(PrivmarkServiceTest, ZeroKIsRefusedAtOpen) {
+  Env env = MakeEnv();
+  PrivmarkService service;
+  FrameworkConfig zero_k = env.config;
+  zero_k.binning.k = 0;
+  const Status refused = service.OpenSession("ward", env.metrics, zero_k);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+      << refused.ToString();
+  EXPECT_EQ(service.num_sessions(), 0u);
+
+  // The name was never taken: a valid open and flush still work.
+  ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
+  ASSERT_TRUE(service.ProtectBatch("ward", env.dataset->table.Clone())
+                  .get()
+                  .ok());
+  auto flushed = service.Flush("ward").get();
+  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+  EXPECT_EQ(flushed->epoch.outcome.watermarked.num_rows(), kRows);
+}
+
 TEST(PrivmarkServiceTest, ProtectFlushDetectMatchesDirectSession) {
   Env env = MakeEnv();
   // Serial reference: the same request sequence straight on a session.
