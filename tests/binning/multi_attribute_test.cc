@@ -6,53 +6,10 @@
 
 #include "binning/mono_attribute.h"
 #include "common/parallel.h"
+#include "testing/multi_attribute_fixtures.h"
 
 namespace privmark {
 namespace {
-
-// Two tiny trees for a 2-QI-column table, mirroring the paper's example of
-// ages and roles each k-anonymous alone but not in combination.
-DomainHierarchy AgeTree() {
-  return BuildNumericHierarchy("age", {0, 25, 50, 75, 100}).ValueOrDie();
-}
-
-DomainHierarchy RoleTree() {
-  return HierarchyBuilder::FromOutline("role", R"(Person
-  Doctor
-  Nurse)").ValueOrDie();
-}
-
-Schema TwoQiSchema() {
-  Schema schema;
-  EXPECT_TRUE(schema.AddColumn({"id", ColumnRole::kIdentifying,
-                                ValueType::kString}).ok());
-  EXPECT_TRUE(schema.AddColumn({"age", ColumnRole::kQuasiNumeric,
-                                ValueType::kInt64}).ok());
-  EXPECT_TRUE(schema.AddColumn({"role", ColumnRole::kQuasiCategorical,
-                                ValueType::kString}).ok());
-  return schema;
-}
-
-Table MakeTable(const std::vector<std::pair<int, std::string>>& rows) {
-  Table t(TwoQiSchema());
-  int id = 0;
-  for (const auto& [age, role] : rows) {
-    EXPECT_TRUE(t.AppendRow({Value::String("id" + std::to_string(id++)),
-                             Value::Int64(age), Value::String(role)}).ok());
-  }
-  return t;
-}
-
-// A table where each attribute alone is 4-anonymous but the combination is
-// not: 4 young doctors + 4 old nurses + ... crossing cells of size 2.
-Table CrossedTable() {
-  std::vector<std::pair<int, std::string>> rows;
-  for (int i = 0; i < 2; ++i) rows.push_back({10, "Doctor"});
-  for (int i = 0; i < 2; ++i) rows.push_back({10, "Nurse"});
-  for (int i = 0; i < 2; ++i) rows.push_back({60, "Doctor"});
-  for (int i = 0; i < 2; ++i) rows.push_back({60, "Nurse"});
-  return MakeTable(rows);
-}
 
 TEST(IsJointlyKAnonymousTest, DetectsViolations) {
   DomainHierarchy age = AgeTree();
@@ -163,9 +120,7 @@ TEST(MultiBinTest, RejectsInconsistentBounds) {
 
 TEST(MultiBinTest, ExhaustiveCapTriggers) {
   // A wider tree so enumeration explodes past a tiny cap.
-  auto age = BuildNumericHierarchy(
-                 "age", {0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-                 .ValueOrDie();
+  DomainHierarchy age = DecadeAgeTree();
   DomainHierarchy role = RoleTree();
   std::vector<std::pair<int, std::string>> rows;
   for (int a = 5; a < 100; a += 10) {
@@ -186,16 +141,9 @@ TEST(MultiBinTest, ExhaustiveCapTriggers) {
 }
 
 TEST(MultiBinTest, GreedyHandlesWiderProblem) {
-  auto age = BuildNumericHierarchy(
-                 "age", {0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-                 .ValueOrDie();
+  DomainHierarchy age = DecadeAgeTree();
   DomainHierarchy role = RoleTree();
-  std::vector<std::pair<int, std::string>> rows;
-  for (int a = 5; a < 100; a += 10) {
-    for (int i = 0; i < 3; ++i) rows.push_back({a, "Doctor"});
-    rows.push_back({a, "Nurse"});
-  }
-  const Table table = MakeTable(rows);
+  const Table table = WiderTable();
   const std::vector<GeneralizationSet> minimal = {
       GeneralizationSet::AllLeaves(&age), GeneralizationSet::AllLeaves(&role)};
   const std::vector<GeneralizationSet> maximal = {
@@ -218,16 +166,9 @@ TEST(MultiBinTest, ParallelCandidateSearchMatchesSerial) {
   // Both strategies must pick the same chosen generalization — same
   // ultimate nodes, candidate count, and loss — for any worker count
   // (candidate verdicts merge in candidate order).
-  auto age = BuildNumericHierarchy(
-                 "age", {0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-                 .ValueOrDie();
+  DomainHierarchy age = DecadeAgeTree();
   DomainHierarchy role = RoleTree();
-  std::vector<std::pair<int, std::string>> rows;
-  for (int a = 5; a < 100; a += 10) {
-    for (int i = 0; i < 3; ++i) rows.push_back({a, "Doctor"});
-    rows.push_back({a, "Nurse"});
-  }
-  const Table table = MakeTable(rows);
+  const Table table = WiderTable();
   const std::vector<GeneralizationSet> minimal = {
       GeneralizationSet::AllLeaves(&age), GeneralizationSet::AllLeaves(&role)};
   const std::vector<GeneralizationSet> maximal = {
