@@ -4,14 +4,15 @@
 #      then a crypto-only rerun with UBSan findings made fatal
 #      (halt_on_error) so misaligned loads in the multi-buffer SHA-1
 #      backends or either AES-128 backend fail the job instead of
-#      merely printing
+#      merely printing, and the same for the joint-search suites (the
+#      bin counter's key shifts and table probes)
 #   2. Debug + thread sanitizer over the parallel-labeled suites (pool
 #      substrate incl. concurrent submission/leases, binning,
 #      watermarking, sessions, the service and daemon suites, failure
 #      injection, the concurrent_hospitals smoke test), plus the full 20k
 #      parallel-equivalence property suite, the thread-exercising
-#      streaming-equivalence tests (session ingest and the parallel
-#      joint-binning candidate search; the serial-only replay/drift
+#      streaming-equivalence tests (session ingest and joint binning
+#      under a pooled agent; the serial-only replay/drift
 #      cases run in the Release job), and the 100-connection daemon
 #      loopback soak (slow-labeled, so invoked directly)
 #   3. Release with failpoints compiled in (everything, incl. the
@@ -48,6 +49,16 @@ echo "=== Crypto kernels under UBSan (alignment findings made fatal) ==="
  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
  ctest --output-on-failure -j "${JOBS}" \
    -R 'Sha1|Md5|KeyedHash|HashAlgorithm|Aes')
+
+echo "=== Joint search under UBSan (findings made fatal) ==="
+# The joint search's bin counter builds flat-table keys as
+# (prefix bin id << 32) | node and probes with masked index arithmetic;
+# halt_on_error turns any shift or overflow finding there into a hard
+# failure. Covers the multi-attribute suite and its golden digests.
+(cd build-asan && \
+ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+ ctest --output-on-failure -j "${JOBS}" \
+   -R 'MultiBinTest|IsJointlyKAnonymousTest|MultiAttributeGoldenTest')
 
 echo "=== Fault injection under ASan (three fixed seeds) ==="
 # Debug builds compile failpoints in; the seed feeds the probabilistic

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <set>
-#include <unordered_map>
 
 #include "common/parallel.h"
 
@@ -11,52 +10,91 @@ namespace privmark {
 
 namespace {
 
-// Per-row leaf ids for one column (computed once; generalizations change,
-// leaves do not). When the caller already holds an EncodedView, its column
-// is borrowed instead of re-resolving cells.
-Result<std::vector<NodeId>> RowLeaves(const Table& table, size_t column,
-                                      const DomainHierarchy& tree) {
-  std::vector<NodeId> leaves(table.num_rows());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    PRIVMARK_ASSIGN_OR_RETURN(leaves[r], tree.LeafForValue(table.at(r, column)));
+// Resolves every row's node in one column: `gen` applied to its leaf.
+Status ResolveColumn(const std::vector<NodeId>& leaves,
+                     const GeneralizationSet& gen, std::vector<NodeId>* out) {
+  out->resize(leaves.size());
+  for (size_t r = 0; r < leaves.size(); ++r) {
+    PRIVMARK_ASSIGN_OR_RETURN((*out)[r], gen.NodeForLeaf(leaves[r]));
   }
-  return leaves;
+  return Status::OK();
 }
 
-// Bins are only scanned for < k violations and point-queried, so hashed
-// (unordered) grouping is free speed.
-using BinSizeMap =
-    std::unordered_map<std::vector<NodeId>, size_t, NodeVectorHash>;
-
-// Groups rows by their generalization-node vector; returns bin sizes keyed
-// by the node vector. Columns are borrowed (pointers), matching how the
-// search holds a caller's EncodedView without copying it. With a pool the
-// rows shard contiguously into per-shard maps folded in shard order —
-// integer sums, so the merged map's contents equal the serial map's (and
-// callers only point-query or scan it, never depend on bucket order).
-Result<BinSizeMap> BinSizes(
-    const std::vector<const std::vector<NodeId>*>& row_leaves,
-    const std::vector<GeneralizationSet>& gens, ThreadPool* pool = nullptr) {
-  if (row_leaves.empty()) return BinSizeMap{};
-  const size_t num_rows = row_leaves[0]->size();
-  return ParallelReduce<BinSizeMap>(
-      pool, num_rows, BinSizeMap{},
-      [&](size_t, size_t begin, size_t end) -> Result<BinSizeMap> {
-        BinSizeMap local;
-        std::vector<NodeId> key(gens.size());
-        for (size_t r = begin; r < end; ++r) {
-          for (size_t c = 0; c < gens.size(); ++c) {
-            PRIVMARK_ASSIGN_OR_RETURN(key[c],
-                                      gens[c].NodeForLeaf((*row_leaves[c])[r]));
-          }
-          ++local[key];
+// Groups rows into joint bins one column at a time. After column c a row's
+// bin id is the dense id of the pair (its bin id after column c - 1, its
+// node in column c), found in a flat open-addressing table keyed by
+// (prefix id << 32) | node. Bin ids stay below the row count (< 2^32), so
+// a key never outgrows 64 bits whatever the column count or tree depth. A
+// reused counter keeps its buffers, so a search allocates them once.
+class BinCounter {
+ public:
+  // Bins rows by their per-column nodes (row_nodes[c][r]). No columns
+  // means no bins.
+  void Count(const std::vector<std::vector<NodeId>>& row_nodes) {
+    sizes_.clear();
+    if (row_nodes.empty()) return;
+    const size_t num_rows = row_nodes[0].size();
+    size_t capacity = 16;
+    int shift = 60;  // hash >> shift indexes `capacity` slots
+    while (capacity < 2 * num_rows) {
+      capacity *= 2;
+      --shift;
+    }
+    slot_keys_.resize(capacity);
+    slot_bins_.resize(capacity);
+    bin_of_row_.assign(num_rows, 0);
+    uint32_t num_bins = 0;
+    for (const std::vector<NodeId>& nodes : row_nodes) {
+      std::fill(slot_keys_.begin(), slot_keys_.end(), kEmptySlot);
+      num_bins = 0;
+      for (size_t r = 0; r < num_rows; ++r) {
+        const uint64_t key = (uint64_t{bin_of_row_[r]} << 32) |
+                             static_cast<uint32_t>(nodes[r]);
+        size_t slot = (key * 0x9E3779B97F4A7C15ull) >> shift;
+        while (slot_keys_[slot] != key && slot_keys_[slot] != kEmptySlot) {
+          slot = (slot + 1) & (capacity - 1);
         }
-        return local;
-      },
-      [](BinSizeMap* acc, BinSizeMap&& local) {
-        for (auto& [key, count] : local) (*acc)[key] += count;
-      });
-}
+        if (slot_keys_[slot] == kEmptySlot) {
+          slot_keys_[slot] = key;
+          slot_bins_[slot] = num_bins++;
+        }
+        bin_of_row_[r] = slot_bins_[slot];
+      }
+    }
+    sizes_.assign(num_bins, 0);
+    for (uint32_t bin : bin_of_row_) ++sizes_[bin];
+  }
+
+  // Bins rows by the nodes `gens` assign their leaves.
+  Status Count(const EncodedView& leaves,
+               const std::vector<GeneralizationSet>& gens) {
+    nodes_.resize(gens.size());
+    for (size_t c = 0; c < gens.size(); ++c) {
+      PRIVMARK_RETURN_NOT_OK(
+          ResolveColumn(leaves.column(c).ids(), gens[c], &nodes_[c]));
+    }
+    Count(nodes_);
+    return Status::OK();
+  }
+
+  bool AllBinsAtLeast(size_t k) const {
+    return std::all_of(sizes_.begin(), sizes_.end(),
+                       [k](uint32_t size) { return size >= k; });
+  }
+
+  // Rows sharing row r's bin.
+  size_t BinSizeOfRow(size_t r) const { return sizes_[bin_of_row_[r]]; }
+
+ private:
+  // Real keys carry a non-negative NodeId in their low half, never ~0u.
+  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
+
+  std::vector<std::vector<NodeId>> nodes_;  // scratch for the gens form
+  std::vector<uint64_t> slot_keys_;
+  std::vector<uint32_t> slot_bins_;
+  std::vector<uint32_t> bin_of_row_;
+  std::vector<uint32_t> sizes_;  // rows per bin id
+};
 
 double TotalSpecificityLoss(const std::vector<GeneralizationSet>& gens) {
   double total = 0;
@@ -68,8 +106,7 @@ double TotalSpecificityLoss(const std::vector<GeneralizationSet>& gens) {
 struct MergeStep {
   size_t column;
   NodeId parent;
-  size_t members_merged;   // how many current members the step removes
-  double delta_loss;       // specificity-loss increase
+  double delta_loss;         // specificity-loss increase
   size_t violating_covered;  // rows in sub-k bins whose node is under parent
 };
 
@@ -79,22 +116,19 @@ Result<bool> IsJointlyKAnonymous(const Table& table,
                                  const std::vector<size_t>& qi_columns,
                                  const std::vector<GeneralizationSet>& gens,
                                  size_t k) {
-  std::vector<std::vector<NodeId>> owned;
-  owned.reserve(qi_columns.size());
-  std::vector<const std::vector<NodeId>*> row_leaves;
-  row_leaves.reserve(qi_columns.size());
-  for (size_t c = 0; c < qi_columns.size(); ++c) {
-    PRIVMARK_ASSIGN_OR_RETURN(
-        std::vector<NodeId> leaves,
-        RowLeaves(table, qi_columns[c], *gens[c].tree()));
-    owned.push_back(std::move(leaves));
-    row_leaves.push_back(&owned.back());
+  if (gens.size() != qi_columns.size()) {
+    return Status::InvalidArgument(
+        "IsJointlyKAnonymous: " + std::to_string(gens.size()) +
+        " generalizations for " + std::to_string(qi_columns.size()) +
+        " quasi-identifying columns");
   }
-  PRIVMARK_ASSIGN_OR_RETURN(auto bins, BinSizes(row_leaves, gens));
-  for (const auto& [key, size] : bins) {
-    if (size < k) return false;
-  }
-  return true;
+  std::vector<const DomainHierarchy*> trees;
+  for (const GeneralizationSet& gen : gens) trees.push_back(gen.tree());
+  PRIVMARK_ASSIGN_OR_RETURN(EncodedView leaves,
+                            EncodedView::Leaves(table, qi_columns, trees));
+  BinCounter bins;
+  PRIVMARK_RETURN_NOT_OK(bins.Count(leaves, gens));
+  return bins.AllBinsAtLeast(k);
 }
 
 Result<MultiBinningResult> MultiAttributeBin(
@@ -119,59 +153,45 @@ Result<MultiBinningResult> MultiAttributeBin(
     }
   }
 
-  if (view != nullptr && view->num_columns() != num_cols) {
-    return Status::InvalidArgument(
-        "MultiAttributeBin: encoded view covers " +
-        std::to_string(view->num_columns()) + " columns, expected " +
-        std::to_string(num_cols));
-  }
-
-  // Per-column row leaves: borrowed by pointer from the caller's encoded
-  // view when available (no copies), resolved once into `owned` otherwise.
-  std::vector<std::vector<NodeId>> owned;
-  owned.reserve(num_cols);
-  std::vector<const std::vector<NodeId>*> row_leaves;
-  row_leaves.reserve(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) {
-    if (view != nullptr) {
+  // Row leaves: the caller's encoded view when given (no copies),
+  // resolved once otherwise.
+  EncodedView owned;
+  if (view != nullptr) {
+    if (view->num_columns() != num_cols) {
+      return Status::InvalidArgument(
+          "MultiAttributeBin: encoded view covers " +
+          std::to_string(view->num_columns()) + " columns, expected " +
+          std::to_string(num_cols));
+    }
+    // A view of no columns reports no rows; there is nothing to misread.
+    if (num_cols > 0 && view->num_rows() != table.num_rows()) {
+      return Status::InvalidArgument(
+          "MultiAttributeBin: encoded view covers " +
+          std::to_string(view->num_rows()) + " rows, table has " +
+          std::to_string(table.num_rows()));
+    }
+    for (size_t c = 0; c < num_cols; ++c) {
       if (view->column(c).tree() != minimal[c].tree()) {
         return Status::InvalidArgument(
             "MultiAttributeBin: encoded view column " + std::to_string(c) +
             " uses a different tree than its minimal nodes");
       }
-      row_leaves.push_back(&view->column(c).ids());
-      continue;
     }
-    PRIVMARK_ASSIGN_OR_RETURN(
-        std::vector<NodeId> leaves,
-        RowLeaves(table, qi_columns[c], *minimal[c].tree()));
-    owned.push_back(std::move(leaves));
-    row_leaves.push_back(&owned.back());
+  } else {
+    std::vector<const DomainHierarchy*> trees;
+    for (const GeneralizationSet& gen : minimal) trees.push_back(gen.tree());
+    PRIVMARK_ASSIGN_OR_RETURN(owned,
+                              EncodedView::Leaves(table, qi_columns, trees));
+    view = &owned;
   }
+  const EncodedView& leaves = *view;
 
-  // Row-sharded variant for the top-level checks; candidate-sharded code
-  // paths below pass no pool of their own (ThreadPool::Run is fork-join
-  // and not reentrant), keeping exactly one parallel dimension per stage.
-  auto jointly_k_anonymous_on =
-      [&](const std::vector<GeneralizationSet>& gens,
-          ThreadPool* check_pool) -> Result<bool> {
-    PRIVMARK_ASSIGN_OR_RETURN(auto bins,
-                              BinSizes(row_leaves, gens, check_pool));
-    for (const auto& [key, size] : bins) {
-      if (size < options.k) return false;
-    }
-    return true;
-  };
-  auto jointly_k_anonymous =
-      [&](const std::vector<GeneralizationSet>& gens) -> Result<bool> {
-    return jointly_k_anonymous_on(gens, pool);
-  };
-
+  BinCounter bins;
   MultiBinningResult result;
 
   // Fast path: the minimal nodes may already be jointly k-anonymous.
-  PRIVMARK_ASSIGN_OR_RETURN(bool min_ok, jointly_k_anonymous(minimal));
-  if (min_ok) {
+  PRIVMARK_RETURN_NOT_OK(bins.Count(leaves, minimal));
+  if (bins.AllBinsAtLeast(options.k)) {
     result.ultimate = minimal;
     result.candidates_considered = 1;
     result.already_satisfied = true;
@@ -180,8 +200,8 @@ Result<MultiBinningResult> MultiAttributeBin(
   }
 
   // The data is binnable only if the all-maximal combination works.
-  PRIVMARK_ASSIGN_OR_RETURN(bool max_ok, jointly_k_anonymous(maximal));
-  if (!max_ok) {
+  PRIVMARK_RETURN_NOT_OK(bins.Count(leaves, maximal));
+  if (!bins.AllBinsAtLeast(options.k)) {
     return Status::Unbinnable(
         "even the maximal generalization nodes are not jointly " +
         std::to_string(options.k) + "-anonymous; the data is not binnable "
@@ -218,8 +238,8 @@ Result<MultiBinningResult> MultiAttributeBin(
     // serial pruning rule (k-check only on a strict loss improvement), so
     // its winner is the earliest minimal-loss valid candidate of its
     // range; strict-< folding then picks the earliest global one — the
-    // exact candidate the serial odometer loop selects. The k-checks
-    // inside a shard run serially (one parallel dimension: candidates).
+    // exact candidate the serial odometer loop selects. Each shard counts
+    // bins with its own scratch counter.
     struct ShardBest {
       double loss = std::numeric_limits<double>::infinity();
       std::vector<GeneralizationSet> gens;
@@ -230,6 +250,7 @@ Result<MultiBinningResult> MultiAttributeBin(
             pool, combo_count, ShardBest{},
             [&](size_t, size_t begin, size_t end) -> Result<ShardBest> {
               ShardBest local;
+              BinCounter shard_bins;
               // Mixed-radix decomposition of the start index (column 0 is
               // the fastest-advancing digit, as in the serial loop).
               std::vector<size_t> odometer(num_cols, 0);
@@ -245,9 +266,8 @@ Result<MultiBinningResult> MultiAttributeBin(
                 }
                 const double loss = TotalSpecificityLoss(candidate);
                 if (loss < local.loss) {
-                  PRIVMARK_ASSIGN_OR_RETURN(
-                      bool ok, jointly_k_anonymous_on(candidate, nullptr));
-                  if (ok) {
+                  PRIVMARK_RETURN_NOT_OK(shard_bins.Count(leaves, candidate));
+                  if (shard_bins.AllBinsAtLeast(options.k)) {
                     local.loss = loss;
                     local.gens = candidate;
                   }
@@ -273,45 +293,33 @@ Result<MultiBinningResult> MultiAttributeBin(
   }
 
   // Greedy strategy: start at the minimal nodes; while some bin is smaller
-  // than k, apply the parent-merge with the best
-  // (violating-rows-covered / specificity-loss) ratio.
+  // than k, apply the parent-merge with the best (violating-rows-covered /
+  // specificity-loss) ratio. Per-row nodes carry across steps (a merge
+  // rewrites only its column) and a candidate's violating rows sum a
+  // per-node histogram, so a step costs O(rows * columns): too little work
+  // to fork-join, so the greedy search runs serially.
   std::vector<GeneralizationSet> current = minimal;
+  std::vector<std::vector<NodeId>> row_nodes(num_cols);
+  std::vector<std::vector<size_t>> violating(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    PRIVMARK_RETURN_NOT_OK(
+        ResolveColumn(leaves.column(c).ids(), current[c], &row_nodes[c]));
+  }
   for (;;) {
-    PRIVMARK_ASSIGN_OR_RETURN(auto bins, BinSizes(row_leaves, current, pool));
-    // Per-row current nodes and per-row violation flags. Rows shard
-    // contiguously; every row's slots are written by exactly one shard.
-    const size_t num_rows = table.num_rows();
-    std::vector<std::vector<NodeId>> row_nodes(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) row_nodes[c].resize(num_rows);
-    PRIVMARK_RETURN_NOT_OK(ParallelFor(
-        pool, num_rows, [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t c = 0; c < num_cols; ++c) {
-            for (size_t r = begin; r < end; ++r) {
-              PRIVMARK_ASSIGN_OR_RETURN(
-                  row_nodes[c][r], current[c].NodeForLeaf((*row_leaves[c])[r]));
-            }
-          }
-          return Status::OK();
-        }));
-    std::vector<char> violating(num_rows, 0);
+    bins.Count(row_nodes);
+    // violating[c][n]: rows in sub-k bins whose column-c node is n.
     size_t num_violating = 0;
-    {
-      std::vector<NodeId> key(num_cols);
-      for (size_t r = 0; r < num_rows; ++r) {
-        for (size_t c = 0; c < num_cols; ++c) key[c] = row_nodes[c][r];
-        if (bins.at(key) < options.k) {
-          violating[r] = 1;
-          ++num_violating;
-        }
-      }
+    for (size_t c = 0; c < num_cols; ++c) {
+      violating[c].assign(current[c].tree()->num_nodes(), 0);
+    }
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      if (bins.BinSizeOfRow(r) >= options.k) continue;
+      ++num_violating;
+      for (size_t c = 0; c < num_cols; ++c) ++violating[c][row_nodes[c][r]];
     }
     if (num_violating == 0) break;
 
-    // Enumerate candidate merge steps. Eligibility and the cheap
-    // per-member counts stay serial; the expensive per-candidate
-    // violating-row scans fan out over the candidates, each writing only
-    // its own pre-sized slot, so the step list is identical to the serial
-    // one in content and order.
+    // Enumerate candidate merge steps in (column, parent) order.
     std::vector<MergeStep> steps;
     for (size_t c = 0; c < num_cols; ++c) {
       const DomainHierarchy& tree = *current[c].tree();
@@ -332,33 +340,22 @@ Result<MultiBinningResult> MultiAttributeBin(
                                   maximal[c].NodeForLeaf(first_leaf));
         if (!tree.IsAncestorOrSelf(max_cover, p)) continue;
 
+        // Every row's node is a member, so the rows under p are the rows
+        // of the members p merges.
         size_t members_merged = 0;
+        size_t covered = 0;
         for (NodeId member : current[c].nodes()) {
-          if (tree.IsAncestorOrSelf(p, member)) ++members_merged;
+          if (tree.IsAncestorOrSelf(p, member)) {
+            ++members_merged;
+            covered += violating[c][member];
+          }
         }
         const double n_leaves = static_cast<double>(tree.Leaves().size());
         steps.push_back(MergeStep{
-            c, p, members_merged,
-            static_cast<double>(members_merged - 1) / n_leaves, 0});
+            c, p, static_cast<double>(members_merged - 1) / n_leaves,
+            covered});
       }
     }
-    PRIVMARK_RETURN_NOT_OK(ParallelFor(
-        pool, steps.size(), [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t s = begin; s < end; ++s) {
-            MergeStep& step = steps[s];
-            const DomainHierarchy& tree = *current[step.column].tree();
-            size_t covered = 0;
-            for (size_t r = 0; r < num_rows; ++r) {
-              if (violating[r] &&
-                  tree.IsAncestorOrSelf(step.parent,
-                                        row_nodes[step.column][r])) {
-                ++covered;
-              }
-            }
-            step.violating_covered = covered;
-          }
-          return Status::OK();
-        }));
     if (steps.empty()) {
       return Status::Unbinnable(
           "greedy multi-attribute binning ran out of merge steps before "
@@ -394,6 +391,9 @@ Result<MultiBinningResult> MultiAttributeBin(
     PRIVMARK_ASSIGN_OR_RETURN(
         current[best->column],
         GeneralizationSet::Create(&tree, std::move(next_nodes)));
+    PRIVMARK_RETURN_NOT_OK(ResolveColumn(leaves.column(best->column).ids(),
+                                         current[best->column],
+                                         &row_nodes[best->column]));
     ++result.candidates_considered;
   }
 

@@ -33,7 +33,8 @@ enum class SearchStrategy {
   /// Fig. 7 verbatim: enumerate every allowable combination. Exponential;
   /// guarded by max_enumerations.
   kExhaustive,
-  /// Greedy bottom-up merging; near-minimal loss at O(steps * table scans).
+  /// Greedy bottom-up merging; near-minimal loss at O(rows * columns) per
+  /// merge step.
   kGreedy,
 };
 
@@ -71,14 +72,14 @@ struct MultiBinningResult {
 /// \param view optional pre-encoded leaf view of the table's qi_columns
 ///        (parallel to them); when given, the search reuses it instead of
 ///        re-resolving every cell through the label index.
-/// \param pool optional worker pool for the candidate search. Candidates
-///        are independent, so they evaluate in parallel and the verdicts
-///        merge in candidate order: kGreedy fans out the per-candidate
-///        violating-row scans (and shards the row-grouping passes),
-///        kExhaustive shards the enumeration index space with per-shard
-///        bests folded in shard order. The chosen generalization,
-///        candidates_considered, and loss are identical to the serial
-///        search for any worker count.
+/// \param pool optional worker pool for kExhaustive, which shards the
+///        enumeration index space and folds per-shard bests in shard
+///        order; the chosen generalization, candidates_considered, and loss
+///        are identical to the serial search for any worker count. kGreedy
+///        ignores it: one merge step is too little work to fork-join.
+///
+/// InvalidArgument if `view` covers other columns or a different row count
+/// than `table`.
 Result<MultiBinningResult> MultiAttributeBin(
     const Table& table, const std::vector<size_t>& qi_columns,
     const std::vector<GeneralizationSet>& minimal,
@@ -90,7 +91,8 @@ Result<MultiBinningResult> MultiAttributeBin(
 /// table jointly k-anonymous; exposed for tests and the framework report.
 ///
 /// Rows are mapped through each column's generalization and grouped; every
-/// group must have >= k rows.
+/// group must have >= k rows. InvalidArgument unless `gens` is parallel to
+/// `qi_columns`.
 Result<bool> IsJointlyKAnonymous(const Table& table,
                                  const std::vector<size_t>& qi_columns,
                                  const std::vector<GeneralizationSet>& gens,

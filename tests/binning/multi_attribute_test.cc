@@ -26,6 +26,40 @@ TEST(IsJointlyKAnonymousTest, DetectsViolations) {
   EXPECT_TRUE(*IsJointlyKAnonymous(table, {1, 2}, roots, 8));
 }
 
+TEST(IsJointlyKAnonymousTest, RejectsGeneralizationCountMismatch) {
+  DomainHierarchy age = AgeTree();
+  const Table table = CrossedTable();
+  const std::vector<GeneralizationSet> one = {
+      GeneralizationSet::AllLeaves(&age)};
+  const auto result = IsJointlyKAnonymous(table, {1, 2}, one, 2);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MultiBinTest, RejectsViewWithDifferentRowCount) {
+  // The search walks the view's leaves and the table's rows together, so a
+  // view of another row count must be refused, not read past its end.
+  DomainHierarchy age = AgeTree();
+  DomainHierarchy role = RoleTree();
+  const Table table = CrossedTable();  // 8 rows
+  const std::vector<GeneralizationSet> minimal = {
+      GeneralizationSet::AllLeaves(&age), GeneralizationSet::AllLeaves(&role)};
+  const std::vector<GeneralizationSet> maximal = {
+      GeneralizationSet::RootOnly(&age), GeneralizationSet::RootOnly(&role)};
+  MultiBinningOptions options;
+  options.k = 4;
+  const Table half = table.Slice(0, 4);
+  const EncodedView half_view =
+      EncodedView::Leaves(half, {1, 2}, {&age, &role}).ValueOrDie();
+  const auto shorter =
+      MultiAttributeBin(table, {1, 2}, minimal, maximal, options, &half_view);
+  EXPECT_EQ(shorter.status().code(), StatusCode::kInvalidArgument);
+  const EncodedView full_view =
+      EncodedView::Leaves(table, {1, 2}, {&age, &role}).ValueOrDie();
+  const auto longer =
+      MultiAttributeBin(half, {1, 2}, minimal, maximal, options, &full_view);
+  EXPECT_EQ(longer.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(MultiBinTest, AlreadySatisfiedFastPath) {
   DomainHierarchy age = AgeTree();
   DomainHierarchy role = RoleTree();

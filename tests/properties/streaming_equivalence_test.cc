@@ -14,8 +14,8 @@
 //     across thread counts.
 //  3. Drift-mode epochs: each emitted epoch independently satisfies
 //     per-attribute k-anonymity and detects its own mark.
-//  4. Joint-binning candidate search: the pool-parallel MultiAttributeBin
-//     chooses the same generalization as the serial search on the 20k
+//  4. Joint binning: MultiAttributeBin under a pooled binning agent
+//     chooses the same generalization as the serial agent on the 20k
 //     dataset.
 
 #include <gtest/gtest.h>
@@ -330,9 +330,8 @@ TEST(StreamingEquivalenceTest, DriftEpochsSatisfyKAndDetectTheirMarks) {
 }
 
 TEST(StreamingEquivalenceTest, JointParallelCandidateSearchMatchesSerial) {
-  // The acceptance criterion for the joint-binning fan-out: on the 20k
-  // dataset, the pool-parallel MultiAttributeBin candidate search (driven
-  // through the binning agent) picks the same generalization as serial.
+  // On the 20k dataset, a pooled binning agent's joint search picks the
+  // same generalization as the serial agent's, and writes the same table.
   Fixture& f = SharedFixture();
   const UsageMetrics unconstrained =
       UnconstrainedMetrics(f.dataset->trees());
