@@ -5,7 +5,9 @@
 #      (halt_on_error) so misaligned loads in the multi-buffer SHA-1
 #      backends or either AES-128 backend fail the job instead of
 #      merely printing, and the same for the joint-search suites (the
-#      bin counter's key shifts and table probes)
+#      bin counter's key shifts and table probes), then the parser
+#      suites (wire, convert, journal, manifest, key registry, CSV,
+#      adversarial input) under a 1 GiB ASan allocation cap
 #   2. Debug + thread sanitizer over the parallel-labeled suites (pool
 #      substrate incl. concurrent submission/leases, binning,
 #      watermarking, sessions, the service and daemon suites, failure
@@ -59,6 +61,22 @@ echo "=== Joint search under UBSan (findings made fatal) ==="
  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
  ctest --output-on-failure -j "${JOBS}" \
    -R 'MultiBinTest|IsJointlyKAnonymousTest|MultiAttributeGoldenTest')
+
+echo "=== Parser suites under an ASan allocation cap ==="
+# Every hand-written decoder must size its allocations from bytes it has
+# checked, never from a count it was sent. max_allocation_size_mb makes
+# any single allocation above 1 GiB fail, and allocator_may_return_null=0
+# makes that failure an abort rather than a bad_alloc a test could
+# swallow, so such a decoder fails here on every host, whatever its
+# overcommit setting. The suites' largest honest allocation is the
+# 256 MiB + 1 oversized-frame case, well under the cap.
+for suite in service_wire_test service_convert_test core_journal_test \
+    core_manifest_test core_manifest_adversarial_test \
+    watermark_key_registry_test relation_csv_test \
+    relation_adversarial_input_test properties_csv_property_test; do
+  ASAN_OPTIONS="max_allocation_size_mb=1024:allocator_may_return_null=0" \
+    "./build-asan/tests/${suite}"
+done
 
 echo "=== Fault injection under ASan (three fixed seeds) ==="
 # Debug builds compile failpoints in; the seed feeds the probabilistic

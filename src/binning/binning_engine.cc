@@ -134,41 +134,35 @@ Result<Table> MaterializeProtected(
 Result<BinningOutcome> BinningAgent::Run(const Table& input) const {
   PRIVMARK_ASSIGN_OR_RETURN(RunSetup setup,
                             SetupFor(input.schema(), metrics_));
-
   // One pool for every row-sharded stage of this run; nullptr means the
   // plain serial code path. A caller-owned config pool is reused as-is.
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = PoolOrMake(config_.pool, config_.num_threads, &owned);
-
-  // Count-accumulation phase. Encode every quasi-identifying column to
-  // leaf NodeIds exactly once — everything until materialization (both
-  // binning phases, suppression, information loss) runs on these integer
-  // columns — then roll the per-node counts up. A streaming session runs
-  // this phase per arriving batch and merges the CountStates instead.
+  // Encode every quasi-identifying column to leaf NodeIds exactly once —
+  // everything until materialization (both binning phases, suppression,
+  // information loss) runs on these integer columns.
   PRIVMARK_ASSIGN_OR_RETURN(
       EncodedView view,
       EncodedView::Leaves(input, setup.qi_columns, setup.trees, pool));
-  PRIVMARK_ASSIGN_OR_RETURN(CountState counts,
-                            CountState::FromView(setup.trees, view, pool));
   return RunImpl(input, setup.ident_column, setup.qi_columns, setup.trees,
-                 std::move(view), counts, pool);
+                 view, pool);
 }
 
-Result<BinningOutcome> BinningAgent::RunWithState(
-    const Table& input, EncodedView view, const CountState& counts) const {
+Result<BinningOutcome> BinningAgent::Run(const Table& input,
+                                         const EncodedView& view) const {
   PRIVMARK_ASSIGN_OR_RETURN(RunSetup setup,
                             SetupFor(input.schema(), metrics_));
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = PoolOrMake(config_.pool, config_.num_threads, &owned);
   return RunImpl(input, setup.ident_column, setup.qi_columns, setup.trees,
-                 std::move(view), counts, pool);
+                 view, pool);
 }
 
 Result<BinningOutcome> BinningAgent::RunImpl(
     const Table& input, size_t ident_col,
     const std::vector<size_t>& qi_columns,
-    const std::vector<const DomainHierarchy*>& trees, EncodedView view,
-    const CountState& counts, ThreadPool* pool) const {
+    const std::vector<const DomainHierarchy*>& trees, const EncodedView& view,
+    ThreadPool* pool) const {
   const Schema& schema = input.schema();
   if (view.num_columns() != qi_columns.size()) {
     return Status::InvalidArgument(
@@ -176,20 +170,18 @@ Result<BinningOutcome> BinningAgent::RunImpl(
         std::to_string(view.num_columns()) + " columns, schema has " +
         std::to_string(qi_columns.size()) + " quasi-identifying");
   }
-  if (counts.num_columns() != qi_columns.size()) {
-    return Status::InvalidArgument(
-        "BinningAgent: count state covers " +
-        std::to_string(counts.num_columns()) + " columns, schema has " +
-        std::to_string(qi_columns.size()) + " quasi-identifying");
-  }
+  // Per-node counts of the rows being binned (leaf histograms plus the
+  // subtree roll-up), counted once from the view.
+  PRIVMARK_ASSIGN_OR_RETURN(CountState counts,
+                            CountState::FromView(trees, view, pool));
   const size_t effective_k = config_.k + config_.epsilon;
 
   BinningOutcome outcome;
   outcome.qi_columns = qi_columns;
 
   // Bin-selection phase 1: mono-attribute binning per column (Fig. 5),
-  // downward from the maximal generalization nodes over the accumulated
-  // counts. The search never touches rows — only the count state.
+  // downward from the maximal generalization nodes over the counts. The
+  // search never touches rows — only the counts.
   MonoBinningOptions mono_options = config_.mono;
   mono_options.k = effective_k;
   std::vector<size_t> rows_to_suppress;
@@ -217,15 +209,13 @@ Result<BinningOutcome> BinningAgent::RunImpl(
     outcome.minimal.push_back(std::move(mono.minimal));
   }
 
-  // The table the later phases operate on: the input itself, or — after
-  // suppression — a reduced copy. The encoded view is filtered in lock
-  // step so downstream phases never re-resolve cells, and the count state
-  // is adjusted by subtracting the removed rows' counts (exact integer
-  // arithmetic: counts(all) - counts(removed) == counts(kept)).
+  // The rows the later phases operate on: the input itself, or — after
+  // suppression — a reduced copy with its encoded view filtered in lock
+  // step, so downstream phases never re-resolve cells.
   const Table* working = &input;
+  const EncodedView* working_view = &view;
   Table reduced;
-  CountState adjusted_counts;
-  const CountState* selection_counts = &counts;
+  EncodedView reduced_view;
   if (!rows_to_suppress.empty()) {
     std::vector<char> keep(input.num_rows(), 1);
     for (size_t r : rows_to_suppress) keep[r] = 0;
@@ -238,35 +228,30 @@ Result<BinningOutcome> BinningAgent::RunImpl(
     // listed once per column above but must be counted once.
     outcome.suppressed_rows = input.num_rows() - reduced.num_rows();
     working = &reduced;
-    std::vector<char> removed(input.num_rows(), 0);
-    for (size_t r = 0; r < input.num_rows(); ++r) removed[r] = !keep[r];
-    PRIVMARK_ASSIGN_OR_RETURN(EncodedView removed_view,
-                              view.Filtered(removed));
-    PRIVMARK_ASSIGN_OR_RETURN(
-        CountState removed_counts,
-        CountState::FromView(trees, removed_view, pool));
-    adjusted_counts = counts;
-    PRIVMARK_RETURN_NOT_OK(adjusted_counts.Subtract(removed_counts));
-    selection_counts = &adjusted_counts;
-    PRIVMARK_ASSIGN_OR_RETURN(view, view.Filtered(keep));
-    // Redo mono-attribute binning on the reduced counts: suppression can
-    // only shrink counts, but minimal nodes must reflect the final data.
+    PRIVMARK_ASSIGN_OR_RETURN(reduced_view, view.Filtered(keep));
+    working_view = &reduced_view;
+    // Redo mono-attribute binning on the kept rows' counts: suppression
+    // can only shrink counts, but minimal nodes must reflect the final
+    // data.
+    PRIVMARK_ASSIGN_OR_RETURN(counts,
+                              CountState::FromView(trees, reduced_view, pool));
     outcome.minimal.clear();
     for (size_t c = 0; c < qi_columns.size(); ++c) {
       PRIVMARK_ASSIGN_OR_RETURN(
           MonoBinningResult mono,
-          MonoAttributeBinCounts(metrics_.maximal[c],
-                                 selection_counts->column(c), mono_options));
+          MonoAttributeBinCounts(metrics_.maximal[c], counts.column(c),
+                                 mono_options));
       outcome.minimal.push_back(std::move(mono.minimal));
     }
   }
 
   // Mono-phase information loss (Fig. 11 series 1), measured over the
-  // materialized rows (the view), not the historical count state.
+  // materialized rows.
   for (size_t c = 0; c < qi_columns.size(); ++c) {
     PRIVMARK_ASSIGN_OR_RETURN(
-        double loss, ColumnInfoLossEncoded(view.column(c), outcome.minimal[c],
-                                           pool));
+        double loss,
+        ColumnInfoLossEncoded(working_view->column(c), outcome.minimal[c],
+                              pool));
     outcome.mono_column_loss.push_back(loss);
   }
   outcome.mono_normalized_loss = NormalizedInfoLoss(outcome.mono_column_loss);
@@ -280,7 +265,8 @@ Result<BinningOutcome> BinningAgent::RunImpl(
     PRIVMARK_ASSIGN_OR_RETURN(
         MultiBinningResult multi,
         MultiAttributeBin(*working, qi_columns, outcome.minimal,
-                          metrics_.maximal, multi_options, &view, pool));
+                          metrics_.maximal, multi_options, working_view,
+                          pool));
     outcome.ultimate = std::move(multi.ultimate);
     outcome.candidates_considered = multi.candidates_considered;
   } else {
@@ -291,7 +277,7 @@ Result<BinningOutcome> BinningAgent::RunImpl(
   for (size_t c = 0; c < qi_columns.size(); ++c) {
     PRIVMARK_ASSIGN_OR_RETURN(
         double loss,
-        ColumnInfoLossEncoded(view.column(c), outcome.ultimate[c],
+        ColumnInfoLossEncoded(working_view->column(c), outcome.ultimate[c],
                               pool));
     outcome.multi_column_loss.push_back(loss);
   }
@@ -304,7 +290,7 @@ Result<BinningOutcome> BinningAgent::RunImpl(
   PRIVMARK_ASSIGN_OR_RETURN(
       outcome.binned,
       MaterializeProtected(*working, qi_columns, ident_col, outcome.ultimate,
-                           view, cipher, pool, &outcome.bin_nodes));
+                           *working_view, cipher, pool, &outcome.bin_nodes));
   return outcome;
 }
 

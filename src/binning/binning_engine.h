@@ -108,26 +108,19 @@ class BinningAgent {
   /// The input table must have exactly one identifying column and
   /// quasi-identifying columns matching the metrics (count and order).
   ///
-  /// Equivalent to the count-accumulation phase (encode + CountState) over
-  /// the whole table followed by RunWithState — the incremental session
-  /// runs those phases itself, per arriving batch.
+  /// Encodes the quasi-identifier columns once, then runs
+  /// Run(input, view).
   Result<BinningOutcome> Run(const Table& input) const;
 
-  /// \brief Bin-selection + materialization over pre-accumulated count
-  /// state — the incremental-session entry point.
-  ///
-  /// \param input the rows to bin and materialize (a flush buffer)
-  /// \param view `input`'s encoded quasi-identifier columns
-  /// \param counts per-column counts to select generalizations from. For a
-  ///        one-shot run these are exactly `input`'s counts and the result
-  ///        is byte-identical to Run(input); a session may pass counts
-  ///        accumulated over *more* rows than `input`, selecting
-  ///        generalizations from the whole history while materializing
-  ///        only the buffered batch. Suppression (kSuppress) subtracts the
-  ///        dropped rows' counts before re-selecting, so the adjusted
-  ///        state stays exact.
-  Result<BinningOutcome> RunWithState(const Table& input, EncodedView view,
-                                      const CountState& counts) const;
+  /// \brief Bins rows whose quasi-identifier columns are already encoded
+  /// — the session's flush entry point, which encodes each batch on
+  /// arrival. `view` must be `input`'s encoded quasi-identifier columns;
+  /// the run counts it once (CountState::FromView) and selects
+  /// generalizations from those counts, so the result is byte-identical
+  /// to Run(input). Suppression (kSuppress) recounts the kept rows before
+  /// re-selecting.
+  Result<BinningOutcome> Run(const Table& input,
+                             const EncodedView& view) const;
 
   const BinningConfig& config() const { return config_; }
   const UsageMetrics& metrics() const { return metrics_; }
@@ -136,7 +129,7 @@ class BinningAgent {
   Result<BinningOutcome> RunImpl(const Table& input, size_t ident_column,
                                  const std::vector<size_t>& qi_columns,
                                  const std::vector<const DomainHierarchy*>& trees,
-                                 EncodedView view, const CountState& counts,
+                                 const EncodedView& view,
                                  ThreadPool* pool) const;
 
   UsageMetrics metrics_;

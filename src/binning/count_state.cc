@@ -68,32 +68,4 @@ Status CountState::Merge(const CountState& other) {
   return Status::OK();
 }
 
-Status CountState::Subtract(const CountState& other) {
-  if (trees_ != other.trees_) {
-    return Status::InvalidArgument(
-        "CountState::Subtract: states cover different trees");
-  }
-  if (other.num_rows_ > num_rows_) {
-    return Status::InvalidArgument(
-        "CountState::Subtract: removing " + std::to_string(other.num_rows_) +
-        " rows from a state holding " + std::to_string(num_rows_));
-  }
-  // Validate before mutating so a bad subtrahend leaves the state intact.
-  for (size_t c = 0; c < counts_.size(); ++c) {
-    for (size_t i = 0; i < counts_[c].size(); ++i) {
-      if (other.counts_[c][i] > counts_[c][i]) {
-        return Status::InvalidArgument(
-            "CountState::Subtract: node count would go negative");
-      }
-    }
-  }
-  for (size_t c = 0; c < counts_.size(); ++c) {
-    std::vector<size_t>& acc = counts_[c];
-    const std::vector<size_t>& sub = other.counts_[c];
-    for (size_t i = 0; i < acc.size(); ++i) acc[i] -= sub[i];
-  }
-  num_rows_ -= other.num_rows_;
-  return Status::OK();
-}
-
 }  // namespace privmark

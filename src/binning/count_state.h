@@ -1,23 +1,20 @@
-// Mergeable per-column tuple-count state — the substrate of incremental
-// (batch/streaming) binning.
+// Per-column tuple-count state: the substrate of bin selection.
 //
 // CountPerNode produces, for one column, the full per-node histogram of a
 // tree: direct counts at the leaves, subtree sums at interior nodes. Both
 // layers are linear in the rows, so the counts of a concatenation of row
 // batches equal the elementwise sum of the batches' counts — exactly, in
 // integers. CountState packages one such histogram per quasi-identifying
-// column together with that Merge: a protection session counts each
-// arriving batch once (sharded, see CountPerNode's pool form) and folds it
-// in, and the accumulated state is byte-identical to counting all rows in
-// one pass. Merging in batch-arrival order mirrors PR 3's shard-order
-// merge discipline — the same "partial results fold on one thread, in a
-// deterministic order" rule, lifted from shards within a run to batches
-// across a session.
+// column together with that Merge.
+//
+// A flush counts its rows once: the binning agent builds the state with
+// FromView over the encoded rows it is about to bin (a session's buffered
+// view of its whole flush window), and recounts the kept rows after
+// suppression. Merge and Zero remain for callers that fold counts batch
+// by batch; the result equals one FromView over all the rows.
 //
 // Bin selection (MonoAttributeBinCounts, the downward GenMinNd search)
-// consumes these vectors directly, which is what splits the binning engine
-// into a count-accumulation phase (incremental, mergeable) and a
-// bin-selection phase (cheap, run at flush time).
+// consumes these vectors directly, so the search never touches rows.
 
 #ifndef PRIVMARK_BINNING_COUNT_STATE_H_
 #define PRIVMARK_BINNING_COUNT_STATE_H_
@@ -39,11 +36,12 @@ class CountState {
  public:
   CountState() = default;
 
-  /// \brief All-zero state over `trees` (the empty-session starting point).
+  /// \brief All-zero state over `trees` (the start of a batch-by-batch
+  /// fold).
   static Result<CountState> Zero(
       const std::vector<const DomainHierarchy*>& trees);
 
-  /// \brief Counts of one batch: per column, the leaf histogram of the
+  /// \brief Counts of a set of rows: per column, the leaf histogram of the
   /// encoded ids plus the interior subtree roll-up (CountPerNode). The
   /// view must hold one column per tree, in the same order.
   static Result<CountState> FromView(
@@ -52,16 +50,8 @@ class CountState {
 
   /// \brief Folds another state in: elementwise integer sums per column.
   /// InvalidArgument unless `other` covers the same trees. Exact for any
-  /// merge order; sessions merge in batch-arrival order for the same
-  /// deterministic-fold discipline the shard merges use.
+  /// merge order.
   Status Merge(const CountState& other);
-
-  /// \brief Removes another state's counts: elementwise subtraction.
-  /// `other` must cover the same trees and be a sub-multiset (every count
-  /// <= this state's; InvalidArgument otherwise). Suppression uses this to
-  /// drop removed rows from accumulated state without recounting history:
-  /// counts(all) - counts(removed) == counts(kept), exactly.
-  Status Subtract(const CountState& other);
 
   size_t num_columns() const { return counts_.size(); }
 

@@ -1,6 +1,5 @@
 #include "core/framework.h"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string_view>
@@ -92,16 +91,10 @@ Result<std::vector<AttributeSeamlessness>> MeasureSeamlessness(
   return rows;
 }
 
-Result<size_t> ConservativeEpsilon(const Table& binned,
-                                   const std::vector<size_t>& qi_columns,
-                                   size_t wmd_size) {
-  if (binned.num_rows() == 0) return size_t{0};
-  size_t largest = 0;
-  for (const Bin& bin : binned.GroupBy(qi_columns)) {
-    largest = std::max(largest, bin.size());
-  }
-  const double s = static_cast<double>(largest);
-  const double total = static_cast<double>(binned.num_rows());
+size_t ConservativeEpsilon(size_t largest_bin, size_t rows, size_t wmd_size) {
+  if (rows == 0) return 0;
+  const double s = static_cast<double>(largest_bin);
+  const double total = static_cast<double>(rows);
   return static_cast<size_t>(
       std::ceil(s / total * static_cast<double>(wmd_size)));
 }

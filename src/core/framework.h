@@ -117,11 +117,11 @@ Result<std::vector<AttributeSeamlessness>> MeasureSeamlessness(
     const Table& binned, const Table& watermarked,
     const std::vector<size_t>& qi_columns, size_t k);
 
-/// \brief Sec. 6's conservative epsilon: ceil((s / S) * wmd_size) with s
-/// the largest joint bin and S the table size.
-Result<size_t> ConservativeEpsilon(const Table& binned,
-                                   const std::vector<size_t>& qi_columns,
-                                   size_t wmd_size);
+/// \brief Sec. 6's conservative epsilon: ceil((s / S) * wmd_size) with
+/// s = `largest_bin`, the size of the binned table's largest bin, and
+/// S = `rows`, its size; 0 for an empty table. A flush reads s from its
+/// bins' NodeIds (BinningOutcome::bin_nodes).
+size_t ConservativeEpsilon(size_t largest_bin, size_t rows, size_t wmd_size);
 
 }  // namespace privmark
 

@@ -36,15 +36,45 @@ std::vector<std::vector<size_t>> BinHistograms(const BinningOutcome& binning) {
   return counts;
 }
 
+// Rows per joint bin, keyed by the ultimate NodeIds of every
+// quasi-identifying column in qi-column order — the NodeId form of
+// grouping the binned table by all its quasi-identifier columns.
+std::unordered_map<std::vector<NodeId>, size_t, NodeVectorHash> JointBinSizes(
+    const BinningOutcome& binning) {
+  std::unordered_map<std::vector<NodeId>, size_t, NodeVectorHash> sizes;
+  std::vector<NodeId> key(binning.bin_nodes.size());
+  for (size_t r = 0; r < binning.binned.num_rows(); ++r) {
+    for (size_t c = 0; c < key.size(); ++c) key[c] = binning.bin_nodes[c][r];
+    ++sizes[key];
+  }
+  return sizes;
+}
+
+// Sec. 6's s: the largest joint bin in joint mode, otherwise the largest
+// single-column bin over every column. Labels are unique within a tree,
+// so this equals grouping the binned table by its label strings.
+size_t LargestBin(const BinningOutcome& binning, bool joint) {
+  size_t largest = 0;
+  if (joint) {
+    for (const auto& [key, size] : JointBinSizes(binning)) {
+      largest = std::max(largest, size);
+    }
+    return largest;
+  }
+  for (const std::vector<size_t>& column : BinHistograms(binning)) {
+    for (const size_t size : column) largest = std::max(largest, size);
+  }
+  return largest;
+}
+
 // Per-attribute epoch-k enforcement: drop rows of sub-k bins per column,
 // iterating because a dropped row shrinks its bins in *other* columns.
 // Counts are built once over the rows' bin NodeIds; each round judges
 // every surviving row against the current counts, then decrements the
-// victims' bins — the same counts(all) - counts(removed) discipline
-// CountState::Subtract uses, so rounds cost O(rows x columns) array
-// lookups instead of a recount. Converges (rows only ever decrease) and
-// is deterministic (victims are chosen per round from a fixed snapshot,
-// in row order). The bin NodeIds are filtered in lock step with the
+// victims' bins (counts(all) - counts(removed) == counts(kept)), so
+// rounds cost O(rows x columns) array lookups instead of a recount.
+// Converges (rows only ever decrease) and is deterministic (victims are
+// chosen per round from a fixed snapshot, in row order). The bin NodeIds are filtered in lock step with the
 // table, so they keep describing the surviving rows.
 size_t EnforceEpochK(BinningOutcome* binning, size_t k) {
   std::vector<std::vector<NodeId>>& nodes = binning->bin_nodes;
@@ -193,7 +223,6 @@ Status ProtectionSession::InitSchema(const Schema& schema) {
   for (const GeneralizationSet& gs : metrics_.maximal) {
     trees_.push_back(gs.tree());
   }
-  PRIVMARK_ASSIGN_OR_RETURN(counts_, CountState::Zero(trees_));
   schema_ = schema;
   buffer_ = Table(schema);
   buffer_view_ = EncodedView();
@@ -214,11 +243,9 @@ Result<IngestResult> ProtectionSession::Ingest(const Table& batch) {
     PRIVMARK_RETURN_NOT_OK(journal_->AppendBatch(batch));
   }
 
-  // Count-accumulation phase, per batch: encode once, roll counts up,
-  // fold into the session state (exact integer merge — the accumulated
-  // state equals a one-shot count of every row seen). A frozen
-  // kFreezeBins session can never flush again, so its accumulated counts
-  // are dead state — skip the histogram work and emit straight away.
+  // Encode once per batch. A frozen kFreezeBins session can never flush
+  // again, so its batches emit straight away; every other batch buffers
+  // toward the next flush, which counts the buffered view.
   PRIVMARK_ASSIGN_OR_RETURN(
       EncodedView view,
       EncodedView::Leaves(batch, qi_columns_, trees_, pool()));
@@ -226,9 +253,6 @@ Result<IngestResult> ProtectionSession::Ingest(const Table& batch) {
   if (live_.has_value() && session_.policy == RebinPolicy::kFreezeBins) {
     return EmitFrozen(batch, view);
   }
-  PRIVMARK_ASSIGN_OR_RETURN(CountState batch_counts,
-                            CountState::FromView(trees_, view, pool()));
-  PRIVMARK_RETURN_NOT_OK(counts_.Merge(batch_counts));
 
   // Buffer toward the next flush.
   for (size_t r = 0; r < batch.num_rows(); ++r) {
@@ -295,13 +319,7 @@ ProtectionSession::LiveEpoch ProtectionSession::SnapshotEpoch(
   // window, so skip it for them.
   if (session_.policy != RebinPolicy::kFreezeBins) return live;
   if (config_.binning.enforce_joint) {
-    std::unordered_map<std::vector<NodeId>, size_t, NodeVectorHash> joint;
-    std::vector<NodeId> key(binning.bin_nodes.size());
-    for (size_t r = 0; r < binning.binned.num_rows(); ++r) {
-      for (size_t c = 0; c < key.size(); ++c) key[c] = binning.bin_nodes[c][r];
-      ++joint[key];
-    }
-    for (const auto& [bin_key, count] : joint) {
+    for (const auto& [bin_key, count] : JointBinSizes(binning)) {
       if (count >= live.effective_k) live.joint_established.insert(bin_key);
     }
   } else {
@@ -338,31 +356,21 @@ Result<EpochOutput> ProtectionSession::FlushBuffer() {
     outcome.mark = config_.explicit_mark;
   }
 
-  // Bin-selection phase over the window's counts (counts_ accumulates
-  // batch merges since the last flush). For the first flush the window
-  // is everything ever ingested — which is what makes the single-batch
-  // session bit-identical to one-shot Protect; a re-binned (drift)
-  // epoch selects from its own window, because the epoch must stand
-  // alone as a k-anonymous table, so its generalization has to fit the
-  // rows it actually emits, not the (much larger) history. The buffer
-  // view is moved into the final agent run — it is rebuilt empty after
-  // the flush either way.
+  // Bin selection over the flush window: the agent counts the buffered
+  // view once. For the first flush the window is everything ever
+  // ingested — which is what makes the single-batch session
+  // bit-identical to one-shot Protect; a re-binned (drift) epoch selects
+  // from its own window, because the epoch must stand alone as a
+  // k-anonymous table, so its generalization has to fit the rows it
+  // actually emits, not the (much larger) history.
   BinningConfig binning_config = config_.binning;
   BinningAgent agent(metrics_, binning_config);
-  if (config_.auto_epsilon) {
-    PRIVMARK_ASSIGN_OR_RETURN(outcome.binning,
-                              agent.RunWithState(buffer_, buffer_view_,
-                                                 counts_));
-  } else {
-    PRIVMARK_ASSIGN_OR_RETURN(
-        outcome.binning,
-        agent.RunWithState(buffer_, std::move(buffer_view_), counts_));
-  }
+  PRIVMARK_ASSIGN_OR_RETURN(outcome.binning, agent.Run(buffer_, buffer_view_));
   outcome.epsilon_used = binning_config.epsilon;
 
   if (config_.auto_epsilon) {
-    // Estimate |wmd| on the first pass, derive epsilon, re-select from
-    // the same accumulated counts (Sec. 6).
+    // Estimate |wmd| on the first pass, derive epsilon from its largest
+    // bin, and re-select from the same window (Sec. 6).
     HierarchicalWatermarker probe = MakeWatermarker(outcome.binning.ultimate);
     PRIVMARK_ASSIGN_OR_RETURN(size_t bandwidth,
                               probe.EstimateBandwidth(outcome.binning.binned));
@@ -371,30 +379,22 @@ Result<EpochOutput> ProtectionSession::FlushBuffer() {
       copies = std::max<size_t>(1, bandwidth / config_.mark_bits);
     }
     const size_t wmd_size = copies * config_.mark_bits;
-    size_t epsilon = 0;
-    if (config_.binning.enforce_joint) {
-      PRIVMARK_ASSIGN_OR_RETURN(
-          epsilon, ConservativeEpsilon(outcome.binning.binned,
-                                       outcome.binning.qi_columns, wmd_size));
-    } else {
-      // Per-attribute k-anonymity: a column sees roughly wmd/|columns| of
-      // the moves, and its own biggest bin bounds any bin's exposure.
-      const size_t per_column_moves =
-          wmd_size / std::max<size_t>(1, outcome.binning.qi_columns.size());
-      for (size_t col : outcome.binning.qi_columns) {
-        PRIVMARK_ASSIGN_OR_RETURN(
-            size_t col_epsilon,
-            ConservativeEpsilon(outcome.binning.binned, {col},
-                                per_column_moves));
-        epsilon = std::max(epsilon, col_epsilon);
-      }
-    }
+    // Per-attribute k-anonymity: a column sees roughly wmd/|columns| of
+    // the moves, and the biggest single-column bin bounds any bin's
+    // exposure.
+    const bool joint = config_.binning.enforce_joint;
+    const size_t moves =
+        joint ? wmd_size
+              : wmd_size / std::max<size_t>(
+                               1, outcome.binning.qi_columns.size());
+    const size_t epsilon = ConservativeEpsilon(
+        LargestBin(outcome.binning, joint),
+        outcome.binning.binned.num_rows(), moves);
     if (epsilon > binning_config.epsilon) {
       binning_config.epsilon = epsilon;
       BinningAgent adjusted(metrics_, binning_config);
-      PRIVMARK_ASSIGN_OR_RETURN(
-          outcome.binning,
-          adjusted.RunWithState(buffer_, std::move(buffer_view_), counts_));
+      PRIVMARK_ASSIGN_OR_RETURN(outcome.binning,
+                                adjusted.Run(buffer_, buffer_view_));
       outcome.epsilon_used = epsilon;
     }
   }
@@ -446,7 +446,6 @@ Result<EpochOutput> ProtectionSession::FlushBuffer() {
 
   buffer_ = Table(*schema_);
   buffer_view_ = EncodedView();
-  PRIVMARK_ASSIGN_OR_RETURN(counts_, CountState::Zero(trees_));
   rows_since_epoch_ = 0;
 
   // Epoch boundary: seal + fsync is the durability barrier. The epoch

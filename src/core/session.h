@@ -4,13 +4,14 @@
 // The paper protects a frozen relation in one pass, but outsourced
 // medical data arrives as a stream of admissions. A ProtectionSession is
 // the long-lived form of ProtectionFramework::Protect: it accepts row
-// batches (Ingest), maintains mergeable per-column count state
-// (binning/count_state.h — exact integer merges, so accumulated counts
-// equal one-shot counts byte for byte), and emits protected output in
-// *epochs*, each with its own generalization choice and watermark embed.
+// batches (Ingest), encodes each batch once and buffers the rows with
+// their encoded view, and emits protected output in *epochs*, each with
+// its own generalization choice and watermark embed. A flush counts its
+// buffered view once (binning/count_state.h), so its counts equal
+// one-shot counts over the same rows byte for byte.
 //
 // Lifecycle. Batches buffer until the first Flush(), which selects
-// generalizations from everything accumulated, materializes + watermarks
+// generalizations from everything buffered, materializes + watermarks
 // the buffer as epoch 0, and freezes the epoch's generalization. After
 // that the re-binning policy governs:
 //
@@ -20,13 +21,13 @@
 //    suppressed, so the concatenation of everything emitted stays
 //    k-anonymous. Lowest latency; one epoch, one watermark.
 //  - kRebinOnDrift: later batches buffer again; once the rows
-//    accumulated since the last flush exceed drift_threshold times the
-//    rows accumulated at that flush (the accumulated count state is the
-//    drift trigger), the session re-selects
-//    generalizations from the buffered window's counts and emits it as a
-//    new epoch — with its own mark (derived from the epoch's own
-//    identifiers), its own embed, and enough epoch-local suppression
-//    that the epoch's emitted table is k-anonymous on its own.
+//    buffered since the last flush reach drift_threshold times the rows
+//    ingested at that flush (a row count is the drift trigger), the
+//    session re-selects generalizations from the buffered window's
+//    counts and emits it as a new epoch — with its own mark (derived
+//    from the epoch's own identifiers), its own embed, and enough
+//    epoch-local suppression that the epoch's emitted table is
+//    k-anonymous on its own.
 //    Detection runs per epoch (DetectAcrossEpochs).
 //
 // Degenerate case, proven by the streaming-equivalence suite: Ingest the
@@ -46,7 +47,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "binning/count_state.h"
 #include "common/parallel.h"
 #include "core/framework.h"
 #include "crypto/aes128.h"
@@ -66,7 +66,7 @@ enum class RebinPolicy {
   kFreezeBins,
   /// Buffer arriving batches and open a new epoch — generalization
   /// re-selected from the buffered window, fresh mark and embed — when
-  /// accumulated counts have drifted past the threshold.
+  /// enough rows have arrived since the last flush (drift_threshold).
   kRebinOnDrift,
 };
 
@@ -190,8 +190,8 @@ class ProtectionSession {
 
   /// \brief Rebuilds a session from a write-ahead journal by replaying
   /// its records through a fresh session. Determinism of the pipeline
-  /// makes the replayed state — counts, buffer, live epoch, emitted
-  /// bytes — identical to the crashed session's, so subsequent
+  /// makes the replayed state — buffer, live epoch, emitted bytes —
+  /// identical to the crashed session's, so subsequent
   /// emissions are byte-identical to an uncrashed run. The caller
   /// supplies the same metrics/config/session options as the original
   /// run (secrets are never journaled); the journal's non-secret config
@@ -208,7 +208,7 @@ class ProtectionSession {
   Result<IngestResult> Ingest(const Table& batch);
 
   /// \brief Forces an epoch boundary: selects generalizations from the
-  /// accumulated counts, materializes + watermarks the buffered rows, and
+  /// buffered rows' counts, materializes + watermarks those rows, and
   /// freezes the new epoch's generalization. InvalidArgument when nothing
   /// was ever ingested, or when an epoch is live and no rows are buffered
   /// (under kFreezeBins all post-freeze rows emit through Ingest).
@@ -308,14 +308,13 @@ class ProtectionSession {
   std::vector<size_t> qi_columns_;
   std::vector<const DomainHierarchy*> trees_;
 
-  // Counts of the current flush window, merged batch by batch; before
-  // the first flush the window is the whole ingested history, which is
-  // what makes the first flush bit-identical to one-shot Protect. Reset
-  // at every flush (drift epochs select from their own window).
-  CountState counts_;
+  // The current flush window: before the first flush it is the whole
+  // ingested history, which is what makes the first flush bit-identical
+  // to one-shot Protect. Emptied at every flush (drift epochs select
+  // from their own window); the flush counts buffer_view_ itself.
   Table buffer_;            // rows pending the next flush
   EncodedView buffer_view_; // encoded in lock step with buffer_
-  size_t rows_since_epoch_ = 0;
+  size_t rows_since_epoch_ = 0;  // the kRebinOnDrift trigger
 
   std::optional<LiveEpoch> live_;
   std::vector<EpochRecord> epochs_;

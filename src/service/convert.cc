@@ -30,12 +30,12 @@ Result<RequestKind> RequestKindForFrame(WireFrameType type) {
                                  " frame has no service-request shape");
 }
 
-Result<ServiceRequest> ToServiceRequest(const WireRequest& request) {
+Result<ServiceRequest> ToServiceRequest(WireRequest request) {
   ServiceRequest service_request;
   PRIVMARK_ASSIGN_OR_RETURN(service_request.kind,
                             RequestKindForFrame(request.type));
   service_request.session = request.session;
-  service_request.table = request.table;
+  service_request.table = std::move(request.table);
   service_request.num_threads = static_cast<size_t>(request.ask);
   service_request.deadline_ms = request.deadline_ms;
   if (request.type == WireFrameType::kFingerprint) {

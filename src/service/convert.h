@@ -43,7 +43,10 @@ Result<RequestKind> RequestKindForFrame(WireFrameType type);
 /// strand work) and is rejected with InvalidArgument; a kFingerprint
 /// request's registry_text is parsed here (its streamed flag becomes a
 /// null fingerprint_sink — the transport layer attaches the real sink).
-Result<ServiceRequest> ToServiceRequest(const WireRequest& request);
+/// Takes the request by value and moves its table into the result, so a
+/// caller done with the request passes it with std::move and no table
+/// is copied.
+Result<ServiceRequest> ToServiceRequest(WireRequest request);
 
 /// \brief Builds the wire response for one executed request. `kind` is
 /// the request's frame type (the response echoes it). On a non-OK

@@ -216,7 +216,7 @@ void PrivmarkDaemon::ServeConnection(int fd) {
     Result<WireRequest> request =
         DecodeWireRequest(frame->type, frame->payload, &decoder);
     if (!request.ok()) break;  // codec state unknowable: hang up
-    request->stream = frame->streamed;
+    const bool streamed = frame->streamed;
     const uint64_t request_id = frame->request_id;
 
     if (frame->type == WireFrameType::kOpen) {
@@ -226,7 +226,7 @@ void PrivmarkDaemon::ServeConnection(int fd) {
       response.request_id = request_id;
       WriteResponse(mux.get(), response, false);
     } else if (Result<ServiceRequest> service_request =
-                   ToServiceRequest(*request);
+                   ToServiceRequest(*std::move(request));
                !service_request.ok()) {
       // Conversion failures (e.g. an unparsable registry) are
       // service-level: answer, keep the connection.
@@ -235,7 +235,6 @@ void PrivmarkDaemon::ServeConnection(int fd) {
       response.request_id = request_id;
       WriteResponse(mux.get(), response, false);
     } else {
-      const bool streamed = request->stream;
       if (streamed) {
         service_request->fingerprint_sink =
             [mux, request_id](const FingerprintShard& shard) {

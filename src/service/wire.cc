@@ -443,6 +443,10 @@ Result<Table> WireTableDecoder::Decode(BinReader* reader) {
   for (uint32_t c = 0; c < cols; ++c) {
     uint8_t encoding = 0;
     if (!reader->ReadU8(&encoding)) return Truncated("table column");
+    // Every encoding spends at least one byte per row, so a row count
+    // beyond the bytes left is a lie: refuse it before sizing anything
+    // from it.
+    if (reader->remaining() < rows) return Truncated("table column");
     columns[c].reserve(rows);
     if (encoding == static_cast<uint8_t>(WireColumnEncoding::kInt64Dense)) {
       if (reader->remaining() / 8 < rows) return Truncated("int64 column");

@@ -217,20 +217,12 @@ TEST(MeasureSeamlessnessTest, RowCountMismatchRejected) {
 }
 
 TEST(ConservativeEpsilonTest, MatchesFormula) {
-  Schema schema;
-  ASSERT_TRUE(schema.AddColumn({"g", ColumnRole::kQuasiCategorical,
-                                ValueType::kString}).ok());
-  Table t(schema);
-  // Bins: a x6, b x4 -> s = 6, S = 10.
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(t.AppendRow({Value::String("a")}).ok());
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(t.AppendRow({Value::String("b")}).ok());
-  // epsilon = ceil(6/10 * 100) = 60.
-  auto eps = ConservativeEpsilon(t, {0}, 100);
-  ASSERT_TRUE(eps.ok());
-  EXPECT_EQ(*eps, 60u);
+  // Bins: a x6, b x4 -> s = 6, S = 10; epsilon = ceil(6/10 * 100) = 60.
+  EXPECT_EQ(ConservativeEpsilon(6, 10, 100), 60u);
+  // Rounds up: ceil(1/3 * 10) = 4.
+  EXPECT_EQ(ConservativeEpsilon(1, 3, 10), 4u);
   // Empty table -> 0.
-  Table empty(schema);
-  EXPECT_EQ(*ConservativeEpsilon(empty, {0}, 100), 0u);
+  EXPECT_EQ(ConservativeEpsilon(0, 0, 100), 0u);
 }
 
 }  // namespace

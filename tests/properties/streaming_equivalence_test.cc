@@ -5,9 +5,9 @@
 //     any size (whole, 1k, a prime, and one row at a time) and flushing
 //     once produces output byte-identical to one-shot Protect — tables
 //     via CSV serialization, reports field by field, detection vote
-//     margins as exact doubles. This pins down the mergeable CountState:
-//     per-batch counts folded in arrival order must equal whole-table
-//     counts exactly.
+//     margins as exact doubles. This pins down the buffered encoded
+//     view: batches appended in arrival order must count exactly as the
+//     whole table does.
 //  2. Thread-count equivalence: the single-batch session and batched
 //     replays are bit-identical to the serial baseline for num_threads
 //     in {1, 2, hw}, and frozen per-batch emission is deterministic

@@ -364,6 +364,43 @@ TEST(DaemonTest, CorruptCrcIsFatalToTheConnectionOnly) {
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
 
+TEST(DaemonTest, HostileRowCountIngestIsFatalToTheConnectionOnly) {
+  Env env = StartDaemon();
+  // Connected before the attack; must still be served after it.
+  DaemonClient bystander(MedicalSchema());
+  ASSERT_TRUE(bystander.Connect("127.0.0.1", env.daemon->port()).ok());
+
+  const int fd = RawConnect(env.daemon->port());
+  ASSERT_GE(fd, 0);
+  // A well-formed ingest envelope whose table block claims 2^32 - 1 rows
+  // in 13 bytes. Decoding must refuse it without sizing anything from the
+  // claim; the daemon then hangs up on this connection alone.
+  WireTableEncoder encoder;
+  WireRequest ingest;
+  ingest.type = WireFrameType::kIngest;
+  ingest.session = "victim";
+  std::string payload = EncodeWireRequest(ingest, &encoder);
+  payload.resize(payload.size() - 8);  // the empty table's 0x0 header
+  AppendLe32(&payload, 0xffffffffu);
+  AppendLe32(&payload, static_cast<uint32_t>(MedicalSchema().num_columns()));
+  payload.push_back(static_cast<char>(WireColumnEncoding::kCells));
+  payload.append(4, '\0');
+  std::string bytes(kWireMagic, kWireMagicSize);
+  bytes += RequestFrame(WireFrameType::kIngest, payload);
+  ExpectDisconnectAfter(fd, bytes, /*expect_back=*/kWireMagicSize);
+
+  auto open = bystander.Call(OpenRequest("bystander"));
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  EXPECT_TRUE(open->status.ok()) << open->status.ToString();
+  WireRequest close;
+  close.type = WireFrameType::kClose;
+  close.session = "bystander";
+  auto closed = bystander.Call(close);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_TRUE(closed->status.ok());
+  EXPECT_TRUE(env.daemon->Shutdown().ok());
+}
+
 TEST(DaemonTest, MidFrameDisconnectLeavesTheDaemonServing) {
   Env env = StartDaemon();
   const int fd = RawConnect(env.daemon->port());

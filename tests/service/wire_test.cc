@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binenc.h"
 #include "core/journal.h"
 #include "relation/schema.h"
 #include "relation/table.h"
@@ -370,6 +371,28 @@ TEST(WireTableCodecTest, OutOfRangeDictionaryIdRefused) {
   auto decoded = DecodeTable(&decoder, block);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(WireTableCodecTest, HostileRowCountRefusedBeforeAllocating) {
+  // A 13-byte block claiming 2^32 - 1 rows. Every encoding spends at least
+  // a byte per row, so the decoder must refuse from the bytes left rather
+  // than size its columns from the claim (which would throw bad_alloc).
+  for (const WireColumnEncoding encoding :
+       {WireColumnEncoding::kInt64Dense, WireColumnEncoding::kDoubleDense,
+        WireColumnEncoding::kStringDict, WireColumnEncoding::kCells}) {
+    std::string block;
+    AppendLe32(&block, 0xffffffffu);
+    AppendLe32(&block, static_cast<uint32_t>(TestSchema().num_columns()));
+    block.push_back(static_cast<char>(encoding));
+    block.append(4, '\0');
+    ASSERT_EQ(block.size(), 13u);
+    const int tag = static_cast<int>(encoding);
+    WireTableDecoder decoder(TestSchema());
+    auto decoded = DecodeTable(&decoder, block);
+    ASSERT_FALSE(decoded.ok()) << "encoding " << tag;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << "encoding " << tag;
+  }
 }
 
 // ---- request / response payloads -----------------------------------------
