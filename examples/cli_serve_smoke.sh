@@ -6,8 +6,9 @@
 # write byte-identical out.csv and manifest files, the manifests must
 # name the --key, the freeze stream must match a one-shot `protect` of
 # the same rows, and `privmark_cli detect` must recover that run's mark
-# from the served output. A zero --eta or --k and a non-finite
-# --drift-threshold must be usage errors (exit 2).
+# from the served output. A zero --eta or --k, a non-finite
+# --drift-threshold and a non-numeric or non-finite attack <fraction>
+# must be usage errors (exit 2).
 #
 # usage: cli_serve_smoke.sh <path/to/privmark_cli> <scratch dir>
 set -euo pipefail
@@ -139,6 +140,18 @@ for threshold in nan inf; do
   drift_protect "$threshold" >/dev/null 2>&1 || status=$?
   [[ $status -eq 2 ]] \
     || fail "protect --drift-threshold=$threshold exited $status, want 2"
+done
+
+# 8. So is an attack <fraction> that is not wholly a finite number: atof
+#    read "abc" as 0 and passed "nan" into the attack, where casting it
+#    to a row count is undefined.
+"$cli" attack all.csv attacked.csv delete 0.25 >/dev/null \
+  || fail "attack delete 0.25 failed"
+for fraction in nan inf abc 0.5x; do
+  status=0
+  "$cli" attack all.csv attacked.csv add "$fraction" >/dev/null 2>&1 \
+    || status=$?
+  [[ $status -eq 2 ]] || fail "attack add $fraction exited $status, want 2"
 done
 
 echo "cli_serve: OK (port $port, mark $mark)"

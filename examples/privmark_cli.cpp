@@ -193,6 +193,14 @@ struct Args {
   }
 };
 
+// Strict finite number: the whole of `text` must parse, and NaN and the
+// infinities are refused (atof reads "abc" as 0 and passes "nan" on).
+bool ParseFiniteDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && std::isfinite(*out);
+}
+
 Args ParseTokens(const std::vector<std::string>& tokens) {
   Args args;
   for (const std::string& arg : tokens) {
@@ -253,11 +261,9 @@ int EmitJson(const Args& args, const std::string& json) {
     std::fputs(json.c_str(), stdout);
     return 0;
   }
-  std::ofstream out(path, std::ios::binary);
-  out << json;
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write JSON report to '%s'\n",
-                 path.c_str());
+  if (const Status st = WriteFileDurable(path, json); !st.ok()) {
+    std::fprintf(stderr, "error: cannot write JSON report: %s\n",
+                 st.ToString().c_str());
     return 1;
   }
   return 0;
@@ -339,13 +345,9 @@ int ParseSessionConfig(const Args& args, SessionConfig* session_config,
     return 2;
   }
   const std::string threshold_text = args.Flag("drift-threshold", "0.5");
-  char* threshold_end = nullptr;
-  session_config->drift_threshold =
-      std::strtod(threshold_text.c_str(), &threshold_end);
   // A NaN threshold compares false against every drift, so re-binning
   // would silently never happen.
-  if (threshold_end == threshold_text.c_str() || *threshold_end != '\0' ||
-      !std::isfinite(session_config->drift_threshold) ||
+  if (!ParseFiniteDouble(threshold_text, &session_config->drift_threshold) ||
       session_config->drift_threshold <= 0.0) {
     std::fprintf(stderr,
                  "--drift-threshold must be a positive finite number, got "
@@ -615,9 +617,14 @@ int CmdAttack(const Args& args) {
                  "[--manifest=] [--threads=]\n");
     return 2;
   }
+  double fraction = 0.0;
+  if (!ParseFiniteDouble(args.positional[4], &fraction)) {
+    std::fprintf(stderr, "<fraction> must be a finite number, got '%s'\n",
+                 args.positional[4].c_str());
+    return 2;
+  }
   Table table = Must(ReadTableCsv(args.positional[1], MedicalSchema()));
   const std::string kind = args.positional[3];
-  const double fraction = std::atof(args.positional[4].c_str());
   Random rng(args.FlagU64("seed", 1));
   const size_t threads = args.FlagU64("threads", 1);
   const std::vector<size_t> qi = MedicalSchema().QuasiIdentifyingColumns();

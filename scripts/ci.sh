@@ -69,11 +69,15 @@ echo "=== Parser suites under an ASan allocation cap ==="
 # makes that failure an abort rather than a bad_alloc a test could
 # swallow, so such a decoder fails here on every host, whatever its
 # overcommit setting. The suites' largest honest allocation is the
-# 256 MiB + 1 oversized-frame case, well under the cap.
+# 256 MiB + 1 oversized-frame case, well under the cap. The file readers
+# share one capped reader, so a 2 GiB sparse manifest must be refused
+# before anything is allocated; the attack suite's NaN/inf fractions
+# must be refused before they size a row count.
 for suite in service_wire_test service_convert_test core_journal_test \
     core_manifest_test core_manifest_adversarial_test \
     watermark_key_registry_test relation_csv_test \
-    relation_adversarial_input_test properties_csv_property_test; do
+    relation_adversarial_input_test properties_csv_property_test \
+    properties_text_format_property_test attack_attacks_test; do
   ASAN_OPTIONS="max_allocation_size_mb=1024:allocator_may_return_null=0" \
     "./build-asan/tests/${suite}"
 done

@@ -1,6 +1,7 @@
 #include "attack/attacks.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string_view>
 
@@ -10,12 +11,27 @@
 
 namespace privmark {
 
+namespace {
+
+// NaN passes every `<`/`>` range check, and casting NaN * rows to size_t
+// is undefined, so finiteness is checked first.
+Status CheckFraction(const char* attack, double fraction, bool at_most_one) {
+  if (!std::isfinite(fraction) || fraction < 0.0 ||
+      (at_most_one && fraction > 1.0)) {
+    return Status::InvalidArgument(
+        std::string(attack) + " fraction must be " +
+        (at_most_one ? "in [0,1]" : "finite and >= 0") + ", got " +
+        std::to_string(fraction));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<AttackReport> SubsetAlterationAttack(
     Table* table, const std::vector<size_t>& qi_columns, double fraction,
     Random* rng, size_t num_threads) {
-  if (fraction < 0.0 || fraction > 1.0) {
-    return Status::InvalidArgument("alteration fraction must be in [0,1]");
-  }
+  PRIVMARK_RETURN_NOT_OK(CheckFraction("alteration", fraction, true));
   AttackReport report;
   if (table->num_rows() == 0 || fraction == 0.0) return report;
 
@@ -87,9 +103,7 @@ Result<AttackReport> SubsetAlterationAttack(
 
 Result<AttackReport> SubsetAdditionAttack(Table* table, double fraction,
                                           Random* rng) {
-  if (fraction < 0.0) {
-    return Status::InvalidArgument("addition fraction must be >= 0");
-  }
+  PRIVMARK_RETURN_NOT_OK(CheckFraction("addition", fraction, false));
   AttackReport report;
   const size_t original_rows = table->num_rows();
   if (original_rows == 0 || fraction == 0.0) return report;
@@ -121,9 +135,7 @@ Result<AttackReport> SubsetAdditionAttack(Table* table, double fraction,
 
 Result<AttackReport> SubsetDeletionAttack(Table* table, double fraction,
                                           Random* rng, size_t num_threads) {
-  if (fraction < 0.0 || fraction > 1.0) {
-    return Status::InvalidArgument("deletion fraction must be in [0,1]");
-  }
+  PRIVMARK_RETURN_NOT_OK(CheckFraction("deletion", fraction, true));
   AttackReport report;
   const size_t num_rows = table->num_rows();
   if (num_rows == 0 || fraction == 0.0) return report;
@@ -219,9 +231,7 @@ Result<AttackReport> SiblingSwapAttack(Table* table,
     return Status::InvalidArgument(
         "SiblingSwapAttack: column/generalization count mismatch");
   }
-  if (fraction < 0.0 || fraction > 1.0) {
-    return Status::InvalidArgument("swap fraction must be in [0,1]");
-  }
+  PRIVMARK_RETURN_NOT_OK(CheckFraction("swap", fraction, true));
   AttackReport report;
   if (table->num_rows() == 0 || fraction == 0.0) return report;
   const size_t count =

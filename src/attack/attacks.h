@@ -34,6 +34,9 @@ struct AttackReport {
 // inherently ordered, and the attacks' bit-for-bit reproducibility
 // contract (same Random seed, same table) must hold for every thread
 // count.
+//
+// A `fraction` that is NaN, infinite or outside the attack's range
+// ([0,1], or >= 0 for addition) is InvalidArgument.
 
 /// \brief Subset alteration (Fig. 12a): picks `fraction` of the rows at
 /// random and overwrites every quasi-identifying cell with a random label

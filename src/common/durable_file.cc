@@ -1,6 +1,7 @@
 #include "common/durable_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -25,17 +26,56 @@ bool WriteFully(int fd, const char* data, size_t size) {
   return true;
 }
 
-Status SyncParentDir(const std::string& path) {
+Result<std::string> ReadFileCapped(const std::string& path,
+                                   uint64_t max_bytes) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return ErrnoError("cannot open for reading", path);
+  struct stat info;
+  Status status = Status::OK();
+  std::string text;
+  off_t size = -1;
+  if (::fstat(fd, &info) == 0 && S_ISDIR(info.st_mode)) {
+    // A directory's seek size is not its byte count; reading it fails.
+    errno = EISDIR;
+    status = ErrnoError("cannot read", path);
+  } else if ((size = ::lseek(fd, 0, SEEK_END)) < 0 ||
+             ::lseek(fd, 0, SEEK_SET) != 0) {
+    status = ErrnoError("cannot determine size of", path);
+  } else if (static_cast<uint64_t>(size) > max_bytes) {
+    status = Status::IOError("'" + path + "' is " + std::to_string(size) +
+                             " bytes; the read is capped at " +
+                             std::to_string(max_bytes) + " bytes");
+  } else {
+    text.resize(static_cast<size_t>(size));
+    size_t done = 0;
+    while (done < text.size() && status.ok()) {
+      const ssize_t n = ::read(fd, text.data() + done, text.size() - done);
+      if (n > 0) {
+        done += static_cast<size_t>(n);
+      } else if (n == 0) {
+        status = Status::IOError("short read from '" + path + "'");
+      } else if (errno != EINTR) {
+        status = ErrnoError("cannot read", path);
+      }
+    }
+  }
+  ::close(fd);
+  if (!status.ok()) return status;
+  return text;
+}
+
+Status SyncFileAndDir(int fd, const std::string& path) {
+  if (::fsync(fd) != 0) return ErrnoError("cannot fsync", path);
   const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
                               ? "."
                               : slash == 0 ? "/" : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return ErrnoError("cannot open parent directory", dir);
-  const Status status = ::fsync(fd) == 0
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) return ErrnoError("cannot open parent directory", dir);
+  const Status status = ::fsync(dir_fd) == 0
                             ? Status::OK()
                             : ErrnoError("cannot fsync parent directory", dir);
-  ::close(fd);
+  ::close(dir_fd);
   return status;
 }
 
@@ -43,18 +83,11 @@ Status WriteFileDurable(const std::string& path,
                         const std::string& contents) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ErrnoError("cannot open for writing", path);
-  if (!WriteFully(fd, contents.data(), contents.size())) {
-    const Status st = ErrnoError("short write to", path);
-    ::close(fd);
-    return st;
-  }
-  if (::fsync(fd) != 0) {
-    const Status st = ErrnoError("cannot fsync", path);
-    ::close(fd);
-    return st;
-  }
-  if (::close(fd) != 0) return ErrnoError("cannot close", path);
-  return SyncParentDir(path);
+  Status status = WriteFully(fd, contents.data(), contents.size())
+                      ? SyncFileAndDir(fd, path)
+                      : ErrnoError("short write to", path);
+  if (::close(fd) != 0 && status.ok()) status = ErrnoError("cannot close", path);
+  return status;
 }
 
 }  // namespace privmark

@@ -8,9 +8,6 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "crypto/keyed_hash.h"
@@ -18,6 +15,7 @@
 #include "common/binenc.h"
 #include "common/durable_file.h"
 #include "common/failpoint.h"
+#include "common/kv_text.h"
 #include "common/strings.h"
 
 namespace privmark {
@@ -90,23 +88,15 @@ Result<std::unique_ptr<SessionJournal>> SessionJournal::Create(
     }
     return ErrnoError("cannot create journal", path);
   }
-  if (!WriteFully(fd, kMagic, kMagicSize)) {
-    const Status st = ErrnoError("cannot write journal magic to", path);
-    ::close(fd);
-    return st;
-  }
   // Make the magic and the directory entry durable now, so the journal
   // file itself survives any crash after Create returns — only then does
   // "seal + fsync is the durability barrier" hold for a fresh journal.
-  if (::fsync(fd) != 0) {
-    const Status st = ErrnoError("cannot fsync fresh journal", path);
+  const Status synced = WriteFully(fd, kMagic, kMagicSize)
+                            ? SyncFileAndDir(fd, path)
+                            : ErrnoError("cannot write journal magic to", path);
+  if (!synced.ok()) {
     ::close(fd);
-    return st;
-  }
-  const Status dir_synced = SyncParentDir(path);
-  if (!dir_synced.ok()) {
-    ::close(fd);
-    return dir_synced;
+    return synced;
   }
   return std::unique_ptr<SessionJournal>(new SessionJournal(path, fd));
 }
@@ -119,24 +109,17 @@ Result<std::unique_ptr<SessionJournal>> SessionJournal::Resume(
   }
   const int fd = ::open(path.c_str(), O_WRONLY);
   if (fd < 0) return ErrnoError("cannot open journal", path);
-  if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
-    const Status st = ErrnoError("cannot truncate journal tail of", path);
-    ::close(fd);
-    return st;
-  }
   // Persist the truncation and (re-)persist the directory entry: the
   // original Create may have crashed between its dir fsync and the
   // crash being recovered from, and resuming is the last chance to make
   // the entry durable before new records land behind it.
-  if (::fsync(fd) != 0) {
-    const Status st = ErrnoError("cannot fsync truncated journal", path);
+  const Status synced =
+      ::ftruncate(fd, static_cast<off_t>(valid_bytes)) == 0
+          ? SyncFileAndDir(fd, path)
+          : ErrnoError("cannot truncate journal tail of", path);
+  if (!synced.ok()) {
     ::close(fd);
-    return st;
-  }
-  const Status dir_synced = SyncParentDir(path);
-  if (!dir_synced.ok()) {
-    ::close(fd);
-    return dir_synced;
+    return synced;
   }
   return std::unique_ptr<SessionJournal>(new SessionJournal(path, fd));
 }
@@ -226,13 +209,10 @@ Status SessionJournal::AppendFlushMarker() {
 }
 
 Status SessionJournal::AppendEpochSealed(const EpochRecord& record) {
-  std::string payload;
-  payload += "epoch = " + std::to_string(record.epoch) + "\n";
-  payload += "rows_emitted = " + std::to_string(record.rows_emitted) + "\n";
-  payload +=
-      "rows_suppressed = " + std::to_string(record.rows_suppressed) + "\n";
-  PRIVMARK_RETURN_NOT_OK(AppendRecord(JournalRecordType::kEpochSealed,
-                                      payload));
+  PRIVMARK_RETURN_NOT_OK(AppendRecord(
+      JournalRecordType::kEpochSealed,
+      EncodeEpochSealed(
+          {record.epoch, record.rows_emitted, record.rows_suppressed})));
   return Sync();
 }
 
@@ -249,16 +229,10 @@ Status SessionJournal::Sync() {
 }
 
 Result<JournalContents> SessionJournal::ReadAll(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::IOError("cannot open journal '" + path + "' for reading");
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string bytes = buffer.str();
+  PRIVMARK_ASSIGN_OR_RETURN(std::string bytes,
+                            ReadFileCapped(path, kUncappedRead));
 
-  if (bytes.size() < kMagicSize ||
-      std::memcmp(bytes.data(), kMagic, kMagicSize) != 0) {
+  if (bytes.compare(0, kMagicSize, kMagic, kMagicSize) != 0) {
     return Status::InvalidArgument("'" + path +
                                    "' is not a privmark session journal");
   }
@@ -418,36 +392,31 @@ Result<Schema> SessionJournal::DecodeSchema(const std::string& payload) {
   return schema;
 }
 
+std::string SessionJournal::EncodeEpochSealed(const EpochSeal& seal) {
+  return "epoch = " + std::to_string(seal.epoch) + "\n" +
+         "rows_emitted = " + std::to_string(seal.rows_emitted) + "\n" +
+         "rows_suppressed = " + std::to_string(seal.rows_suppressed) + "\n";
+}
+
 Result<EpochSeal> SessionJournal::DecodeEpochSealed(
     const std::string& payload) {
+  PRIVMARK_ASSIGN_OR_RETURN(const KvText parsed,
+                            ParseKvText(payload, "journal seal"));
+  if (!parsed.sections.empty() || parsed.top.Find("epoch") == nullptr) {
+    return Status::InvalidArgument(
+        "journal: seal record without an epoch, or with a section");
+  }
   EpochSeal seal;
-  bool saw_epoch = false;
-  auto parse_count = [](const std::string& value, const std::string& key) {
-    return ParseDecimalU64(value, "journal: field '" + key + "'");
-  };
-  for (const std::string& raw_line : Split(payload, '\n')) {
-    const std::string line = Trim(raw_line);
-    if (line.empty()) continue;
-    const size_t eq = line.find(" = ");
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("journal: malformed seal line: " + line);
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 3);
-    if (key == "epoch") {
-      PRIVMARK_ASSIGN_OR_RETURN(seal.epoch, parse_count(value, key));
-      saw_epoch = true;
-    } else if (key == "rows_emitted") {
-      PRIVMARK_ASSIGN_OR_RETURN(seal.rows_emitted, parse_count(value, key));
-    } else if (key == "rows_suppressed") {
-      PRIVMARK_ASSIGN_OR_RETURN(seal.rows_suppressed,
-                                parse_count(value, key));
-    } else {
+  for (const auto& [key, value] : parsed.top.fields) {
+    size_t* field = key == "epoch"             ? &seal.epoch
+                    : key == "rows_emitted"    ? &seal.rows_emitted
+                    : key == "rows_suppressed" ? &seal.rows_suppressed
+                                               : nullptr;
+    if (field == nullptr) {
       return Status::InvalidArgument("journal: unknown seal field: " + key);
     }
-  }
-  if (!saw_epoch) {
-    return Status::InvalidArgument("journal: seal record without an epoch");
+    PRIVMARK_ASSIGN_OR_RETURN(
+        *field, ParseDecimalU64(value, "journal: field '" + key + "'"));
   }
   return seal;
 }

@@ -148,6 +148,9 @@ class SessionJournal {
   /// or a column count differing from `schema`'s.
   static Result<Table> DecodeBatch(const std::string& payload,
                                    const Schema& schema);
+  /// Seal payload: `epoch`, `rows_emitted` and `rows_suppressed` as
+  /// common/kv_text.h `key = value` lines.
+  static std::string EncodeEpochSealed(const EpochSeal& seal);
   static Result<EpochSeal> DecodeEpochSealed(const std::string& payload);
 
   /// Records larger than this end the valid prefix on read and are

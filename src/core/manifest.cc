@@ -1,12 +1,10 @@
 #include "core/manifest.h"
 
 #include <cstdint>
-#include <fstream>
-#include <set>
-#include <sstream>
 
 #include "common/durable_file.h"
 #include "common/failpoint.h"
+#include "common/kv_text.h"
 #include "common/strings.h"
 
 namespace privmark {
@@ -59,6 +57,31 @@ std::string JoinEscaped(const std::vector<std::string>& labels) {
   return Join(escaped, "|");
 }
 
+// The part both builders share: per quasi-identifying column, its name and
+// the labels of its published (ultimate) and maximal generalizations.
+ProtectionManifest ManifestOf(const Schema& schema,
+                              const std::vector<size_t>& qi_columns,
+                              const std::vector<GeneralizationSet>& ultimate,
+                              const UsageMetrics& metrics,
+                              const FrameworkConfig& config) {
+  ProtectionManifest manifest;
+  manifest.hash = config.watermark.hash;
+  manifest.key_id = config.key_id;
+  for (size_t c = 0; c < qi_columns.size(); ++c) {
+    ManifestColumn column;
+    column.name = schema.column(qi_columns[c]).name;
+    const DomainHierarchy& tree = *metrics.trees[c];
+    for (NodeId id : ultimate[c].nodes()) {
+      column.ultimate_labels.push_back(tree.node(id).label);
+    }
+    for (NodeId id : metrics.maximal[c].nodes()) {
+      column.maximal_labels.push_back(tree.node(id).label);
+    }
+    manifest.columns.push_back(std::move(column));
+  }
+  return manifest;
+}
+
 }  // namespace
 
 Result<ProtectionManifest> BuildManifest(const ProtectionOutcome& outcome,
@@ -68,26 +91,13 @@ Result<ProtectionManifest> BuildManifest(const ProtectionOutcome& outcome,
     return Status::InvalidArgument(
         "BuildManifest: outcome and metrics disagree on column count");
   }
-  ProtectionManifest manifest;
+  ProtectionManifest manifest =
+      ManifestOf(outcome.binning.binned.schema(), outcome.binning.qi_columns,
+                 outcome.binning.ultimate, metrics, config);
   manifest.mark_bits = outcome.mark.size();
   manifest.wmd_size = outcome.embed.wmd_size;
   manifest.copies = outcome.embed.copies;
   manifest.epsilon = outcome.epsilon_used;
-  manifest.hash = config.watermark.hash;
-  manifest.key_id = config.key_id;
-  for (size_t c = 0; c < outcome.binning.qi_columns.size(); ++c) {
-    ManifestColumn column;
-    const size_t col = outcome.binning.qi_columns[c];
-    column.name = outcome.binning.binned.schema().column(col).name;
-    const DomainHierarchy& tree = *metrics.trees[c];
-    for (NodeId id : outcome.binning.ultimate[c].nodes()) {
-      column.ultimate_labels.push_back(tree.node(id).label);
-    }
-    for (NodeId id : metrics.maximal[c].nodes()) {
-      column.maximal_labels.push_back(tree.node(id).label);
-    }
-    manifest.columns.push_back(std::move(column));
-  }
   return manifest;
 }
 
@@ -104,25 +114,12 @@ Result<ProtectionManifest> ManifestFromEpoch(const EpochRecord& epoch,
     return Status::InvalidArgument(
         "ManifestFromEpoch: schema and epoch disagree on column count");
   }
-  ProtectionManifest manifest;
+  ProtectionManifest manifest =
+      ManifestOf(schema, qi_columns, epoch.ultimate, metrics, config);
   manifest.mark_bits = epoch.mark.size();
   manifest.wmd_size = epoch.wmd_size;
   manifest.copies = epoch.copies;
   manifest.epsilon = epoch.epsilon_used;
-  manifest.hash = config.watermark.hash;
-  manifest.key_id = config.key_id;
-  for (size_t c = 0; c < qi_columns.size(); ++c) {
-    ManifestColumn column;
-    column.name = schema.column(qi_columns[c]).name;
-    const DomainHierarchy& tree = *metrics.trees[c];
-    for (NodeId id : epoch.ultimate[c].nodes()) {
-      column.ultimate_labels.push_back(tree.node(id).label);
-    }
-    for (NodeId id : metrics.maximal[c].nodes()) {
-      column.maximal_labels.push_back(tree.node(id).label);
-    }
-    manifest.columns.push_back(std::move(column));
-  }
   return manifest;
 }
 
@@ -161,81 +158,26 @@ std::string SerializeManifest(const ProtectionManifest& manifest) {
 }
 
 Result<ProtectionManifest> ParseManifest(const std::string& text) {
+  PRIVMARK_ASSIGN_OR_RETURN(const KvText parsed, ParseKvText(text, "manifest"));
   ProtectionManifest manifest;
-  ManifestColumn* current_column = nullptr;
   bool saw_version = false;
-  // Duplicate detection: a key repeated in the same scope means a
-  // corrupted or spliced manifest — last-one-wins would silently parse
-  // a file the writer never produced.
-  std::set<std::string> seen_scalar;
-  std::set<std::string> seen_column;
-  // Strict decimal: an adversarial manifest must yield InvalidArgument,
-  // never an exception or a wrapped value.
-  auto parse_size = [](const std::string& value, const std::string& key) {
-    return ParseDecimalU64(value, "manifest: field '" + key + "'");
-  };
-
-  for (const std::string& raw_line : Split(text, '\n')) {
-    const std::string line = Trim(raw_line);
-    if (line.empty()) continue;
-    if (line == "[column]") {
-      if (current_column != nullptr && current_column->name.empty()) {
-        return Status::InvalidArgument(
-            "manifest: [column] section without a name");
-      }
-      manifest.columns.emplace_back();
-      current_column = &manifest.columns.back();
-      seen_column.clear();
-      continue;
-    }
-    const size_t eq = line.find(" = ");
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("manifest: malformed line: " + line);
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 3);
-    const bool column_key =
-        key == "name" || key == "ultimate" || key == "maximal";
-    if (column_key) {
-      if (current_column == nullptr) {
-        return Status::InvalidArgument("manifest: '" + key +
-                                       "' outside a [column] section");
-      }
-      if (!seen_column.insert(key).second) {
-        return Status::InvalidArgument("manifest: duplicate key '" + key +
-                                       "' in a [column] section");
-      }
-      if (key == "name") {
-        if (value.empty()) {
-          return Status::InvalidArgument("manifest: column name is empty");
-        }
-        current_column->name = value;
-      } else if (key == "ultimate") {
-        PRIVMARK_ASSIGN_OR_RETURN(current_column->ultimate_labels,
-                                  SplitEscaped(value));
-      } else {
-        PRIVMARK_ASSIGN_OR_RETURN(current_column->maximal_labels,
-                                  SplitEscaped(value));
-      }
-      continue;
-    }
-    if (!seen_scalar.insert(key).second) {
-      return Status::InvalidArgument("manifest: duplicate key '" + key + "'");
-    }
-    if (key == "privmark-manifest-version") {
+  for (const auto& [key, value] : parsed.top.fields) {
+    size_t* number = key == "mark_bits"  ? &manifest.mark_bits
+                     : key == "wmd_size" ? &manifest.wmd_size
+                     : key == "copies"   ? &manifest.copies
+                     : key == "epsilon"  ? &manifest.epsilon
+                                         : nullptr;
+    if (number != nullptr) {
+      // Strict decimal: an adversarial manifest must yield
+      // InvalidArgument, never an exception or a wrapped value.
+      PRIVMARK_ASSIGN_OR_RETURN(
+          *number, ParseDecimalU64(value, "manifest: field '" + key + "'"));
+    } else if (key == "privmark-manifest-version") {
       if (value != "1") {
         return Status::InvalidArgument("manifest: unsupported version " +
                                        value);
       }
       saw_version = true;
-    } else if (key == "mark_bits") {
-      PRIVMARK_ASSIGN_OR_RETURN(manifest.mark_bits, parse_size(value, key));
-    } else if (key == "wmd_size") {
-      PRIVMARK_ASSIGN_OR_RETURN(manifest.wmd_size, parse_size(value, key));
-    } else if (key == "copies") {
-      PRIVMARK_ASSIGN_OR_RETURN(manifest.copies, parse_size(value, key));
-    } else if (key == "epsilon") {
-      PRIVMARK_ASSIGN_OR_RETURN(manifest.epsilon, parse_size(value, key));
     } else if (key == "hash") {
       if (value == "SHA1") {
         manifest.hash = HashAlgorithm::kSha1;
@@ -246,13 +188,32 @@ Result<ProtectionManifest> ParseManifest(const std::string& text) {
       }
     } else if (key == "key_id") {
       manifest.key_id = value;
+    } else if (key == "name" || key == "ultimate" || key == "maximal") {
+      return Status::InvalidArgument("manifest: '" + key +
+                                     "' outside a [column] section");
     } else {
       return Status::InvalidArgument("manifest: unknown key " + key);
     }
   }
-  if (current_column != nullptr && current_column->name.empty()) {
-    return Status::InvalidArgument(
-        "manifest: [column] section without a name");
+  for (const KvSection& section : parsed.sections) {
+    const std::string* name = section.Find("name");
+    const std::string* ultimate = section.Find("ultimate");
+    const std::string* maximal = section.Find("maximal");
+    // Keys are unique per section, so three fields that include all three
+    // keys are exactly them. The writer always emits all three: a section
+    // missing one was truncated, and an empty list could not be written
+    // back.
+    if (section.name != "column" || section.fields.size() != 3 ||
+        name == nullptr || ultimate == nullptr || maximal == nullptr) {
+      return Status::InvalidArgument(
+          "manifest: section [" + section.name +
+          "] is not a [column] of exactly name, ultimate and maximal");
+    }
+    ManifestColumn column;
+    column.name = *name;
+    PRIVMARK_ASSIGN_OR_RETURN(column.ultimate_labels, SplitEscaped(*ultimate));
+    PRIVMARK_ASSIGN_OR_RETURN(column.maximal_labels, SplitEscaped(*maximal));
+    manifest.columns.push_back(std::move(column));
   }
   if (!saw_version) {
     return Status::InvalidArgument("manifest: missing version header");
@@ -323,18 +284,8 @@ Status WriteManifestFile(const ProtectionManifest& manifest,
 }
 
 Result<ProtectionManifest> ReadManifestFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string text = buffer.str();
-  if (text.size() > kMaxManifestBytes) {
-    return Status::InvalidArgument(
-        "manifest file '" + path + "' is " + std::to_string(text.size()) +
-        " bytes; the cap is " + std::to_string(kMaxManifestBytes));
-  }
+  PRIVMARK_ASSIGN_OR_RETURN(const std::string text,
+                            ReadFileCapped(path, kMaxManifestBytes));
   return ParseManifest(text);
 }
 

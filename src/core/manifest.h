@@ -95,8 +95,8 @@ inline constexpr size_t kMaxManifestBytes = size_t{1} << 20;
 /// crash-durability discipline — see common/durable_file.h).
 Status WriteManifestFile(const ProtectionManifest& manifest,
                          const std::string& path);
-/// \brief Reads and parses a manifest file (size-capped, see
-/// kMaxManifestBytes).
+/// \brief Reads and parses a manifest file. A file above
+/// kMaxManifestBytes is refused with IOError before it is read.
 Result<ProtectionManifest> ReadManifestFile(const std::string& path);
 
 }  // namespace privmark

@@ -1,9 +1,8 @@
 #include "relation/csv.h"
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 
+#include "common/durable_file.h"
 #include "common/strings.h"
 
 namespace privmark {
@@ -167,41 +166,12 @@ Result<Table> TableFromCsv(const std::string& csv, const Schema& schema) {
 }
 
 Status WriteTableCsv(const Table& table, const std::string& path) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  const std::string csv = TableToCsv(table);
-  file.write(csv.data(), static_cast<std::streamsize>(csv.size()));
-  if (!file) {
-    return Status::IOError("short write to '" + path + "'");
-  }
-  return Status::OK();
+  return WriteFileDurable(path, TableToCsv(table));
 }
 
 Result<Table> ReadTableCsv(const std::string& path, const Schema& schema) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  // Size-check before slurping so an oversized (or runaway, e.g. /dev/zero)
-  // input fails cleanly instead of exhausting memory.
-  file.seekg(0, std::ios::end);
-  const std::streamoff size = file.tellg();
-  if (size < 0) {
-    return Status::IOError("cannot determine size of '" + path + "'");
-  }
-  if (static_cast<uint64_t>(size) > kMaxCsvFileBytes) {
-    return Status::IOError("'" + path + "' is " + std::to_string(size) +
-                           " bytes; CSV inputs are capped at " +
-                           std::to_string(kMaxCsvFileBytes) + " bytes");
-  }
-  file.seekg(0, std::ios::beg);
-  std::string text(static_cast<size_t>(size), '\0');
-  file.read(text.data(), size);
-  if (!file) {
-    return Status::IOError("short read from '" + path + "'");
-  }
+  PRIVMARK_ASSIGN_OR_RETURN(const std::string text,
+                            ReadFileCapped(path, kMaxCsvFileBytes));
   return TableFromCsv(text, schema);
 }
 

@@ -26,7 +26,8 @@ std::string TableToCsv(const Table& table);
 /// InvalidArgument, never UB or unbounded allocation.
 Result<Table> TableFromCsv(const std::string& csv, const Schema& schema);
 
-/// \brief Writes a table to a CSV file.
+/// \brief Writes a table to a CSV file durably: contents and directory
+/// entry are fsynced before OK (common/durable_file.h).
 Status WriteTableCsv(const Table& table, const std::string& path);
 
 /// \brief Reads a table from a CSV file. Files past the 1 GiB cap are

@@ -1,8 +1,7 @@
 #include "watermark/key_registry.h"
 
-#include <fstream>
-#include <sstream>
-
+#include "common/durable_file.h"
+#include "common/kv_text.h"
 #include "common/strings.h"
 
 namespace privmark {
@@ -39,27 +38,6 @@ Result<std::string> BytesOfHex(const std::string& hex, const char* field) {
                                    "' is not valid hex: " + hex);
   }
   return std::string(bytes->begin(), bytes->end());
-}
-
-// One entry being assembled by the parser; every field must appear before
-// the entry is closed by the next [key] section or end of input.
-struct PendingKey {
-  NamedKey entry;
-  bool has_name = false;
-  bool has_k1 = false;
-  bool has_k2 = false;
-  bool has_eta = false;
-};
-
-Status FinalizePending(PendingKey* pending, KeyRegistry* registry) {
-  if (!pending->has_name || !pending->has_k1 || !pending->has_k2 ||
-      !pending->has_eta) {
-    return Status::InvalidArgument(
-        "key file: truncated [key] entry" +
-        (pending->has_name ? " '" + pending->entry.name + "'" : std::string()) +
-        " (name, k1, k2 and eta are all required)");
-  }
-  return registry->Add(std::move(pending->entry));
 }
 
 }  // namespace
@@ -114,107 +92,58 @@ Result<KeyRegistry> KeyRegistry::Parse(const std::string& text) {
     return Status::InvalidArgument(
         "key file: embedded NUL byte (not a privmark key file)");
   }
-  KeyRegistry registry;
-  bool saw_magic = false;
-  bool in_key = false;
-  PendingKey pending;
-
-  for (const std::string& raw_line : Split(text, '\n')) {
-    const std::string line = Trim(raw_line);
-    if (line.empty()) continue;
-    if (!saw_magic) {
-      // The magic line must come first; anything else is not a key file.
-      if (!StartsWith(line, kMagicPrefix)) {
-        return Status::InvalidArgument(
-            "key file: bad magic (expected '" + std::string(kMagicPrefix) +
-            "<version>', got '" + line + "')");
-      }
-      const std::string version = line.substr(sizeof(kMagicPrefix) - 1);
-      if (version != "1") {
-        return Status::InvalidArgument("key file: unsupported version " +
-                                       version);
-      }
-      saw_magic = true;
-      continue;
-    }
-    if (line == "[key]") {
-      if (in_key) {
-        PRIVMARK_RETURN_NOT_OK(FinalizePending(&pending, &registry));
-      }
-      pending = PendingKey{};
-      in_key = true;
-      continue;
-    }
-    const size_t eq = line.find(" = ");
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("key file: malformed line: " + line);
-    }
-    if (!in_key) {
-      return Status::InvalidArgument("key file: '" + line.substr(0, eq) +
-                                     "' outside a [key] section");
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 3);
-    if (key == "name") {
-      pending.entry.name = value;
-      pending.has_name = true;
-    } else if (key == "k1") {
-      PRIVMARK_ASSIGN_OR_RETURN(pending.entry.key.k1,
-                                BytesOfHex(value, "k1"));
-      pending.has_k1 = true;
-    } else if (key == "k2") {
-      PRIVMARK_ASSIGN_OR_RETURN(pending.entry.key.k2,
-                                BytesOfHex(value, "k2"));
-      pending.has_k2 = true;
-    } else if (key == "eta") {
-      PRIVMARK_ASSIGN_OR_RETURN(pending.entry.key.eta,
-                                ParseDecimalU64(value, "key file: eta"));
-      pending.has_eta = true;
-    } else {
-      return Status::InvalidArgument("key file: unknown key " + key);
-    }
-  }
-  if (!saw_magic) {
+  PRIVMARK_ASSIGN_OR_RETURN(const KvText parsed,
+                            ParseKvText(text, "key file", /*header_line=*/true));
+  // The magic line must come first; anything else is not a key file.
+  if (parsed.header.empty()) {
     return Status::InvalidArgument("key file: empty file (missing magic)");
   }
-  if (in_key) {
-    PRIVMARK_RETURN_NOT_OK(FinalizePending(&pending, &registry));
+  if (!StartsWith(parsed.header, kMagicPrefix)) {
+    return Status::InvalidArgument(
+        "key file: bad magic (expected '" + std::string(kMagicPrefix) +
+        "<version>', got '" + parsed.header + "')");
+  }
+  const std::string version = parsed.header.substr(sizeof(kMagicPrefix) - 1);
+  if (version != "1") {
+    return Status::InvalidArgument("key file: unsupported version " + version);
+  }
+  if (!parsed.top.fields.empty()) {
+    return Status::InvalidArgument("key file: '" + parsed.top.fields[0].key +
+                                   "' outside a [key] section");
+  }
+  KeyRegistry registry;
+  for (const KvSection& section : parsed.sections) {
+    const std::string* name = section.Find("name");
+    const std::string* k1 = section.Find("k1");
+    const std::string* k2 = section.Find("k2");
+    const std::string* eta = section.Find("eta");
+    // Keys are unique per section, so four fields including all four
+    // keys are exactly them.
+    if (section.name != "key" || section.fields.size() != 4 ||
+        name == nullptr || k1 == nullptr || k2 == nullptr || eta == nullptr) {
+      return Status::InvalidArgument(
+          "key file: section [" + section.name + "]" +
+          (name != nullptr ? " '" + *name + "'" : std::string()) +
+          " is not a [key] of exactly name, k1, k2 and eta");
+    }
+    NamedKey entry;
+    entry.name = *name;
+    PRIVMARK_ASSIGN_OR_RETURN(entry.key.k1, BytesOfHex(*k1, "k1"));
+    PRIVMARK_ASSIGN_OR_RETURN(entry.key.k2, BytesOfHex(*k2, "k2"));
+    PRIVMARK_ASSIGN_OR_RETURN(entry.key.eta,
+                              ParseDecimalU64(*eta, "key file: eta"));
+    PRIVMARK_RETURN_NOT_OK(registry.Add(std::move(entry)));
   }
   return registry;
 }
 
 Status KeyRegistry::WriteFile(const std::string& path) const {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  const std::string text = Serialize();
-  file.write(text.data(), static_cast<std::streamsize>(text.size()));
-  if (!file) return Status::IOError("short write to '" + path + "'");
-  return Status::OK();
+  return WriteFileDurable(path, Serialize());
 }
 
 Result<KeyRegistry> KeyRegistry::ReadFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  file.seekg(0, std::ios::end);
-  const std::streamoff size = file.tellg();
-  if (size < 0) {
-    return Status::IOError("cannot determine size of '" + path + "'");
-  }
-  if (static_cast<uint64_t>(size) > kMaxKeyFileBytes) {
-    return Status::IOError("'" + path + "' is " + std::to_string(size) +
-                           " bytes; key files are capped at " +
-                           std::to_string(kMaxKeyFileBytes) + " bytes");
-  }
-  file.seekg(0, std::ios::beg);
-  std::string text(static_cast<size_t>(size), '\0');
-  file.read(text.data(), size);
-  if (!file) {
-    return Status::IOError("short read from '" + path + "'");
-  }
+  PRIVMARK_ASSIGN_OR_RETURN(const std::string text,
+                            ReadFileCapped(path, kMaxKeyFileBytes));
   return Parse(text);
 }
 

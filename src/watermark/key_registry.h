@@ -67,11 +67,14 @@ class KeyRegistry {
 
   /// \brief Parses the text format. Rejects a missing or foreign magic
   /// line, unsupported versions, truncated entries (a [key] section
-  /// missing name/k1/k2/eta), malformed hex, an eta that overflows
-  /// uint64, embedded NUL bytes, and duplicate names — always with a
-  /// clean Status, never an exception.
+  /// missing name/k1/k2/eta), a field repeated within one entry,
+  /// malformed hex, an eta that overflows uint64, embedded NUL bytes,
+  /// and duplicate names — always with a clean Status, never an
+  /// exception. The line grammar is common/kv_text.h's.
   static Result<KeyRegistry> Parse(const std::string& text);
 
+  /// \brief Writes the file durably (common/durable_file.h): it may hold
+  /// the owner's only copy of the secret.
   Status WriteFile(const std::string& path) const;
 
   /// \brief Reads and parses a key file. Files past a 1 MiB cap are

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -175,6 +176,52 @@ TEST(SubsetDeletionTest, RejectsBadFraction) {
   Table t = MakeTable(tree, 10);
   Random rng(9);
   EXPECT_FALSE(SubsetDeletionAttack(&t, 1.0001, &rng).ok());
+}
+
+// NaN slips past every `<`/`>` range check, and NaN * rows cast to size_t
+// is undefined: alteration died with std::length_error and deletion
+// returned OK. Addition also took +inf and appended rows until memory ran
+// out.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(AttackFractionTest, AlterationRejectsNaN) {
+  DomainHierarchy tree = DeepTree();
+  Table t = MakeTable(tree, 10);
+  Random rng(3);
+  EXPECT_EQ(SubsetAlterationAttack(&t, {1}, kNaN, &rng).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(AttackFractionTest, DeletionRejectsNaN) {
+  DomainHierarchy tree = DeepTree();
+  Table t = MakeTable(tree, 10);
+  Random rng(3);
+  EXPECT_EQ(SubsetDeletionAttack(&t, kNaN, &rng).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 10u);
+}
+
+TEST(AttackFractionTest, AdditionRejectsNaNAndInfinity) {
+  DomainHierarchy tree = DeepTree();
+  Table t = MakeTable(tree, 10);
+  Random rng(3);
+  EXPECT_EQ(SubsetAdditionAttack(&t, kNaN, &rng).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SubsetAdditionAttack(&t, std::numeric_limits<double>::infinity(),
+                                 &rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 10u);
+}
+
+TEST(AttackFractionTest, SiblingSwapRejectsNaN) {
+  DomainHierarchy tree = DeepTree();
+  Table t = MakeTable(tree, 10);
+  Random rng(3);
+  const GeneralizationSet leaves = GeneralizationSet::AllLeaves(&tree);
+  EXPECT_EQ(SiblingSwapAttack(&t, {1}, {leaves}, kNaN, &rng).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(GeneralizationAttackTest, MovesLabelsOneLevelUp) {

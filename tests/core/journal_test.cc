@@ -357,6 +357,34 @@ TEST(SessionJournalTest, SealCodecRejectsMalformedPayloads) {
   EXPECT_EQ(minimal->rows_emitted, 0u);
 }
 
+// A repeated seal field once decoded as its last value ("epoch = 0 ...
+// epoch = 7" as epoch 7), so replay validated against a seal the journal
+// never wrote.
+TEST(SessionJournalTest, SealCodecRejectsRepeatedFields) {
+  for (const char* payload :
+       {"epoch = 0\nrows_emitted = 4\nepoch = 7\n",
+        "epoch = 1\nrows_emitted = 4\nrows_emitted = 5\n",
+        "epoch = 1\nrows_suppressed = 0\nrows_suppressed = 0\n"}) {
+    const auto seal = SessionJournal::DecodeEpochSealed(payload);
+    ASSERT_FALSE(seal.ok()) << payload;
+    EXPECT_EQ(seal.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(seal.status().message().find("duplicate"), std::string::npos)
+        << seal.status().message();
+  }
+}
+
+TEST(SessionJournalTest, SealCodecRoundTrips) {
+  const EpochSeal seal{3, 1200, 17};
+  const auto decoded =
+      SessionJournal::DecodeEpochSealed(SessionJournal::EncodeEpochSealed(seal));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->epoch, 3u);
+  EXPECT_EQ(decoded->rows_emitted, 1200u);
+  EXPECT_EQ(decoded->rows_suppressed, 17u);
+  EXPECT_EQ(SessionJournal::EncodeEpochSealed(seal),
+            "epoch = 3\nrows_emitted = 1200\nrows_suppressed = 17\n");
+}
+
 // The heart of the tentpole: a journaled session dies (here: simply
 // abandoned mid-stream), Recover replays its journal, and the recovered
 // session's past and future emissions are byte-identical to a session

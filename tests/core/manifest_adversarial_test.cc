@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 
@@ -148,6 +150,14 @@ TEST(ManifestAdversarialTest, ColumnSectionsWithoutNamesAreRejected) {
   EXPECT_FALSE(ParseManifest(WithColumn("name = \nultimate = a\n")).ok());
 }
 
+// The writer always emits both label lists. A section missing one was
+// truncated, and its empty list would not survive being written back.
+TEST(ManifestAdversarialTest, ColumnSectionsWithoutLabelListsAreRejected) {
+  EXPECT_FALSE(ParseManifest(WithColumn("name = age\nultimate = a\n")).ok());
+  EXPECT_FALSE(ParseManifest(WithColumn("name = age\nmaximal = r\n")).ok());
+  EXPECT_FALSE(ParseManifest(WithColumn("name = age\n")).ok());
+}
+
 TEST(ManifestAdversarialTest, ColumnKeysOutsideASectionAreRejected) {
   EXPECT_FALSE(ParseManifest(std::string(kValidHeader) + "ultimate = a\n")
                    .ok());
@@ -162,6 +172,10 @@ TEST(ManifestAdversarialTest, StructurallyMalformedLinesAreRejected) {
       ParseManifest(std::string(kValidHeader) + "surprise = 1\n").ok());
   EXPECT_FALSE(
       ParseManifest(std::string(kValidHeader) + "hash = CRC32\n").ok());
+  // Scalars belong before the first section, where the writer puts them.
+  EXPECT_FALSE(ParseManifest(WithColumn("name = age\nultimate = a\n"
+                                        "maximal = r\ncopies = 2\n"))
+                   .ok());
 }
 
 // ---- file-level caps and faults -------------------------------------------
@@ -176,10 +190,24 @@ TEST(ManifestAdversarialTest, OversizedManifestFileIsRefused) {
   ASSERT_TRUE(WriteFileDurable(path, text).ok());
   auto loaded = ReadManifestFile(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
   EXPECT_NE(loaded.status().ToString().find("cap"), std::string::npos)
       << loaded.status().ToString();
   std::remove(path.c_str());
+}
+
+// The cap must refuse a file before reading it: a 2 GiB sparse file costs
+// no disk, but slurping it first (as a stream read would) allocates 2 GiB,
+// which the ASan allocation-cap lane turns into an abort.
+TEST(ManifestAdversarialTest, HugeSparseManifestIsRefusedBeforeAnyRead) {
+  const std::string path = TestTempPath("privmark_manifest_sparse.txt");
+  ASSERT_TRUE(WriteFileDurable(path, kValidHeader).ok());
+  ASSERT_EQ(::truncate(path.c_str(), off_t{2} << 30), 0);
+  auto loaded = ReadManifestFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().ToString().find("cap"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 #if defined(PRIVMARK_FAILPOINTS_ENABLED)

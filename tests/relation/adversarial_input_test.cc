@@ -206,6 +206,32 @@ TEST(AdversarialKeyFileTest, TruncatedEntryAndUnknownKeysFail) {
   EXPECT_FALSE(KeyRegistry::Parse("MZ\x90\x00not a key file").ok());
 }
 
+// A field repeated inside one [key] section once parsed last-one-wins: a
+// spliced "name = mallory" after alice's secret renamed the entry, and a
+// second k1 silently replaced the first.
+TEST(AdversarialKeyFileTest, RepeatedFieldInOneEntryIsRejected) {
+  const std::string entry =
+      "privmark-keys v1\n"
+      "[key]\n"
+      "name = alice\n"
+      "k1 = 6363\n"
+      "k2 = 6464\n"
+      "eta = 50\n";
+  for (const char* repeat :
+       {"name = mallory\n", "k1 = cc\n", "k2 = dd\n", "eta = 7\n"}) {
+    auto registry = KeyRegistry::Parse(entry + repeat);
+    ASSERT_FALSE(registry.ok()) << repeat;
+    EXPECT_EQ(registry.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(registry.status().message().find("duplicate"),
+              std::string::npos)
+        << registry.status().message();
+  }
+  // The same field in two different entries is how a registry looks.
+  EXPECT_TRUE(KeyRegistry::Parse(entry + "[key]\nname = bob\nk1 = 00\n"
+                                         "k2 = 11\neta = 9\n")
+                  .ok());
+}
+
 TEST(AdversarialKeyFileTest, ReadKeyFileStillAcceptsAHealthyFile) {
   const std::string path = TempPath("adversarial_healthy.keys");
   Random rng(99);
