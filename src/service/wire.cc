@@ -17,267 +17,368 @@ namespace {
 constexpr size_t kMaxNameBytes = 4096;
 constexpr size_t kMaxTextBytes = size_t{1} << 20;
 
+// The fewest bytes one sequence element encodes to (empty strings and
+// lists): what a reader divides the bytes left by before trusting a count.
+constexpr size_t kDetectReportMinBytes = 4 + 3 * 8 + 4 + 4;
+constexpr size_t kKeyVerdictMinBytes = 4 + kDetectReportMinBytes + 4 * 8 + 1;
+constexpr size_t kFingerprintTailMinBytes = 4 + 8 + 1;
+constexpr size_t kEpochSummaryMinBytes = 5 * 8 + 4;
+
 Status Truncated(const char* what) {
   return Status::InvalidArgument(std::string("wire: truncated or oversized ") +
                                  what);
 }
 
-void AppendStatus(std::string* out, const Status& status) {
-  AppendLe32(out, static_cast<uint32_t>(status.code()));
-  AppendLengthPrefixed(out, status.message());
-  AppendLe64(out, static_cast<uint64_t>(status.retry_after_ms()));
-}
+// The encode half of every payload codec. Its primitives mirror
+// WireReader's one for one, so a message's *Fields function is its whole
+// format; the caps and checks they take only matter when reading.
+class WireWriter {
+ public:
+  WireWriter(std::string* out, WireTableEncoder* tables)
+      : out_(out), tables_(tables) {}
 
-// Out-param rather than Result<Status>: Result<T> cannot hold a Status
-// payload (its value and error constructors would collide).
-Status ReadStatus(BinReader* reader, const char* what, Status* out) {
-  uint32_t code = 0;
-  std::string message;
-  uint64_t retry_bits = 0;
-  if (!reader->ReadU32(&code) ||
-      !reader->ReadLengthPrefixed(&message, kMaxTextBytes) ||
-      !reader->ReadU64(&retry_bits)) {
-    return Truncated(what);
+  template <class Int>
+  void U32(Int v) { AppendLe32(out_, static_cast<uint32_t>(v)); }
+  template <class Int>
+  void U64(Int v) { AppendLe64(out_, static_cast<uint64_t>(v)); }
+  void Double(double v) { AppendDoubleBits(out_, v); }
+  void Flag(bool v) { out_->push_back(v ? 1 : 0); }
+  template <class E>
+  void Enum(E v, E, E, const char*) { out_->push_back(static_cast<char>(v)); }
+  void Text(const std::string& text, size_t) {
+    AppendLengthPrefixed(out_, text);
   }
-  if (code > static_cast<uint32_t>(StatusCode::kResourceExhausted)) {
-    return Status::InvalidArgument("wire: unknown status code " +
-                                   std::to_string(code));
+  // [u32 code][text message][u64 retry_after_ms bits].
+  void Stat(const Status& status) {
+    U32(status.code());
+    Text(status.message(), kMaxTextBytes);
+    U64(status.retry_after_ms());
   }
-  *out = Status(static_cast<StatusCode>(code), std::move(message))
-             .WithRetryAfterMs(static_cast<int64_t>(retry_bits));
-  return Status::OK();
-}
+  void Bits(const BitVector& bits) { Text(bits.ToString(), kMaxTextBytes); }
+  // One '0'/'1' byte per flag, as text.
+  void Votes(const std::vector<bool>& voted) {
+    std::string text;
+    text.reserve(voted.size());
+    for (bool b : voted) text.push_back(b ? '1' : '0');
+    Text(text, kMaxTextBytes);
+  }
+  void Block(const Table& table) { tables_->Encode(table, out_); }
+  // [u32 count][count × element].
+  template <class V, class F>
+  void Seq(const V& items, size_t, F element) {
+    U32(items.size());
+    for (const auto& item : items) element(item);
+  }
+  template <class F>
+  void Check(F) {}
 
-void AppendBitVector(std::string* out, const BitVector& bits) {
-  AppendLengthPrefixed(out, bits.ToString());
-}
+ private:
+  std::string* out_;
+  WireTableEncoder* tables_;
+};
 
-Result<BitVector> ReadBitVector(BinReader* reader, const char* what) {
-  std::string text;
-  if (!reader->ReadLengthPrefixed(&text, kMaxTextBytes)) {
-    return Truncated(what);
-  }
-  return BitVector::FromString(text);
-}
+// The decode half. It latches the first error: every primitive after it
+// is a no-op, so a field list reads straight through and the caller
+// looks at Finish() once.
+class WireReader {
+ public:
+  WireReader(const std::string& payload, WireTableDecoder* tables,
+             const char* what)
+      : reader_(payload), tables_(tables), what_(what) {}
 
-void AppendDetectReport(std::string* out, const DetectReport& report) {
-  AppendBitVector(out, report.recovered);
-  AppendLe64(out, report.tuples_selected);
-  AppendLe64(out, report.slots_read);
-  AppendLe64(out, report.slots_skipped);
-  AppendLe32(out, static_cast<uint32_t>(report.vote_margin.size()));
-  for (double margin : report.vote_margin) AppendDoubleBits(out, margin);
-  std::string voted;
-  voted.reserve(report.bit_voted.size());
-  for (bool b : report.bit_voted) voted.push_back(b ? '1' : '0');
-  AppendLengthPrefixed(out, voted);
-}
-
-Result<DetectReport> ReadDetectReport(BinReader* reader) {
-  DetectReport report;
-  PRIVMARK_ASSIGN_OR_RETURN(report.recovered,
-                            ReadBitVector(reader, "detect report"));
-  uint64_t tuples = 0;
-  uint64_t read = 0;
-  uint64_t skipped = 0;
-  uint32_t margins = 0;
-  if (!reader->ReadU64(&tuples) || !reader->ReadU64(&read) ||
-      !reader->ReadU64(&skipped) || !reader->ReadU32(&margins)) {
-    return Truncated("detect report");
+  template <class Int>
+  void U32(Int& v) {
+    uint32_t raw = 0;
+    if (Take(reader_.ReadU32(&raw))) v = static_cast<Int>(raw);
   }
-  report.tuples_selected = tuples;
-  report.slots_read = read;
-  report.slots_skipped = skipped;
-  if (reader->remaining() / 8 < margins) return Truncated("vote margins");
-  report.vote_margin.reserve(margins);
-  for (uint32_t i = 0; i < margins; ++i) {
-    double margin = 0;
-    if (!reader->ReadDoubleBits(&margin)) return Truncated("vote margins");
-    report.vote_margin.push_back(margin);
+  template <class Int>
+  void U64(Int& v) {
+    uint64_t raw = 0;
+    if (Take(reader_.ReadU64(&raw))) v = static_cast<Int>(raw);
   }
-  std::string voted;
-  if (!reader->ReadLengthPrefixed(&voted, kMaxTextBytes)) {
-    return Truncated("bit_voted");
+  void Double(double& v) { Take(reader_.ReadDoubleBits(&v)); }
+  void Flag(bool& v) {
+    uint8_t raw = 0;
+    if (Take(reader_.ReadU8(&raw))) v = raw != 0;
   }
-  report.bit_voted.reserve(voted.size());
-  for (char c : voted) {
-    if (c != '0' && c != '1') {
-      return Status::InvalidArgument("wire: bit_voted holds a non-bit byte");
+  // A u8 that must lie in [lo, hi].
+  template <class E>
+  void Enum(E& v, E lo, E hi, const char* what) {
+    uint8_t raw = 0;
+    if (!Take(reader_.ReadU8(&raw))) return;
+    if (raw < static_cast<uint8_t>(lo) || raw > static_cast<uint8_t>(hi)) {
+      return Fail(std::string("unknown ") + what + " " + std::to_string(raw));
     }
-    report.bit_voted.push_back(c == '1');
+    v = static_cast<E>(raw);
   }
-  return report;
+  void Text(std::string& text, size_t max_bytes) {
+    Take(reader_.ReadLengthPrefixed(&text, max_bytes));
+  }
+  void Stat(Status& status) {
+    uint32_t code = 0;
+    std::string message;
+    uint64_t retry_bits = 0;
+    U32(code);
+    Text(message, kMaxTextBytes);
+    U64(retry_bits);
+    if (!status_.ok()) return;
+    if (code > static_cast<uint32_t>(StatusCode::kResourceExhausted)) {
+      return Fail("unknown status code " + std::to_string(code));
+    }
+    status = Status(static_cast<StatusCode>(code), std::move(message))
+                 .WithRetryAfterMs(static_cast<int64_t>(retry_bits));
+  }
+  void Bits(BitVector& bits) {
+    std::string text;
+    Text(text, kMaxTextBytes);
+    if (status_.ok()) Adopt(BitVector::FromString(text), bits);
+  }
+  void Votes(std::vector<bool>& voted) {
+    std::string text;
+    Text(text, kMaxTextBytes);
+    voted.reserve(text.size());
+    for (char c : text) {
+      if (c != '0' && c != '1') return Fail("bit_voted holds a non-bit byte");
+      voted.push_back(c == '1');
+    }
+  }
+  void Block(Table& table) {
+    if (status_.ok()) Adopt(tables_->Decode(&reader_), table);
+  }
+  // The count is refused unless the bytes left can hold that many
+  // elements of at least `min_bytes` each, before anything is sized.
+  template <class V, class F>
+  void Seq(V& items, size_t min_bytes, F element) {
+    uint32_t count = 0;
+    U32(count);
+    if (!status_.ok()) return;
+    if (count > reader_.remaining() / min_bytes) {
+      return Fail(std::string(what_) + " claims " + std::to_string(count) +
+                  " entries but has " + std::to_string(reader_.remaining()) +
+                  " bytes left");
+    }
+    items.resize(count);
+    for (auto& item : items) {
+      if (!status_.ok()) return;
+      element(item);
+    }
+  }
+  // A read-side check, run only while no error has latched.
+  template <class F>
+  void Check(F check) {
+    if (status_.ok()) status_ = check();
+  }
+  // The latched error, else InvalidArgument on trailing bytes.
+  Status Finish() {
+    if (status_.ok() && !reader_.Exhausted()) {
+      Fail(std::string(what_) + " has trailing bytes");
+    }
+    return status_;
+  }
+
+ private:
+  bool Take(bool read) {
+    if (!read && status_.ok()) status_ = Truncated(what_);
+    return read && status_.ok();
+  }
+  void Fail(const std::string& message) {
+    if (status_.ok()) status_ = Status::InvalidArgument("wire: " + message);
+  }
+  template <class T>
+  void Adopt(Result<T> result, T& out) {
+    if (result.ok()) {
+      out = std::move(result).ValueOrDie();
+    } else {
+      status_ = result.status();
+    }
+  }
+
+  BinReader reader_;
+  WireTableDecoder* tables_;
+  const char* what_;
+  Status status_;
+};
+
+// ---- one field list per message ------------------------------------------
+//
+// Each *Fields function below is a message's whole format, instantiated
+// once with WireWriter (T const) and once with WireReader.
+
+template <class IO, class T>
+void DetectReportFields(IO& io, T& report) {
+  io.Bits(report.recovered);
+  io.U64(report.tuples_selected);
+  io.U64(report.slots_read);
+  io.U64(report.slots_skipped);
+  io.Seq(report.vote_margin, 8, [&](auto& margin) { io.Double(margin); });
+  io.Votes(report.bit_voted);
 }
 
-void AppendKeyVerdict(std::string* out, const KeyVerdict& verdict) {
-  AppendLengthPrefixed(out, verdict.key_name);
-  AppendDetectReport(out, verdict.detection);
-  AppendDoubleBits(out, verdict.margin_ratio);
-  AppendDoubleBits(out, verdict.mark_match);
-  AppendDoubleBits(out, verdict.p_value);
-  AppendDoubleBits(out, verdict.score);
-  out->push_back(verdict.detected ? 1 : 0);
+template <class IO, class T>
+void KeyVerdictFields(IO& io, T& verdict) {
+  io.Text(verdict.key_name, kMaxNameBytes);
+  DetectReportFields(io, verdict.detection);
+  io.Double(verdict.margin_ratio);
+  io.Double(verdict.mark_match);
+  io.Double(verdict.p_value);
+  io.Double(verdict.score);
+  io.Flag(verdict.detected);
 }
 
-Result<KeyVerdict> ReadKeyVerdict(BinReader* reader) {
-  KeyVerdict verdict;
-  if (!reader->ReadLengthPrefixed(&verdict.key_name, kMaxNameBytes)) {
-    return Truncated("verdict key name");
-  }
-  PRIVMARK_ASSIGN_OR_RETURN(verdict.detection, ReadDetectReport(reader));
-  uint8_t detected = 0;
-  if (!reader->ReadDoubleBits(&verdict.margin_ratio) ||
-      !reader->ReadDoubleBits(&verdict.mark_match) ||
-      !reader->ReadDoubleBits(&verdict.p_value) ||
-      !reader->ReadDoubleBits(&verdict.score) ||
-      !reader->ReadU8(&detected)) {
-    return Truncated("verdict");
-  }
-  verdict.detected = detected != 0;
-  return verdict;
-}
-
-// The ranking + keys_detected + collusion tail of a report — the part a
-// streamed terminal frame carries after the verdicts went out as shards.
-void AppendFingerprintTail(std::string* out, const FingerprintReport& report) {
-  AppendLe32(out, static_cast<uint32_t>(report.ranking.size()));
+// A ranking is a permutation of all verdict indices (in range, never
+// repeated), so its length IS the verdict count: a report that carries
+// its verdicts must agree with it, and a streamed tail's client checks
+// its reassembled shards against it.
+Status CheckRanking(const FingerprintReport& report, bool with_verdicts) {
+  const size_t n = report.ranking.size();
+  std::vector<bool> seen(n, false);
   for (size_t index : report.ranking) {
-    AppendLe32(out, static_cast<uint32_t>(index));
-  }
-  AppendLe64(out, report.keys_detected);
-  out->push_back(report.collusion ? 1 : 0);
-}
-
-// Reads the tail. A ranking is always a permutation of all verdict
-// indices, so its length IS the verdict count — callers holding the
-// verdicts separately compare against report->ranking.size().
-Status ReadFingerprintTail(BinReader* reader, FingerprintReport* report) {
-  uint32_t ranked = 0;
-  if (!reader->ReadU32(&ranked)) return Truncated("ranking");
-  if (reader->remaining() / 4 < ranked) return Truncated("ranking");
-  report->ranking.reserve(ranked);
-  std::vector<bool> seen(ranked, false);
-  for (uint32_t i = 0; i < ranked; ++i) {
-    uint32_t index = 0;
-    if (!reader->ReadU32(&index)) return Truncated("ranking");
-    if (index >= ranked) {
+    if (index >= n) {
       return Status::InvalidArgument(
           "wire: fingerprint ranking index out of range");
     }
-    // In range and never repeated over `ranked` entries: a permutation.
     if (seen[index]) {
       return Status::InvalidArgument(
           "wire: fingerprint ranking repeats index " + std::to_string(index));
     }
     seen[index] = true;
-    report->ranking.push_back(index);
   }
-  uint64_t detected = 0;
-  uint8_t collusion = 0;
-  if (!reader->ReadU64(&detected) || !reader->ReadU8(&collusion)) {
-    return Truncated("fingerprint report");
-  }
-  report->keys_detected = detected;
-  report->collusion = collusion != 0;
-  return Status::OK();
-}
-
-// Per-epoch fingerprint reports: [u32 count], then per report the
-// verdicts ([u32 n][n × verdict]) and the tail. A streamed terminal
-// carries the tails only (with_verdicts = false): its verdicts already
-// crossed as kPartial shards.
-void AppendFingerprintReports(std::string* out,
-                              const std::vector<FingerprintReport>& reports,
-                              bool with_verdicts) {
-  AppendLe32(out, static_cast<uint32_t>(reports.size()));
-  for (const FingerprintReport& report : reports) {
-    if (with_verdicts) {
-      AppendLe32(out, static_cast<uint32_t>(report.verdicts.size()));
-      for (const KeyVerdict& verdict : report.verdicts) {
-        AppendKeyVerdict(out, verdict);
-      }
-    }
-    AppendFingerprintTail(out, report);
-  }
-}
-
-Status ReadFingerprintReports(BinReader* reader, bool with_verdicts,
-                              std::vector<FingerprintReport>* reports) {
-  uint32_t count = 0;
-  if (!reader->ReadU32(&count)) return Truncated("fingerprint reports");
-  if (reader->remaining() / 4 < count) return Truncated("fingerprint reports");
-  reports->resize(count);
-  for (FingerprintReport& report : *reports) {
-    if (with_verdicts) {
-      uint32_t verdicts = 0;
-      if (!reader->ReadU32(&verdicts)) return Truncated("fingerprint report");
-      // Every verdict holds at least a name prefix and the fixed numerics.
-      if (reader->remaining() / 8 < verdicts) return Truncated("verdicts");
-      report.verdicts.reserve(verdicts);
-      for (uint32_t i = 0; i < verdicts; ++i) {
-        PRIVMARK_ASSIGN_OR_RETURN(KeyVerdict verdict, ReadKeyVerdict(reader));
-        report.verdicts.push_back(std::move(verdict));
-      }
-    }
-    PRIVMARK_RETURN_NOT_OK(ReadFingerprintTail(reader, &report));
-    if (with_verdicts && report.ranking.size() != report.verdicts.size()) {
-      return Status::InvalidArgument(
-          "wire: fingerprint ranking length differs from verdict count");
-    }
+  if (with_verdicts && n != report.verdicts.size()) {
+    return Status::InvalidArgument(
+        "wire: fingerprint ranking length differs from verdict count");
   }
   return Status::OK();
 }
 
-void AppendEpochSummary(std::string* out, const WireEpochSummary& epoch) {
-  AppendLe64(out, epoch.epoch);
-  AppendLe64(out, epoch.rows_emitted);
-  AppendLe64(out, epoch.rows_suppressed);
-  AppendLe64(out, epoch.wmd_size);
-  AppendDoubleBits(out, epoch.identifier_statistic);
-  AppendLengthPrefixed(out, epoch.manifest_text);
-}
-
-Result<WireEpochSummary> ReadEpochSummary(BinReader* reader) {
-  WireEpochSummary epoch;
-  if (!reader->ReadU64(&epoch.epoch) ||
-      !reader->ReadU64(&epoch.rows_emitted) ||
-      !reader->ReadU64(&epoch.rows_suppressed) ||
-      !reader->ReadU64(&epoch.wmd_size) ||
-      !reader->ReadDoubleBits(&epoch.identifier_statistic) ||
-      !reader->ReadLengthPrefixed(&epoch.manifest_text, kMaxTextBytes)) {
-    return Truncated("epoch summary");
+// [verdicts] [u32-indexed ranking][u64 keys_detected][u8 collusion]. A
+// streamed terminal carries the tail only (with_verdicts = false): its
+// verdicts already crossed as kPartial shards.
+template <class IO, class T>
+void FingerprintReportFields(IO& io, T& report, bool with_verdicts) {
+  if (with_verdicts) {
+    io.Seq(report.verdicts, kKeyVerdictMinBytes,
+           [&](auto& verdict) { KeyVerdictFields(io, verdict); });
   }
-  return epoch;
+  io.Seq(report.ranking, 4, [&](auto& index) { io.U32(index); });
+  io.Check([&] { return CheckRanking(report, with_verdicts); });
+  io.U64(report.keys_detected);
+  io.Flag(report.collusion);
 }
 
-// The envelope every response payload opens with, streamed terminal
-// included: [u8 kind][status][journal status][u64 threads_granted]. A
-// non-OK status ends the payload there.
-void AppendResponseEnvelope(std::string* out, const WireResponse& response) {
-  out->push_back(static_cast<char>(response.kind));
-  AppendStatus(out, response.status);
-  AppendStatus(out, response.journal_status);
-  AppendLe64(out, response.threads_granted);
+template <class IO, class T>
+void EpochSummaryFields(IO& io, T& epoch) {
+  io.U64(epoch.epoch);
+  io.U64(epoch.rows_emitted);
+  io.U64(epoch.rows_suppressed);
+  io.U64(epoch.wmd_size);
+  io.Double(epoch.identifier_statistic);
+  io.Text(epoch.manifest_text, kMaxTextBytes);
 }
 
-// Reads the envelope; `kind` must echo a request type.
-Status ReadResponseEnvelope(BinReader* reader, const char* what,
-                            WireResponse* response) {
-  uint8_t kind = 0;
-  if (!reader->ReadU8(&kind)) return Truncated(what);
-  if (kind < static_cast<uint8_t>(WireFrameType::kOpen) ||
-      kind > static_cast<uint8_t>(WireFrameType::kClose)) {
-    return Status::InvalidArgument(std::string("wire: ") + what +
-                                   " echoes unknown kind " +
-                                   std::to_string(kind));
+template <class IO, class T>
+void OpenRequestFields(IO& io, T& open) {
+  io.U64(open.k);
+  io.Flag(open.enforce_joint);
+  io.Flag(open.auto_epsilon);
+  io.U64(open.num_threads);
+  io.Text(open.passphrase, kMaxNameBytes);
+  io.Text(open.k1, kMaxNameBytes);
+  io.Text(open.k2, kMaxNameBytes);
+  io.U64(open.eta);
+  io.Text(open.key_id, kMaxNameBytes);
+  io.Enum(open.on_unbinnable, uint8_t{0}, uint8_t{1}, "unbinnable policy");
+  io.Enum(open.policy, uint8_t{0}, uint8_t{1}, "rebin policy");
+  io.Double(open.drift_threshold);
+}
+
+// [session], then by type: open → the stream's configuration; close →
+// nothing; the rest → [u64 ask][u64 deadline_ms], fingerprint's registry
+// text, and (all but flush) a table block.
+template <class IO, class T>
+void RequestFields(IO& io, T& request) {
+  io.Text(request.session, kMaxNameBytes);
+  if (request.type == WireFrameType::kOpen) {
+    return OpenRequestFields(io, request.open);
   }
-  response->kind = static_cast<WireFrameType>(kind);
-  PRIVMARK_RETURN_NOT_OK(
-      ReadStatus(reader, "response status", &response->status));
-  PRIVMARK_RETURN_NOT_OK(
-      ReadStatus(reader, "journal status", &response->journal_status));
-  if (!reader->ReadU64(&response->threads_granted)) return Truncated(what);
-  return Status::OK();
+  if (request.type == WireFrameType::kClose) return;
+  io.U64(request.ask);
+  io.U64(request.deadline_ms);
+  if (request.type == WireFrameType::kFingerprint) {
+    io.Text(request.registry_text, kMaxTextBytes);
+  }
+  if (request.type != WireFrameType::kFlush) io.Block(request.table);
+}
+
+// Every response payload opens with the envelope [u8 kind][status]
+// [journal status][u64 threads_granted]; a non-OK status ends it there,
+// an OK one is followed by the body `kind` selects. A streamed terminal
+// is always kFingerprint and carries the report tails only.
+template <class IO, class T>
+void ResponseFields(IO& io, T& response, bool streamed) {
+  io.Enum(response.kind, WireFrameType::kOpen, WireFrameType::kClose,
+          "response kind");
+  io.Check([&] {
+    return !streamed || response.kind == WireFrameType::kFingerprint
+               ? Status::OK()
+               : Status::InvalidArgument(
+                     "wire: streamed terminal echoes non-fingerprint kind " +
+                     std::to_string(static_cast<int>(response.kind)));
+  });
+  io.Stat(response.status);
+  io.Stat(response.journal_status);
+  io.U64(response.threads_granted);
+  if (!response.status.ok()) return;
+  switch (response.kind) {
+    case WireFrameType::kOpen:
+      io.Flag(response.open.recovered);
+      io.U64(response.open.batches_applied);
+      io.U64(response.open.epochs_sealed);
+      io.Flag(response.open.tail_truncated);
+      io.Block(response.open.emitted);
+      break;
+    case WireFrameType::kIngest:
+      io.U64(response.ingest.epoch);
+      io.Flag(response.ingest.flushed);
+      io.U64(response.ingest.rows_emitted);
+      io.U64(response.ingest.rows_suppressed);
+      io.U64(response.ingest.rows_buffered);
+      io.Block(response.ingest.emitted);
+      break;
+    case WireFrameType::kFlush:
+      io.U64(response.flush.epoch);
+      io.Double(response.flush.identifier_statistic);
+      io.Block(response.flush.emitted);
+      break;
+    case WireFrameType::kDetect:
+      io.Seq(response.reports, kDetectReportMinBytes,
+             [&](auto& report) { DetectReportFields(io, report); });
+      break;
+    case WireFrameType::kFingerprint:
+      io.Seq(response.fingerprints,
+             kFingerprintTailMinBytes + (streamed ? 0 : 4), [&](auto& report) {
+               FingerprintReportFields(io, report, !streamed);
+             });
+      break;
+    case WireFrameType::kClose:
+      io.U64(response.close.rows_ingested);
+      io.U64(response.close.rows_emitted);
+      io.U64(response.close.rows_suppressed);
+      io.Seq(response.close.epochs, kEpochSummaryMinBytes,
+             [&](auto& epoch) { EpochSummaryFields(io, epoch); });
+      break;
+    case WireFrameType::kResponse:
+    case WireFrameType::kPartial:
+      break;  // unreachable: kind always echoes a request type
+  }
+}
+
+template <class IO, class T>
+void ShardFields(IO& io, T& shard) {
+  io.U64(shard.epoch);
+  io.U64(shard.shard);
+  io.U64(shard.first_key);
+  io.Seq(shard.verdicts, kKeyVerdictMinBytes,
+         [&](auto& verdict) { KeyVerdictFields(io, verdict); });
 }
 
 }  // namespace
@@ -519,317 +620,79 @@ Result<Table> WireTableDecoder::Decode(BinReader* reader) {
   return table;
 }
 
-// ---- requests ------------------------------------------------------------
+// ---- payloads ------------------------------------------------------------
 
 std::string EncodeWireRequest(const WireRequest& request,
                               WireTableEncoder* tables) {
   std::string out;
-  AppendLengthPrefixed(&out, request.session);
-  if (request.type == WireFrameType::kOpen) {
-    const WireOpenRequest& open = request.open;
-    AppendLe64(&out, open.k);
-    out.push_back(open.enforce_joint ? 1 : 0);
-    out.push_back(open.auto_epsilon ? 1 : 0);
-    AppendLe64(&out, open.num_threads);
-    AppendLengthPrefixed(&out, open.passphrase);
-    AppendLengthPrefixed(&out, open.k1);
-    AppendLengthPrefixed(&out, open.k2);
-    AppendLe64(&out, open.eta);
-    AppendLengthPrefixed(&out, open.key_id);
-    out.push_back(static_cast<char>(open.on_unbinnable));
-    out.push_back(static_cast<char>(open.policy));
-    AppendDoubleBits(&out, open.drift_threshold);
-    return out;
-  }
-  if (request.type == WireFrameType::kClose) return out;
-  AppendLe64(&out, request.ask);
-  AppendLe64(&out, static_cast<uint64_t>(request.deadline_ms));
-  if (request.type == WireFrameType::kFingerprint) {
-    AppendLengthPrefixed(&out, request.registry_text);
-  }
-  if (request.type == WireFrameType::kFlush) return out;
-  tables->Encode(request.table, &out);
+  WireWriter io(&out, tables);
+  RequestFields(io, request);
   return out;
 }
 
 Result<WireRequest> DecodeWireRequest(WireFrameType type,
                                       const std::string& payload,
                                       WireTableDecoder* tables) {
-  if (type == WireFrameType::kResponse) {
-    return Status::InvalidArgument(
-        "wire: a response frame is not a request");
+  if (type < WireFrameType::kOpen || type > WireFrameType::kClose) {
+    return Status::InvalidArgument(std::string("wire: a ") +
+                                   WireFrameTypeToString(type) +
+                                   " frame is not a request");
   }
   WireRequest request;
   request.type = type;
-  BinReader reader(payload);
-  if (!reader.ReadLengthPrefixed(&request.session, kMaxNameBytes)) {
-    return Truncated("session name");
-  }
-  if (type == WireFrameType::kOpen) {
-    WireOpenRequest& open = request.open;
-    open.session = request.session;
-    uint8_t joint = 0;
-    uint8_t auto_eps = 0;
-    if (!reader.ReadU64(&open.k) || !reader.ReadU8(&joint) ||
-        !reader.ReadU8(&auto_eps) || !reader.ReadU64(&open.num_threads) ||
-        !reader.ReadLengthPrefixed(&open.passphrase, kMaxNameBytes) ||
-        !reader.ReadLengthPrefixed(&open.k1, kMaxNameBytes) ||
-        !reader.ReadLengthPrefixed(&open.k2, kMaxNameBytes) ||
-        !reader.ReadU64(&open.eta) ||
-        !reader.ReadLengthPrefixed(&open.key_id, kMaxNameBytes) ||
-        !reader.ReadU8(&open.on_unbinnable) || !reader.ReadU8(&open.policy) ||
-        !reader.ReadDoubleBits(&open.drift_threshold)) {
-      return Truncated("open request");
-    }
-    open.enforce_joint = joint != 0;
-    open.auto_epsilon = auto_eps != 0;
-    if (open.on_unbinnable > 1) {
-      return Status::InvalidArgument("wire: unknown unbinnable policy " +
-                                     std::to_string(open.on_unbinnable));
-    }
-    if (open.policy > 1) {
-      return Status::InvalidArgument("wire: unknown rebin policy " +
-                                     std::to_string(open.policy));
-    }
-  } else if (type != WireFrameType::kClose) {
-    uint64_t deadline_bits = 0;
-    if (!reader.ReadU64(&request.ask) || !reader.ReadU64(&deadline_bits)) {
-      return Truncated("request header");
-    }
-    request.deadline_ms = static_cast<int64_t>(deadline_bits);
-    if (type == WireFrameType::kFingerprint &&
-        !reader.ReadLengthPrefixed(&request.registry_text, kMaxTextBytes)) {
-      return Truncated("registry");
-    }
-    if (type != WireFrameType::kFlush) {
-      PRIVMARK_ASSIGN_OR_RETURN(request.table, tables->Decode(&reader));
-    }
-  }
-  if (!reader.Exhausted()) {
-    return Status::InvalidArgument("wire: request has trailing bytes");
-  }
+  WireReader io(payload, tables, "request");
+  RequestFields(io, request);
+  PRIVMARK_RETURN_NOT_OK(io.Finish());
+  request.open.session = request.session;
   return request;
 }
-
-// ---- responses -----------------------------------------------------------
 
 std::string EncodeWireResponse(const WireResponse& response,
                                WireTableEncoder* tables) {
   std::string out;
-  AppendResponseEnvelope(&out, response);
-  if (!response.status.ok()) return out;
-  switch (response.kind) {
-    case WireFrameType::kOpen:
-      out.push_back(response.open.recovered ? 1 : 0);
-      AppendLe64(&out, response.open.batches_applied);
-      AppendLe64(&out, response.open.epochs_sealed);
-      out.push_back(response.open.tail_truncated ? 1 : 0);
-      tables->Encode(response.open.emitted, &out);
-      break;
-    case WireFrameType::kIngest:
-      AppendLe64(&out, response.ingest.epoch);
-      out.push_back(response.ingest.flushed ? 1 : 0);
-      AppendLe64(&out, response.ingest.rows_emitted);
-      AppendLe64(&out, response.ingest.rows_suppressed);
-      AppendLe64(&out, response.ingest.rows_buffered);
-      tables->Encode(response.ingest.emitted, &out);
-      break;
-    case WireFrameType::kFlush:
-      AppendLe64(&out, response.flush.epoch);
-      AppendDoubleBits(&out, response.flush.identifier_statistic);
-      tables->Encode(response.flush.emitted, &out);
-      break;
-    case WireFrameType::kDetect:
-      AppendLe32(&out, static_cast<uint32_t>(response.reports.size()));
-      for (const DetectReport& report : response.reports) {
-        AppendDetectReport(&out, report);
-      }
-      break;
-    case WireFrameType::kFingerprint:
-      AppendFingerprintReports(&out, response.fingerprints,
-                               /*with_verdicts=*/true);
-      break;
-    case WireFrameType::kClose:
-      AppendLe64(&out, response.close.rows_ingested);
-      AppendLe64(&out, response.close.rows_emitted);
-      AppendLe64(&out, response.close.rows_suppressed);
-      AppendLe32(&out, static_cast<uint32_t>(response.close.epochs.size()));
-      for (const WireEpochSummary& epoch : response.close.epochs) {
-        AppendEpochSummary(&out, epoch);
-      }
-      break;
-    case WireFrameType::kResponse:
-    case WireFrameType::kPartial:
-      break;  // unreachable: kind always echoes a request type
-  }
+  WireWriter io(&out, tables);
+  ResponseFields(io, response, /*streamed=*/false);
   return out;
 }
 
 Result<WireResponse> DecodeWireResponse(const std::string& payload,
                                         WireTableDecoder* tables) {
   WireResponse response;
-  BinReader reader(payload);
-  PRIVMARK_RETURN_NOT_OK(ReadResponseEnvelope(&reader, "response", &response));
-  if (response.status.ok()) {
-    switch (response.kind) {
-      case WireFrameType::kOpen: {
-        uint8_t recovered = 0;
-        uint8_t torn = 0;
-        if (!reader.ReadU8(&recovered) ||
-            !reader.ReadU64(&response.open.batches_applied) ||
-            !reader.ReadU64(&response.open.epochs_sealed) ||
-            !reader.ReadU8(&torn)) {
-          return Truncated("open response");
-        }
-        response.open.recovered = recovered != 0;
-        response.open.tail_truncated = torn != 0;
-        PRIVMARK_ASSIGN_OR_RETURN(response.open.emitted,
-                                  tables->Decode(&reader));
-        break;
-      }
-      case WireFrameType::kIngest: {
-        uint8_t flushed = 0;
-        if (!reader.ReadU64(&response.ingest.epoch) ||
-            !reader.ReadU8(&flushed) ||
-            !reader.ReadU64(&response.ingest.rows_emitted) ||
-            !reader.ReadU64(&response.ingest.rows_suppressed) ||
-            !reader.ReadU64(&response.ingest.rows_buffered)) {
-          return Truncated("ingest response");
-        }
-        response.ingest.flushed = flushed != 0;
-        PRIVMARK_ASSIGN_OR_RETURN(response.ingest.emitted,
-                                  tables->Decode(&reader));
-        break;
-      }
-      case WireFrameType::kFlush: {
-        if (!reader.ReadU64(&response.flush.epoch) ||
-            !reader.ReadDoubleBits(&response.flush.identifier_statistic)) {
-          return Truncated("flush response");
-        }
-        PRIVMARK_ASSIGN_OR_RETURN(response.flush.emitted,
-                                  tables->Decode(&reader));
-        break;
-      }
-      case WireFrameType::kDetect: {
-        uint32_t reports = 0;
-        if (!reader.ReadU32(&reports)) return Truncated("detect response");
-        if (reader.remaining() / 4 < reports) {
-          return Truncated("detect response");
-        }
-        response.reports.reserve(reports);
-        for (uint32_t i = 0; i < reports; ++i) {
-          PRIVMARK_ASSIGN_OR_RETURN(DetectReport report,
-                                    ReadDetectReport(&reader));
-          response.reports.push_back(std::move(report));
-        }
-        break;
-      }
-      case WireFrameType::kFingerprint:
-        PRIVMARK_RETURN_NOT_OK(ReadFingerprintReports(
-            &reader, /*with_verdicts=*/true, &response.fingerprints));
-        break;
-      case WireFrameType::kClose: {
-        uint32_t epochs = 0;
-        if (!reader.ReadU64(&response.close.rows_ingested) ||
-            !reader.ReadU64(&response.close.rows_emitted) ||
-            !reader.ReadU64(&response.close.rows_suppressed) ||
-            !reader.ReadU32(&epochs)) {
-          return Truncated("close response");
-        }
-        if (reader.remaining() / 8 < epochs) {
-          return Truncated("close response");
-        }
-        response.close.epochs.reserve(epochs);
-        for (uint32_t i = 0; i < epochs; ++i) {
-          PRIVMARK_ASSIGN_OR_RETURN(WireEpochSummary epoch,
-                                    ReadEpochSummary(&reader));
-          response.close.epochs.push_back(std::move(epoch));
-        }
-        break;
-      }
-      case WireFrameType::kResponse:
-      case WireFrameType::kPartial:
-        break;
-    }
-  }
-  if (!reader.Exhausted()) {
-    return Status::InvalidArgument("wire: response has trailing bytes");
-  }
+  WireReader io(payload, tables, "response");
+  ResponseFields(io, response, /*streamed=*/false);
+  PRIVMARK_RETURN_NOT_OK(io.Finish());
   return response;
 }
 
-// ---- streamed fingerprint responses -------------------------------------
-
 std::string EncodeWireFingerprintShard(const FingerprintShard& shard) {
   std::string out;
-  AppendLe64(&out, shard.epoch);
-  AppendLe64(&out, shard.shard);
-  AppendLe64(&out, shard.first_key);
-  AppendLe32(&out, static_cast<uint32_t>(shard.verdicts.size()));
-  for (const KeyVerdict& verdict : shard.verdicts) {
-    AppendKeyVerdict(&out, verdict);
-  }
+  WireWriter io(&out, nullptr);
+  ShardFields(io, shard);
   return out;
 }
 
 Result<FingerprintShard> DecodeWireFingerprintShard(
     const std::string& payload) {
-  BinReader reader(payload);
-  uint64_t epoch = 0;
-  uint64_t ordinal = 0;
-  uint64_t first_key = 0;
-  uint32_t verdicts = 0;
-  if (!reader.ReadU64(&epoch) || !reader.ReadU64(&ordinal) ||
-      !reader.ReadU64(&first_key) || !reader.ReadU32(&verdicts)) {
-    return Truncated("fingerprint shard");
-  }
-  if (reader.remaining() / 8 < verdicts) return Truncated("shard verdicts");
   FingerprintShard shard;
-  shard.epoch = epoch;
-  shard.shard = ordinal;
-  shard.first_key = first_key;
-  shard.verdicts.reserve(verdicts);
-  for (uint32_t i = 0; i < verdicts; ++i) {
-    PRIVMARK_ASSIGN_OR_RETURN(KeyVerdict verdict, ReadKeyVerdict(&reader));
-    shard.verdicts.push_back(std::move(verdict));
-  }
-  if (!reader.Exhausted()) {
-    return Status::InvalidArgument(
-        "wire: fingerprint shard has trailing bytes");
-  }
+  WireReader io(payload, nullptr, "fingerprint shard");
+  ShardFields(io, shard);
+  PRIVMARK_RETURN_NOT_OK(io.Finish());
   return shard;
 }
 
 std::string EncodeWireResponseStreamedTails(const WireResponse& response) {
   std::string out;
-  AppendResponseEnvelope(&out, response);
-  if (!response.status.ok()) return out;
-  AppendFingerprintReports(&out, response.fingerprints,
-                           /*with_verdicts=*/false);
+  WireWriter io(&out, nullptr);
+  ResponseFields(io, response, /*streamed=*/true);
   return out;
 }
 
 Result<WireResponse> DecodeWireResponseStreamedTails(
     const std::string& payload) {
   WireResponse response;
-  BinReader reader(payload);
-  PRIVMARK_RETURN_NOT_OK(
-      ReadResponseEnvelope(&reader, "streamed response", &response));
-  if (response.kind != WireFrameType::kFingerprint) {
-    return Status::InvalidArgument(
-        "wire: streamed terminal echoes non-fingerprint kind " +
-        std::to_string(static_cast<int>(response.kind)));
-  }
-  // Each tail's ranking length is its epoch's verdict count; the caller
-  // checks its reassembled shard verdicts against it.
-  if (response.status.ok()) {
-    PRIVMARK_RETURN_NOT_OK(ReadFingerprintReports(
-        &reader, /*with_verdicts=*/false, &response.fingerprints));
-  }
-  if (!reader.Exhausted()) {
-    return Status::InvalidArgument(
-        "wire: streamed response has trailing bytes");
-  }
+  WireReader io(payload, nullptr, "streamed response");
+  ResponseFields(io, response, /*streamed=*/true);
+  PRIVMARK_RETURN_NOT_OK(io.Finish());
   return response;
 }
 

@@ -49,6 +49,14 @@
 // Responses carry the service Status (code + message + the typed
 // retry_after_ms backpressure hint — clients must not parse message
 // text), the session's sticky journal status, and the admission grant.
+//
+// Every payload message (request, response, detect report, verdict,
+// fingerprint report, epoch summary, shard, streamed terminal) has one
+// field list in wire.cc, run by both the encoder and the decoder, so a
+// field cannot be added to one side only. Every list travels as
+// [u32 count][elements], and a decoder refuses a count larger than the
+// bytes left divided by the smallest encoding one element can have,
+// before it sizes anything from that count.
 
 #ifndef PRIVMARK_SERVICE_WIRE_H_
 #define PRIVMARK_SERVICE_WIRE_H_

@@ -626,6 +626,98 @@ TEST(WireResponseTest, TruncationAtEveryByteRefused) {
   }
 }
 
+// Every sequence ends its payload with one element encoded as small as
+// it goes (empty strings and lists), so the count guard meets an element
+// that is exactly its minimum size and must still accept it.
+TEST(WireResponseTest, MinimalElementsRoundTrip) {
+  WireTableEncoder encoder;
+  WireTableDecoder decoder(TestSchema());
+  WireResponse response;
+  response.kind = WireFrameType::kDetect;
+  response.reports.resize(1);
+  auto detect =
+      DecodeWireResponse(EncodeWireResponse(response, &encoder), &decoder);
+  ASSERT_TRUE(detect.ok()) << detect.status().ToString();
+  EXPECT_EQ(detect->reports.size(), 1u);
+
+  response.kind = WireFrameType::kFingerprint;
+  response.fingerprints.resize(1);
+  auto full =
+      DecodeWireResponse(EncodeWireResponse(response, &encoder), &decoder);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->fingerprints.size(), 1u);
+  auto tails = DecodeWireResponseStreamedTails(
+      EncodeWireResponseStreamedTails(response));
+  ASSERT_TRUE(tails.ok()) << tails.status().ToString();
+  EXPECT_EQ(tails->fingerprints.size(), 1u);
+
+  response.kind = WireFrameType::kClose;
+  response.close.epochs.resize(1);
+  auto close =
+      DecodeWireResponse(EncodeWireResponse(response, &encoder), &decoder);
+  ASSERT_TRUE(close.ok()) << close.status().ToString();
+  EXPECT_EQ(close->close.epochs.size(), 1u);
+
+  FingerprintShard shard;
+  shard.verdicts.resize(1);
+  auto decoded = DecodeWireFingerprintShard(EncodeWireFingerprintShard(shard));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->verdicts.size(), 1u);
+}
+
+// A count whose elements, held in memory at `element_bytes` each, take a
+// little over 1 GiB: past the allocation cap CI runs this suite under.
+uint32_t CountOver1GiB(size_t element_bytes) {
+  return static_cast<uint32_t>((size_t{1} << 30) / element_bytes * 17 / 16);
+}
+
+// Swaps the trailing u32 count of an encoded empty sequence for `count`
+// and pads the payload with `bytes_per_element` zero bytes per claimed
+// element.
+std::string WithClaimedCount(std::string payload, uint32_t count,
+                             size_t bytes_per_element) {
+  payload.resize(payload.size() - 4);
+  AppendLe32(&payload, count);
+  payload.append(size_t{count} * bytes_per_element, '\0');
+  return payload;
+}
+
+// Each payload holds 4 (or, for shard verdicts, 8) bytes per claimed
+// element — too few for any real element, but enough to pass a guard
+// that only divides the bytes left by that much, after which sizing the
+// list from the count allocates over 1 GiB. Each count must be refused
+// from its element's minimum encoded size before anything is allocated.
+TEST(WireResponseTest, HostileReportCountsRefusedBeforeAllocating) {
+  WireTableEncoder encoder;
+  WireTableDecoder decoder(TestSchema());
+  WireResponse response;
+  response.kind = WireFrameType::kDetect;
+  auto detect = DecodeWireResponse(
+      WithClaimedCount(EncodeWireResponse(response, &encoder),
+                       CountOver1GiB(sizeof(DetectReport)), 4),
+      &decoder);
+  ASSERT_FALSE(detect.ok());
+  EXPECT_EQ(detect.status().code(), StatusCode::kInvalidArgument);
+
+  response.kind = WireFrameType::kFingerprint;
+  const uint32_t reports = CountOver1GiB(sizeof(FingerprintReport));
+  auto full = DecodeWireResponse(
+      WithClaimedCount(EncodeWireResponse(response, &encoder), reports, 4),
+      &decoder);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), StatusCode::kInvalidArgument);
+  auto tails = DecodeWireResponseStreamedTails(WithClaimedCount(
+      EncodeWireResponseStreamedTails(response), reports, 4));
+  ASSERT_FALSE(tails.ok());
+  EXPECT_EQ(tails.status().code(), StatusCode::kInvalidArgument);
+
+  auto shard = DecodeWireFingerprintShard(
+      WithClaimedCount(EncodeWireFingerprintShard(FingerprintShard()),
+                       CountOver1GiB(sizeof(KeyVerdict)), 8));
+  ASSERT_FALSE(shard.ok());
+  EXPECT_EQ(shard.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ---- typed backpressure hint ---------------------------------------------
 
 TEST(RetryAfterTest, TypedHintTravelsOnTheStatus) {
