@@ -7,8 +7,9 @@
 # name the --key, the freeze stream must match a one-shot `protect` of
 # the same rows, and `privmark_cli detect` must recover that run's mark
 # from the served output. A zero --eta or --k, a non-finite
-# --drift-threshold and a non-numeric or non-finite attack <fraction>
-# must be usage errors (exit 2).
+# --drift-threshold and a non-numeric or non-finite attack <fraction> or
+# dispute <claimed_v> must be usage errors (exit 2), and a dispute with
+# protect's printed v must establish ownership.
 #
 # usage: cli_serve_smoke.sh <path/to/privmark_cli> <scratch dir>
 set -euo pipefail
@@ -152,6 +153,23 @@ for fraction in nan inf abc 0.5x; do
   "$cli" attack all.csv attacked.csv add "$fraction" >/dev/null 2>&1 \
     || status=$?
   [[ $status -eq 2 ]] || fail "attack add $fraction exited $status, want 2"
+done
+
+# 9. A dispute's <claimed_v> must be wholly a finite number too: atof
+#    read "abc" as 0 and "1x" as 1, and let "nan" into the comparison.
+#    The v protect printed establishes ownership of its own output.
+"$cli" protect all.csv plain.csv plain.man --k=10 > plain.log
+v=$(sed -n 's/^identifier statistic v (PRESENT IN COURT): //p' plain.log)
+[[ -n $v ]] || fail "protect printed no identifier statistic"
+"$cli" dispute plain.csv plain.man "$v" > dispute.log \
+  || fail "dispute with protect's v exited $?"
+grep -q '^ownership: ESTABLISHED' dispute.log \
+  || fail "dispute with protect's v did not establish ownership"
+for claimed in abc nan 1x; do
+  status=0
+  "$cli" dispute plain.csv plain.man "$claimed" >/dev/null 2>&1 \
+    || status=$?
+  [[ $status -eq 2 ]] || fail "dispute $claimed exited $status, want 2"
 done
 
 echo "cli_serve: OK (port $port, mark $mark)"

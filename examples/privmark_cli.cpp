@@ -1184,10 +1184,15 @@ int CmdDispute(const Args& args) {
                  "<claimed_v> [--pass=] [--k1=] [--k2=] [--eta=]\n");
     return 2;
   }
+  double claimed_v = 0.0;
+  if (!ParseFiniteDouble(args.positional[3], &claimed_v)) {
+    std::fprintf(stderr, "<claimed_v> must be a finite number, got '%s'\n",
+                 args.positional[3].c_str());
+    return 2;
+  }
   MedicalDataset ontologies = Must(GenerateMedicalDataset({.num_rows = 1}));
   Table table = Must(ReadTableCsv(args.positional[1], MedicalSchema()));
   ProtectionManifest manifest = Must(ReadManifestFile(args.positional[2]));
-  const double claimed_v = std::atof(args.positional[3].c_str());
   HierarchicalWatermarker watermarker = Must(WatermarkerFromManifest(
       manifest, table, ontologies.trees(), KeyFromArgs(args),
       WatermarkOptions{.hash = manifest.hash}));

@@ -73,7 +73,8 @@ echo "=== Parser suites under an ASan allocation cap ==="
 # share one capped reader, so a 2 GiB sparse manifest must be refused
 # before anything is allocated; the attack suite's NaN/inf fractions
 # must be refused before they size a row count.
-for suite in service_wire_test service_convert_test core_journal_test \
+for suite in service_wire_test service_wire_golden_test \
+    service_streamed_fingerprint_test service_convert_test core_journal_test \
     core_manifest_test core_manifest_adversarial_test \
     watermark_key_registry_test relation_csv_test \
     relation_adversarial_input_test properties_csv_property_test \

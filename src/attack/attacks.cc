@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string_view>
 
@@ -110,8 +111,15 @@ Result<AttackReport> SubsetAdditionAttack(Table* table, double fraction,
   PRIVMARK_ASSIGN_OR_RETURN(size_t ident_column,
                             table->schema().IdentifyingColumn());
 
-  const size_t to_add =
-      static_cast<size_t>(fraction * static_cast<double>(original_rows));
+  // Casting a double at or past the first one size_t cannot hold is
+  // undefined (1e300 looped until memory ran out).
+  const double wanted = fraction * static_cast<double>(original_rows);
+  if (wanted >= static_cast<double>(std::numeric_limits<size_t>::max())) {
+    return Status::InvalidArgument(
+        "addition fraction " + std::to_string(fraction) + " of " +
+        std::to_string(original_rows) + " rows is not a representable count");
+  }
+  const size_t to_add = static_cast<size_t>(wanted);
   for (size_t i = 0; i < to_add; ++i) {
     // Copy a random donor row, then replace its identifier with a fresh
     // random hex string the same length as the donor's (so bogus tuples are

@@ -215,6 +215,21 @@ TEST(AttackFractionTest, AdditionRejectsNaNAndInfinity) {
   EXPECT_EQ(t.num_rows(), 10u);
 }
 
+// A finite fraction can still ask for more rows than size_t holds;
+// casting that count was undefined and 1e300 appended until memory ran
+// out.
+TEST(AttackFractionTest, AdditionRejectsUnrepresentableRowCount) {
+  DomainHierarchy tree = DeepTree();
+  Table t = MakeTable(tree, 10);
+  Random rng(3);
+  for (double fraction : {1e300, 2e18}) {
+    EXPECT_EQ(SubsetAdditionAttack(&t, fraction, &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << fraction;
+  }
+  EXPECT_EQ(t.num_rows(), 10u);
+}
+
 TEST(AttackFractionTest, SiblingSwapRejectsNaN) {
   DomainHierarchy tree = DeepTree();
   Table t = MakeTable(tree, 10);
