@@ -121,9 +121,7 @@ int main() {
       const Table& batch = result->kind == RequestKind::kFlush
                                ? result->epoch.outcome.watermarked
                                : result->ingest.emitted;
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        (void)hospital.emitted.AppendRow(batch.row(r));
-      }
+      (void)hospital.emitted.Append(batch);
     }
     hospital.futures.clear();
     std::printf("%s published %zu protected rows\n", hospital.name.c_str(),

@@ -10,15 +10,17 @@
 //                [--joint] [--epsilon] [--threads=N] [--batch-size=N]
 //                [--rebin-policy=freeze|drift] [--drift-threshold=0.5]
 //       bin to k-anonymity, encrypt identifiers, embed the ownership
-//       mark; writes the protected table and the (non-secret) manifest.
-//       With --batch-size=N the table is replayed through an incremental
-//       ProtectionSession in N-row batches: under `freeze` (the default)
-//       all batches accumulate and one flush at the end emits epoch 0 —
-//       byte-identical to the single-shot path; under `drift` the first
-//       batch is the initial load (flushed immediately) and later batches
-//       open new epochs whenever accumulated rows drift past the
-//       threshold — each epoch gets its own mark, embed, and manifest
-//       (epoch N > 0 is written to <manifest.out>.epochN)
+//       mark; writes the protected table and the (non-secret) manifest,
+//       and prints each epoch's mark and identifier statistic v (keep
+//       both for a dispute). The table streams through an incremental
+//       ProtectionSession: as one batch, or in N-row batches with
+//       --batch-size=N. Under `freeze` (the default) all batches
+//       accumulate and one flush at the end emits epoch 0 — the same
+//       bytes whatever the batch size; under `drift` the first batch is
+//       the initial load (flushed immediately) and later batches open new
+//       epochs whenever accumulated rows drift past the threshold — each
+//       epoch gets its own mark, embed, and manifest (epoch N > 0 is
+//       written to <manifest.out>.epochN)
 //
 //   privmark_cli gen-key <out.key> [--name=recipient] [--eta=50]
 //                [--seed=N] [--k1=...] [--k2=...]
@@ -359,67 +361,34 @@ int ParseSessionConfig(const Args& args, SessionConfig* session_config,
   return 0;
 }
 
-// Replays `input` through an incremental session in `batch_size`-row
-// batches; writes the concatenated emitted output plus one manifest per
-// epoch. Returns the process exit code.
-int ProtectStreaming(const Args& args, const Table& input,
-                     const UsageMetrics& metrics,
-                     const FrameworkConfig& config, size_t batch_size) {
-  SessionConfig session_config;
-  std::string policy;
-  if (int rc = ParseSessionConfig(args, &session_config, &policy); rc != 0) {
-    return rc;
+// Writes one stream's published files durably: `table` to `out_path`,
+// then epoch e's manifest text to `manifest_path` for epoch 0 and to
+// `manifest_path.epoch<e>` after it. Returns the manifest paths.
+Result<std::vector<std::string>> WriteStreamFiles(
+    const Table& table, const std::string& out_path,
+    const std::string& manifest_path,
+    const std::vector<std::string>& manifest_texts) {
+  PRIVMARK_RETURN_NOT_OK(WriteTableCsv(table, out_path));
+  std::vector<std::string> paths;
+  for (size_t e = 0; e < manifest_texts.size(); ++e) {
+    paths.push_back(e == 0 ? manifest_path
+                           : manifest_path + ".epoch" + std::to_string(e));
+    PRIVMARK_RETURN_NOT_OK(WriteFileDurable(paths.back(), manifest_texts[e]));
   }
+  return paths;
+}
 
-  ProtectionSession session(metrics, config, session_config);
-  Table output(input.schema());
-  auto append_emitted = [&output](const Table& emitted) {
-    for (size_t r = 0; r < emitted.num_rows(); ++r) {
-      (void)output.AppendRow(emitted.row(r));
-    }
-  };
-
-  size_t num_batches = 0;
-  for (size_t begin = 0; begin < input.num_rows() || num_batches == 0;
-       begin += batch_size) {
-    const Table batch = input.Slice(begin, begin + batch_size);
-    IngestResult result = Must(session.Ingest(batch));
-    ++num_batches;
-    if (result.flushed || result.rows_emitted > 0) {
-      append_emitted(result.emitted);
-    }
-    // Drift mode: the first batch is the initial load; flush immediately
-    // so later batches stream against a live generalization.
-    if (num_batches == 1 &&
-        session_config.policy == RebinPolicy::kRebinOnDrift) {
-      append_emitted(Must(session.Flush()).outcome.watermarked);
-    }
+// WriteStreamFiles for a local session (protect, recover): `emitted` to
+// <out.csv> and one manifest per sealed epoch to <manifest.out>.
+std::vector<std::string> WriteSessionFiles(const Args& args,
+                                           const ProtectionSession& session,
+                                           const Table& emitted) {
+  std::vector<std::string> texts;
+  for (const ProtectionManifest& manifest : Must(SessionManifests(session))) {
+    texts.push_back(SerializeManifest(manifest));
   }
-  if (session.rows_buffered() > 0 || !session.frozen()) {
-    append_emitted(Must(session.Flush()).outcome.watermarked);
-  }
-
-  if (auto st = WriteTableCsv(output, args.positional[2]); !st.ok()) {
-    return Fail(st);
-  }
-  const std::vector<ProtectionManifest> manifests =
-      Must(SessionManifests(session));
-  for (size_t e = 0; e < manifests.size(); ++e) {
-    const EpochRecord& epoch = session.epochs()[e];
-    std::string path = args.positional[3];
-    if (epoch.epoch > 0) path += ".epoch" + std::to_string(epoch.epoch);
-    if (auto st = WriteManifestFile(manifests[e], path); !st.ok()) {
-      return Fail(st);
-    }
-    std::printf("epoch %zu: emitted %zu rows, suppressed %zu, wmd %zu, "
-                "v %.6f, manifest -> %s\n",
-                epoch.epoch, epoch.rows_emitted, epoch.rows_suppressed,
-                epoch.wmd_size, epoch.identifier_statistic, path.c_str());
-  }
-  std::printf("streamed %zu rows in %zu batches (%s policy) -> %s\n",
-              session.rows_ingested(), num_batches, policy.c_str(),
-              args.positional[2].c_str());
-  return 0;
+  return Must(
+      WriteStreamFiles(emitted, args.positional[2], args.positional[3], texts));
 }
 
 int CmdProtect(const Args& args) {
@@ -436,39 +405,87 @@ int CmdProtect(const Args& args) {
 
   FrameworkConfig config = FrameworkConfigFromArgs(args);
   UsageMetrics metrics = Must(MetricsForConfig(config, ontologies));
+  SessionConfig session_config;
+  std::string policy;
+  if (int rc = ParseSessionConfig(args, &session_config, &policy); rc != 0) {
+    return rc;
+  }
+  // No --batch-size: the whole table is one batch.
+  size_t batch_size = args.FlagU64("batch-size", 0);
+  if (batch_size == 0) batch_size = input.num_rows();
 
-  const size_t batch_size = args.FlagU64("batch-size", 0);
-  if (batch_size > 0) {
-    return ProtectStreaming(args, input, metrics, config, batch_size);
+  ProtectionSession session(metrics, config, session_config);
+  Table output(input.schema());
+  size_t num_batches = 0;
+  for (size_t begin = 0; begin < input.num_rows() || num_batches == 0;
+       begin += batch_size) {
+    (void)output.Append(
+        Must(session.Ingest(input.Slice(begin, begin + batch_size))).emitted);
+    ++num_batches;
+    // Drift mode: the first batch is the initial load; flush immediately
+    // so later batches stream against a live generalization.
+    if (num_batches == 1 &&
+        session_config.policy == RebinPolicy::kRebinOnDrift) {
+      (void)output.Append(Must(session.Flush()).outcome.watermarked);
+    }
+  }
+  if (session.rows_buffered() > 0 || !session.frozen()) {
+    (void)output.Append(Must(session.Flush()).outcome.watermarked);
   }
 
-  ProtectionFramework framework(metrics, config);
-  ProtectionOutcome outcome = Must(framework.Protect(input));
-
-  if (auto st = WriteTableCsv(outcome.watermarked, args.positional[2]);
-      !st.ok()) {
-    return Fail(st);
-  }
-  ProtectionManifest manifest =
-      Must(BuildManifest(outcome, metrics, config));
-  if (auto st = WriteManifestFile(manifest, args.positional[3]); !st.ok()) {
-    return Fail(st);
-  }
+  const std::vector<std::string> paths =
+      WriteSessionFiles(args, session, output);
   std::printf("protected %zu rows  (k=%zu%s, eta=%llu%s%s)\n",
-              outcome.watermarked.num_rows(), config.binning.k,
+              output.num_rows(), config.binning.k,
               config.binning.enforce_joint ? " joint" : " per-attribute",
               static_cast<unsigned long long>(config.key.eta),
               config.key_id.empty() ? "" : ", key ",
               config.key_id.c_str());
-  std::printf("information loss: %.2f%%\n",
-              outcome.binning.multi_normalized_loss * 100);
-  std::printf("mark (keep secret until dispute): %s\n",
-              outcome.mark.ToString().c_str());
-  std::printf("identifier statistic v (PRESENT IN COURT): %.6f\n",
-              outcome.identifier_statistic);
+  for (size_t e = 0; e < paths.size(); ++e) {
+    const EpochRecord& epoch = session.epochs()[e];
+    std::printf("epoch %zu: emitted %zu rows, suppressed %zu, wmd %zu, "
+                "v %.6f, manifest -> %s\n",
+                epoch.epoch, epoch.rows_emitted, epoch.rows_suppressed,
+                epoch.wmd_size, epoch.identifier_statistic,
+                paths[e].c_str());
+    std::printf("information loss: %.2f%%\n", epoch.information_loss * 100);
+    std::printf("mark (keep secret until dispute): %s\n",
+                epoch.mark.ToString().c_str());
+    std::printf("identifier statistic v (PRESENT IN COURT): %.6f\n",
+                epoch.identifier_statistic);
+  }
+  std::printf("streamed %zu rows in %zu batch(es) (%s policy)\n",
+              session.rows_ingested(), num_batches, policy.c_str());
   std::printf("table -> %s\nmanifest -> %s\n", args.positional[2].c_str(),
               args.positional[3].c_str());
   return 0;
+}
+
+// A published table and what reading it takes: the medical ontologies,
+// the table's manifest, and the watermarker that manifest rebuilds.
+struct Published {
+  MedicalDataset ontologies;  // owns the trees `watermarker` points into
+  Table table;
+  ProtectionManifest manifest;
+  HierarchicalWatermarker watermarker;
+};
+
+// Loads the table at <table.csv> (the first argument) and the manifest
+// at `manifest_path`, and rebuilds the watermarker for `key` on
+// --threads workers — the input of detect, cmp, dispute and the
+// generalize attack.
+Published LoadPublished(const Args& args, const std::string& manifest_path,
+                        const WatermarkKey& key) {
+  MedicalDataset ontologies = Must(GenerateMedicalDataset({.num_rows = 1}));
+  Table table = Must(ReadTableCsv(args.positional[1], MedicalSchema()));
+  ProtectionManifest manifest = Must(ReadManifestFile(manifest_path));
+  WatermarkOptions options;
+  options.hash = manifest.hash;
+  options.num_threads = args.FlagU64("threads", 1);
+  HierarchicalWatermarker watermarker = Must(WatermarkerFromManifest(
+      manifest, table, ontologies.trees(), key, options));
+  return Published{std::move(ontologies), std::move(table),
+                   std::move(manifest), std::move(watermarker)};
 }
 
 int CmdDetect(const Args& args) {
@@ -479,28 +496,24 @@ int CmdDetect(const Args& args) {
                  "[--json[=path]] [--k1=] [--k2=] [--eta=] [--threads=]\n");
     return 2;
   }
-  MedicalDataset ontologies = Must(GenerateMedicalDataset({.num_rows = 1}));
-  Table table = Must(ReadTableCsv(args.positional[1], MedicalSchema()));
-  ProtectionManifest manifest = Must(ReadManifestFile(args.positional[2]));
-  WatermarkOptions options;
-  options.hash = manifest.hash;
-  options.num_threads = args.FlagU64("threads", 1);
-
   const std::string registry_path = args.Flag("registry", "");
+  // A registry scan takes only structure (labels, maximal sets) from the
+  // watermarker; every candidate key comes from the registry.
+  const NamedKey named =
+      registry_path.empty() ? NamedKeyFromArgs(args) : NamedKey{};
+  const Published published = LoadPublished(args, args.positional[2],
+                                            named.key);
+  const ProtectionManifest& manifest = published.manifest;
   if (!registry_path.empty()) {
-    // Registry scan: the watermarker contributes only structure (labels,
-    // maximal sets); every candidate key comes from the registry.
     KeyRegistry registry = Must(KeyRegistry::ReadFile(registry_path));
-    HierarchicalWatermarker watermarker = Must(WatermarkerFromManifest(
-        manifest, table, ontologies.trees(), WatermarkKey{}, options));
     FingerprintConfig scan;
     scan.wm_size = manifest.mark_bits;
     scan.wmd_size = manifest.wmd_size;
     if (args.flags.count("mark") > 0) {
       scan.expected_mark = Must(BitVector::FromString(args.Flag("mark", "")));
     }
-    FingerprintReport report =
-        Must(ScanForFingerprints(watermarker, table, registry, scan));
+    FingerprintReport report = Must(ScanForFingerprints(
+        published.watermarker, published.table, registry, scan));
     std::printf("scanned %zu key(s), %zu detected (threshold %.2f, "
                 "ranked by %s)\n",
                 report.verdicts.size(), report.keys_detected,
@@ -524,11 +537,8 @@ int CmdDetect(const Args& args) {
                                                 scan.match_threshold));
   }
 
-  const NamedKey named = NamedKeyFromArgs(args);
-  HierarchicalWatermarker watermarker = Must(WatermarkerFromManifest(
-      manifest, table, ontologies.trees(), named.key, options));
-  DetectReport report = Must(
-      watermarker.Detect(table, manifest.mark_bits, manifest.wmd_size));
+  DetectReport report = Must(published.watermarker.Detect(
+      published.table, manifest.mark_bits, manifest.wmd_size));
   size_t voted = 0;
   for (bool b : report.bit_voted) voted += b ? 1 : 0;
   std::printf("recovered mark: %s\n", report.recovered.ToString().c_str());
@@ -574,27 +584,20 @@ int CmdCmp(const Args& args) {
                  "[--eta=] [--threads=] [--json[=path]]\n");
     return 2;
   }
-  MedicalDataset ontologies = Must(GenerateMedicalDataset({.num_rows = 1}));
-  Table table = Must(ReadTableCsv(args.positional[1], MedicalSchema()));
-  ProtectionManifest manifest = Must(ReadManifestFile(args.positional[2]));
-  BitVector expected = Must(BitVector::FromString(args.positional[3]));
-
   NamedKey named = NamedKeyFromArgs(args);
   if (named.name.empty()) named.name = "candidate";
+  const Published published = LoadPublished(args, args.positional[2],
+                                            named.key);
+  BitVector expected = Must(BitVector::FromString(args.positional[3]));
   KeyRegistry registry;
   if (auto st = registry.Add(named); !st.ok()) return Fail(st);
 
-  WatermarkOptions options;
-  options.hash = manifest.hash;
-  options.num_threads = args.FlagU64("threads", 1);
-  HierarchicalWatermarker watermarker = Must(WatermarkerFromManifest(
-      manifest, table, ontologies.trees(), named.key, options));
   FingerprintConfig scan;
-  scan.wm_size = manifest.mark_bits;
-  scan.wmd_size = manifest.wmd_size;
+  scan.wm_size = published.manifest.mark_bits;
+  scan.wmd_size = published.manifest.wmd_size;
   scan.expected_mark = expected;
-  FingerprintReport report =
-      Must(ScanForFingerprints(watermarker, table, registry, scan));
+  FingerprintReport report = Must(ScanForFingerprints(
+      published.watermarker, published.table, registry, scan));
   const KeyVerdict& verdict = report.verdicts[0];
   std::printf("key: %s\n", verdict.key_name.c_str());
   std::printf("mark match: %.1f%% (chance probability %.3e)\n",
@@ -642,15 +645,13 @@ int CmdAttack(const Args& args) {
       std::fprintf(stderr, "generalize needs --manifest=<path>\n");
       return 2;
     }
-    MedicalDataset ontologies = Must(GenerateMedicalDataset({.num_rows = 1}));
-    ProtectionManifest manifest = Must(ReadManifestFile(manifest_path));
     // Reconstruct the maximal sets to cap the attack (the attacker knows
     // the published generalization structure).
-    HierarchicalWatermarker helper = Must(WatermarkerFromManifest(
-        manifest, table, ontologies.trees(), WatermarkKey{}, {}));
-    report =
-        Must(GeneralizationAttack(&table, helper.qi_columns(),
-                                  helper.maximal(), 1, threads));
+    const Published published =
+        LoadPublished(args, manifest_path, WatermarkKey{});
+    report = Must(GeneralizationAttack(
+        &table, published.watermarker.qi_columns(),
+        published.watermarker.maximal(), 1, threads));
   } else {
     std::fprintf(stderr, "unknown attack kind '%s'\n", kind.c_str());
     return 2;
@@ -739,17 +740,12 @@ bool AwaitOldest(const std::string& name, ServeStream* stream) {
     }
     return false;
   }
-  auto append_emitted = [stream](const Table& emitted) {
-    for (size_t r = 0; r < emitted.num_rows(); ++r) {
-      (void)stream->emitted.AppendRow(emitted.row(r));
-    }
-  };
   switch (response.kind) {
     case WireFrameType::kOpen:
       // A recovered stream already emitted rows before the crash; fold
       // them in so close writes the complete output.
       if (response.open.recovered) {
-        append_emitted(response.open.emitted);
+        (void)stream->emitted.Append(response.open.emitted);
         std::printf("[%s] recovered from journal: %llu batch(es), %llu "
                     "sealed epoch(s), %zu row(s) re-emitted%s\n",
                     name.c_str(),
@@ -763,7 +759,7 @@ bool AwaitOldest(const std::string& name, ServeStream* stream) {
       }
       break;
     case WireFrameType::kIngest:
-      append_emitted(response.ingest.emitted);
+      (void)stream->emitted.Append(response.ingest.emitted);
       std::printf("[%s] ingest: +%llu rows emitted, %llu suppressed, "
                   "%llu buffered (epoch %llu, %llu threads)\n",
                   name.c_str(),
@@ -777,7 +773,7 @@ bool AwaitOldest(const std::string& name, ServeStream* stream) {
                   static_cast<unsigned long long>(response.threads_granted));
       break;
     case WireFrameType::kFlush:
-      append_emitted(response.flush.emitted);
+      (void)stream->emitted.Append(response.flush.emitted);
       std::printf("[%s] flush: epoch %llu emitted %zu rows, v %.6f "
                   "(%llu threads)\n",
                   name.c_str(),
@@ -826,21 +822,16 @@ bool AwaitOldest(const std::string& name, ServeStream* stream) {
                   static_cast<unsigned long long>(
                       response.close.rows_suppressed),
                   response.close.epochs.size());
-      if (auto st = WriteTableCsv(stream->emitted, stream->out_path);
-          !st.ok()) {
-        return ServeError(name, verb, st);
-      }
       // The daemon serialized each epoch's manifest server-side; write
-      // the text verbatim (durably, like WriteManifestFile would).
+      // the text verbatim.
+      std::vector<std::string> manifest_texts;
       for (const WireEpochSummary& epoch : response.close.epochs) {
-        std::string path = stream->manifest_path;
-        if (epoch.epoch > 0) {
-          path += ".epoch" + std::to_string(epoch.epoch);
-        }
-        if (auto st = WriteFileDurable(path, epoch.manifest_text); !st.ok()) {
-          return ServeError(name, verb, st);
-        }
+        manifest_texts.push_back(epoch.manifest_text);
       }
+      const Result<std::vector<std::string>> written =
+          WriteStreamFiles(stream->emitted, stream->out_path,
+                           stream->manifest_path, manifest_texts);
+      if (!written.ok()) return ServeError(name, verb, written.status());
       stream->closed = true;
       stream->client->Disconnect();
       break;
@@ -865,8 +856,8 @@ bool DrainStream(const std::string& name, ServeStream* stream) {
 // (which could otherwise fill both socket buffers).
 bool Submit(const std::string& name, ServeStream* stream,
             const WireRequest& request) {
-  static const size_t window = DaemonConfig().max_inflight_per_connection;
-  if (stream->inflight.size() >= window && !AwaitOldest(name, stream)) {
+  if (stream->inflight.size() >= kMaxInflightPerConnection &&
+      !AwaitOldest(name, stream)) {
     return false;
   }
   Result<DaemonClient::PendingCall> call = stream->client->CallAsync(request);
@@ -1152,22 +1143,15 @@ int CmdRecover(const Args& args) {
               rec.batches_applied, rec.epochs_sealed, rec.valid_bytes,
               rec.tail_truncated ? ", torn tail discarded" : "");
 
-  if (auto st = WriteTableCsv(rec.emitted, args.positional[2]); !st.ok()) {
-    return Fail(st);
-  }
+  const std::vector<std::string> paths =
+      WriteSessionFiles(args, *rec.session, rec.emitted);
   std::printf("recovered %zu emitted row(s) -> %s\n", rec.emitted.num_rows(),
               args.positional[2].c_str());
-  const std::vector<ProtectionManifest> manifests =
-      Must(SessionManifests(*rec.session));
-  for (size_t e = 0; e < manifests.size(); ++e) {
+  for (size_t e = 0; e < paths.size(); ++e) {
     const EpochRecord& epoch = rec.session->epochs()[e];
-    std::string path = args.positional[3];
-    if (epoch.epoch > 0) path += ".epoch" + std::to_string(epoch.epoch);
-    if (auto st = WriteManifestFile(manifests[e], path); !st.ok()) {
-      return Fail(st);
-    }
     std::printf("epoch %zu: %zu rows, v %.6f, manifest -> %s\n", epoch.epoch,
-                epoch.rows_emitted, epoch.identifier_statistic, path.c_str());
+                epoch.rows_emitted, epoch.identifier_statistic,
+                paths[e].c_str());
   }
   if (rec.session->rows_buffered() > 0) {
     std::printf("note: %zu row(s) were journaled but not yet flushed; "
@@ -1190,19 +1174,16 @@ int CmdDispute(const Args& args) {
                  args.positional[3].c_str());
     return 2;
   }
-  MedicalDataset ontologies = Must(GenerateMedicalDataset({.num_rows = 1}));
-  Table table = Must(ReadTableCsv(args.positional[1], MedicalSchema()));
-  ProtectionManifest manifest = Must(ReadManifestFile(args.positional[2]));
-  HierarchicalWatermarker watermarker = Must(WatermarkerFromManifest(
-      manifest, table, ontologies.trees(), KeyFromArgs(args),
-      WatermarkOptions{.hash = manifest.hash}));
+  const Published published =
+      LoadPublished(args, args.positional[2], KeyFromArgs(args));
   const Aes128 cipher =
       Aes128::FromPassphrase(args.Flag("pass", "cli-default-pass"));
   OwnershipConfig oc;
-  oc.mark_bits = manifest.mark_bits;
-  oc.hash = manifest.hash;
-  DisputeVerdict verdict = Must(ResolveDispute(
-      table, watermarker, cipher, claimed_v, manifest.wmd_size, oc));
+  oc.mark_bits = published.manifest.mark_bits;
+  oc.hash = published.manifest.hash;
+  DisputeVerdict verdict = Must(
+      ResolveDispute(published.table, published.watermarker, cipher,
+                     claimed_v, published.manifest.wmd_size, oc));
   std::printf("claimed v:    %.6f\nrecomputed v: %.6f\n", verdict.claimed_v,
               verdict.recomputed_v);
   std::printf("statistic consistent: %s\n",

@@ -57,12 +57,8 @@ int main() {
                      .ValueOrDie();
   std::printf("initial load: %zu rows buffered\n", initial.rows_buffered);
   Table outsourced(dataset.table.schema());
-  auto append = [&outsourced](const Table& emitted) {
-    for (size_t r = 0; r < emitted.num_rows(); ++r) {
-      (void)outsourced.AppendRow(emitted.row(r));
-    }
-  };
-  append(std::move(session.Flush()).ValueOrDie().outcome.watermarked);
+  (void)outsourced.Append(
+      std::move(session.Flush()).ValueOrDie().outcome.watermarked);
   std::printf("epoch 0 published: %zu rows\n", outsourced.num_rows());
 
   // --- The stream: admission batches ---------------------------------------
@@ -75,14 +71,14 @@ int main() {
       std::printf("drift threshold crossed -> epoch %zu published: %zu rows "
                   "(%zu suppressed to keep the epoch k-anonymous)\n",
                   result.epoch, result.rows_emitted, result.rows_suppressed);
-      append(result.emitted);
+      (void)outsourced.Append(result.emitted);
     }
   }
   if (session.rows_buffered() > 0) {
     auto tail = std::move(session.Flush()).ValueOrDie();
     std::printf("stream end -> epoch %zu published: %zu rows\n", tail.epoch,
                 tail.outcome.watermarked.num_rows());
-    append(tail.outcome.watermarked);
+    (void)outsourced.Append(tail.outcome.watermarked);
   }
 
   const std::string path = "/tmp/privmark_streamed.csv";

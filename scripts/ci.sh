@@ -6,8 +6,7 @@
 #      backends or either AES-128 backend fail the job instead of
 #      merely printing, and the same for the joint-search suites (the
 #      bin counter's key shifts and table probes), then the parser
-#      suites (wire, convert, journal, manifest, key registry, CSV,
-#      adversarial input) under a 1 GiB ASan allocation cap
+#      suites (the `alloccap` label) under a 1 GiB ASan allocation cap
 #   2. Debug + thread sanitizer over the parallel-labeled suites (pool
 #      substrate incl. concurrent submission/leases, binning,
 #      watermarking, sessions, the service and daemon suites, failure
@@ -73,15 +72,10 @@ echo "=== Parser suites under an ASan allocation cap ==="
 # share one capped reader, so a 2 GiB sparse manifest must be refused
 # before anything is allocated; the attack suite's NaN/inf fractions
 # must be refused before they size a row count.
-for suite in service_wire_test service_wire_golden_test \
-    service_streamed_fingerprint_test service_convert_test core_journal_test \
-    core_manifest_test core_manifest_adversarial_test \
-    watermark_key_registry_test relation_csv_test \
-    relation_adversarial_input_test properties_csv_property_test \
-    properties_text_format_property_test attack_attacks_test; do
-  ASAN_OPTIONS="max_allocation_size_mb=1024:allocator_may_return_null=0" \
-    "./build-asan/tests/${suite}"
-done
+# The suites carry the `alloccap` label (tests/CMakeLists.txt).
+(cd build-asan && \
+ ASAN_OPTIONS="max_allocation_size_mb=1024:allocator_may_return_null=0" \
+ ctest --output-on-failure -j "${JOBS}" -L alloccap)
 
 echo "=== Fault injection under ASan (three fixed seeds) ==="
 # Debug builds compile failpoints in; the seed feeds the probabilistic

@@ -7,6 +7,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/failpoint.h"
+
 namespace privmark {
 
 Status ErrnoError(const std::string& what, const std::string& path) {
@@ -83,9 +85,23 @@ Status WriteFileDurable(const std::string& path,
                         const std::string& contents) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ErrnoError("cannot open for writing", path);
-  Status status = WriteFully(fd, contents.data(), contents.size())
-                      ? SyncFileAndDir(fd, path)
-                      : ErrnoError("short write to", path);
+  // Each failpoint stands where its fault strikes: "file.write" before any
+  // byte lands, "file.fsync" after all of them are written but before
+  // they are durable.
+  auto injected = [&path](const char* point) {
+    return Status::IOError(std::string("failpoint '") + point +
+                           "' triggered for '" + path + "'");
+  };
+  Status status;
+  if (PRIVMARK_FAILPOINT("file.write")) {
+    status = injected("file.write");
+  } else if (!WriteFully(fd, contents.data(), contents.size())) {
+    status = ErrnoError("short write to", path);
+  } else if (PRIVMARK_FAILPOINT("file.fsync")) {
+    status = injected("file.fsync");
+  } else {
+    status = SyncFileAndDir(fd, path);
+  }
   if (::close(fd) != 0 && status.ok()) status = ErrnoError("cannot close", path);
   return status;
 }

@@ -50,7 +50,9 @@ Result<std::string> ReadFileCapped(const std::string& path,
 
 /// \brief Writes `contents` to `path` (creating or truncating), then
 /// fsyncs the file and its parent directory: after OK, both the bytes
-/// and the name survive a crash.
+/// and the name survive a crash. Failpoints: "file.write" fails before
+/// any byte is written, "file.fsync" after every byte is written but
+/// before the fsync.
 Status WriteFileDurable(const std::string& path, const std::string& contents);
 
 }  // namespace privmark

@@ -158,6 +158,8 @@ class Result {
 
   const T& operator*() const& { return ValueOrDie(); }
   T& operator*() & { return ValueOrDie(); }
+  /// `*std::move(result)` moves the value out instead of copying it.
+  T&& operator*() && { return std::move(*this).ValueOrDie(); }
   const T* operator->() const { return &ValueOrDie(); }
   T* operator->() { return &ValueOrDie(); }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "common/durable_file.h"
-#include "common/failpoint.h"
 #include "common/kv_text.h"
 #include "common/strings.h"
 
@@ -57,49 +56,7 @@ std::string JoinEscaped(const std::vector<std::string>& labels) {
   return Join(escaped, "|");
 }
 
-// The part both builders share: per quasi-identifying column, its name and
-// the labels of its published (ultimate) and maximal generalizations.
-ProtectionManifest ManifestOf(const Schema& schema,
-                              const std::vector<size_t>& qi_columns,
-                              const std::vector<GeneralizationSet>& ultimate,
-                              const UsageMetrics& metrics,
-                              const FrameworkConfig& config) {
-  ProtectionManifest manifest;
-  manifest.hash = config.watermark.hash;
-  manifest.key_id = config.key_id;
-  for (size_t c = 0; c < qi_columns.size(); ++c) {
-    ManifestColumn column;
-    column.name = schema.column(qi_columns[c]).name;
-    const DomainHierarchy& tree = *metrics.trees[c];
-    for (NodeId id : ultimate[c].nodes()) {
-      column.ultimate_labels.push_back(tree.node(id).label);
-    }
-    for (NodeId id : metrics.maximal[c].nodes()) {
-      column.maximal_labels.push_back(tree.node(id).label);
-    }
-    manifest.columns.push_back(std::move(column));
-  }
-  return manifest;
-}
-
 }  // namespace
-
-Result<ProtectionManifest> BuildManifest(const ProtectionOutcome& outcome,
-                                         const UsageMetrics& metrics,
-                                         const FrameworkConfig& config) {
-  if (outcome.binning.qi_columns.size() != metrics.maximal.size()) {
-    return Status::InvalidArgument(
-        "BuildManifest: outcome and metrics disagree on column count");
-  }
-  ProtectionManifest manifest =
-      ManifestOf(outcome.binning.binned.schema(), outcome.binning.qi_columns,
-                 outcome.binning.ultimate, metrics, config);
-  manifest.mark_bits = outcome.mark.size();
-  manifest.wmd_size = outcome.embed.wmd_size;
-  manifest.copies = outcome.embed.copies;
-  manifest.epsilon = outcome.epsilon_used;
-  return manifest;
-}
 
 Result<ProtectionManifest> ManifestFromEpoch(const EpochRecord& epoch,
                                              const Schema& schema,
@@ -114,12 +71,27 @@ Result<ProtectionManifest> ManifestFromEpoch(const EpochRecord& epoch,
     return Status::InvalidArgument(
         "ManifestFromEpoch: schema and epoch disagree on column count");
   }
-  ProtectionManifest manifest =
-      ManifestOf(schema, qi_columns, epoch.ultimate, metrics, config);
+  ProtectionManifest manifest;
   manifest.mark_bits = epoch.mark.size();
   manifest.wmd_size = epoch.wmd_size;
   manifest.copies = epoch.copies;
   manifest.epsilon = epoch.epsilon_used;
+  manifest.hash = config.watermark.hash;
+  manifest.key_id = config.key_id;
+  // Per quasi-identifying column: its name and the labels of its
+  // published (ultimate) and maximal generalizations.
+  for (size_t c = 0; c < qi_columns.size(); ++c) {
+    ManifestColumn column;
+    column.name = schema.column(qi_columns[c]).name;
+    const DomainHierarchy& tree = *metrics.trees[c];
+    for (NodeId id : epoch.ultimate[c].nodes()) {
+      column.ultimate_labels.push_back(tree.node(id).label);
+    }
+    for (NodeId id : metrics.maximal[c].nodes()) {
+      column.maximal_labels.push_back(tree.node(id).label);
+    }
+    manifest.columns.push_back(std::move(column));
+  }
   return manifest;
 }
 
@@ -269,14 +241,6 @@ Result<HierarchicalWatermarker> WatermarkerFromManifest(
 
 Status WriteManifestFile(const ProtectionManifest& manifest,
                          const std::string& path) {
-  if (PRIVMARK_FAILPOINT("manifest.write")) {
-    return Status::IOError("failpoint 'manifest.write' triggered for '" +
-                           path + "'");
-  }
-  if (PRIVMARK_FAILPOINT("manifest.fsync")) {
-    return Status::IOError("failpoint 'manifest.fsync' triggered for '" +
-                           path + "'");
-  }
   // Durable, matching the journal's discipline: a manifest names the
   // generalization its (fsynced) epoch was published under, so losing
   // it to a crash strands an otherwise-recoverable epoch.

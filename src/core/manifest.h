@@ -47,15 +47,10 @@ struct ProtectionManifest {
   std::vector<ManifestColumn> columns;
 };
 
-/// \brief Builds a manifest from a protection run.
-Result<ProtectionManifest> BuildManifest(const ProtectionOutcome& outcome,
-                                         const UsageMetrics& metrics,
-                                         const FrameworkConfig& config);
-
-/// \brief Builds a manifest for one streaming epoch: same record shape,
-/// sourced from the session's EpochRecord (each epoch has its own
-/// generalization, wmd size, and epsilon, so each gets its own manifest;
-/// detection over an epoch's output uses that epoch's manifest).
+/// \brief Builds the manifest of one session epoch from its EpochRecord
+/// (each epoch has its own generalization, wmd size, and epsilon, so each
+/// gets its own manifest; detection over an epoch's output uses that
+/// epoch's manifest). A one-shot protect is a one-epoch session.
 ///
 /// \param schema the stream's schema (for the column names)
 Result<ProtectionManifest> ManifestFromEpoch(const EpochRecord& epoch,

@@ -255,9 +255,7 @@ Result<IngestResult> ProtectionSession::Ingest(const Table& batch) {
   }
 
   // Buffer toward the next flush.
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    PRIVMARK_RETURN_NOT_OK(buffer_.AppendRow(batch.row(r)));
-  }
+  PRIVMARK_RETURN_NOT_OK(buffer_.Append(batch));
   PRIVMARK_RETURN_NOT_OK(buffer_view_.Append(view));
   rows_since_epoch_ += batch.num_rows();
 
@@ -434,6 +432,7 @@ Result<EpochOutput> ProtectionSession::FlushBuffer() {
   record.ultimate = outcome.binning.ultimate;
   record.mark = outcome.mark;
   record.identifier_statistic = outcome.identifier_statistic;
+  record.information_loss = outcome.binning.multi_normalized_loss;
   record.copies = outcome.embed.copies;
   record.wmd_size = outcome.embed.wmd_size;
   record.epsilon_used = outcome.epsilon_used;
@@ -534,10 +533,7 @@ Result<RecoveredSession> ProtectionSession::Recover(
     if (out.emitted.schema().num_columns() == 0) {
       out.emitted = Table(emitted.schema());
     }
-    for (size_t r = 0; r < emitted.num_rows(); ++r) {
-      PRIVMARK_RETURN_NOT_OK(out.emitted.AppendRow(emitted.row(r)));
-    }
-    return Status::OK();
+    return out.emitted.Append(emitted);
   };
 
   std::optional<Schema> schema;

@@ -92,6 +92,9 @@ struct EpochRecord {
   /// The epoch's mark and the statistic it derives from (Sec. 5.4).
   BitVector mark;
   double identifier_statistic = 0.0;
+  /// The binning's Eq. (3) normalized information loss over the flushed
+  /// rows (BinningOutcome::multi_normalized_loss).
+  double information_loss = 0.0;
   size_t copies = 0;
   size_t wmd_size = 0;
   size_t epsilon_used = 0;

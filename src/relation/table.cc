@@ -15,6 +15,16 @@ Status Table::AppendRow(Row row) {
   return Status::OK();
 }
 
+Status Table::Append(const Table& other) {
+  if (other.num_rows() > 0 && other.num_columns() != num_columns()) {
+    return Status::InvalidArgument(
+        "Append: table has " + std::to_string(other.num_columns()) +
+        " columns, schema has " + std::to_string(num_columns()));
+  }
+  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
+  return Status::OK();
+}
+
 void Table::RemoveRows(std::vector<size_t> indices) {
   if (indices.empty()) return;
   std::sort(indices.begin(), indices.end());

@@ -46,6 +46,11 @@ class Table {
   /// \brief Appends a row after checking its arity.
   Status AppendRow(Row row);
 
+  /// \brief Appends every row of `other`, in order, after checking that
+  /// its arity matches. A table with no rows appends as a no-op whatever
+  /// its schema (a default-constructed Table included).
+  Status Append(const Table& other);
+
   const Row& row(size_t r) const { return rows_[r]; }
   const Value& at(size_t r, size_t c) const { return rows_[r][c]; }
   void Set(size_t r, size_t c, Value v) { rows_[r][c] = std::move(v); }

@@ -16,31 +16,11 @@ size_t NormalizeCapacity(size_t capacity) {
 
 }  // namespace
 
-int64_t RetryAfterMsFromStatus(const Status& status) {
-  return status.retry_after_ms();
-}
-
 AdmissionController::AdmissionController(size_t capacity)
     : capacity_(NormalizeCapacity(capacity)) {}
 
 void AdmissionController::SkipAbandonedLocked() {
   while (abandoned_.erase(serving_) != 0) ++serving_;
-}
-
-size_t AdmissionController::Acquire(size_t ask) {
-  size_t want = ask == 0 ? capacity_ : std::min(ask, capacity_);
-  std::unique_lock<std::mutex> lock(mu_);
-  const uint64_t ticket = next_ticket_++;
-  ++waiters_;
-  cv_.wait(lock, [&] { return serving_ == ticket && in_use_ < capacity_; });
-  --waiters_;
-  const size_t granted = std::min(want, capacity_ - in_use_);
-  in_use_ += granted;
-  ++serving_;
-  SkipAbandonedLocked();
-  // Wake the next ticket holder: it may fit alongside this grant.
-  cv_.notify_all();
-  return granted;
 }
 
 Result<size_t> AdmissionController::AcquireWithin(size_t ask,

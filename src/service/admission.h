@@ -22,8 +22,8 @@
 //     min(ask, free). It never idles free workers waiting for its full
 //     ask — it takes a partial grant and runs.
 //
-// Callers pair every Acquire() with exactly one Release() of the granted
-// amount (see ThreadGrant for the RAII form).
+// Callers pair every grant AcquireWithin() returns with exactly one
+// Release() of the granted amount.
 
 #ifndef PRIVMARK_SERVICE_ADMISSION_H_
 #define PRIVMARK_SERVICE_ADMISSION_H_
@@ -38,13 +38,6 @@
 
 namespace privmark {
 
-/// \brief The backpressure hint a shedding path (queue-depth or
-/// admission-waiter overload) attached to a ResourceExhausted status.
-/// -1 when the status carries no hint. Now a thin alias for the typed
-/// Status::retry_after_ms() field — in-process and wire callers read
-/// the same typed hint; nobody parses message text.
-int64_t RetryAfterMsFromStatus(const Status& status);
-
 /// \brief FIFO, work-conserving thread-budget controller.
 class AdmissionController {
  public:
@@ -57,15 +50,10 @@ class AdmissionController {
 
   size_t capacity() const { return capacity_; }
 
-  /// \brief Blocks until this caller's turn comes and some capacity is
+  /// \brief Waits until this caller's turn comes and some capacity is
   /// free, then grants min(normalized ask, free capacity) >= 1 threads
   /// and returns the grant. Normalization: ask 0 -> capacity, ask >
-  /// capacity -> capacity.
-  size_t Acquire(size_t ask);
-
-  /// \brief Bounded-wait form of Acquire() for overload control.
-  ///
-  /// Behaves like Acquire() (FIFO ticket, work-conserving grant) except:
+  /// capacity -> capacity. Overload control bounds the wait:
   ///   - if `max_waiters` > 0 and that many callers are already waiting
   ///     for admission, fails immediately with ResourceExhausted (the
   ///     status carries a typed retry_after_ms() hint) instead of
@@ -79,7 +67,7 @@ class AdmissionController {
   Result<size_t> AcquireWithin(size_t ask, int64_t timeout_ms,
                                size_t max_waiters = 0);
 
-  /// \brief Returns a previous Acquire()'s grant to the budget.
+  /// \brief Returns a previous AcquireWithin()'s grant to the budget.
   void Release(size_t granted);
 
   /// \brief Threads currently granted (diagnostic; racy by nature).
@@ -96,27 +84,10 @@ class AdmissionController {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   size_t in_use_ = 0;        // guarded by mu_
-  size_t waiters_ = 0;       // guarded by mu_: callers blocked in Acquire*
+  size_t waiters_ = 0;       // guarded by mu_: callers blocked in AcquireWithin
   uint64_t next_ticket_ = 0; // guarded by mu_: next ticket to hand out
   uint64_t serving_ = 0;     // guarded by mu_: ticket allowed to admit
   std::unordered_set<uint64_t> abandoned_;  // guarded by mu_: timed out
-};
-
-/// \brief RAII grant: acquires on construction, releases on destruction.
-class ThreadGrant {
- public:
-  ThreadGrant(AdmissionController* controller, size_t ask)
-      : controller_(controller), granted_(controller->Acquire(ask)) {}
-  ~ThreadGrant() { controller_->Release(granted_); }
-
-  ThreadGrant(const ThreadGrant&) = delete;
-  ThreadGrant& operator=(const ThreadGrant&) = delete;
-
-  size_t granted() const { return granted_; }
-
- private:
-  AdmissionController* controller_;
-  size_t granted_;
 };
 
 }  // namespace privmark

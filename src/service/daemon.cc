@@ -194,7 +194,6 @@ void PrivmarkDaemon::ServeConnection(int fd) {
   auto mux = std::make_shared<MuxConnection>();
   mux->fd = fd;
   WireTableDecoder decoder(config_.schema);
-  const size_t cap = std::max<size_t>(1, config_.max_inflight_per_connection);
 
   for (;;) {
     char header[kWireFrameHeaderBytes];
@@ -244,7 +243,9 @@ void PrivmarkDaemon::ServeConnection(int fd) {
       {
         // Backpressure: stop reading at the inflight cap.
         std::unique_lock<std::mutex> lock(mux->mu);
-        mux->drained.wait(lock, [&] { return mux->inflight < cap; });
+        mux->drained.wait(lock, [&] {
+          return mux->inflight < kMaxInflightPerConnection;
+        });
         ++mux->inflight;
       }
       // Submit on the reader so same-session submission order equals

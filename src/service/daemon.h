@@ -18,7 +18,7 @@
 // carry the per-epoch manifests the service built from the session
 // itself.
 //
-// max_inflight_per_connection bounds submitted-but-unanswered requests:
+// kMaxInflightPerConnection bounds submitted-but-unanswered requests:
 // at the cap the reader stops reading (TCP backpressure). The same
 // counter is the connection's teardown barrier — the reader returns
 // only once every submitted request has answered — and the accept loop
@@ -78,11 +78,12 @@ struct DaemonConfig {
   Schema schema;
   std::function<Result<UsageMetrics>(const FrameworkConfig&)>
       metrics_for_config;
-  /// Cap on requests submitted but not yet answered on one connection.
-  /// At the cap the reader stops reading until a response drains.
-  /// Clamped to >= 1.
-  size_t max_inflight_per_connection = 32;
 };
+
+/// \brief Cap on requests submitted but not yet answered on one
+/// connection. At the cap the reader stops reading until a response
+/// drains.
+inline constexpr size_t kMaxInflightPerConnection = 32;
 
 /// \brief TCP daemon on 127.0.0.1 (loopback only until TLS lands; see
 /// ROADMAP).

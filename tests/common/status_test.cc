@@ -68,6 +68,35 @@ TEST(ResultTest, MoveOnlyValue) {
   EXPECT_EQ(*v, 7);
 }
 
+// Counts its copies into `*copies`; moves are free.
+struct CopyCounter {
+  explicit CopyCounter(int* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter& other) {
+    copies = other.copies;
+    ++*copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) noexcept = default;
+
+  int* copies;
+};
+
+TEST(ResultTest, DereferencingAnRvalueMovesTheValueOut) {
+  int copies = 0;
+  Result<CopyCounter> moved{CopyCounter(&copies)};
+  ASSERT_EQ(copies, 0);
+  const CopyCounter taken = *std::move(moved);
+  EXPECT_EQ(taken.copies, &copies);
+  EXPECT_EQ(copies, 0) << "*std::move(result) copied the value";
+  // An lvalue dereference leaves the Result intact, so it copies.
+  Result<CopyCounter> kept{CopyCounter(&copies)};
+  const CopyCounter copied = *kept;
+  EXPECT_EQ(copied.copies, &copies);
+  EXPECT_EQ(copies, 1);
+}
+
 Status FailIfNegative(int x) {
   if (x < 0) return Status::OutOfRange("negative");
   return Status::OK();

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/durable_file.h"
 #include "common/failpoint.h"
@@ -217,12 +218,20 @@ TEST(ManifestAdversarialTest, FsyncFaultSurfacesAsIOError) {
   manifest.mark_bits = 8;
   manifest.wmd_size = 16;
   const std::string path = TestTempPath("privmark_manifest_fsync.txt");
-  for (const char* point : {"manifest.write", "manifest.fsync"}) {
+  // A write fault strikes before any byte lands; an fsync fault strikes
+  // after every byte is written, so the file holds the whole manifest
+  // and only its durability is in doubt.
+  const std::pair<const char*, std::string> faults[] = {
+      {"file.write", ""}, {"file.fsync", SerializeManifest(manifest)}};
+  for (const auto& [point, contents] : faults) {
     ASSERT_TRUE(FailpointRegistry::Instance().Configure(point, "once:1").ok());
     const Status status = WriteManifestFile(manifest, path);
     FailpointRegistry::Instance().Reset();
     EXPECT_EQ(status.code(), StatusCode::kIOError) << point;
     EXPECT_NE(status.ToString().find(point), std::string::npos) << point;
+    auto written = ReadFileCapped(path, kMaxManifestBytes);
+    ASSERT_TRUE(written.ok()) << point << ": " << written.status().ToString();
+    EXPECT_EQ(*written, contents) << point;
   }
   // With no fault armed the same write succeeds and reads back.
   ASSERT_TRUE(WriteManifestFile(manifest, path).ok());

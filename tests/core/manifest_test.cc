@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "datagen/medical_data.h"
 #include "testing/temp_dir.h"
@@ -25,20 +26,25 @@ class ManifestTest : public ::testing::Test {
     metrics_ = std::make_unique<UsageMetrics>(
         MetricsFromDepthCuts(dataset_->trees(), {2, 1, 2, 1, 1})
             .ValueOrDie());
-    framework_ =
-        std::make_unique<ProtectionFramework>(*metrics_, config_);
+    // A one-shot protect: the whole table as one batch, flushed once.
+    session_ = std::make_unique<ProtectionSession>(*metrics_, config_,
+                                                   SessionConfig());
+    EXPECT_TRUE(session_->Ingest(dataset_->table).ok());
     outcome_ = std::make_unique<ProtectionOutcome>(
-        std::move(framework_->Protect(dataset_->table)).ValueOrDie());
+        std::move(session_->Flush()).ValueOrDie().outcome);
   }
 
   ProtectionManifest Build() const {
-    return BuildManifest(*outcome_, *metrics_, config_).ValueOrDie();
+    std::vector<ProtectionManifest> manifests =
+        std::move(SessionManifests(*session_)).ValueOrDie();
+    EXPECT_EQ(manifests.size(), 1u);
+    return std::move(manifests.front());
   }
 
   std::unique_ptr<MedicalDataset> dataset_;
   FrameworkConfig config_;
   std::unique_ptr<UsageMetrics> metrics_;
-  std::unique_ptr<ProtectionFramework> framework_;
+  std::unique_ptr<ProtectionSession> session_;
   std::unique_ptr<ProtectionOutcome> outcome_;
 };
 

@@ -125,14 +125,17 @@ TEST_F(FailureInjectionTest, ManifestAgainstWrongTreesRejected) {
   fw_config.binning = config;
   auto metrics =
       MetricsFromDepthCuts(dataset_->trees(), {2, 1, 2, 1, 1}).ValueOrDie();
-  ProtectionFramework framework(metrics, fw_config);
-  auto outcome = std::move(framework.Protect(dataset_->table)).ValueOrDie();
-  auto manifest = BuildManifest(outcome, metrics, fw_config).ValueOrDie();
+  ProtectionSession session(metrics, fw_config, SessionConfig());
+  ASSERT_TRUE(session.Ingest(dataset_->table).ok());
+  auto epoch = std::move(session.Flush()).ValueOrDie();
+  auto manifests = std::move(SessionManifests(session)).ValueOrDie();
+  ASSERT_EQ(manifests.size(), 1u);
 
   // Swap two trees: labels will not resolve -> KeyError.
   auto trees = dataset_->trees();
   std::swap(trees[0], trees[1]);
-  EXPECT_FALSE(WatermarkerFromManifest(manifest, outcome.watermarked, trees,
+  EXPECT_FALSE(WatermarkerFromManifest(manifests[0],
+                                       epoch.outcome.watermarked, trees,
                                        fw_config.key, fw_config.watermark)
                    .ok());
 }

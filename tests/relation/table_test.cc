@@ -128,6 +128,25 @@ TEST(TableTest, SliceCopiesRowRangeAndClampsEnd) {
   EXPECT_EQ(t.Slice(3, 3).num_rows(), 0u);
 }
 
+TEST(TableTest, AppendConcatenatesRowsAndChecksArity) {
+  const Table t = MakeGroupedTable();
+  Table joined = t.Slice(0, 2);
+  ASSERT_TRUE(joined.Append(t.Slice(2, 6)).ok());
+  ASSERT_EQ(joined.num_rows(), t.num_rows());
+  for (size_t r = 0; r < t.num_rows(); ++r) EXPECT_EQ(joined.row(r), t.row(r));
+  ASSERT_TRUE(joined.Append(Table(TwoColumnSchema())).ok());
+  ASSERT_TRUE(joined.Append(Table()).ok());
+  EXPECT_EQ(joined.num_rows(), t.num_rows());
+
+  Schema one_column;
+  ASSERT_TRUE(one_column.AddColumn({"id", ColumnRole::kIdentifying,
+                                    ValueType::kString}).ok());
+  Table narrow(one_column);
+  ASSERT_TRUE(narrow.AppendRow({Value::String("x")}).ok());
+  EXPECT_EQ(joined.Append(narrow).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(joined.num_rows(), t.num_rows());
+}
+
 TEST(BinTest, SizeReportsMemberCount) {
   Bin bin{{Value::String("k")}, {0, 3, 4}};
   EXPECT_EQ(bin.size(), 3u);

@@ -669,7 +669,7 @@ TEST(DaemonMultiplexTest, PipelinedIngestsLeaveNoThreadsBehind) {
   // them must not leave any thread behind.
   const Table batch = env.dataset->table.Slice(0, 40);
   std::vector<DaemonClient::PendingCall> calls;
-  for (size_t i = 0; i < DaemonConfig().max_inflight_per_connection; ++i) {
+  for (size_t i = 0; i < kMaxInflightPerConnection; ++i) {
     WireRequest ingest;
     ingest.type = WireFrameType::kIngest;
     ingest.session = "window";

@@ -75,7 +75,7 @@ void AppendAll(Table* all, const Table& rows) {
 
 TEST(AdmissionTimeoutTest, TimesOutWhileSaturated) {
   AdmissionController admission(2);
-  const size_t held = admission.Acquire(2);
+  const size_t held = *admission.AcquireWithin(2, -1);
   const auto start = std::chrono::steady_clock::now();
   auto late = admission.AcquireWithin(1, /*timeout_ms=*/20);
   const auto waited = std::chrono::steady_clock::now() - start;
@@ -90,14 +90,14 @@ TEST(AdmissionTimeoutTest, TimesOutWhileSaturated) {
 
 TEST(AdmissionTimeoutTest, AbandonedTicketDoesNotStallTheFifo) {
   AdmissionController admission(1);
-  const size_t held = admission.Acquire(1);
+  const size_t held = *admission.AcquireWithin(1, -1);
   // This waiter's ticket is between `held` and the acquire below; when
   // it times out, the cursor must skip it or the queue deadlocks.
   auto dead = admission.AcquireWithin(1, /*timeout_ms=*/10);
   ASSERT_FALSE(dead.ok());
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
-    const size_t grant = admission.Acquire(1);
+    const size_t grant = *admission.AcquireWithin(1, -1);
     granted.store(true);
     admission.Release(grant);
   });
@@ -110,10 +110,10 @@ TEST(AdmissionTimeoutTest, AbandonedTicketDoesNotStallTheFifo) {
 
 TEST(AdmissionTimeoutTest, ShedsBehindTooManyWaiters) {
   AdmissionController admission(1);
-  const size_t held = admission.Acquire(1);
+  const size_t held = *admission.AcquireWithin(1, -1);
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
-    const size_t grant = admission.Acquire(1);
+    const size_t grant = *admission.AcquireWithin(1, -1);
     granted.store(true);
     admission.Release(grant);
   });

@@ -75,11 +75,11 @@ TEST(AdmissionControllerTest, NormalizesAndClampsAsks) {
   AdmissionController admission(4);
   EXPECT_EQ(admission.capacity(), 4u);
   // Demand above the cap is clamped, never rejected.
-  const size_t over = admission.Acquire(64);
+  const size_t over = *admission.AcquireWithin(64, -1);
   EXPECT_EQ(over, 4u);
   admission.Release(over);
   // A zero ask means "all of it" (the hardware-concurrency convention).
-  const size_t all = admission.Acquire(0);
+  const size_t all = *admission.AcquireWithin(0, -1);
   EXPECT_EQ(all, 4u);
   admission.Release(all);
   EXPECT_EQ(admission.in_use(), 0u);
@@ -92,11 +92,11 @@ TEST(AdmissionControllerTest, ZeroCapacityMeansHardware) {
 
 TEST(AdmissionControllerTest, PartialGrantWhenCapacityIsShort) {
   AdmissionController admission(4);
-  const size_t first = admission.Acquire(3);
+  const size_t first = *admission.AcquireWithin(3, -1);
   EXPECT_EQ(first, 3u);
   // Work-conserving: one worker is free, so a wide ask takes the partial
   // grant instead of idling it.
-  const size_t second = admission.Acquire(3);
+  const size_t second = *admission.AcquireWithin(3, -1);
   EXPECT_EQ(second, 1u);
   EXPECT_EQ(admission.in_use(), 4u);
   admission.Release(first);
@@ -105,10 +105,10 @@ TEST(AdmissionControllerTest, PartialGrantWhenCapacityIsShort) {
 
 TEST(AdmissionControllerTest, BlocksWhileSaturatedAndWakesOnRelease) {
   AdmissionController admission(2);
-  const size_t held = admission.Acquire(2);
+  const size_t held = *admission.AcquireWithin(2, -1);
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
-    const size_t grant = admission.Acquire(1);
+    const size_t grant = *admission.AcquireWithin(1, -1);
     granted.store(true);
     admission.Release(grant);
   });

@@ -724,9 +724,9 @@ TEST(RetryAfterTest, TypedHintTravelsOnTheStatus) {
   const Status shed =
       Status::ResourceExhausted("queue full").WithRetryAfterMs(350);
   EXPECT_EQ(shed.retry_after_ms(), 350);
-  EXPECT_EQ(RetryAfterMsFromStatus(shed), 350);
-  EXPECT_EQ(RetryAfterMsFromStatus(
-                Status::ResourceExhausted("shed now").WithRetryAfterMs(0)),
+  EXPECT_EQ(Status::ResourceExhausted("shed now")
+                .WithRetryAfterMs(0)
+                .retry_after_ms(),
             0);
   // The hint participates in equality: two otherwise-identical statuses
   // with different hints are different.
@@ -734,11 +734,10 @@ TEST(RetryAfterTest, TypedHintTravelsOnTheStatus) {
 }
 
 TEST(RetryAfterTest, AbsentHintYieldsMinusOne) {
-  EXPECT_EQ(RetryAfterMsFromStatus(Status::OK()), -1);
-  EXPECT_EQ(RetryAfterMsFromStatus(Status::ResourceExhausted("no hint")), -1);
+  EXPECT_EQ(Status::OK().retry_after_ms(), -1);
+  EXPECT_EQ(Status::ResourceExhausted("no hint").retry_after_ms(), -1);
   // Message text mentioning the old convention is just text now.
-  EXPECT_EQ(RetryAfterMsFromStatus(
-                Status::ResourceExhausted("retry_after_ms=10")),
+  EXPECT_EQ(Status::ResourceExhausted("retry_after_ms=10").retry_after_ms(),
             -1);
 }
 
