@@ -296,7 +296,13 @@ BENCHMARK(BM_KeyedHashBatch)
     ->Args({8, 24})
     ->Args({64, 24})
     ->Args({8, 96})
-    ->Args({64, 96});
+    ->Args({64, 96})
+    // Registry-scan shapes: with the 15-byte key, len 32 is one padded
+    // block like an Eq. (5) selection hash over a 32-char ident, len 45
+    // two blocks like a "pos:<ident>:<column>" position message.
+    ->Args({16, 32})
+    ->Args({64, 32})
+    ->Args({64, 45});
 
 void BM_StreamingIngest20k(benchmark::State& state) {
   // End-to-end streaming throughput (rows/sec): the 20k table replayed

@@ -41,11 +41,12 @@ echo "=== Crypto kernels under UBSan (alignment findings made fatal) ==="
 # prints by default. halt_on_error turns any finding in the hashing
 # kernels — notably misaligned loads in the multi-buffer SHA-1 backends,
 # which read caller-provided message bytes at arbitrary offsets — into a
-# hard failure. The multibuffer suite forces every compiled backend
-# (portable/SSE2/AVX2) in turn, so each SIMD path is exercised here. The
-# 'Aes' filter covers both AES-128 backends: Aes128BackendTest runs the
-# portable kernel and the AES-NI kernel (unaligned loads of caller
-# blocks) side by side, skipping the AES-NI cases on CPUs without it.
+# hard failure. The multibuffer suite forces every compiled backend the
+# CPU supports (portable/SSE2/AVX2/AVX-512) in turn, so each SIMD path is
+# exercised here. The 'Aes' filter covers both AES-128 backends:
+# Aes128BackendTest runs the portable kernel and the AES-NI kernel
+# (unaligned loads of caller blocks) side by side, skipping the AES-NI
+# cases on CPUs without it.
 (cd build-asan && \
  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
  ctest --output-on-failure -j "${JOBS}" \

@@ -66,8 +66,11 @@ Result<std::string> ReadFileCapped(const std::string& path,
   return text;
 }
 
-Status SyncFileAndDir(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) return ErrnoError("cannot fsync", path);
+namespace {
+
+// Fsyncs the directory that holds `path`, making a create or rename of
+// that name durable.
+Status SyncParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
                               ? "."
@@ -81,10 +84,24 @@ Status SyncFileAndDir(int fd, const std::string& path) {
   return status;
 }
 
+}  // namespace
+
+Status SyncFileAndDir(int fd, const std::string& path) {
+  if (::fsync(fd) != 0) return ErrnoError("cannot fsync", path);
+  return SyncParentDir(path);
+}
+
 Status WriteFileDurable(const std::string& path,
                         const std::string& contents) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return ErrnoError("cannot open for writing", path);
+  // The bytes go to a sibling temp file that is made durable and then
+  // renamed over `path`, so a fault at any step leaves `path` as it was
+  // (its previous contents, or absent), never truncated.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return ErrnoError("cannot open for writing", tmp);
+  // A replaced file keeps its permission bits (a key file may be 0600).
+  struct stat previous;
+  const bool keep_mode = ::stat(path.c_str(), &previous) == 0;
   // Each failpoint stands where its fault strikes: "file.write" before any
   // byte lands, "file.fsync" after all of them are written but before
   // they are durable.
@@ -93,17 +110,26 @@ Status WriteFileDurable(const std::string& path,
                            "' triggered for '" + path + "'");
   };
   Status status;
-  if (PRIVMARK_FAILPOINT("file.write")) {
+  if (keep_mode && ::fchmod(fd, previous.st_mode & 07777) != 0) {
+    status = ErrnoError("cannot set permissions of", tmp);
+  } else if (PRIVMARK_FAILPOINT("file.write")) {
     status = injected("file.write");
   } else if (!WriteFully(fd, contents.data(), contents.size())) {
-    status = ErrnoError("short write to", path);
+    status = ErrnoError("short write to", tmp);
   } else if (PRIVMARK_FAILPOINT("file.fsync")) {
     status = injected("file.fsync");
-  } else {
-    status = SyncFileAndDir(fd, path);
+  } else if (::fsync(fd) != 0) {
+    status = ErrnoError("cannot fsync", tmp);
   }
-  if (::close(fd) != 0 && status.ok()) status = ErrnoError("cannot close", path);
-  return status;
+  if (::close(fd) != 0 && status.ok()) status = ErrnoError("cannot close", tmp);
+  if (status.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = ErrnoError("cannot rename '" + tmp + "' over", path);
+  }
+  if (!status.ok()) {
+    ::unlink(tmp.c_str());
+    return status;
+  }
+  return SyncParentDir(path);
 }
 
 }  // namespace privmark

@@ -48,11 +48,14 @@ inline constexpr uint64_t kUncappedRead = UINT64_MAX;
 Result<std::string> ReadFileCapped(const std::string& path,
                                    uint64_t max_bytes);
 
-/// \brief Writes `contents` to `path` (creating or truncating), then
-/// fsyncs the file and its parent directory: after OK, both the bytes
-/// and the name survive a crash. Failpoints: "file.write" fails before
-/// any byte is written, "file.fsync" after every byte is written but
-/// before the fsync.
+/// \brief Replaces `path` with `contents`: writes and fsyncs the sibling
+/// temp file `<path>.tmp.<pid>`, renames it over `path`, then fsyncs the
+/// parent directory. A replaced file keeps its permission bits; a
+/// symlink at `path` is replaced, not written through. After OK, both
+/// the bytes and the name survive a crash; after an error `path` keeps
+/// its previous contents (or stays absent) and the temp file is removed. Failpoints: "file.write" fails
+/// before any byte is written, "file.fsync" after every byte is written
+/// but before the fsync.
 Status WriteFileDurable(const std::string& path, const std::string& contents);
 
 }  // namespace privmark

@@ -29,6 +29,20 @@ inline size_t AssembleKeyed(std::string_view key, std::string_view message,
   return key.size() + 1 + message.size();
 }
 
+// Writes the one padded SHA-1 block of key || 0x00 || message to `block`
+// (kBlockSize bytes). Caller guarantees the keyed input is at most
+// Sha1MultiBuffer::kMaxSingleBlockMessage bytes.
+inline void PadKeyedBlock(std::string_view key, std::string_view message,
+                          uint8_t* block) {
+  std::memset(block, 0, Sha1MultiBuffer::kBlockSize);
+  const size_t len = AssembleKeyed(key, message, block);
+  block[len] = 0x80;
+  const uint64_t bit_len = static_cast<uint64_t>(len) * 8;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  }
+}
+
 inline uint64_t TruncateBe64(const uint8_t* digest) {
   uint64_t out = 0;
   for (int i = 0; i < 8; ++i) {
@@ -134,16 +148,33 @@ void KeyedHash64Batch(HashAlgorithm algo, const KeyedHashInput* inputs,
     }
     return;
   }
-  // Assemble key || 0x00 || message per lane on the stack, then hand whole
-  // chunks to the interleaved-lane kernel. Two AVX2 groups per chunk keeps
-  // the stack footprint ~3 KiB while amortizing dispatch.
-  constexpr size_t kChunk = 2 * Sha1MultiBuffer::kMaxLanes;
+  // Inputs go to the kernel in chunks of one widest lane group. A chunk
+  // whose keyed inputs all fit one padded block (every Eq. (5) selection
+  // hash) is padded straight into contiguous blocks for the single-block
+  // fast path. Any other chunk is assembled as key || 0x00 || message per
+  // lane on the stack (~3 KiB) and hashed by the general multi-block path.
+  constexpr size_t kChunk = Sha1MultiBuffer::kMaxLanes;
+  uint8_t blocks[kChunk * Sha1MultiBuffer::kBlockSize];
   uint8_t bufs[kChunk][kAssembleMax];
   std::string overflow[kChunk];  // rare: inputs longer than kAssembleMax
   std::string_view views[kChunk];
   uint8_t digests[kChunk * Sha1MultiBuffer::kDigestSize];
   for (size_t base = 0; base < n; base += kChunk) {
     const size_t m = n - base < kChunk ? n - base : kChunk;
+    bool single_block = true;
+    for (size_t i = 0; i < m && single_block; ++i) {
+      const KeyedHashInput& in = inputs[base + i];
+      single_block = in.key.size() + 1 + in.message.size() <=
+                     Sha1MultiBuffer::kMaxSingleBlockMessage;
+    }
+    if (single_block) {
+      for (size_t i = 0; i < m; ++i) {
+        PadKeyedBlock(inputs[base + i].key, inputs[base + i].message,
+                      blocks + Sha1MultiBuffer::kBlockSize * i);
+      }
+      Sha1MultiBuffer::HashPaddedBlocks64(blocks, m, outs + base);
+      continue;
+    }
     for (size_t i = 0; i < m; ++i) {
       const KeyedHashInput& in = inputs[base + i];
       const size_t total = in.key.size() + 1 + in.message.size();

@@ -48,9 +48,12 @@ struct KeyedHashInput {
 /// \brief Batched KeyedHash64: outs[i] = KeyedHash64(algo, inputs[i].key,
 /// inputs[i].message), value-identical to the scalar call.
 ///
-/// SHA-1 batches flow through the multi-buffer kernel (4–8 interleaved
+/// SHA-1 batches flow through the multi-buffer kernel (4–16 interleaved
 /// lanes, see crypto/sha1_multibuffer.h), so cost per hash drops several-
-/// fold when `n` covers at least one full lane group; MD5 falls back to the
+/// fold when `n` covers at least one full lane group. Each 16-input chunk
+/// whose keyed inputs all fit one padded block (key + 1 + message <= 55
+/// bytes) skips digest bytes altogether: its blocks are padded in place
+/// and the result read from the chaining state. MD5 falls back to the
 /// scalar path per element. The watermark embed/detect loops hand whole
 /// blocks of tuples (and multi-key detection whole key groups) to this
 /// entry point instead of hashing one tuple at a time.

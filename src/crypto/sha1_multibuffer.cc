@@ -37,11 +37,11 @@ inline uint32_t Rotl32(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
 // ---------------------------------------------------------------------------
 
 template <size_t L>
-void CompressLanesPortable(uint32_t* h, const uint8_t* const* blocks) {
+void CompressLanesPortable(uint32_t* h, const uint8_t* blocks) {
   uint32_t w[16][L];
   for (size_t i = 0; i < 16; ++i) {
     for (size_t l = 0; l < L; ++l) {
-      w[i][l] = LoadBe32(blocks[l] + 4 * i);
+      w[i][l] = LoadBe32(blocks + 64 * l + 4 * i);
     }
   }
   uint32_t a[L], b[L], c[L], d[L], e[L];
@@ -133,13 +133,14 @@ inline __m128i RotlV(__m128i x, int k) {
   return _mm_or_si128(_mm_slli_epi32(x, k), _mm_srli_epi32(x, 32 - k));
 }
 
-void CompressLanes4Sse2(uint32_t* h, const uint8_t* const* blocks) {
+void CompressLanes4Sse2(uint32_t* h, const uint8_t* blocks) {
   __m128i w[16];
   for (int i = 0; i < 16; ++i) {
-    w[i] = _mm_set_epi32(static_cast<int>(LoadBe32(blocks[3] + 4 * i)),
-                         static_cast<int>(LoadBe32(blocks[2] + 4 * i)),
-                         static_cast<int>(LoadBe32(blocks[1] + 4 * i)),
-                         static_cast<int>(LoadBe32(blocks[0] + 4 * i)));
+    const uint8_t* p = blocks + 4 * i;
+    w[i] = _mm_set_epi32(static_cast<int>(LoadBe32(p + 3 * 64)),
+                         static_cast<int>(LoadBe32(p + 2 * 64)),
+                         static_cast<int>(LoadBe32(p + 1 * 64)),
+                         static_cast<int>(LoadBe32(p)));
   }
   __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + 0));
   __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + 4));
@@ -199,12 +200,12 @@ inline uint32x4_t RotlN(uint32x4_t x) {
   return vorrq_u32(vshlq_n_u32(x, K), vshrq_n_u32(x, 32 - K));
 }
 
-void CompressLanes4Neon(uint32_t* h, const uint8_t* const* blocks) {
+void CompressLanes4Neon(uint32_t* h, const uint8_t* blocks) {
   uint32x4_t w[16];
   for (int i = 0; i < 16; ++i) {
-    const uint32_t words[4] = {
-        LoadBe32(blocks[0] + 4 * i), LoadBe32(blocks[1] + 4 * i),
-        LoadBe32(blocks[2] + 4 * i), LoadBe32(blocks[3] + 4 * i)};
+    const uint8_t* p = blocks + 4 * i;
+    const uint32_t words[4] = {LoadBe32(p), LoadBe32(p + 64),
+                               LoadBe32(p + 2 * 64), LoadBe32(p + 3 * 64)};
     w[i] = vld1q_u32(words);
   }
   uint32x4_t a = vld1q_u32(h + 0);
@@ -255,33 +256,72 @@ void CompressLanes4Neon(uint32_t* h, const uint8_t* const* blocks) {
 // Dispatch + mixed-length block scheduling.
 // ---------------------------------------------------------------------------
 
+// Every kernel reads its lanes' blocks back to back, lane l's 64-byte
+// block at blocks + 64 * l, and keeps word-major state h[word * lanes + l].
 struct BackendImpl {
   const char* name;
   size_t lanes;
-  void (*compress)(uint32_t* h, const uint8_t* const* blocks);
+  void (*compress)(uint32_t* h, const uint8_t* blocks);
+  bool (*usable)();  // compiled into this binary and supported by this CPU
+  // A narrower backend that runs partial groups of at most its lane count
+  // in fewer lane-cycles, or nullptr. Usable whenever this one is.
+  const BackendImpl* narrow;
 };
 
-constexpr BackendImpl kPortable = {"portable", 4, &CompressLanesPortable<4>};
+bool AlwaysUsable() { return true; }
+
 #if defined(__x86_64__) || defined(_M_X64)
-constexpr BackendImpl kSse2 = {"sse2", 4, &CompressLanes4Sse2};
+bool Avx2Usable() {
+  return crypto_internal::Sha1Avx2Compiled() && __builtin_cpu_supports("avx2");
+}
+
+bool Avx512Usable() {
+  return crypto_internal::Sha1Avx512Compiled() &&
+         __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512bw") && Avx2Usable();
+}
+
 constexpr BackendImpl kAvx2 = {"avx2", 8,
-                               &crypto_internal::Sha1CompressLanes8Avx2};
+                               &crypto_internal::Sha1CompressLanes8Avx2,
+                               &Avx2Usable, nullptr};
+// A 16-lane compress takes about as long as an 8-lane AVX2 one, so a
+// partial group of up to 8 messages runs on the AVX2 kernel.
+constexpr BackendImpl kAvx512 = {"avx512", 16,
+                                 &crypto_internal::Sha1CompressLanes16Avx512,
+                                 &Avx512Usable, &kAvx2};
+constexpr BackendImpl kSse2 = {"sse2", 4, &CompressLanes4Sse2, &AlwaysUsable,
+                               nullptr};
 #endif
 #if defined(__aarch64__)
-constexpr BackendImpl kNeon = {"neon", 4, &CompressLanes4Neon};
+constexpr BackendImpl kNeon = {"neon", 4, &CompressLanes4Neon, &AlwaysUsable,
+                               nullptr};
 #endif
+constexpr BackendImpl kPortable = {"portable", 4, &CompressLanesPortable<4>,
+                                   &AlwaysUsable, nullptr};
+
+// Preference order: the first usable backend is the auto-selected one.
+constexpr const BackendImpl* kBackends[] = {
+#if defined(__x86_64__) || defined(_M_X64)
+    &kAvx512, &kAvx2, &kSse2,
+#endif
+#if defined(__aarch64__)
+    &kNeon,
+#endif
+    &kPortable,
+};
 
 const BackendImpl* DetectBackend() {
-#if defined(__x86_64__) || defined(_M_X64)
-  if (crypto_internal::Sha1Avx2Compiled() && __builtin_cpu_supports("avx2")) {
-    return &kAvx2;
+  for (const BackendImpl* impl : kBackends) {
+    if (impl->usable()) return impl;
   }
-  return &kSse2;
-#elif defined(__aarch64__)
-  return &kNeon;
-#else
   return &kPortable;
-#endif
+}
+
+// The backend that hashes a group of `m` messages: `impl`'s narrow
+// backend when they fit its lanes, else `impl`.
+const BackendImpl& GroupImpl(const BackendImpl& impl, size_t m) {
+  return impl.narrow != nullptr && m <= impl.narrow->lanes ? *impl.narrow
+                                                           : impl;
 }
 
 std::atomic<const BackendImpl*> g_backend{nullptr};
@@ -295,39 +335,50 @@ const BackendImpl* ActiveImpl() {
   return impl;
 }
 
+// Fills word-major state for L lanes with the SHA-1 initial values.
+void InitLanes(uint32_t* h, size_t L) {
+  for (size_t word = 0; word < 5; ++word) {
+    for (size_t l = 0; l < L; ++l) {
+      h[word * L + l] = crypto_internal::kSha1Init[word];
+    }
+  }
+}
+
 // SHA-1 message occupies nblocks 64-byte blocks once padded: the 0x80
 // terminator plus the 8-byte bit length must fit after the message.
 inline size_t NumBlocks(size_t len) { return (len + 8) / 64 + 1; }
 
-// Returns the b'th block of a padded message: full in-message blocks come
-// straight from the message bytes (zero copy); boundary/padding blocks are
-// materialized into the caller's 64-byte scratch.
-const uint8_t* BlockPtr(std::string_view m, size_t b, size_t nblocks,
-                        uint8_t* scratch) {
+// Writes the b'th 64-byte block of m's padded form to `block`: message
+// bytes, then the 0x80 terminator and zeros, and in the last block the
+// big-endian bit length.
+void PaddedBlock(std::string_view m, size_t b, size_t nblocks,
+                 uint8_t* block) {
   const size_t off = b * 64;
   if (off + 64 <= m.size()) {
-    return reinterpret_cast<const uint8_t*>(m.data()) + off;
+    std::memcpy(block, m.data() + off, 64);
+    return;
   }
-  std::memset(scratch, 0, 64);
+  std::memset(block, 0, 64);
   if (off < m.size()) {
-    std::memcpy(scratch, m.data() + off, m.size() - off);
+    std::memcpy(block, m.data() + off, m.size() - off);
   }
   if (m.size() >= off && m.size() - off < 64) {
-    scratch[m.size() - off] = 0x80;
+    block[m.size() - off] = 0x80;
   }
   if (b + 1 == nblocks) {
     const uint64_t bit_len = static_cast<uint64_t>(m.size()) * 8;
     for (int i = 0; i < 8; ++i) {
-      scratch[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+      block[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
     }
   }
-  return scratch;
 }
 
 // Hashes exactly `L` messages (L == impl.lanes) of arbitrary mixed lengths.
-// Blocks advance in lock-step while every lane still has one; lanes whose
-// shorter messages have run out drop to the scalar compress on their strided
-// slice of the state, so mixed lengths stay byte-identical to Sha1::Hash.
+// Blocks advance in lock-step through the lane kernel while at least two
+// lanes still have one: lanes whose shorter messages have run out ride
+// along on their last block, and their state is restored afterwards. A
+// single remaining lane takes the scalar compress on its strided slice of
+// the state. Either way mixed lengths stay byte-identical to Sha1::Hash.
 void HashGroup(const BackendImpl& impl, const std::string_view* msgs,
                uint8_t* out) {
   const size_t L = impl.lanes;
@@ -338,30 +389,37 @@ void HashGroup(const BackendImpl& impl, const std::string_view* msgs,
     if (nblocks[l] > max_blocks) max_blocks = nblocks[l];
   }
   uint32_t h[5 * Sha1MultiBuffer::kMaxLanes];
-  for (size_t word = 0; word < 5; ++word) {
-    for (size_t l = 0; l < L; ++l) {
-      h[word * L + l] = crypto_internal::kSha1Init[word];
-    }
-  }
-  uint8_t scratch[Sha1MultiBuffer::kMaxLanes][64];
-  const uint8_t* blocks[Sha1MultiBuffer::kMaxLanes];
+  InitLanes(h, L);
+  uint8_t blocks[Sha1MultiBuffer::kMaxLanes * Sha1MultiBuffer::kBlockSize];
   for (size_t b = 0; b < max_blocks; ++b) {
     size_t active = 0;
     for (size_t l = 0; l < L; ++l) {
       if (nblocks[l] > b) ++active;
     }
-    if (active == L) {
+    if (active >= 2) {
+      // Block 0 fills every lane's slot, so finished lanes recompress a
+      // stale but initialized block; `done` keeps their final state.
+      uint32_t done[5 * Sha1MultiBuffer::kMaxLanes];
+      std::memcpy(done, h, sizeof(uint32_t) * 5 * L);
       for (size_t l = 0; l < L; ++l) {
-        blocks[l] = BlockPtr(msgs[l], b, nblocks[l], scratch[l]);
+        if (nblocks[l] > b) {
+          PaddedBlock(msgs[l], b, nblocks[l], blocks + 64 * l);
+        }
       }
       impl.compress(h, blocks);
+      for (size_t l = 0; l < L; ++l) {
+        if (nblocks[l] > b) continue;
+        for (size_t word = 0; word < 5; ++word) {
+          h[word * L + l] = done[word * L + l];
+        }
+      }
     } else {
       for (size_t l = 0; l < L; ++l) {
         if (nblocks[l] <= b) continue;
         uint32_t lane_h[5];
         for (size_t word = 0; word < 5; ++word) lane_h[word] = h[word * L + l];
-        crypto_internal::Sha1Compress(
-            lane_h, BlockPtr(msgs[l], b, nblocks[l], scratch[l]));
+        PaddedBlock(msgs[l], b, nblocks[l], blocks);
+        crypto_internal::Sha1Compress(lane_h, blocks);
         for (size_t word = 0; word < 5; ++word) h[word * L + l] = lane_h[word];
       }
     }
@@ -395,14 +453,17 @@ void Sha1MultiBuffer::Hash(const std::string_view* messages, size_t n,
   const size_t tail = n - i;
   if (tail >= 2) {
     // A partial group still beats hashing its messages one by one: pad the
-    // unused lanes with empty messages (one compress each, in lock-step
-    // with everyone's final block) and discard their digests. Only a
-    // single-message tail falls back to the scalar hasher.
+    // unused lanes with empty messages (one block each, riding along with
+    // the real lanes) and discard their digests. Only a single-message
+    // tail falls back to the scalar hasher.
+    const BackendImpl& group_impl = GroupImpl(*impl, tail);
     std::string_view padded[kMaxLanes];
     for (size_t j = 0; j < tail; ++j) padded[j] = messages[i + j];
-    for (size_t j = tail; j < L; ++j) padded[j] = std::string_view();
+    for (size_t j = tail; j < group_impl.lanes; ++j) {
+      padded[j] = std::string_view();
+    }
     uint8_t digests[kMaxLanes * kDigestSize];
-    HashGroup(*impl, padded, digests);
+    HashGroup(group_impl, padded, digests);
     std::memcpy(out + kDigestSize * i, digests, tail * kDigestSize);
   } else if (tail == 1) {
     Sha1 hasher;
@@ -411,18 +472,45 @@ void Sha1MultiBuffer::Hash(const std::string_view* messages, size_t n,
   }
 }
 
+void Sha1MultiBuffer::HashPaddedBlocks64(const uint8_t* blocks, size_t n,
+                                         uint64_t* outs) {
+  const BackendImpl* impl = ActiveImpl();
+  uint32_t h[5 * kMaxLanes];
+  uint8_t tail[kMaxLanes * kBlockSize];
+  for (size_t i = 0; i < n;) {
+    const uint8_t* group = blocks + kBlockSize * i;
+    if (n - i == 1) {
+      // As in Hash: a lone message is cheaper through the scalar compress.
+      uint32_t lane_h[5];
+      std::memcpy(lane_h, crypto_internal::kSha1Init, sizeof(lane_h));
+      crypto_internal::Sha1Compress(lane_h, group);
+      outs[i] = (static_cast<uint64_t>(lane_h[0]) << 32) | lane_h[1];
+      break;
+    }
+    const BackendImpl& group_impl = GroupImpl(*impl, n - i);
+    const size_t L = group_impl.lanes;
+    const size_t m = n - i < L ? n - i : L;
+    if (m < L) {
+      // A partial group runs with zero blocks in its unused lanes; their
+      // results are discarded.
+      std::memcpy(tail, group, m * kBlockSize);
+      std::memset(tail + m * kBlockSize, 0, (L - m) * kBlockSize);
+      group = tail;
+    }
+    InitLanes(h, L);
+    group_impl.compress(h, group);
+    for (size_t l = 0; l < m; ++l) {
+      outs[i + l] = (static_cast<uint64_t>(h[l]) << 32) | h[L + l];
+    }
+    i += m;
+  }
+}
+
 std::vector<const char*> Sha1MultiBuffer::AvailableBackends() {
   std::vector<const char*> names;
-#if defined(__x86_64__) || defined(_M_X64)
-  if (crypto_internal::Sha1Avx2Compiled() && __builtin_cpu_supports("avx2")) {
-    names.push_back(kAvx2.name);
+  for (const BackendImpl* impl : kBackends) {
+    if (impl->usable()) names.push_back(impl->name);
   }
-  names.push_back(kSse2.name);
-#endif
-#if defined(__aarch64__)
-  names.push_back(kNeon.name);
-#endif
-  names.push_back(kPortable.name);
   return names;
 }
 
@@ -431,16 +519,8 @@ bool Sha1MultiBuffer::ForceBackend(const char* name) {
     g_backend.store(DetectBackend(), std::memory_order_release);
     return true;
   }
-  for (const char* available : AvailableBackends()) {
-    if (std::strcmp(name, available) == 0) {
-      const BackendImpl* impl = &kPortable;
-#if defined(__x86_64__) || defined(_M_X64)
-      if (std::strcmp(name, kAvx2.name) == 0) impl = &kAvx2;
-      if (std::strcmp(name, kSse2.name) == 0) impl = &kSse2;
-#endif
-#if defined(__aarch64__)
-      if (std::strcmp(name, kNeon.name) == 0) impl = &kNeon;
-#endif
+  for (const BackendImpl* impl : kBackends) {
+    if (std::strcmp(name, impl->name) == 0 && impl->usable()) {
       g_backend.store(impl, std::memory_order_release);
       return true;
     }

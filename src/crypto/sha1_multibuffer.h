@@ -4,14 +4,22 @@
 // hashing, registry-scale fingerprint tallies) hash millions of *independent*
 // few-dozen-byte messages. A single SHA-1 compression is latency-bound — its
 // 80 rounds form one dependency chain — so hashing messages one at a time
-// leaves most of the core idle. This kernel compresses 4–8 messages in
+// leaves most of the core idle. This kernel compresses 4–16 messages in
 // interleaved lanes instead: the portable backend is a plain ILP-friendly
 // unrolled 4-lane loop (elementwise across lanes, autovectorizable), and on
-// x86-64 runtime dispatch upgrades to explicit SSE2 4-lane or AVX2 8-lane
-// vector code (one 32-bit lane element per message). AArch64 gets a NEON
-// 4-lane backend. Lane loads go through memcpy — no type-punned casts — so
-// the kernel is exactly as alignment-clean as the scalar path (UBSan-checked
-// in CI).
+// x86-64 runtime dispatch upgrades to explicit SSE2 4-lane, AVX2 8-lane or
+// AVX-512 16-lane vector code (one 32-bit lane element per message); the
+// AVX-512 backend hands partial groups of up to 8 messages to the AVX2
+// kernel, which compresses them in about the same time.
+// AArch64 gets a NEON 4-lane backend. Every kernel reads its lanes' blocks
+// from one contiguous array at a fixed 64-byte stride, with byte loads or
+// gathers — no type-punned casts — so it is exactly as alignment-clean as
+// the scalar path (UBSan-checked in CI).
+//
+// HashPaddedBlocks64 is the single-block fast path for keyed hashing: the
+// caller writes each already-padded block straight into that array, and
+// the 64-bit result comes out of the chaining state with no digest bytes
+// in between.
 //
 // Digests are byte-identical to Sha1::Hash for every backend, lane count,
 // and message length (including empty and multi-block messages): batching
@@ -31,15 +39,20 @@ namespace privmark {
 /// \brief Batched SHA-1 over independent messages.
 class Sha1MultiBuffer {
  public:
-  /// Widest lane count any backend uses (AVX2).
-  static constexpr size_t kMaxLanes = 8;
+  /// Widest lane count any backend uses (AVX-512).
+  static constexpr size_t kMaxLanes = 16;
   static constexpr size_t kDigestSize = 20;
+  static constexpr size_t kBlockSize = 64;
+  /// Longest message whose padded form is one block: 0x80 and the 8-byte
+  /// bit length must fit after it.
+  static constexpr size_t kMaxSingleBlockMessage = kBlockSize - 9;
 
-  /// \brief Name of the active backend: "avx2", "sse2", "neon", or
-  /// "portable".
+  /// \brief Name of the active backend: "avx512", "avx2", "sse2", "neon",
+  /// or "portable".
   static const char* Backend();
 
-  /// \brief Lane width of the active backend (8 for AVX2, else 4).
+  /// \brief Lane width of the active backend (16 for AVX-512, 8 for AVX2,
+  /// else 4).
   /// Callers that size their own batches get full lanes by using a
   /// multiple of this.
   static size_t PreferredLanes();
@@ -49,6 +62,16 @@ class Sha1MultiBuffer {
   /// Internally processes full lane groups through the active backend and
   /// any tail scalarly. Byte-identical to Sha1::Hash per message.
   static void Hash(const std::string_view* messages, size_t n, uint8_t* out);
+
+  /// \brief Single-block fast path. `blocks` holds `n` complete padded
+  /// SHA-1 blocks back to back, block i at blocks + kBlockSize * i: a
+  /// message of at most kMaxSingleBlockMessage bytes, 0x80, zeros, then
+  /// the message's bit length as a big-endian uint64 in the last 8 bytes.
+  /// Writes the first 8 digest bytes of message i as a big-endian uint64
+  /// to outs[i], read straight from chaining words h0 and h1. Runs through
+  /// the active backend; equal to the leading bytes of Sha1::Hash.
+  static void HashPaddedBlocks64(const uint8_t* blocks, size_t n,
+                                 uint64_t* outs);
 
   /// \brief Backends compiled into this binary and usable on this CPU, in
   /// preference order (the first is the auto-selected one).

@@ -36,17 +36,18 @@ inline __m256i RotlV(__m256i x, int k) {
 
 bool Sha1Avx2Compiled() { return true; }
 
-void Sha1CompressLanes8Avx2(uint32_t* h, const uint8_t* const* blocks) {
+void Sha1CompressLanes8Avx2(uint32_t* h, const uint8_t* blocks) {
   __m256i w[16];
   for (int i = 0; i < 16; ++i) {
-    w[i] = _mm256_set_epi32(static_cast<int>(LoadBe32(blocks[7] + 4 * i)),
-                            static_cast<int>(LoadBe32(blocks[6] + 4 * i)),
-                            static_cast<int>(LoadBe32(blocks[5] + 4 * i)),
-                            static_cast<int>(LoadBe32(blocks[4] + 4 * i)),
-                            static_cast<int>(LoadBe32(blocks[3] + 4 * i)),
-                            static_cast<int>(LoadBe32(blocks[2] + 4 * i)),
-                            static_cast<int>(LoadBe32(blocks[1] + 4 * i)),
-                            static_cast<int>(LoadBe32(blocks[0] + 4 * i)));
+    const uint8_t* p = blocks + 4 * i;
+    w[i] = _mm256_set_epi32(static_cast<int>(LoadBe32(p + 7 * 64)),
+                            static_cast<int>(LoadBe32(p + 6 * 64)),
+                            static_cast<int>(LoadBe32(p + 5 * 64)),
+                            static_cast<int>(LoadBe32(p + 4 * 64)),
+                            static_cast<int>(LoadBe32(p + 3 * 64)),
+                            static_cast<int>(LoadBe32(p + 2 * 64)),
+                            static_cast<int>(LoadBe32(p + 1 * 64)),
+                            static_cast<int>(LoadBe32(p)));
   }
   __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + 0));
   __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + 8));
@@ -105,7 +106,7 @@ void Sha1CompressLanes8Avx2(uint32_t* h, const uint8_t* const* blocks) {
 
 bool Sha1Avx2Compiled() { return false; }
 
-void Sha1CompressLanes8Avx2(uint32_t*, const uint8_t* const*) {}
+void Sha1CompressLanes8Avx2(uint32_t*, const uint8_t*) {}
 
 #endif  // __AVX2__
 

@@ -1,8 +1,12 @@
 // Internal seam between sha1_multibuffer.cc (dispatch + block scheduling)
-// and sha1_multibuffer_avx2.cc (the 8-lane kernel, which must live in its
-// own translation unit compiled with -mavx2: only that TU may contain AVX2
-// intrinsics, and the dispatcher itself must stay runnable on SSE2-only
-// CPUs). Not part of the public crypto API.
+// and the wide kernels, sha1_multibuffer_avx2.cc (8 lanes) and
+// sha1_multibuffer_avx512.cc (16 lanes). Each kernel must live in its own
+// translation unit compiled with its ISA flags: only that TU may contain
+// those intrinsics, and the dispatcher itself must stay runnable on
+// SSE2-only CPUs. Not part of the public crypto API.
+//
+// Every kernel takes its lanes' blocks back to back: lane l's 64-byte
+// block starts at blocks + 64 * l.
 
 #ifndef PRIVMARK_CRYPTO_SHA1_MULTIBUFFER_INTERNAL_H_
 #define PRIVMARK_CRYPTO_SHA1_MULTIBUFFER_INTERNAL_H_
@@ -18,9 +22,20 @@ namespace crypto_internal {
 bool Sha1Avx2Compiled();
 
 /// \brief Eight-lane SHA-1 compression. `h` is word-major chaining state
-/// (h[word * 8 + lane]); blocks[lane] points at lane's 64-byte block. Must
-/// only be called when Sha1Avx2Compiled() and the CPU supports AVX2.
-void Sha1CompressLanes8Avx2(uint32_t* h, const uint8_t* const* blocks);
+/// (h[word * 8 + lane]); lane l's block is blocks[64 * l, 64 * l + 64).
+/// Must only be called when Sha1Avx2Compiled() and the CPU supports AVX2.
+void Sha1CompressLanes8Avx2(uint32_t* h, const uint8_t* blocks);
+
+/// \brief True when the binary carries a real AVX-512 kernel (the AVX-512
+/// TU was compiled with -mavx512f -mavx512bw). Callers must still check
+/// the CPU at runtime.
+bool Sha1Avx512Compiled();
+
+/// \brief Sixteen-lane SHA-1 compression, same layout as the AVX2 kernel
+/// (h[word * 16 + lane], lane l's block at blocks + 64 * l). Must only be
+/// called when Sha1Avx512Compiled() and the CPU supports AVX-512F and
+/// AVX-512BW.
+void Sha1CompressLanes16Avx512(uint32_t* h, const uint8_t* blocks);
 #endif
 
 }  // namespace crypto_internal

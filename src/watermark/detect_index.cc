@@ -16,9 +16,10 @@ using watermark_internal::ValidateEta;
 using watermark_internal::VoteShard;
 using watermark_internal::VoteTally;
 
-// Keys per multi-key tally group: one AVX2 lane group's worth, so even a
-// single row's position message fills the widest kernel when all group
-// keys select it.
+// Keys per multi-key tally group. It also sets the streamed
+// FingerprintShard boundaries, so it stays 8 although the widest SHA-1
+// kernel (AVX-512) runs 16 lanes: one block's selection batch is already
+// 8 keys x 64 rows = 512 inputs, 32 full 16-lane groups.
 constexpr size_t kKeyLanes = 8;
 
 // The multi-key twin of TallyDetect's loop: tallies rows [begin, end) for

@@ -214,16 +214,20 @@ TEST(ManifestAdversarialTest, HugeSparseManifestIsRefusedBeforeAnyRead) {
 #if defined(PRIVMARK_FAILPOINTS_ENABLED)
 
 TEST(ManifestAdversarialTest, FsyncFaultSurfacesAsIOError) {
+  ProtectionManifest previous;
+  previous.mark_bits = 4;
+  previous.wmd_size = 8;
   ProtectionManifest manifest;
   manifest.mark_bits = 8;
   manifest.wmd_size = 16;
   const std::string path = TestTempPath("privmark_manifest_fsync.txt");
-  // A write fault strikes before any byte lands; an fsync fault strikes
-  // after every byte is written, so the file holds the whole manifest
-  // and only its durability is in doubt.
-  const std::pair<const char*, std::string> faults[] = {
-      {"file.write", ""}, {"file.fsync", SerializeManifest(manifest)}};
-  for (const auto& [point, contents] : faults) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  ASSERT_TRUE(WriteManifestFile(previous, path).ok());
+  // A write fault strikes before any byte lands, an fsync fault after
+  // every byte is written but before they are durable. Either way the
+  // replacement is abandoned: the previous manifest survives whole and
+  // no temp file is left behind.
+  for (const char* point : {"file.write", "file.fsync"}) {
     ASSERT_TRUE(FailpointRegistry::Instance().Configure(point, "once:1").ok());
     const Status status = WriteManifestFile(manifest, path);
     FailpointRegistry::Instance().Reset();
@@ -231,11 +235,15 @@ TEST(ManifestAdversarialTest, FsyncFaultSurfacesAsIOError) {
     EXPECT_NE(status.ToString().find(point), std::string::npos) << point;
     auto written = ReadFileCapped(path, kMaxManifestBytes);
     ASSERT_TRUE(written.ok()) << point << ": " << written.status().ToString();
-    EXPECT_EQ(*written, contents) << point;
+    EXPECT_EQ(*written, SerializeManifest(previous)) << point;
+    EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << point << ": " << tmp;
   }
   // With no fault armed the same write succeeds and reads back.
   ASSERT_TRUE(WriteManifestFile(manifest, path).ok());
-  EXPECT_TRUE(ReadManifestFile(path).ok());
+  auto reread = ReadManifestFile(path);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_EQ(SerializeManifest(*reread), SerializeManifest(manifest));
+  EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << tmp;
   std::remove(path.c_str());
 }
 

@@ -197,6 +197,49 @@ TEST(KeyedHashBatchTest, IdenticalAcrossBackends) {
   Sha1MultiBuffer::ForceBackend("auto");
 }
 
+TEST(KeyedHashBatchTest, SixteenLaneGroupsStraddleTheSingleBlockLimit) {
+  // key + 0x00 + message totals of 54 and 55 bytes pad to one block (the
+  // fast path); 56, 63 and 64 need a second. Per backend, each total runs
+  // as a uniform group of 16, then with a 100-byte two-block input in the
+  // middle of the group, then all five totals rotate through one group.
+  const std::string key = "straddle-key";
+  const size_t totals[] = {54, 55, 56, 63, 64};
+  auto message_for_total = [&key](size_t total, size_t i) {
+    return BatchMessage(i, total - key.size() - 1);
+  };
+  std::vector<std::vector<std::string>> groups;
+  for (size_t total : totals) {
+    std::vector<std::string> group;
+    for (size_t i = 0; i < 16; ++i) {
+      group.push_back(message_for_total(total, i));
+    }
+    groups.push_back(group);
+    group[8] = message_for_total(100, 8);
+    groups.push_back(group);
+  }
+  std::vector<std::string> rotated;
+  for (size_t i = 0; i < 16; ++i) {
+    rotated.push_back(message_for_total(totals[i % 5], i));
+  }
+  groups.push_back(rotated);
+  for (const char* backend : Sha1MultiBuffer::AvailableBackends()) {
+    ASSERT_TRUE(Sha1MultiBuffer::ForceBackend(backend));
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const std::vector<std::string_view> messages(groups[g].begin(),
+                                                   groups[g].end());
+      std::vector<uint64_t> out(16, 0);
+      KeyedHash64Batch(HashAlgorithm::kSha1, key, messages.data(), 16,
+                       out.data());
+      for (size_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(out[i], KeyedHash64(HashAlgorithm::kSha1, key, messages[i]))
+            << "backend=" << backend << " group=" << g << " i=" << i
+            << " total=" << key.size() + 1 + messages[i].size();
+      }
+    }
+  }
+  Sha1MultiBuffer::ForceBackend("auto");
+}
+
 TEST(HashAlgorithmTest, Names) {
   EXPECT_STREQ(HashAlgorithmToString(HashAlgorithm::kSha1), "SHA1");
   EXPECT_STREQ(HashAlgorithmToString(HashAlgorithm::kMd5), "MD5");

@@ -46,7 +46,7 @@ class Sha1MultiBufferBackendTest
 };
 
 TEST_P(Sha1MultiBufferBackendTest, LaneCountsTimesBoundaryLengths) {
-  // Every lane count 1..8 with every uniform boundary length.
+  // Every lane count 1..kMaxLanes with every uniform boundary length.
   for (size_t lanes = 1; lanes <= Sha1MultiBuffer::kMaxLanes; ++lanes) {
     for (size_t len : kBoundaryLengths) {
       std::vector<std::string> storage;
@@ -118,6 +118,41 @@ TEST_P(Sha1MultiBufferBackendTest, LargeBatchWithRaggedTail) {
   }
 }
 
+TEST_P(Sha1MultiBufferBackendTest, PaddedBlocksMatchDigestPrefix) {
+  // The single-block fast path over every batch size up to two widest
+  // groups plus one: full groups, every partial tail, and a lone block.
+  for (size_t n = 0; n <= 2 * Sha1MultiBuffer::kMaxLanes + 1; ++n) {
+    std::vector<std::string> storage;
+    std::vector<uint8_t> blocks(n * Sha1MultiBuffer::kBlockSize, 0);
+    for (size_t i = 0; i < n; ++i) {
+      storage.push_back(MessageOfLength(
+          (i * 7) % (Sha1MultiBuffer::kMaxSingleBlockMessage + 1), i));
+      const std::string& m = storage.back();
+      uint8_t* block = blocks.data() + i * Sha1MultiBuffer::kBlockSize;
+      std::memcpy(block, m.data(), m.size());
+      block[m.size()] = 0x80;
+      block[62] = static_cast<uint8_t>((m.size() * 8) >> 8);
+      block[63] = static_cast<uint8_t>(m.size() * 8);
+    }
+    std::vector<uint64_t> outs(n, 0);
+    Sha1MultiBuffer::HashPaddedBlocks64(blocks.data(), n, outs.data());
+    for (size_t i = 0; i < n; ++i) {
+      const std::vector<uint8_t> digest = ScalarDigest(storage[i]);
+      uint64_t expected = 0;
+      for (int b = 0; b < 8; ++b) expected = (expected << 8) | digest[b];
+      EXPECT_EQ(outs[i], expected)
+          << "backend=" << GetParam() << " n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(Sha1MultiBufferTest, ZeroMessagesIsANoOp) {
+  uint8_t sentinel[Sha1MultiBuffer::kDigestSize];
+  std::memset(sentinel, 0xAB, sizeof(sentinel));
+  Sha1MultiBuffer::Hash(nullptr, 0, sentinel);
+  for (uint8_t byte : sentinel) EXPECT_EQ(byte, 0xAB);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, Sha1MultiBufferBackendTest,
                          ::testing::ValuesIn(
                              Sha1MultiBuffer::AvailableBackends()),
@@ -145,17 +180,25 @@ TEST(Sha1MultiBufferTest, ForceBackendRejectsUnknownNames) {
   EXPECT_STREQ(Sha1MultiBuffer::Backend(), before);
 }
 
-TEST(Sha1MultiBufferTest, PreferredLanesMatchesBackendWidth) {
-  const size_t lanes = Sha1MultiBuffer::PreferredLanes();
-  EXPECT_TRUE(lanes == 4 || lanes == 8);
-  EXPECT_LE(lanes, Sha1MultiBuffer::kMaxLanes);
+TEST(Sha1MultiBufferTest, ForceBackendAcceptsAvx512OnlyWhenAvailable) {
+  // "avx512" is a known name, but a CPU (or build) without it must refuse
+  // it like an unknown one: false, and the active backend unchanged.
+  bool available = false;
+  for (const char* name : Sha1MultiBuffer::AvailableBackends()) {
+    available = available || std::strcmp(name, "avx512") == 0;
+  }
+  ASSERT_TRUE(Sha1MultiBuffer::ForceBackend("portable"));
+  EXPECT_EQ(Sha1MultiBuffer::ForceBackend("avx512"), available);
+  EXPECT_STREQ(Sha1MultiBuffer::Backend(), available ? "avx512" : "portable");
+  Sha1MultiBuffer::ForceBackend("auto");
 }
 
-TEST(Sha1MultiBufferTest, ZeroMessagesIsANoOp) {
-  uint8_t sentinel[Sha1MultiBuffer::kDigestSize];
-  std::memset(sentinel, 0xAB, sizeof(sentinel));
-  Sha1MultiBuffer::Hash(nullptr, 0, sentinel);
-  for (uint8_t byte : sentinel) EXPECT_EQ(byte, 0xAB);
+TEST(Sha1MultiBufferTest, PreferredLanesMatchesBackendWidth) {
+  const size_t lanes = Sha1MultiBuffer::PreferredLanes();
+  EXPECT_TRUE(lanes == 4 || lanes == 8 || lanes == 16);
+  EXPECT_LE(lanes, Sha1MultiBuffer::kMaxLanes);
+  EXPECT_EQ(lanes == 16,
+            std::strcmp(Sha1MultiBuffer::Backend(), "avx512") == 0);
 }
 
 }  // namespace
