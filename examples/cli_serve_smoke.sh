@@ -30,8 +30,16 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# The next run's `rm -rf "$work"` deletes the logs, so a failure prints
+# their tails to stderr, where `ctest --output-on-failure` keeps them.
 fail() {
   echo "FAIL: $*" >&2
+  local log
+  for log in local.log remote.log daemon.log; do
+    [[ -f $log ]] || continue
+    echo "--- tail of $work/$log ---" >&2
+    tail -n 20 "$log" >&2
+  done
   exit 1
 }
 

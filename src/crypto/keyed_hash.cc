@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include <string>
-
 #include "crypto/md5.h"
 #include "crypto/sha1.h"
 #include "crypto/sha1_multibuffer.h"
@@ -12,11 +10,19 @@ namespace privmark {
 
 namespace {
 
-// Keyed inputs up to this long are assembled as key || 0x00 || message in
-// one stack buffer (single Update / single batch lane) instead of streamed
-// in three Update calls. Covers every message the watermarking pipeline
-// produces — idents, "pos:<ident>:<column>" and "perm:..." strings — with
-// ample slack; longer inputs take the streaming path.
+constexpr size_t kBlockSize = Sha1MultiBuffer::kBlockSize;
+
+// SHA-1 keyed inputs pad straight into the lane array up to this many
+// blocks: key + 1 + message <= kMaxKeyedTotal bytes, which covers every
+// message the watermarking pipeline produces (idents,
+// "pos:<ident>:<column>" and "perm:..." strings) with ample slack. Longer
+// inputs stream through Sha1.
+constexpr size_t kMaxKeyedBlocks = 4;
+constexpr size_t kMaxKeyedTotal = kMaxKeyedBlocks * kBlockSize - 9;
+
+// MD5 keyed inputs up to this long are assembled as key || 0x00 || message
+// in one stack buffer (a single Update) instead of streamed in three
+// Update calls.
 constexpr size_t kAssembleMax = 192;
 
 // Assembles key || 0x00 || message into `buf` (>= kAssembleMax bytes).
@@ -29,18 +35,56 @@ inline size_t AssembleKeyed(std::string_view key, std::string_view message,
   return key.size() + 1 + message.size();
 }
 
-// Writes the one padded SHA-1 block of key || 0x00 || message to `block`
-// (kBlockSize bytes). Caller guarantees the keyed input is at most
-// Sha1MultiBuffer::kMaxSingleBlockMessage bytes.
-inline void PadKeyedBlock(std::string_view key, std::string_view message,
-                          uint8_t* block) {
-  std::memset(block, 0, Sha1MultiBuffer::kBlockSize);
-  const size_t len = AssembleKeyed(key, message, block);
-  block[len] = 0x80;
-  const uint64_t bit_len = static_cast<uint64_t>(len) * 8;
-  for (int i = 0; i < 8; ++i) {
-    block[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+// Padded SHA-1 blocks of a `total`-byte message: the 0x80 terminator plus
+// the 8-byte bit length must fit after it.
+inline size_t NumKeyedBlocks(size_t total) {
+  return (total + 8) / kBlockSize + 1;
+}
+
+// Copies `len` bytes to byte `pos` of a padded message whose block b
+// starts at out + row * b.
+inline void PutBytes(const char* src, size_t len, size_t pos, uint8_t* out,
+                     size_t row) {
+  while (len > 0) {
+    const size_t in_block = pos % kBlockSize;
+    uint8_t* dst = out + row * (pos / kBlockSize) + in_block;
+    if (in_block + len <= kBlockSize) {
+      std::memcpy(dst, src, len);
+      return;
+    }
+    const size_t take = kBlockSize - in_block;
+    std::memcpy(dst, src, take);
+    src += take;
+    pos += take;
+    len -= take;
   }
+}
+
+// Writes the padded SHA-1 blocks of key || 0x00 || message (at most
+// kMaxKeyedTotal bytes), block b at out + row * b: the bytes, 0x80, zeros,
+// and the big-endian bit length in the last 8 bytes of the last block.
+// Returns the block count.
+size_t PadKeyedBlocks(std::string_view key, std::string_view message,
+                      uint8_t* out, size_t row) {
+  const size_t total = key.size() + 1 + message.size();
+  const size_t num_blocks = NumKeyedBlocks(total);
+  for (size_t b = 0; b < num_blocks; ++b) {
+    std::memset(out + row * b, 0, kBlockSize);
+  }
+  // The zero left after the key is the separator.
+  PutBytes(key.data(), key.size(), 0, out, row);
+  PutBytes(message.data(), message.size(), key.size() + 1, out, row);
+  out[row * (total / kBlockSize) + total % kBlockSize] = 0x80;
+  // One 8-byte store: the kernels read the length back as two 4-byte
+  // words, and a word assembled from several narrower stores cannot be
+  // forwarded from the store buffer.
+  const uint64_t bit_len = static_cast<uint64_t>(total) * 8;
+  uint8_t length[8];
+  for (int i = 0; i < 8; ++i) {
+    length[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  std::memcpy(out + row * (num_blocks - 1) + 56, length, 8);
+  return num_blocks;
 }
 
 inline uint64_t TruncateBe64(const uint8_t* digest) {
@@ -97,44 +141,20 @@ std::vector<uint8_t> KeyedDigest(HashAlgorithm algo, std::string_view key,
 
 uint64_t KeyedHash64(HashAlgorithm algo, std::string_view key,
                      std::string_view message) {
-  // Both digests are >= 8 bytes; a stack buffer sized for the larger one
-  // keeps this allocation-free.
-  uint8_t digest[Sha1::kDigestSize];
-  const size_t total = key.size() + 1 + message.size();
-  switch (algo) {
-    case HashAlgorithm::kSha1: {
-      if (total <= 55) {
-        // Keyed inputs are tiny (key, separator, short message): assemble
-        // the padded block on the stack and compress exactly once.
-        uint8_t buf[55];
-        Sha1::HashSingleBlock(buf, AssembleKeyed(key, message, buf), digest);
-        break;
-      }
-      if (total <= kAssembleMax) {
-        // Still stack-assembled: one Update over the joined bytes beats
-        // three small Updates through the 64-byte block buffer.
-        uint8_t buf[kAssembleMax];
-        Sha1 hasher;
-        hasher.Update(buf, AssembleKeyed(key, message, buf));
-        hasher.FinishInto(digest);
-        break;
-      }
-      Sha1 hasher;
-      StreamKeyedDigest(hasher, key, message, digest);
-      break;
-    }
-    case HashAlgorithm::kMd5: {
-      if (total <= kAssembleMax) {
-        uint8_t buf[kAssembleMax];
-        Md5 hasher;
-        hasher.Update(buf, AssembleKeyed(key, message, buf));
-        hasher.FinishInto(digest);
-        break;
-      }
-      Md5 hasher;
-      StreamKeyedDigest(hasher, key, message, digest);
-      break;
-    }
+  if (algo == HashAlgorithm::kSha1) {
+    const KeyedHashInput input = {key, message};
+    uint64_t out = 0;
+    KeyedHash64Batch(algo, &input, 1, &out);
+    return out;
+  }
+  uint8_t digest[Md5::kDigestSize];
+  Md5 hasher;
+  if (key.size() + 1 + message.size() <= kAssembleMax) {
+    uint8_t buf[kAssembleMax];
+    hasher.Update(buf, AssembleKeyed(key, message, buf));
+    hasher.FinishInto(digest);
+  } else {
+    StreamKeyedDigest(hasher, key, message, digest);
   }
   return TruncateBe64(digest);
 }
@@ -148,52 +168,45 @@ void KeyedHash64Batch(HashAlgorithm algo, const KeyedHashInput* inputs,
     }
     return;
   }
-  // Inputs go to the kernel in chunks of one widest lane group. A chunk
-  // whose keyed inputs all fit one padded block (every Eq. (5) selection
-  // hash) is padded straight into contiguous blocks for the single-block
-  // fast path. Any other chunk is assembled as key || 0x00 || message per
-  // lane on the stack (~3 KiB) and hashed by the general multi-block path.
+  // Inputs go to the kernel in chunks of one widest lane group, each padded
+  // straight into a block-major lane array (~4 KiB on the stack): input i's
+  // block b at kBlockSize * (b * m + i). An input over kMaxKeyedTotal holds
+  // a zero one-block lane and streams instead.
   constexpr size_t kChunk = Sha1MultiBuffer::kMaxLanes;
-  uint8_t blocks[kChunk * Sha1MultiBuffer::kBlockSize];
-  uint8_t bufs[kChunk][kAssembleMax];
-  std::string overflow[kChunk];  // rare: inputs longer than kAssembleMax
-  std::string_view views[kChunk];
-  uint8_t digests[kChunk * Sha1MultiBuffer::kDigestSize];
+  uint8_t blocks[kMaxKeyedBlocks * kChunk * kBlockSize];
+  size_t num_blocks[kChunk];
+  auto fits = [](const KeyedHashInput& in) {
+    return in.key.size() + 1 + in.message.size() <= kMaxKeyedTotal;
+  };
   for (size_t base = 0; base < n; base += kChunk) {
+    const KeyedHashInput* in = inputs + base;
     const size_t m = n - base < kChunk ? n - base : kChunk;
-    bool single_block = true;
-    for (size_t i = 0; i < m && single_block; ++i) {
-      const KeyedHashInput& in = inputs[base + i];
-      single_block = in.key.size() + 1 + in.message.size() <=
-                     Sha1MultiBuffer::kMaxSingleBlockMessage;
-    }
-    if (single_block) {
-      for (size_t i = 0; i < m; ++i) {
-        PadKeyedBlock(inputs[base + i].key, inputs[base + i].message,
-                      blocks + Sha1MultiBuffer::kBlockSize * i);
-      }
-      Sha1MultiBuffer::HashPaddedBlocks64(blocks, m, outs + base);
-      continue;
-    }
+    const size_t row = kBlockSize * m;
+    size_t rows = 1;
+    bool streams = false;
     for (size_t i = 0; i < m; ++i) {
-      const KeyedHashInput& in = inputs[base + i];
-      const size_t total = in.key.size() + 1 + in.message.size();
-      if (total <= kAssembleMax) {
-        views[i] = std::string_view(reinterpret_cast<const char*>(bufs[i]),
-                                    AssembleKeyed(in.key, in.message, bufs[i]));
+      uint8_t* lane = blocks + kBlockSize * i;
+      if (fits(in[i])) {
+        num_blocks[i] = PadKeyedBlocks(in[i].key, in[i].message, lane, row);
       } else {
-        overflow[i].clear();
-        overflow[i].reserve(total);
-        overflow[i].append(in.key);
-        overflow[i].push_back('\0');
-        overflow[i].append(in.message);
-        views[i] = overflow[i];
+        streams = true;
+        num_blocks[i] = 1;
+        std::memset(lane, 0, kBlockSize);
+      }
+      if (num_blocks[i] > rows) rows = num_blocks[i];
+    }
+    // Lanes whose message has ended ride along on these slots.
+    for (size_t i = 0; rows > 1 && i < m; ++i) {
+      for (size_t b = num_blocks[i]; b < rows; ++b) {
+        std::memset(blocks + row * b + kBlockSize * i, 0, kBlockSize);
       }
     }
-    Sha1MultiBuffer::Hash(views, m, digests);
-    for (size_t i = 0; i < m; ++i) {
-      outs[base + i] =
-          TruncateBe64(digests + i * Sha1MultiBuffer::kDigestSize);
+    Sha1MultiBuffer::HashPaddedBlocks64(blocks, num_blocks, m, outs + base);
+    for (size_t i = 0; streams && i < m; ++i) {
+      if (!fits(in[i])) {
+        outs[base + i] = TruncateBe64(
+            KeyedDigest(algo, in[i].key, in[i].message).data());
+      }
     }
   }
 }

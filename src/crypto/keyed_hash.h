@@ -31,10 +31,10 @@ std::vector<uint8_t> KeyedDigest(HashAlgorithm algo, std::string_view key,
 /// \brief First 8 digest bytes as a big-endian uint64.
 ///
 /// This is the quantity the paper reduces mod eta (selection) or mod |S| /
-/// |wmd| (permutation and position choice). Streams key, separator and
-/// message into the hasher directly — no concatenation buffer, no digest
-/// allocation — so the watermarking hot loops can call it per tuple/slot
-/// without touching the heap.
+/// |wmd| (permutation and position choice). Allocation-free for every
+/// input the watermarking pipeline produces, so the hot loops can call it
+/// per tuple/slot without touching the heap. A SHA-1 call is a
+/// KeyedHash64Batch of one.
 uint64_t KeyedHash64(HashAlgorithm algo, std::string_view key,
                      std::string_view message);
 
@@ -48,15 +48,17 @@ struct KeyedHashInput {
 /// \brief Batched KeyedHash64: outs[i] = KeyedHash64(algo, inputs[i].key,
 /// inputs[i].message), value-identical to the scalar call.
 ///
-/// SHA-1 batches flow through the multi-buffer kernel (4–16 interleaved
-/// lanes, see crypto/sha1_multibuffer.h), so cost per hash drops several-
-/// fold when `n` covers at least one full lane group. Each 16-input chunk
-/// whose keyed inputs all fit one padded block (key + 1 + message <= 55
-/// bytes) skips digest bytes altogether: its blocks are padded in place
-/// and the result read from the chaining state. MD5 falls back to the
-/// scalar path per element. The watermark embed/detect loops hand whole
-/// blocks of tuples (and multi-key detection whole key groups) to this
-/// entry point instead of hashing one tuple at a time.
+/// SHA-1 is one path: each 16-input chunk's keyed inputs are padded
+/// straight into one block-major lane array (block b of input i at
+/// 64 * (b * chunk + i)) and hashed by Sha1MultiBuffer::HashPaddedBlocks64
+/// (4–16 interleaved lanes, see crypto/sha1_multibuffer.h), whatever each
+/// input's block count; the result is read from the chaining state with no
+/// digest bytes in between. Padding stops at a fixed cap of 4 blocks
+/// (key + 1 + message <= 247 bytes); a longer input streams through Sha1.
+/// MD5 falls back to the scalar path per element. The watermark
+/// embed/detect loops hand whole blocks of tuples (and multi-key detection
+/// whole key groups) to this entry point instead of hashing one tuple at a
+/// time.
 void KeyedHash64Batch(HashAlgorithm algo, const KeyedHashInput* inputs,
                       size_t n, uint64_t* outs);
 

@@ -14,11 +14,7 @@ uint32_t Rotl32(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
 Sha1::Sha1() { Reset(); }
 
 void Sha1::Reset() {
-  h_[0] = 0x67452301;
-  h_[1] = 0xEFCDAB89;
-  h_[2] = 0x98BADCFE;
-  h_[3] = 0x10325476;
-  h_[4] = 0xC3D2E1F0;
+  std::memcpy(h_, crypto_internal::kSha1Init, sizeof(h_));
   total_len_ = 0;
   buffer_len_ = 0;
 }
@@ -32,7 +28,7 @@ void Sha1::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
+      crypto_internal::Sha1Compress(h_, buffer_);
       buffer_len_ = 0;
     }
   }
@@ -51,14 +47,14 @@ void Sha1::FinishInto(uint8_t* out) {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
-    ProcessBlock(buffer_);
+    crypto_internal::Sha1Compress(h_, buffer_);
     buffer_len_ = 0;
   }
   std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  ProcessBlock(buffer_);
+  crypto_internal::Sha1Compress(h_, buffer_);
   buffer_len_ = 0;
   total_len_ = 0;
 
@@ -80,14 +76,6 @@ std::vector<uint8_t> Sha1::Hash(std::string_view data) {
   Sha1 hasher;
   hasher.Update(data);
   return hasher.Finish();
-}
-
-void Sha1::ProcessBlock(const uint8_t block[64]) {
-  Compress(h_, block);
-}
-
-void Sha1::Compress(uint32_t h[5], const uint8_t block[64]) {
-  crypto_internal::Sha1Compress(h, block);
 }
 
 namespace crypto_internal {
@@ -145,25 +133,5 @@ void Sha1Compress(uint32_t h[5], const uint8_t block[64]) {
 }
 
 }  // namespace crypto_internal
-
-void Sha1::HashSingleBlock(const uint8_t* data, size_t len, uint8_t* out) {
-  // One padded block holds at most 55 message bytes.
-  uint8_t block[64] = {0};
-  std::memcpy(block, data, len);
-  block[len] = 0x80;
-  const uint64_t bit_len = static_cast<uint64_t>(len) * 8;
-  for (int i = 0; i < 8; ++i) {
-    block[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  uint32_t h[5] = {0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476,
-                   0xC3D2E1F0};
-  Compress(h, block);
-  for (int i = 0; i < 5; ++i) {
-    out[4 * i + 0] = static_cast<uint8_t>(h[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(h[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(h[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(h[i]);
-  }
-}
 
 }  // namespace privmark

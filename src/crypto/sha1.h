@@ -43,16 +43,7 @@ class Sha1 {
   /// \brief One-shot convenience.
   static std::vector<uint8_t> Hash(std::string_view data);
 
-  /// \brief One-shot digest of a message short enough for a single padded
-  /// block (`len` <= 55 bytes): no state object, one compress call. This
-  /// is the watermarking hot path — every Eq. (5) / Fig. 9 hash input is a
-  /// few dozen bytes.
-  static void HashSingleBlock(const uint8_t* data, size_t len, uint8_t* out);
-
  private:
-  void ProcessBlock(const uint8_t block[64]);
-  static void Compress(uint32_t h[5], const uint8_t block[64]);
-
   uint32_t h_[5];
   uint64_t total_len_ = 0;
   uint8_t buffer_[64];

@@ -1,9 +1,9 @@
 // Shared internals of the SHA-1 implementations. Not part of the public
 // crypto API: the multi-buffer kernel (sha1_multibuffer.cc and its SIMD
-// translation units) borrows the scalar compression function for lanes
-// that fall out of lock-step (mixed block counts in one batch), and both
-// sides must agree on the exact FIPS 180-1 compression the test vectors
-// pin down.
+// translation units) borrows the scalar compression function for a lone
+// message and for the last lane still running when block counts are mixed
+// in one lane group, and both sides must agree on the exact FIPS 180-1
+// compression the test vectors pin down.
 
 #ifndef PRIVMARK_CRYPTO_SHA1_INTERNAL_H_
 #define PRIVMARK_CRYPTO_SHA1_INTERNAL_H_

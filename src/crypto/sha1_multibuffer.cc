@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstring>
 
-#include "crypto/sha1.h"
 #include "crypto/sha1_internal.h"
 #include "crypto/sha1_multibuffer_internal.h"
 
@@ -253,7 +252,7 @@ void CompressLanes4Neon(uint32_t* h, const uint8_t* blocks) {
 #endif  // __aarch64__
 
 // ---------------------------------------------------------------------------
-// Dispatch + mixed-length block scheduling.
+// Dispatch + mixed-block-count scheduling.
 // ---------------------------------------------------------------------------
 
 // Every kernel reads its lanes' blocks back to back, lane l's 64-byte
@@ -344,95 +343,69 @@ void InitLanes(uint32_t* h, size_t L) {
   }
 }
 
-// SHA-1 message occupies nblocks 64-byte blocks once padded: the 0x80
-// terminator plus the 8-byte bit length must fit after the message.
-inline size_t NumBlocks(size_t len) { return (len + 8) / 64 + 1; }
-
-// Writes the b'th 64-byte block of m's padded form to `block`: message
-// bytes, then the 0x80 terminator and zeros, and in the last block the
-// big-endian bit length.
-void PaddedBlock(std::string_view m, size_t b, size_t nblocks,
-                 uint8_t* block) {
-  const size_t off = b * 64;
-  if (off + 64 <= m.size()) {
-    std::memcpy(block, m.data() + off, 64);
-    return;
-  }
-  std::memset(block, 0, 64);
-  if (off < m.size()) {
-    std::memcpy(block, m.data() + off, m.size() - off);
-  }
-  if (m.size() >= off && m.size() - off < 64) {
-    block[m.size() - off] = 0x80;
-  }
-  if (b + 1 == nblocks) {
-    const uint64_t bit_len = static_cast<uint64_t>(m.size()) * 8;
-    for (int i = 0; i < 8; ++i) {
-      block[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-    }
-  }
-}
-
-// Hashes exactly `L` messages (L == impl.lanes) of arbitrary mixed lengths.
+// Hashes the m messages of one lane group (1 <= m <= impl.lanes) into
+// outs. Message l's block b sits at blocks + row * b + kBlockSize * l.
 // Blocks advance in lock-step through the lane kernel while at least two
-// lanes still have one: lanes whose shorter messages have run out ride
-// along on their last block, and their state is restored afterwards. A
-// single remaining lane takes the scalar compress on its strided slice of
-// the state. Either way mixed lengths stay byte-identical to Sha1::Hash.
-void HashGroup(const BackendImpl& impl, const std::string_view* msgs,
-               uint8_t* out) {
+// lanes still have one: lanes whose messages have ended ride along on
+// their stale slot, and their state is restored afterwards. A partial
+// group runs zero blocks in its unused lanes and discards their results.
+// A lone straggler (or a lone message) finishes on the scalar compress,
+// on its strided slice of the state. Either way mixed block counts stay
+// byte-identical to Sha1::Hash.
+void HashLaneGroup(const BackendImpl& impl, const uint8_t* blocks, size_t row,
+                   const size_t* num_blocks, size_t m, uint64_t* outs) {
+  constexpr size_t kBlockSize = Sha1MultiBuffer::kBlockSize;
   const size_t L = impl.lanes;
-  size_t nblocks[Sha1MultiBuffer::kMaxLanes];
-  size_t max_blocks = 0;
-  for (size_t l = 0; l < L; ++l) {
-    nblocks[l] = NumBlocks(msgs[l].size());
-    if (nblocks[l] > max_blocks) max_blocks = nblocks[l];
+  // Every lane runs blocks [0, min_blocks) through the kernel.
+  size_t min_blocks = num_blocks[0];
+  size_t max_blocks = num_blocks[0];
+  for (size_t l = 1; l < m; ++l) {
+    min_blocks = num_blocks[l] < min_blocks ? num_blocks[l] : min_blocks;
+    max_blocks = num_blocks[l] > max_blocks ? num_blocks[l] : max_blocks;
   }
   uint32_t h[5 * Sha1MultiBuffer::kMaxLanes];
   InitLanes(h, L);
-  uint8_t blocks[Sha1MultiBuffer::kMaxLanes * Sha1MultiBuffer::kBlockSize];
-  for (size_t b = 0; b < max_blocks; ++b) {
-    size_t active = 0;
-    for (size_t l = 0; l < L; ++l) {
-      if (nblocks[l] > b) ++active;
+  uint8_t partial[Sha1MultiBuffer::kMaxLanes * kBlockSize];
+  if (m >= 2 && m < L) {
+    std::memset(partial + m * kBlockSize, 0, (L - m) * kBlockSize);
+  }
+  size_t b = 0;
+  for (; b < max_blocks; ++b) {
+    size_t active = m;
+    if (b >= min_blocks) {
+      active = 0;
+      for (size_t l = 0; l < m; ++l) active += num_blocks[l] > b ? 1 : 0;
     }
-    if (active >= 2) {
-      // Block 0 fills every lane's slot, so finished lanes recompress a
-      // stale but initialized block; `done` keeps their final state.
-      uint32_t done[5 * Sha1MultiBuffer::kMaxLanes];
-      std::memcpy(done, h, sizeof(uint32_t) * 5 * L);
-      for (size_t l = 0; l < L; ++l) {
-        if (nblocks[l] > b) {
-          PaddedBlock(msgs[l], b, nblocks[l], blocks + 64 * l);
-        }
-      }
-      impl.compress(h, blocks);
-      for (size_t l = 0; l < L; ++l) {
-        if (nblocks[l] > b) continue;
-        for (size_t word = 0; word < 5; ++word) {
-          h[word * L + l] = done[word * L + l];
-        }
-      }
-    } else {
-      for (size_t l = 0; l < L; ++l) {
-        if (nblocks[l] <= b) continue;
-        uint32_t lane_h[5];
-        for (size_t word = 0; word < 5; ++word) lane_h[word] = h[word * L + l];
-        PaddedBlock(msgs[l], b, nblocks[l], blocks);
-        crypto_internal::Sha1Compress(lane_h, blocks);
-        for (size_t word = 0; word < 5; ++word) h[word * L + l] = lane_h[word];
+    if (active == 1) break;
+    const uint8_t* lanes = blocks + row * b;
+    if (m < L) {
+      std::memcpy(partial, lanes, m * kBlockSize);
+      lanes = partial;
+    }
+    uint32_t done[5 * Sha1MultiBuffer::kMaxLanes];
+    if (active < m) std::memcpy(done, h, sizeof(uint32_t) * 5 * L);
+    impl.compress(h, lanes);
+    if (active == m) continue;
+    for (size_t l = 0; l < m; ++l) {
+      if (num_blocks[l] > b) continue;
+      for (size_t word = 0; word < 5; ++word) {
+        h[word * L + l] = done[word * L + l];
       }
     }
   }
-  for (size_t l = 0; l < L; ++l) {
-    uint8_t* digest = out + Sha1MultiBuffer::kDigestSize * l;
-    for (size_t word = 0; word < 5; ++word) {
-      const uint32_t v = h[word * L + l];
-      digest[4 * word + 0] = static_cast<uint8_t>(v >> 24);
-      digest[4 * word + 1] = static_cast<uint8_t>(v >> 16);
-      digest[4 * word + 2] = static_cast<uint8_t>(v >> 8);
-      digest[4 * word + 3] = static_cast<uint8_t>(v);
+  if (b < max_blocks) {
+    size_t last = 0;  // the one lane left: the longest message
+    while (num_blocks[last] != max_blocks) ++last;
+    uint32_t lane_h[5];
+    for (size_t word = 0; word < 5; ++word) lane_h[word] = h[word * L + last];
+    for (; b < max_blocks; ++b) {
+      crypto_internal::Sha1Compress(lane_h,
+                                    blocks + row * b + kBlockSize * last);
     }
+    for (size_t word = 0; word < 5; ++word) h[word * L + last] = lane_h[word];
+  }
+  for (size_t l = 0; l < m; ++l) {
+    outs[l] = (static_cast<uint64_t>(h[l]) << 32) | h[L + l];
   }
 }
 
@@ -442,66 +415,15 @@ const char* Sha1MultiBuffer::Backend() { return ActiveImpl()->name; }
 
 size_t Sha1MultiBuffer::PreferredLanes() { return ActiveImpl()->lanes; }
 
-void Sha1MultiBuffer::Hash(const std::string_view* messages, size_t n,
-                           uint8_t* out) {
-  const BackendImpl* impl = ActiveImpl();
-  const size_t L = impl->lanes;
-  size_t i = 0;
-  for (; i + L <= n; i += L) {
-    HashGroup(*impl, messages + i, out + kDigestSize * i);
-  }
-  const size_t tail = n - i;
-  if (tail >= 2) {
-    // A partial group still beats hashing its messages one by one: pad the
-    // unused lanes with empty messages (one block each, riding along with
-    // the real lanes) and discard their digests. Only a single-message
-    // tail falls back to the scalar hasher.
-    const BackendImpl& group_impl = GroupImpl(*impl, tail);
-    std::string_view padded[kMaxLanes];
-    for (size_t j = 0; j < tail; ++j) padded[j] = messages[i + j];
-    for (size_t j = tail; j < group_impl.lanes; ++j) {
-      padded[j] = std::string_view();
-    }
-    uint8_t digests[kMaxLanes * kDigestSize];
-    HashGroup(group_impl, padded, digests);
-    std::memcpy(out + kDigestSize * i, digests, tail * kDigestSize);
-  } else if (tail == 1) {
-    Sha1 hasher;
-    hasher.Update(messages[i]);
-    hasher.FinishInto(out + kDigestSize * i);
-  }
-}
-
-void Sha1MultiBuffer::HashPaddedBlocks64(const uint8_t* blocks, size_t n,
+void Sha1MultiBuffer::HashPaddedBlocks64(const uint8_t* blocks,
+                                         const size_t* num_blocks, size_t n,
                                          uint64_t* outs) {
   const BackendImpl* impl = ActiveImpl();
-  uint32_t h[5 * kMaxLanes];
-  uint8_t tail[kMaxLanes * kBlockSize];
   for (size_t i = 0; i < n;) {
-    const uint8_t* group = blocks + kBlockSize * i;
-    if (n - i == 1) {
-      // As in Hash: a lone message is cheaper through the scalar compress.
-      uint32_t lane_h[5];
-      std::memcpy(lane_h, crypto_internal::kSha1Init, sizeof(lane_h));
-      crypto_internal::Sha1Compress(lane_h, group);
-      outs[i] = (static_cast<uint64_t>(lane_h[0]) << 32) | lane_h[1];
-      break;
-    }
     const BackendImpl& group_impl = GroupImpl(*impl, n - i);
-    const size_t L = group_impl.lanes;
-    const size_t m = n - i < L ? n - i : L;
-    if (m < L) {
-      // A partial group runs with zero blocks in its unused lanes; their
-      // results are discarded.
-      std::memcpy(tail, group, m * kBlockSize);
-      std::memset(tail + m * kBlockSize, 0, (L - m) * kBlockSize);
-      group = tail;
-    }
-    InitLanes(h, L);
-    group_impl.compress(h, group);
-    for (size_t l = 0; l < m; ++l) {
-      outs[i + l] = (static_cast<uint64_t>(h[l]) << 32) | h[L + l];
-    }
+    const size_t m = n - i < group_impl.lanes ? n - i : group_impl.lanes;
+    HashLaneGroup(group_impl, blocks + kBlockSize * i, kBlockSize * n,
+                  num_blocks + i, m, outs + i);
     i += m;
   }
 }

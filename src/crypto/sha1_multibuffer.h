@@ -16,13 +16,15 @@
 // gathers — no type-punned casts — so it is exactly as alignment-clean as
 // the scalar path (UBSan-checked in CI).
 //
-// HashPaddedBlocks64 is the single-block fast path for keyed hashing: the
-// caller writes each already-padded block straight into that array, and
-// the 64-bit result comes out of the chaining state with no digest bytes
-// in between.
+// HashPaddedBlocks64 is the one batch entry point. The caller pads every
+// message itself, straight into one block-major array (message i's block b
+// at blocks + kBlockSize * (b * n + i)), so each row of blocks is a
+// contiguous run of lanes the kernels read at their 64-byte stride. The
+// 64-bit result comes out of chaining words h0 and h1, with no digest
+// bytes in between. Keyed hashing (crypto/keyed_hash.h) is its one caller.
 //
-// Digests are byte-identical to Sha1::Hash for every backend, lane count,
-// and message length (including empty and multi-block messages): batching
+// Results equal the leading 8 bytes of Sha1::Hash for every backend, lane
+// count and block count, including lanes with mixed block counts: batching
 // changes throughput only, never values. The boundary suite in
 // tests/crypto/sha1_multibuffer_test.cc pins that down per backend.
 
@@ -31,7 +33,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace privmark {
@@ -41,11 +42,7 @@ class Sha1MultiBuffer {
  public:
   /// Widest lane count any backend uses (AVX-512).
   static constexpr size_t kMaxLanes = 16;
-  static constexpr size_t kDigestSize = 20;
   static constexpr size_t kBlockSize = 64;
-  /// Longest message whose padded form is one block: 0x80 and the 8-byte
-  /// bit length must fit after it.
-  static constexpr size_t kMaxSingleBlockMessage = kBlockSize - 9;
 
   /// \brief Name of the active backend: "avx512", "avx2", "sse2", "neon",
   /// or "portable".
@@ -57,20 +54,17 @@ class Sha1MultiBuffer {
   /// multiple of this.
   static size_t PreferredLanes();
 
-  /// \brief Hashes `n` independent messages of arbitrary (and mixed)
-  /// lengths; writes message i's 20-byte digest at out + kDigestSize * i.
-  /// Internally processes full lane groups through the active backend and
-  /// any tail scalarly. Byte-identical to Sha1::Hash per message.
-  static void Hash(const std::string_view* messages, size_t n, uint8_t* out);
-
-  /// \brief Single-block fast path. `blocks` holds `n` complete padded
-  /// SHA-1 blocks back to back, block i at blocks + kBlockSize * i: a
-  /// message of at most kMaxSingleBlockMessage bytes, 0x80, zeros, then
-  /// the message's bit length as a big-endian uint64 in the last 8 bytes.
-  /// Writes the first 8 digest bytes of message i as a big-endian uint64
-  /// to outs[i], read straight from chaining words h0 and h1. Runs through
-  /// the active backend; equal to the leading bytes of Sha1::Hash.
-  static void HashPaddedBlocks64(const uint8_t* blocks, size_t n,
+  /// \brief Hashes `n` padded SHA-1 messages. Message i fills
+  /// num_blocks[i] >= 1 complete blocks: its bytes, 0x80, zeros, then its
+  /// bit length as a big-endian uint64 in the last 8 bytes of its last
+  /// block. `blocks` is block-major: message i's block b sits at
+  /// blocks + kBlockSize * (b * n + i), for every b below the largest
+  /// count. Slots past a message's last block are read but ignored; they
+  /// must be initialized. Writes the first 8 digest bytes of message i as
+  /// a big-endian uint64 to outs[i]. Lanes run in lock-step through the
+  /// active backend; equal to the leading bytes of Sha1::Hash.
+  static void HashPaddedBlocks64(const uint8_t* blocks,
+                                 const size_t* num_blocks, size_t n,
                                  uint64_t* outs);
 
   /// \brief Backends compiled into this binary and usable on this CPU, in
@@ -80,7 +74,7 @@ class Sha1MultiBuffer {
   /// \brief Test/bench hook: pins the backend by name until the next call.
   /// nullptr or "auto" restores automatic selection. Returns false (and
   /// changes nothing) for an unknown or unavailable name. Not meant for
-  /// concurrent use with in-flight Hash() calls.
+  /// concurrent use with in-flight HashPaddedBlocks64() calls.
   static bool ForceBackend(const char* name);
 };
 

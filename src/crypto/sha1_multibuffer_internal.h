@@ -6,7 +6,10 @@
 // SSE2-only CPUs. Not part of the public crypto API.
 //
 // Every kernel takes its lanes' blocks back to back: lane l's 64-byte
-// block starts at blocks + 64 * l.
+// block starts at blocks + 64 * l. Sha1MultiBuffer::HashPaddedBlocks64
+// keeps its messages block-major (message i's block b at
+// blocks + 64 * (b * n + i)), so each row of a full lane group is handed
+// to the kernel in place, one compress per block index.
 
 #ifndef PRIVMARK_CRYPTO_SHA1_MULTIBUFFER_INTERNAL_H_
 #define PRIVMARK_CRYPTO_SHA1_MULTIBUFFER_INTERNAL_H_

@@ -105,7 +105,7 @@ inline std::string_view CellText(const Value& cell, std::string* scratch) {
 /// selection bits. Every row scan walks blocks of kRows rows through
 /// Load() so selection hashes go through the multi-buffer kernel in full
 /// lane groups instead of one KeyedHash64 per tuple. Values are identical
-/// to per-row TupleSelected.
+/// to per-row IsTupleSelected.
 class IdentBlock {
  public:
   static constexpr size_t kRows = WatermarkHasher::kBlockRows;

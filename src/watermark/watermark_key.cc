@@ -84,24 +84,6 @@ void WatermarkHasher::PositionBlock(const std::string_view* messages,
   }
 }
 
-bool WatermarkHasher::TupleSelected(std::string_view ident) {
-  assert(key_->eta > 0);
-  if (!has_last_ || last_ident_ != ident) {
-    last_hash_ = KeyedHash64(algo_, key_->k1, ident);
-    last_ident_.assign(ident.data(), ident.size());
-    has_last_ = true;
-  }
-  return last_hash_ % key_->eta == 0;
-}
-
-size_t WatermarkHasher::WmdPosition(std::string_view ident,
-                                    std::string_view column,
-                                    size_t wmd_size) {
-  assert(wmd_size > 0);
-  BuildPositionMessage(ident, column, &buf_);
-  return static_cast<size_t>(KeyedHash64(algo_, key_->k2, buf_) % wmd_size);
-}
-
 size_t WatermarkHasher::PermutationIndex(std::string_view ident,
                                          std::string_view column, int depth,
                                          size_t set_size) {

@@ -77,49 +77,39 @@ size_t PermutationIndex(const WatermarkKey& key, HashAlgorithm algo,
 
 /// \brief Hot-loop façade over the three functions above.
 ///
-/// Produces bit-identical values, but (a) assembles every hash message in
-/// one reused buffer instead of fresh string concatenations per slot, and
-/// (b) memoizes the Eq. (5) selection hash per tuple — a caller that walks
-/// rows and asks TupleSelected once, then derives several slot hashes for
-/// the same identifier, pays exactly one selection hash per tuple instead
-/// of one per (tuple, pass).
+/// Produces bit-identical values, but (a) hashes whole row blocks of
+/// Eq. (5) selections and position messages through the multi-buffer
+/// kernel, and (b) assembles each permutation message in one reused buffer
+/// instead of a fresh string concatenation per slot.
 class WatermarkHasher {
  public:
   /// Row-block granularity the batched callers below are designed around:
-  /// a multiple of every multi-buffer lane width (4 and 8), small enough
-  /// that per-block gather state lives on the stack.
+  /// a multiple of every multi-buffer lane width (4, 8 and 16), small
+  /// enough that per-block gather state lives on the stack.
   static constexpr size_t kBlockRows = 64;
 
   WatermarkHasher(const WatermarkKey& key, HashAlgorithm algo)
       : key_(&key), algo_(algo) {}
 
-  /// \brief Eq. (5) for `ident`; consecutive calls with the same identifier
-  /// reuse the cached hash.
-  bool TupleSelected(std::string_view ident);
-
-  /// \brief Batched Eq. (5): selected[i] = TupleSelected(idents[i]) for a
-  /// whole block at once (`n` <= kBlockRows), value-identical to the scalar
-  /// call. The selection hashes flow through the multi-buffer SHA-1 kernel,
-  /// so a row scan pays a fraction of the per-tuple hash cost.
+  /// \brief Batched Eq. (5): selected[i] = IsTupleSelected(key, algo,
+  /// idents[i]) for a whole block at once (`n` <= kBlockRows). The
+  /// selection hashes flow through the multi-buffer SHA-1 kernel, so a row
+  /// scan pays a fraction of the per-tuple hash cost.
   void SelectBlock(const std::string_view* idents, size_t n,
                    uint8_t* selected);
 
-  /// \brief Same as the free WmdPosition, reusing the message buffer.
-  size_t WmdPosition(std::string_view ident, std::string_view column,
-                     size_t wmd_size);
-
   /// \brief Batched WmdPosition over pre-assembled "pos:..." messages
   /// (see AppendPositionMessage); any `n`. out[i] is the wmd position for
-  /// messages[i], value-identical to the scalar WmdPosition that would
+  /// messages[i], value-identical to the free WmdPosition that would
   /// have assembled the same message.
   void PositionBlock(const std::string_view* messages, size_t n,
                      size_t wmd_size, size_t* out);
 
-  /// \brief Appends the exact bytes WmdPosition hashes — "pos:" ident ":"
-  /// column — to `arena` without clearing it. Callers batch slots by
-  /// appending each slot's message and recording [start, end) offsets,
-  /// then hand views into the arena to PositionBlock once the arena stops
-  /// growing.
+  /// \brief Appends the exact bytes the free WmdPosition hashes — "pos:"
+  /// ident ":" column — to `arena` without clearing it. Callers batch
+  /// slots by appending each slot's message and recording [start, end)
+  /// offsets, then hand views into the arena to PositionBlock once the
+  /// arena stops growing.
   static void AppendPositionMessage(std::string_view ident,
                                     std::string_view column,
                                     std::string* arena);
@@ -131,10 +121,7 @@ class WatermarkHasher {
  private:
   const WatermarkKey* key_;
   HashAlgorithm algo_;
-  std::string buf_;         // reused message assembly buffer
-  std::string last_ident_;  // memoized selection: identifier ...
-  uint64_t last_hash_ = 0;  // ... and its H(k1, ident)
-  bool has_last_ = false;
+  std::string buf_;  // reused message assembly buffer
 };
 
 }  // namespace privmark

@@ -80,10 +80,22 @@ TEST(KeyedHashTest, OutputsSpreadAcrossRange) {
 
 // --- KeyedHash64Batch equivalence -----------------------------------------
 //
-// The batch entry points route through Sha1MultiBuffer and the stack-buffer
-// assembly paths; every one of them must produce exactly the values the
-// scalar KeyedHash64 produces, for every batch size (full lane groups plus
-// every tail remainder) and for messages past the 192-byte stack threshold.
+// The batch entry points pad every keyed input straight into the
+// multi-buffer lane array, and the scalar SHA-1 KeyedHash64 is a batch of
+// one through the same padder, so comparing the two could not catch a
+// padding bug. Every test here takes its reference from the leading 8
+// bytes of KeyedDigest, which streams through the incremental Sha1 (or
+// Md5) instead: for every batch size (full lane groups plus every tail
+// remainder), every block count, and inputs past the 4-block cap.
+
+// First 8 bytes of KeyedDigest as a big-endian uint64.
+uint64_t ReferenceHash64(HashAlgorithm algo, std::string_view key,
+                         std::string_view message) {
+  const std::vector<uint8_t> digest = KeyedDigest(algo, key, message);
+  uint64_t out = 0;
+  for (int i = 0; i < 8; ++i) out = (out << 8) | digest[i];
+  return out;
+}
 
 std::string BatchMessage(size_t i, size_t len) {
   std::string msg = "msg-" + std::to_string(i) + "-";
@@ -108,8 +120,8 @@ TEST(KeyedHashBatchTest, SingleKeyMatchesScalarAcrossBatchSizes) {
     KeyedHash64Batch(HashAlgorithm::kSha1, "batch-key", messages.data(), n,
                      out.data());
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], KeyedHash64(HashAlgorithm::kSha1, "batch-key",
-                                    messages[i]))
+      EXPECT_EQ(out[i], ReferenceHash64(HashAlgorithm::kSha1, "batch-key",
+                                        messages[i]))
           << "n=" << n << " i=" << i;
     }
   }
@@ -132,27 +144,29 @@ TEST(KeyedHashBatchTest, MixedKeyPairsMatchScalar) {
   std::vector<uint64_t> out(kN, 0);
   KeyedHash64Batch(HashAlgorithm::kSha1, inputs.data(), kN, out.data());
   for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(out[i], KeyedHash64(HashAlgorithm::kSha1, keys[i], msgs[i]))
+    EXPECT_EQ(out[i], ReferenceHash64(HashAlgorithm::kSha1, keys[i], msgs[i]))
         << "i=" << i;
   }
 }
 
 TEST(KeyedHashBatchTest, LongMessagesUseHeapAssemblyAndStillMatch) {
-  // key + separator + message beyond the 192-byte stack assembly buffer
-  // forces the std::string overflow path inside the batch.
-  const size_t lengths[] = {150, 191, 192, 193, 400, 5000};
+  // Three- and four-block inputs, then key + separator + message past the
+  // 4-block cap (247 bytes: message 238 with this 8-byte key), which
+  // streams through Sha1 beside the padded lanes of the same batch.
+  const size_t lengths[] = {150, 191, 192, 193, 238, 239, 400, 5000};
+  constexpr size_t kN = sizeof(lengths) / sizeof(lengths[0]);
   std::vector<std::string> storage;
   std::vector<std::string_view> messages;
-  for (size_t i = 0; i < 6; ++i) {
+  for (size_t i = 0; i < kN; ++i) {
     storage.push_back(BatchMessage(i, lengths[i]));
   }
   for (const std::string& s : storage) messages.push_back(s);
-  std::vector<uint64_t> out(6, 0);
-  KeyedHash64Batch(HashAlgorithm::kSha1, "long-key", messages.data(), 6,
+  std::vector<uint64_t> out(kN, 0);
+  KeyedHash64Batch(HashAlgorithm::kSha1, "long-key", messages.data(), kN,
                    out.data());
-  for (size_t i = 0; i < 6; ++i) {
+  for (size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(out[i],
-              KeyedHash64(HashAlgorithm::kSha1, "long-key", messages[i]))
+              ReferenceHash64(HashAlgorithm::kSha1, "long-key", messages[i]))
         << "len=" << lengths[i];
   }
 }
@@ -170,7 +184,8 @@ TEST(KeyedHashBatchTest, Md5FallbackMatchesScalar) {
   KeyedHash64Batch(HashAlgorithm::kMd5, "md5-key", messages.data(), 11,
                    out.data());
   for (size_t i = 0; i < 11; ++i) {
-    EXPECT_EQ(out[i], KeyedHash64(HashAlgorithm::kMd5, "md5-key", messages[i]))
+    EXPECT_EQ(out[i],
+              ReferenceHash64(HashAlgorithm::kMd5, "md5-key", messages[i]))
         << "i=" << i;
   }
 }
@@ -185,7 +200,7 @@ TEST(KeyedHashBatchTest, IdenticalAcrossBackends) {
   for (const std::string& s : storage) messages.push_back(s);
   std::vector<uint64_t> reference(23, 0);
   for (size_t i = 0; i < 23; ++i) {
-    reference[i] = KeyedHash64(HashAlgorithm::kSha1, "bk", messages[i]);
+    reference[i] = ReferenceHash64(HashAlgorithm::kSha1, "bk", messages[i]);
   }
   for (const char* backend : Sha1MultiBuffer::AvailableBackends()) {
     ASSERT_TRUE(Sha1MultiBuffer::ForceBackend(backend));
@@ -198,8 +213,8 @@ TEST(KeyedHashBatchTest, IdenticalAcrossBackends) {
 }
 
 TEST(KeyedHashBatchTest, SixteenLaneGroupsStraddleTheSingleBlockLimit) {
-  // key + 0x00 + message totals of 54 and 55 bytes pad to one block (the
-  // fast path); 56, 63 and 64 need a second. Per backend, each total runs
+  // key + 0x00 + message totals of 54 and 55 bytes pad to one block; 56,
+  // 63 and 64 need a second. Per backend, each total runs
   // as a uniform group of 16, then with a 100-byte two-block input in the
   // middle of the group, then all five totals rotate through one group.
   const std::string key = "straddle-key";
@@ -231,9 +246,60 @@ TEST(KeyedHashBatchTest, SixteenLaneGroupsStraddleTheSingleBlockLimit) {
       KeyedHash64Batch(HashAlgorithm::kSha1, key, messages.data(), 16,
                        out.data());
       for (size_t i = 0; i < 16; ++i) {
-        EXPECT_EQ(out[i], KeyedHash64(HashAlgorithm::kSha1, key, messages[i]))
+        EXPECT_EQ(out[i],
+                  ReferenceHash64(HashAlgorithm::kSha1, key, messages[i]))
             << "backend=" << backend << " group=" << g << " i=" << i
             << " total=" << key.size() + 1 + messages[i].size();
+      }
+    }
+  }
+  Sha1MultiBuffer::ForceBackend("auto");
+}
+
+TEST(KeyedHashBatchTest, BlockCountsMixWithinOneGroup) {
+  // key + 0x00 + message totals on both sides of every block boundary up
+  // to the cap: 55/56 (one/two blocks), 119/120 (two/three), 183/184
+  // (three/four) and 247/248 (four blocks / the first total over the cap,
+  // which streams). Per backend, each total runs as a uniform group of 16,
+  // then all eight rotate through one group; the scalar KeyedHash64 (a
+  // batch of one) must agree too.
+  const std::string key = "block-count-key";
+  const size_t totals[] = {55, 56, 119, 120, 183, 184, 247, 248};
+  constexpr size_t kTotals = sizeof(totals) / sizeof(totals[0]);
+  auto message_for_total = [&key](size_t total, size_t i) {
+    return BatchMessage(i, total - key.size() - 1);
+  };
+  std::vector<std::vector<std::string>> groups;
+  for (size_t total : totals) {
+    std::vector<std::string> group;
+    for (size_t i = 0; i < 16; ++i) {
+      group.push_back(message_for_total(total, i));
+    }
+    groups.push_back(group);
+  }
+  std::vector<std::string> rotated;
+  for (size_t i = 0; i < 16; ++i) {
+    rotated.push_back(message_for_total(totals[i % kTotals], i));
+  }
+  groups.push_back(rotated);
+  for (const char* backend : Sha1MultiBuffer::AvailableBackends()) {
+    ASSERT_TRUE(Sha1MultiBuffer::ForceBackend(backend));
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const std::vector<std::string_view> messages(groups[g].begin(),
+                                                   groups[g].end());
+      std::vector<uint64_t> out(16, 0);
+      KeyedHash64Batch(HashAlgorithm::kSha1, key, messages.data(), 16,
+                       out.data());
+      for (size_t i = 0; i < 16; ++i) {
+        const uint64_t expected =
+            ReferenceHash64(HashAlgorithm::kSha1, key, messages[i]);
+        EXPECT_EQ(out[i], expected)
+            << "backend=" << backend << " group=" << g << " i=" << i
+            << " total=" << key.size() + 1 + messages[i].size();
+        EXPECT_EQ(KeyedHash64(HashAlgorithm::kSha1, key, messages[i]),
+                  expected)
+            << "backend=" << backend << " scalar, total="
+            << key.size() + 1 + messages[i].size();
       }
     }
   }

@@ -1,12 +1,16 @@
-// Boundary suite for the multi-buffer SHA-1 kernel: every compiled backend
-// must be byte-identical to the scalar Sha1 for every lane count and every
-// padding-relevant message length, including lanes with mixed block counts
-// (where some lanes fall out of lock-step and finish scalarly).
+// Boundary suite for the multi-buffer SHA-1 kernel: for every compiled
+// backend, HashPaddedBlocks64 must equal the leading 8 bytes of the scalar
+// Sha1 for every lane count and every padding-relevant message length,
+// including lanes with mixed block counts (where finished lanes ride along
+// and a last straggler finishes scalarly). The blocks come from a padder
+// local to this file, so a padding bug in the keyed-hash padder cannot
+// hide here.
 
 #include "crypto/sha1_multibuffer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -31,8 +35,46 @@ std::string MessageOfLength(size_t len, size_t salt) {
   return msg;
 }
 
-std::vector<uint8_t> ScalarDigest(std::string_view msg) {
-  return Sha1::Hash(msg);
+// First 8 bytes of the streaming Sha1 digest as a big-endian uint64.
+uint64_t ScalarPrefix(std::string_view msg) {
+  const std::vector<uint8_t> digest = Sha1::Hash(msg);
+  uint64_t out = 0;
+  for (int i = 0; i < 8; ++i) out = (out << 8) | digest[i];
+  return out;
+}
+
+// Pads each message on its own (bytes, 0x80, zeros, big-endian bit length)
+// and scatters its blocks into the block-major layout HashPaddedBlocks64
+// takes: message i's block b at kBlockSize * (b * n + i). Slots past a
+// message's last block stay zero. Returns outs[i] for messages[i].
+std::vector<uint64_t> HashPadded(const std::vector<std::string>& messages) {
+  constexpr size_t kBlock = Sha1MultiBuffer::kBlockSize;
+  const size_t n = messages.size();
+  std::vector<size_t> num_blocks;
+  size_t rows = 0;
+  for (const std::string& m : messages) {
+    num_blocks.push_back((m.size() + 8) / kBlock + 1);
+    rows = std::max(rows, num_blocks.back());
+  }
+  std::vector<uint8_t> blocks(rows * n * kBlock, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const std::string& m = messages[i];
+    std::vector<uint8_t> padded(num_blocks[i] * kBlock, 0);
+    std::memcpy(padded.data(), m.data(), m.size());
+    padded[m.size()] = 0x80;
+    const uint64_t bit_len = static_cast<uint64_t>(m.size()) * 8;
+    for (int b = 0; b < 8; ++b) {
+      padded[padded.size() - 1 - b] = static_cast<uint8_t>(bit_len >> (8 * b));
+    }
+    for (size_t b = 0; b < num_blocks[i]; ++b) {
+      std::memcpy(blocks.data() + kBlock * (b * n + i),
+                  padded.data() + kBlock * b, kBlock);
+    }
+  }
+  std::vector<uint64_t> outs(n, 0);
+  Sha1MultiBuffer::HashPaddedBlocks64(blocks.data(), num_blocks.data(), n,
+                                      outs.data());
+  return outs;
 }
 
 class Sha1MultiBufferBackendTest
@@ -49,19 +91,13 @@ TEST_P(Sha1MultiBufferBackendTest, LaneCountsTimesBoundaryLengths) {
   // Every lane count 1..kMaxLanes with every uniform boundary length.
   for (size_t lanes = 1; lanes <= Sha1MultiBuffer::kMaxLanes; ++lanes) {
     for (size_t len : kBoundaryLengths) {
-      std::vector<std::string> storage;
-      std::vector<std::string_view> views;
+      std::vector<std::string> messages;
       for (size_t l = 0; l < lanes; ++l) {
-        storage.push_back(MessageOfLength(len, l));
+        messages.push_back(MessageOfLength(len, l));
       }
-      for (const std::string& s : storage) views.push_back(s);
-      std::vector<uint8_t> out(lanes * Sha1MultiBuffer::kDigestSize);
-      Sha1MultiBuffer::Hash(views.data(), lanes, out.data());
+      const std::vector<uint64_t> outs = HashPadded(messages);
       for (size_t l = 0; l < lanes; ++l) {
-        EXPECT_EQ(0, std::memcmp(
-                         ScalarDigest(views[l]).data(),
-                         out.data() + l * Sha1MultiBuffer::kDigestSize,
-                         Sha1MultiBuffer::kDigestSize))
+        EXPECT_EQ(outs[l], ScalarPrefix(messages[l]))
             << "backend=" << GetParam() << " lanes=" << lanes
             << " len=" << len << " lane=" << l;
       }
@@ -71,25 +107,19 @@ TEST_P(Sha1MultiBufferBackendTest, LaneCountsTimesBoundaryLengths) {
 
 TEST_P(Sha1MultiBufferBackendTest, MixedLengthsFallOutOfLockStep) {
   // Rotate the boundary lengths through the lanes so every group mixes
-  // one-block and multi-block messages — the stragglers exercise the
-  // scalar strided-state fallback.
+  // one-, two- and three-block messages: finished lanes ride along, and
+  // the stragglers exercise the scalar strided-state fallback.
   const size_t num_lens = sizeof(kBoundaryLengths) / sizeof(size_t);
   for (size_t lanes = 1; lanes <= Sha1MultiBuffer::kMaxLanes; ++lanes) {
     for (size_t rot = 0; rot < num_lens; ++rot) {
-      std::vector<std::string> storage;
-      std::vector<std::string_view> views;
+      std::vector<std::string> messages;
       for (size_t l = 0; l < lanes; ++l) {
-        storage.push_back(
+        messages.push_back(
             MessageOfLength(kBoundaryLengths[(rot + l) % num_lens], l));
       }
-      for (const std::string& s : storage) views.push_back(s);
-      std::vector<uint8_t> out(lanes * Sha1MultiBuffer::kDigestSize);
-      Sha1MultiBuffer::Hash(views.data(), lanes, out.data());
+      const std::vector<uint64_t> outs = HashPadded(messages);
       for (size_t l = 0; l < lanes; ++l) {
-        EXPECT_EQ(0, std::memcmp(
-                         ScalarDigest(views[l]).data(),
-                         out.data() + l * Sha1MultiBuffer::kDigestSize,
-                         Sha1MultiBuffer::kDigestSize))
+        EXPECT_EQ(outs[l], ScalarPrefix(messages[l]))
             << "backend=" << GetParam() << " lanes=" << lanes
             << " rot=" << rot << " lane=" << l;
       }
@@ -101,56 +131,40 @@ TEST_P(Sha1MultiBufferBackendTest, LargeBatchWithRaggedTail) {
   // Batches far past one lane group, with sizes that leave every possible
   // tail remainder (0..kMaxLanes-1 messages after the full groups).
   for (size_t n = 17; n <= 17 + Sha1MultiBuffer::kMaxLanes; ++n) {
-    std::vector<std::string> storage;
-    std::vector<std::string_view> views;
+    std::vector<std::string> messages;
     for (size_t i = 0; i < n; ++i) {
-      storage.push_back(MessageOfLength(i % 70, i));
+      messages.push_back(MessageOfLength(i % 70, i));
     }
-    for (const std::string& s : storage) views.push_back(s);
-    std::vector<uint8_t> out(n * Sha1MultiBuffer::kDigestSize);
-    Sha1MultiBuffer::Hash(views.data(), n, out.data());
+    const std::vector<uint64_t> outs = HashPadded(messages);
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(0, std::memcmp(ScalarDigest(views[i]).data(),
-                               out.data() + i * Sha1MultiBuffer::kDigestSize,
-                               Sha1MultiBuffer::kDigestSize))
+      EXPECT_EQ(outs[i], ScalarPrefix(messages[i]))
           << "backend=" << GetParam() << " n=" << n << " i=" << i;
     }
   }
 }
 
 TEST_P(Sha1MultiBufferBackendTest, PaddedBlocksMatchDigestPrefix) {
-  // The single-block fast path over every batch size up to two widest
-  // groups plus one: full groups, every partial tail, and a lone block.
+  // One-block messages (0..55 bytes) over every batch size up to two
+  // widest groups plus one: full groups, every partial tail, and a lone
+  // block.
   for (size_t n = 0; n <= 2 * Sha1MultiBuffer::kMaxLanes + 1; ++n) {
-    std::vector<std::string> storage;
-    std::vector<uint8_t> blocks(n * Sha1MultiBuffer::kBlockSize, 0);
+    std::vector<std::string> messages;
     for (size_t i = 0; i < n; ++i) {
-      storage.push_back(MessageOfLength(
-          (i * 7) % (Sha1MultiBuffer::kMaxSingleBlockMessage + 1), i));
-      const std::string& m = storage.back();
-      uint8_t* block = blocks.data() + i * Sha1MultiBuffer::kBlockSize;
-      std::memcpy(block, m.data(), m.size());
-      block[m.size()] = 0x80;
-      block[62] = static_cast<uint8_t>((m.size() * 8) >> 8);
-      block[63] = static_cast<uint8_t>(m.size() * 8);
+      messages.push_back(MessageOfLength((i * 7) % 56, i));
     }
-    std::vector<uint64_t> outs(n, 0);
-    Sha1MultiBuffer::HashPaddedBlocks64(blocks.data(), n, outs.data());
+    const std::vector<uint64_t> outs = HashPadded(messages);
     for (size_t i = 0; i < n; ++i) {
-      const std::vector<uint8_t> digest = ScalarDigest(storage[i]);
-      uint64_t expected = 0;
-      for (int b = 0; b < 8; ++b) expected = (expected << 8) | digest[b];
-      EXPECT_EQ(outs[i], expected)
+      EXPECT_EQ(outs[i], ScalarPrefix(messages[i]))
           << "backend=" << GetParam() << " n=" << n << " i=" << i;
     }
   }
 }
 
 TEST(Sha1MultiBufferTest, ZeroMessagesIsANoOp) {
-  uint8_t sentinel[Sha1MultiBuffer::kDigestSize];
-  std::memset(sentinel, 0xAB, sizeof(sentinel));
-  Sha1MultiBuffer::Hash(nullptr, 0, sentinel);
-  for (uint8_t byte : sentinel) EXPECT_EQ(byte, 0xAB);
+  uint64_t sentinel[4];
+  for (uint64_t& word : sentinel) word = 0xABABABABABABABABull;
+  Sha1MultiBuffer::HashPaddedBlocks64(nullptr, nullptr, 0, sentinel);
+  for (uint64_t word : sentinel) EXPECT_EQ(word, 0xABABABABABABABABull);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, Sha1MultiBufferBackendTest,
