@@ -23,7 +23,9 @@
 # benchmark smoke run on a failpoint-free Release build, gated
 # by scripts/bench_check.py against the checked-in Release baseline
 # (set PRIVMARK_BENCH_OVERRIDE=1 to report without failing), and a
-# one-second perfbench run of every workload (scripts/perfbench_smoke.sh).
+# one-second perfbench run of every workload (scripts/perfbench_smoke.sh),
+# and the ship-reachability check (scripts/reachability.sh): every exported
+# library function no shipped binary reaches must be on its allow-list.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -130,5 +132,12 @@ echo "=== perfbench smoke (every workload, --trace 0 and 1) ==="
 # perfbench drives library entry points directly; a change that breaks
 # it must fail here, not when the benchmark next runs.
 scripts/perfbench_smoke.sh
+
+echo "=== Ship reachability (unreached exported functions) ==="
+# Builds the examples, bench harnesses and perfbench at -O0 with
+# --gc-sections into build-reach/ and fails on an unreached exported
+# function missing from scripts/reachability_allow.txt, or on a stale
+# entry there.
+scripts/reachability.sh
 
 echo "CI OK"

@@ -37,22 +37,6 @@ Result<RunSetup> SetupFor(const Schema& schema, const UsageMetrics& metrics) {
 BinningAgent::BinningAgent(UsageMetrics metrics, BinningConfig config)
     : metrics_(std::move(metrics)), config_(std::move(config)) {}
 
-Status ApplyGeneralization(Table* table, const std::vector<size_t>& qi_columns,
-                           const std::vector<GeneralizationSet>& gens) {
-  if (qi_columns.size() != gens.size()) {
-    return Status::InvalidArgument(
-        "ApplyGeneralization: column/generalization count mismatch");
-  }
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    for (size_t c = 0; c < qi_columns.size(); ++c) {
-      PRIVMARK_ASSIGN_OR_RETURN(
-          Value generalized, gens[c].Generalize(table->at(r, qi_columns[c])));
-      table->Set(r, qi_columns[c], std::move(generalized));
-    }
-  }
-  return Status::OK();
-}
-
 Result<Table> MaterializeProtected(
     const Table& input, const std::vector<size_t>& qi_columns,
     size_t ident_column, const std::vector<GeneralizationSet>& ultimate,

@@ -136,11 +136,6 @@ class BinningAgent {
   BinningConfig config_;
 };
 
-/// \brief Applies a per-column generalization to a table's QI cells in
-/// place (the Bin(.) of Fig. 8); exposed for tests and the watermark module.
-Status ApplyGeneralization(Table* table, const std::vector<size_t>& qi_columns,
-                           const std::vector<GeneralizationSet>& gens);
-
 /// \brief Fig. 8's Binning step over pre-encoded rows: the identifying
 /// column encrypted with `cipher`, each quasi-identifier cell rewritten to
 /// its ultimate generalization node's label, other cells copied through.

@@ -57,12 +57,6 @@ void BitVector::Set(size_t i, bool value) {
   }
 }
 
-void BitVector::PushBack(bool value) {
-  if (size_ % 64 == 0) words_.push_back(0);
-  ++size_;
-  Set(size_ - 1, value);
-}
-
 BitVector BitVector::Duplicate(size_t copies) const {
   BitVector out(size_ * copies);
   for (size_t c = 0; c < copies; ++c) {

@@ -34,7 +34,6 @@ class BitVector {
 
   bool Get(size_t i) const;
   void Set(size_t i, bool value);
-  void PushBack(bool value);
 
   /// \brief Concatenates `copies` copies of this vector (the paper's
   /// Duplicate(wm) used for multiple embedding).

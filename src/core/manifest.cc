@@ -239,14 +239,6 @@ Result<HierarchicalWatermarker> WatermarkerFromManifest(
                                  options);
 }
 
-Status WriteManifestFile(const ProtectionManifest& manifest,
-                         const std::string& path) {
-  // Durable, matching the journal's discipline: a manifest names the
-  // generalization its (fsynced) epoch was published under, so losing
-  // it to a crash strands an otherwise-recoverable epoch.
-  return WriteFileDurable(path, SerializeManifest(manifest));
-}
-
 Result<ProtectionManifest> ReadManifestFile(const std::string& path) {
   PRIVMARK_ASSIGN_OR_RETURN(const std::string text,
                             ReadFileCapped(path, kMaxManifestBytes));

@@ -85,11 +85,6 @@ Result<HierarchicalWatermarker> WatermarkerFromManifest(
 /// parsing it would buffer it whole).
 inline constexpr size_t kMaxManifestBytes = size_t{1} << 20;
 
-/// \brief Writes a manifest file durably: the contents, the file, and
-/// its directory entry are all fsynced before OK (the journal's
-/// crash-durability discipline — see common/durable_file.h).
-Status WriteManifestFile(const ProtectionManifest& manifest,
-                         const std::string& path);
 /// \brief Reads and parses a manifest file. A file above
 /// kMaxManifestBytes is refused with IOError before it is read.
 Result<ProtectionManifest> ReadManifestFile(const std::string& path);

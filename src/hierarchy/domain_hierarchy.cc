@@ -133,28 +133,6 @@ bool DomainHierarchy::IsAncestorOrSelf(NodeId ancestor,
   return false;
 }
 
-int DomainHierarchy::LevelsBetween(NodeId ancestor, NodeId descendant) const {
-  assert(IsAncestorOrSelf(ancestor, descendant));
-  return nodes_[descendant].depth - nodes_[ancestor].depth;
-}
-
-std::string DomainHierarchy::ToString() const {
-  std::string out;
-  std::vector<NodeId> stack = {root()};
-  while (!stack.empty()) {
-    const NodeId nd = stack.back();
-    stack.pop_back();
-    out.append(static_cast<size_t>(nodes_[nd].depth) * 2, ' ');
-    out += nodes_[nd].label;
-    out += '\n';
-    const auto& children = nodes_[nd].children;
-    for (auto it = children.rbegin(); it != children.rend(); ++it) {
-      stack.push_back(*it);
-    }
-  }
-  return out;
-}
-
 void DomainHierarchy::FinalizeDerived() {
   // Leaves, left-to-right (iterative DFS pushing children in reverse).
   leaves_.clear();
@@ -233,23 +211,6 @@ Result<NodeId> HierarchyBuilder::AddChild(NodeId parent,
   tree_.nodes_[parent].children.push_back(id);
   tree_.label_index_.Insert(label, id, tree_.nodes_);
   return id;
-}
-
-Result<NodeId> HierarchyBuilder::AddPath(const std::vector<std::string>& labels) {
-  NodeId cur = tree_.root();
-  for (const auto& label : labels) {
-    const NodeId existing = tree_.label_index_.Find(label, tree_.nodes_);
-    if (existing != kInvalidNode) {
-      if (tree_.nodes_[existing].parent != cur) {
-        return Status::InvalidArgument("AddPath: label '" + label +
-                                       "' exists under a different parent");
-      }
-      cur = existing;
-    } else {
-      PRIVMARK_ASSIGN_OR_RETURN(cur, AddChild(cur, label));
-    }
-  }
-  return cur;
 }
 
 Result<DomainHierarchy> HierarchyBuilder::Build() {

@@ -185,13 +185,6 @@ class DomainHierarchy {
   /// root (inclusive of descendant == ancestor).
   bool IsAncestorOrSelf(NodeId ancestor, NodeId descendant) const;
 
-  /// \brief Number of edges from `descendant` up to `ancestor`; requires
-  /// IsAncestorOrSelf(ancestor, descendant).
-  int LevelsBetween(NodeId ancestor, NodeId descendant) const;
-
-  /// \brief ASCII rendering (one node per line, indented), for debugging.
-  std::string ToString() const;
-
  private:
   friend class HierarchyBuilder;
   friend Result<DomainHierarchy> BuildNumericHierarchy(
@@ -227,11 +220,6 @@ class HierarchyBuilder {
 
   /// \brief Adds a child under `parent`; labels must be unique in the tree.
   Result<NodeId> AddChild(NodeId parent, const std::string& label);
-
-  /// \brief Convenience: adds a chain of children under the root, e.g.
-  /// AddPath({"Paramedic", "Nurse"}) creates/reuses "Paramedic" under the
-  /// root and "Nurse" under it, returning the last node.
-  Result<NodeId> AddPath(const std::vector<std::string>& labels);
 
   /// \brief Finalizes: computes depths, leaf lists/counts and label index.
   /// The builder must not be reused afterwards.

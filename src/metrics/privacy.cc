@@ -1,7 +1,6 @@
 #include "metrics/privacy.h"
 
 #include <algorithm>
-#include <set>
 
 namespace privmark {
 
@@ -33,49 +32,6 @@ Result<PrivacyReport> EvaluatePrivacy(const Table& table,
   report.average_risk = risk_sum / static_cast<double>(table.num_rows());
   report.max_risk = 1.0 / static_cast<double>(report.k_anonymity_level);
   return report;
-}
-
-Result<std::vector<size_t>> RowsBelowK(const Table& table,
-                                       const std::vector<size_t>& qi_columns,
-                                       size_t k) {
-  if (k < 1) {
-    return Status::InvalidArgument("RowsBelowK: k must be >= 1");
-  }
-  std::vector<size_t> rows;
-  for (const Bin& bin : table.GroupBy(qi_columns)) {
-    if (bin.size() < k) {
-      rows.insert(rows.end(), bin.row_indices.begin(), bin.row_indices.end());
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-Result<size_t> LDiversityLevel(const Table& table,
-                               const std::vector<size_t>& qi_columns,
-                               size_t sensitive_column) {
-  if (sensitive_column >= table.num_columns()) {
-    return Status::OutOfRange("LDiversityLevel: sensitive column " +
-                              std::to_string(sensitive_column) +
-                              " out of range");
-  }
-  for (size_t col : qi_columns) {
-    if (col == sensitive_column) {
-      return Status::InvalidArgument(
-          "LDiversityLevel: sensitive column must not be part of the "
-          "quasi-identifier set");
-    }
-  }
-  if (table.num_rows() == 0) return size_t{0};
-  size_t level = table.num_rows();
-  for (const Bin& bin : table.GroupBy(qi_columns)) {
-    std::set<Value> distinct;
-    for (size_t r : bin.row_indices) {
-      distinct.insert(table.at(r, sensitive_column));
-    }
-    level = std::min(level, distinct.size());
-  }
-  return level;
 }
 
 }  // namespace privmark

@@ -6,7 +6,7 @@
 // holder runs before outsourcing: the achieved k, the re-identification
 // risk profile under the standard prosecutor model (the adversary knows
 // their target is in the table; the chance of pinning the target down is
-// 1/|bin|), and the rows that would violate a required k.
+// 1/|bin|).
 
 #ifndef PRIVMARK_METRICS_PRIVACY_H_
 #define PRIVMARK_METRICS_PRIVACY_H_
@@ -39,25 +39,6 @@ struct PrivacyReport {
 /// \brief Measures the privacy profile over the given columns.
 Result<PrivacyReport> EvaluatePrivacy(const Table& table,
                                       const std::vector<size_t>& qi_columns);
-
-/// \brief Indices of all rows living in bins smaller than k — the rows a
-/// suppression pass would have to drop to reach k-anonymity without
-/// further generalization.
-Result<std::vector<size_t>> RowsBelowK(const Table& table,
-                                       const std::vector<size_t>& qi_columns,
-                                       size_t k);
-
-/// \brief l-diversity level of a sensitive column: the minimum number of
-/// distinct sensitive values within any quasi-identifier bin.
-///
-/// The paper restricts itself to identity disclosure and defers attribute
-/// disclosure to the statistical-disclosure literature (its ref [31]);
-/// this measurement is the standard first-order check for the deferred
-/// problem — a k-anonymous bin whose members all share one diagnosis
-/// still discloses that diagnosis. Returns 0 for an empty table.
-Result<size_t> LDiversityLevel(const Table& table,
-                               const std::vector<size_t>& qi_columns,
-                               size_t sensitive_column);
 
 }  // namespace privmark
 

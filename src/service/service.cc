@@ -316,20 +316,6 @@ ServiceFuture PrivmarkService::Detect(const std::string& session,
   return Submit(std::move(request));
 }
 
-ServiceFuture PrivmarkService::DetectFingerprint(
-    const std::string& session, Table concatenated,
-    std::shared_ptr<const KeyRegistry> registry, FingerprintShardSink sink,
-    size_t num_threads) {
-  ServiceRequest request;
-  request.kind = RequestKind::kDetectFingerprint;
-  request.session = session;
-  request.table = std::move(concatenated);
-  request.registry = std::move(registry);
-  request.fingerprint_sink = std::move(sink);
-  request.num_threads = num_threads;
-  return Submit(std::move(request));
-}
-
 ServiceFuture PrivmarkService::CloseSession(const std::string& session) {
   ServiceRequest request;
   request.kind = RequestKind::kCloseSession;

@@ -111,7 +111,7 @@ enum class RequestKind {
 const char* RequestKindToString(RequestKind kind);
 
 /// \brief One typed request. `table` carries the kProtectBatch batch or
-/// the kDetect concatenation; unused otherwise.
+/// the kDetect / kDetectFingerprint concatenation; unused otherwise.
 struct ServiceRequest {
   RequestKind kind = RequestKind::kProtectBatch;
   std::string session;
@@ -313,22 +313,15 @@ class PrivmarkService {
   /// Errors travel as the Result's Status (never a throw).
   ServiceFuture Submit(ServiceRequest request);
 
-  // Typed conveniences over Submit().
+  // Typed conveniences over Submit(). A fingerprint scan has none: it
+  // submits a kDetectFingerprint request, whose registry and sink fields
+  // are the scan's whole configuration.
   ServiceFuture ProtectBatch(const std::string& session, Table batch,
                              size_t num_threads = kSessionThreads);
   ServiceFuture Flush(const std::string& session,
                       size_t num_threads = kSessionThreads);
   ServiceFuture Detect(const std::string& session, Table concatenated,
                        size_t num_threads = kSessionThreads);
-  /// \brief Fingerprint scan. With a `sink`, per-key-shard verdicts
-  /// are also streamed to it in deterministic (epoch, shard) order on
-  /// the strand thread, all before the returned future completes; the
-  /// response is the same with or without one.
-  ServiceFuture DetectFingerprint(const std::string& session,
-                                  Table concatenated,
-                                  std::shared_ptr<const KeyRegistry> registry,
-                                  FingerprintShardSink sink = nullptr,
-                                  size_t num_threads = kSessionThreads);
   ServiceFuture CloseSession(const std::string& session);
 
   /// \brief Closes intake on every session, drains every queue, joins

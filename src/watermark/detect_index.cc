@@ -14,7 +14,6 @@ using watermark_internal::MergeVotes;
 using watermark_internal::ValidateDetectSizes;
 using watermark_internal::ValidateEta;
 using watermark_internal::VoteShard;
-using watermark_internal::VoteTally;
 
 // Keys per multi-key tally group. It also sets the streamed
 // FingerprintShard boundaries, so it stays 8 although the widest SHA-1
@@ -22,13 +21,14 @@ using watermark_internal::VoteTally;
 // 8 keys x 64 rows = 512 inputs, 32 full 16-lane groups.
 constexpr size_t kKeyLanes = 8;
 
-// The multi-key twin of TallyDetect's loop: tallies rows [begin, end) for
-// `num_keys` (<= kKeyLanes) keys at once into shards[0..num_keys).
-// Amortizes per-row work across the whole group — identifier views are
-// gathered once, selection hashes for all (key, row) pairs of a block go
-// through one batched call, and each voting (row, column) position message
-// is assembled once and then hashed per selecting key. Per key the values,
-// counters, and tallies are identical to a single-key TallyDetect.
+// The multi-key twin of the fused Detect's VoteTally loop: tallies rows
+// [begin, end) for `num_keys` (<= kKeyLanes) keys at once into
+// shards[0..num_keys). Amortizes per-row work across the whole group —
+// identifier views are gathered once, selection hashes for all (key, row)
+// pairs of a block go through one batched call, and each voting
+// (row, column) position message is assembled once and then hashed per
+// selecting key. Per key the values, counters, and tallies are identical
+// to a single-key VoteTally pass.
 void TallyRowsMultiKey(const DetectIndex& index, const WatermarkKey* keys,
                        size_t num_keys, HashAlgorithm algo, size_t wmd_size,
                        size_t begin, size_t end, VoteShard* shards) {
@@ -120,11 +120,11 @@ void TallyRowsMultiKey(const DetectIndex& index, const WatermarkKey* keys,
   }
 }
 
-Status ValidateSizes(const WatermarkKey* keys, size_t num_keys,
-                     size_t wm_size, size_t wmd_size) {
+Status ValidateSizes(const std::vector<WatermarkKey>& keys, size_t wm_size,
+                     size_t wmd_size) {
   PRIVMARK_RETURN_NOT_OK(ValidateDetectSizes(wm_size, wmd_size));
-  for (size_t k = 0; k < num_keys; ++k) {
-    PRIVMARK_RETURN_NOT_OK(ValidateEta(keys[k]));
+  for (const WatermarkKey& key : keys) {
+    PRIVMARK_RETURN_NOT_OK(ValidateEta(key));
   }
   return Status::OK();
 }
@@ -153,47 +153,11 @@ void FoldVotes(const VoteShard& votes, size_t wm_size, size_t wmd_size,
   }
 }
 
-Result<DetectReport> TallyDetect(const DetectIndex& index,
-                                 const WatermarkKey& key, HashAlgorithm algo,
-                                 size_t wm_size, size_t wmd_size,
-                                 ThreadPool* pool) {
-  PRIVMARK_RETURN_NOT_OK(ValidateSizes(&key, 1, wm_size, wmd_size));
-  PRIVMARK_ASSIGN_OR_RETURN(
-      VoteShard votes,
-      ParallelReduce<VoteShard>(
-          pool, index.num_rows, VoteShard(wmd_size),
-          [&](size_t, size_t begin, size_t end) -> Result<VoteShard> {
-            // Identifier views come straight from the index and slot
-            // votes from its table, so values, counters and tallies come
-            // out identical to the fused Detect().
-            VoteShard shard(wmd_size);
-            WatermarkHasher hasher(key, algo);
-            VoteTally tally(&hasher, &index.column_names, wmd_size, &shard);
-            constexpr size_t kRows = WatermarkHasher::kBlockRows;
-            std::string_view idents[kRows];
-            uint8_t selected[kRows];
-            for (size_t b = begin; b < end; b += kRows) {
-              const size_t n = std::min(kRows, end - b);
-              for (size_t i = 0; i < n; ++i) idents[i] = index.ident(b + i);
-              hasher.SelectBlock(idents, n, selected);
-              tally.Block(b, n, idents, selected, [&](size_t r, size_t c) {
-                return index.slot(r, c);
-              });
-            }
-            return shard;
-          },
-          MergeVotes));
-  DetectReport report;
-  FoldVotes(votes, wm_size, wmd_size, &report);
-  return report;
-}
-
 Result<std::vector<DetectReport>> MultiKeyTally(
     const DetectIndex& index, const std::vector<WatermarkKey>& keys,
     HashAlgorithm algo, size_t wm_size, size_t wmd_size, ThreadPool* pool,
     const MultiKeyTallySink& sink) {
-  PRIVMARK_RETURN_NOT_OK(
-      ValidateSizes(keys.data(), keys.size(), wm_size, wmd_size));
+  PRIVMARK_RETURN_NOT_OK(ValidateSizes(keys, wm_size, wmd_size));
   std::vector<DetectReport> reports;
   if (sink == nullptr) reports.reserve(keys.size());
 

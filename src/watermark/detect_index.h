@@ -6,11 +6,11 @@
 // selection (H(k1, ident) mod eta) and wmd positions (H(k2, ...)) depend
 // only on the *key*. A DetectIndex materializes the key-independent half
 // once: every (row, column) slot collapses to a SlotVote (skip / vote 0 /
-// vote 1) and every row keeps its identifier text. TallyDetect and
-// MultiKeyTally then replay only the keyed-hash part, so scanning a
-// registry of K candidate keys costs one resolve pass plus K cheap
-// tallies instead of K full detections — the difference between minutes
-// and hours at "thousands of candidate keys" scale.
+// vote 1) and every row keeps its identifier text. MultiKeyTally then
+// replays only the keyed-hash part, so scanning a registry of K candidate
+// keys costs one resolve pass plus K cheap tallies instead of K full
+// detections — the difference between minutes and hours at "thousands of
+// candidate keys" scale. A single-key tally is MultiKeyTally over {key}.
 //
 // Determinism contract: tallies shard over contiguous row ranges exactly
 // like the fused Detect(), merge per-shard VoteShards in shard order, and
@@ -32,7 +32,6 @@
 #include "common/status.h"
 #include "relation/table.h"
 #include "watermark/hierarchical.h"
-#include "watermark/single_level.h"
 
 namespace privmark {
 
@@ -63,10 +62,6 @@ struct DetectIndex {
         .substr(ident_offsets[row], ident_offsets[row + 1] -
                                         ident_offsets[row]);
   }
-
-  SlotVote slot(size_t row, size_t c) const {
-    return slots[row * column_names.size() + c];
-  }
 };
 
 /// \brief Builds the index with the watermarker's ReadSlot() — the same
@@ -74,16 +69,6 @@ struct DetectIndex {
 /// watermarker's configured pool / thread count.
 Result<DetectIndex> BuildDetectIndex(const HierarchicalWatermarker& wm,
                                      const Table& table);
-Result<DetectIndex> BuildDetectIndex(const SingleLevelWatermarker& wm,
-                                     const Table& table);
-
-/// \brief Runs the keyed half of detection over a prebuilt index:
-/// selection, position hashing, vote tally, and the wmd -> wm fold.
-/// Byte-identical to the watermarker's Detect() on the same table.
-Result<DetectReport> TallyDetect(const DetectIndex& index,
-                                 const WatermarkKey& key, HashAlgorithm algo,
-                                 size_t wm_size, size_t wmd_size,
-                                 ThreadPool* pool);
 
 /// \brief Streaming consumer of MultiKeyTally's per-block results:
 /// invoked once per completed key block, in key order, on the calling
@@ -95,12 +80,14 @@ Result<DetectReport> TallyDetect(const DetectIndex& index,
 using MultiKeyTallySink =
     std::function<void(size_t first_key, std::vector<DetectReport> block)>;
 
-/// \brief TallyDetect for every key, sharded across the flattened
-/// (key x row-shard) grid — with T workers and K keys, all T stay busy
-/// even when K row-shards alone would not saturate them. Keys are
-/// processed in bounded blocks so memory stays O(threads x wmd), not
-/// O(K x wmd); reports come back in key order, each byte-identical to a
-/// serial single-key TallyDetect.
+/// \brief Runs the keyed half of detection over a prebuilt index for
+/// every key: selection, position hashing, vote tally, and the wmd -> wm
+/// fold. Sharded across the flattened (key x row-shard) grid — with T
+/// workers and K keys, all T stay busy even when K row-shards alone would
+/// not saturate them. Keys are processed in bounded blocks so memory
+/// stays O(threads x wmd), not O(K x wmd); reports come back in key
+/// order, each byte-identical to the watermarker's Detect() under that
+/// key on the same table.
 ///
 /// With a `sink`, every block's reports are handed to it as soon as the
 /// block completes and the returned vector is EMPTY — the sink owns the

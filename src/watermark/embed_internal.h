@@ -20,7 +20,7 @@
 //                            Scratch*) const
 //            The node the slot's cell must hold to carry `bit`.
 //   read     SlotVote Read(size_t c, const Value& cell, Scratch*) const
-//            The scheme's public ReadSlot.
+//            The scheme's key-independent slot read.
 //
 // Rules are template parameters: a slot costs a direct, inlinable call.
 // Every pass shards over contiguous row (or selected-tuple) ranges and
@@ -252,10 +252,10 @@ inline void MergeVotes(VoteShard* acc, VoteShard&& shard) {
   acc->slots_skipped += shard.slots_skipped;
 }
 
-/// \brief The single-key vote loop, shared by the fused Detect and
-/// TallyDetect. Per row block it reads every voting slot first, appending
-/// its position message to an arena, then batch-hashes all positions at
-/// once and applies the votes. Buffers are reused across blocks.
+/// \brief The fused Detect's single-key vote loop. Per row block it
+/// reads every voting slot first, appending its position message to an
+/// arena, then batch-hashes all positions at once and applies the votes.
+/// Buffers are reused across blocks.
 class VoteTally {
  public:
   VoteTally(WatermarkHasher* hasher, const std::vector<std::string>* columns,

@@ -122,15 +122,10 @@ Result<FingerprintReport> ScanIndexForFingerprints(
   return report;
 }
 
-namespace {
-
-template <typename Watermarker>
-Result<FingerprintReport> ScanImpl(const Watermarker& watermarker,
-                                   const Table& suspect,
-                                   const KeyRegistry& registry,
-                                   const FingerprintConfig& config,
-                                   const FingerprintShardSink& sink,
-                                   size_t epoch) {
+Result<FingerprintReport> ScanForFingerprints(
+    const HierarchicalWatermarker& watermarker, const Table& suspect,
+    const KeyRegistry& registry, const FingerprintConfig& config,
+    const FingerprintShardSink& sink, size_t epoch) {
   PRIVMARK_ASSIGN_OR_RETURN(DetectIndex index,
                             BuildDetectIndex(watermarker, suspect));
   std::unique_ptr<ThreadPool> owned_pool;
@@ -139,22 +134,6 @@ Result<FingerprintReport> ScanImpl(const Watermarker& watermarker,
                  &owned_pool);
   return ScanIndexForFingerprints(index, watermarker.options().hash, registry,
                                   config, pool, sink, epoch);
-}
-
-}  // namespace
-
-Result<FingerprintReport> ScanForFingerprints(
-    const HierarchicalWatermarker& watermarker, const Table& suspect,
-    const KeyRegistry& registry, const FingerprintConfig& config,
-    const FingerprintShardSink& sink, size_t epoch) {
-  return ScanImpl(watermarker, suspect, registry, config, sink, epoch);
-}
-
-Result<FingerprintReport> ScanForFingerprints(
-    const SingleLevelWatermarker& watermarker, const Table& suspect,
-    const KeyRegistry& registry, const FingerprintConfig& config,
-    const FingerprintShardSink& sink, size_t epoch) {
-  return ScanImpl(watermarker, suspect, registry, config, sink, epoch);
 }
 
 }  // namespace privmark

@@ -130,10 +130,6 @@ Result<FingerprintReport> ScanForFingerprints(
     const HierarchicalWatermarker& watermarker, const Table& suspect,
     const KeyRegistry& registry, const FingerprintConfig& config,
     const FingerprintShardSink& sink = nullptr, size_t epoch = 0);
-Result<FingerprintReport> ScanForFingerprints(
-    const SingleLevelWatermarker& watermarker, const Table& suspect,
-    const KeyRegistry& registry, const FingerprintConfig& config,
-    const FingerprintShardSink& sink = nullptr, size_t epoch = 0);
 
 }  // namespace privmark
 

@@ -63,8 +63,17 @@ struct Rules {
     return SlotWrite{candidates[pick], true};
   }
 
+  // Resolve the cell and read its sibling-index parity; abstain when the
+  // label is unknown or the node has no siblings.
   SlotVote Read(size_t c, const Value& cell, Scratch*) const {
-    return wm.ReadSlot(c, cell);
+    const DomainHierarchy& tree = *wm.ultimate()[c].tree();
+    auto node = cell.type() == ValueType::kString
+                    ? tree.FindByLabel(cell.AsString())
+                    : tree.FindByLabel(cell.ToString());
+    if (!node.ok()) return SlotVote::kSkip;
+    if (tree.SiblingCount(*node) < 2) return SlotVote::kSkip;
+    return (tree.SiblingIndex(*node) & 1) != 0 ? SlotVote::kOne
+                                               : SlotVote::kZero;
   }
 };
 
@@ -94,26 +103,10 @@ Result<EmbedReport> SingleLevelWatermarker::Embed(Table* table,
                                    /*moves=*/nullptr);
 }
 
-SlotVote SingleLevelWatermarker::ReadSlot(size_t c, const Value& cell) const {
-  const DomainHierarchy& tree = *ultimate_[c].tree();
-  auto node = cell.type() == ValueType::kString
-                  ? tree.FindByLabel(cell.AsString())
-                  : tree.FindByLabel(cell.ToString());
-  if (!node.ok()) return SlotVote::kSkip;
-  if (tree.SiblingCount(*node) < 2) return SlotVote::kSkip;
-  return (tree.SiblingIndex(*node) & 1) != 0 ? SlotVote::kOne
-                                             : SlotVote::kZero;
-}
-
 Result<DetectReport> SingleLevelWatermarker::Detect(const Table& table,
                                                     size_t wm_size,
                                                     size_t wmd_size) const {
   return watermark_internal::Detect(Rules{*this}, table, wm_size, wmd_size);
-}
-
-Result<DetectIndex> BuildDetectIndex(const SingleLevelWatermarker& wm,
-                                     const Table& table) {
-  return watermark_internal::BuildIndex(Rules{wm}, table);
 }
 
 }  // namespace privmark

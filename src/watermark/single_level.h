@@ -48,12 +48,6 @@ class SingleLevelWatermarker {
   /// \brief Selected tuples x columns with an embeddable slot.
   Result<size_t> EstimateBandwidth(const Table& table) const;
 
-  /// \brief The key-independent slot read behind Detect(): resolve the
-  /// cell and read its sibling-index parity; abstains when the label is
-  /// unknown or the node has no siblings. Shared by the fused Detect()
-  /// and BuildDetectIndex() so the two paths cannot drift.
-  SlotVote ReadSlot(size_t c, const Value& cell) const;
-
   const WatermarkKey& key() const { return key_; }
   const WatermarkOptions& options() const { return options_; }
   const std::vector<size_t>& qi_columns() const { return qi_columns_; }

@@ -135,28 +135,6 @@ TEST(BinningEngineTest, RowCountPreservedWithoutSuppression) {
   EXPECT_EQ(outcome->binned.num_rows(), ds.table.num_rows());
 }
 
-TEST(ApplyGeneralizationTest, ReplacesCellsWithLabels) {
-  auto tree = HierarchyBuilder::FromOutline("role", R"(Person
-  Doctor
-  Nurse)").ValueOrDie();
-  Schema schema;
-  ASSERT_TRUE(schema.AddColumn({"role", ColumnRole::kQuasiCategorical,
-                                ValueType::kString}).ok());
-  Table t(schema);
-  ASSERT_TRUE(t.AppendRow({Value::String("Doctor")}).ok());
-  ASSERT_TRUE(t.AppendRow({Value::String("Nurse")}).ok());
-  const GeneralizationSet root = GeneralizationSet::RootOnly(&tree);
-  ASSERT_TRUE(ApplyGeneralization(&t, {0}, {root}).ok());
-  EXPECT_EQ(t.at(0, 0).AsString(), "Person");
-  EXPECT_EQ(t.at(1, 0).AsString(), "Person");
-}
-
-TEST(ApplyGeneralizationTest, CountMismatchRejected) {
-  auto tree = HierarchyBuilder::FromOutline("x", "r\n  a\n  b").ValueOrDie();
-  Table t{Schema{}};
-  EXPECT_FALSE(ApplyGeneralization(&t, {0}, {}).ok());
-}
-
 TEST(BinningEngineTest, SuppressionPathDropsRows) {
   // Craft a table with one rare symptom leaf under a depth-capped maximal
   // node, k too large for it.

@@ -38,13 +38,6 @@ TEST(BitVectorTest, SetAndGet) {
   EXPECT_FALSE(v.Get(3));
 }
 
-TEST(BitVectorTest, PushBackGrowsAcrossWords) {
-  BitVector v;
-  for (int i = 0; i < 130; ++i) v.PushBack(i % 3 == 0);
-  EXPECT_EQ(v.size(), 130u);
-  for (int i = 0; i < 130; ++i) EXPECT_EQ(v.Get(i), i % 3 == 0);
-}
-
 TEST(BitVectorTest, FromStringRoundTrip) {
   auto v = BitVector::FromString("0110010111");
   ASSERT_TRUE(v.ok());

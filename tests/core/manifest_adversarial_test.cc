@@ -222,14 +222,14 @@ TEST(ManifestAdversarialTest, FsyncFaultSurfacesAsIOError) {
   manifest.wmd_size = 16;
   const std::string path = TestTempPath("privmark_manifest_fsync.txt");
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  ASSERT_TRUE(WriteManifestFile(previous, path).ok());
+  ASSERT_TRUE(WriteFileDurable(path, SerializeManifest(previous)).ok());
   // A write fault strikes before any byte lands, an fsync fault after
   // every byte is written but before they are durable. Either way the
   // replacement is abandoned: the previous manifest survives whole and
   // no temp file is left behind.
   for (const char* point : {"file.write", "file.fsync"}) {
     ASSERT_TRUE(FailpointRegistry::Instance().Configure(point, "once:1").ok());
-    const Status status = WriteManifestFile(manifest, path);
+    const Status status = WriteFileDurable(path, SerializeManifest(manifest));
     FailpointRegistry::Instance().Reset();
     EXPECT_EQ(status.code(), StatusCode::kIOError) << point;
     EXPECT_NE(status.ToString().find(point), std::string::npos) << point;
@@ -239,7 +239,7 @@ TEST(ManifestAdversarialTest, FsyncFaultSurfacesAsIOError) {
     EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << point << ": " << tmp;
   }
   // With no fault armed the same write succeeds and reads back.
-  ASSERT_TRUE(WriteManifestFile(manifest, path).ok());
+  ASSERT_TRUE(WriteFileDurable(path, SerializeManifest(manifest)).ok());
   auto reread = ReadManifestFile(path);
   ASSERT_TRUE(reread.ok()) << reread.status().ToString();
   EXPECT_EQ(SerializeManifest(*reread), SerializeManifest(manifest));

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/durable_file.h"
 #include "datagen/medical_data.h"
 #include "testing/temp_dir.h"
 
@@ -136,7 +137,7 @@ TEST_F(ManifestTest, WatermarkerFromManifestChecksTrees) {
 TEST_F(ManifestTest, FileRoundTrip) {
   const ProtectionManifest manifest = Build();
   const std::string path = TestTempPath("privmark_manifest.txt");
-  ASSERT_TRUE(WriteManifestFile(manifest, path).ok());
+  ASSERT_TRUE(WriteFileDurable(path, SerializeManifest(manifest)).ok());
   auto loaded = ReadManifestFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->wmd_size, manifest.wmd_size);

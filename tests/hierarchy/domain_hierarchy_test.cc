@@ -47,24 +47,6 @@ TEST(HierarchyBuilderTest, DuplicateLabelRejected) {
             StatusCode::kAlreadyExists);
 }
 
-TEST(HierarchyBuilderTest, AddPathCreatesAndReuses) {
-  HierarchyBuilder builder("x", "root");
-  auto leaf1 = builder.AddPath({"a", "b"});
-  ASSERT_TRUE(leaf1.ok());
-  auto leaf2 = builder.AddPath({"a", "c"});
-  ASSERT_TRUE(leaf2.ok());
-  auto tree = builder.Build().ValueOrDie();
-  EXPECT_EQ(tree.num_nodes(), 4u);  // root, a, b, c
-  EXPECT_EQ(tree.Children(*tree.FindByLabel("a")).size(), 2u);
-}
-
-TEST(HierarchyBuilderTest, AddPathConflictingParentRejected) {
-  HierarchyBuilder builder("x", "root");
-  ASSERT_TRUE(builder.AddPath({"a", "b"}).ok());
-  // "b" exists under "a"; claiming it under the root must fail.
-  EXPECT_FALSE(builder.AddPath({"b"}).ok());
-}
-
 TEST(FromOutlineTest, RejectsBadInput) {
   EXPECT_FALSE(HierarchyBuilder::FromOutline("x", "").ok());
   EXPECT_FALSE(HierarchyBuilder::FromOutline("x", "  indented root").ok());
@@ -129,13 +111,6 @@ TEST(AncestryTest, IsAncestorOrSelf) {
   EXPECT_FALSE(tree.IsAncestorOrSelf(nurse, paramedic));
   const NodeId gp = *tree.FindByLabel("General Practitioner");
   EXPECT_FALSE(tree.IsAncestorOrSelf(paramedic, gp));
-}
-
-TEST(AncestryTest, LevelsBetween) {
-  auto tree = RoleTree().ValueOrDie();
-  const NodeId nurse = *tree.FindByLabel("Nurse");
-  EXPECT_EQ(tree.LevelsBetween(tree.root(), nurse), 2);
-  EXPECT_EQ(tree.LevelsBetween(nurse, nurse), 0);
 }
 
 // ---- Numeric trees (paper Fig. 3) ----
@@ -209,14 +184,6 @@ TEST(IntervalLabelTest, Formatting) {
   EXPECT_EQ(IntervalLabel(0, 30), "[0,30)");
   EXPECT_EQ(IntervalLabel(2.5, 7.25), "[2.5,7.25)");
   EXPECT_EQ(IntervalLabel(-10, 0), "[-10,0)");
-}
-
-TEST(ToStringTest, RendersIndentedOutline) {
-  auto tree = RoleTree().ValueOrDie();
-  const std::string rendered = tree.ToString();
-  EXPECT_NE(rendered.find("Person\n"), std::string::npos);
-  EXPECT_NE(rendered.find("  Paramedic\n"), std::string::npos);
-  EXPECT_NE(rendered.find("    Nurse\n"), std::string::npos);
 }
 
 TEST(LabelUniquenessTest, AllNodesDistinct) {

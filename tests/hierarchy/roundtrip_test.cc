@@ -12,25 +12,6 @@
 namespace privmark {
 namespace {
 
-TEST(HierarchyRoundTripTest, ToStringParsesBackIdentically) {
-  // ToString emits the FromOutline format; parsing it back must reproduce
-  // the exact same topology for every built-in ontology.
-  for (auto builder : {BuildZipHierarchy, BuildDoctorHierarchy,
-                       BuildSymptomHierarchy, BuildPrescriptionHierarchy}) {
-    const DomainHierarchy original = std::move(builder()).ValueOrDie();
-    auto reparsed = HierarchyBuilder::FromOutline(original.attribute(),
-                                                  original.ToString());
-    ASSERT_TRUE(reparsed.ok()) << original.attribute();
-    ASSERT_EQ(reparsed->num_nodes(), original.num_nodes());
-    for (size_t i = 0; i < original.num_nodes(); ++i) {
-      const auto id = static_cast<NodeId>(i);
-      EXPECT_EQ(reparsed->node(id).label, original.node(id).label);
-      EXPECT_EQ(reparsed->Parent(id), original.Parent(id));
-      EXPECT_EQ(reparsed->Depth(id), original.Depth(id));
-    }
-  }
-}
-
 TEST(HierarchyConsistencyTest, LeafCountsMatchLeavesUnder) {
   const DomainHierarchy tree = std::move(BuildSymptomHierarchy()).ValueOrDie();
   for (size_t i = 0; i < tree.num_nodes(); ++i) {

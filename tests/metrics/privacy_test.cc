@@ -62,68 +62,6 @@ TEST(EvaluatePrivacyTest, Validation) {
   EXPECT_FALSE(EvaluatePrivacy(t, {5}).ok());
 }
 
-TEST(RowsBelowKTest, FindsViolatingRows) {
-  const Table t = TableWithBins({{"a", 3}, {"b", 1}, {"c", 2}});
-  // Rows: a a a b c c (indices 0,1,2 = a; 3 = b; 4,5 = c).
-  auto rows = RowsBelowK(t, {0}, 3);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(*rows, (std::vector<size_t>{3, 4, 5}));
-  EXPECT_TRUE(RowsBelowK(t, {0}, 1)->empty());
-  EXPECT_FALSE(RowsBelowK(t, {0}, 0).ok());
-}
-
-Schema TwoColumnSchema() {
-  Schema schema;
-  EXPECT_TRUE(schema.AddColumn({"g", ColumnRole::kQuasiCategorical,
-                                ValueType::kString}).ok());
-  EXPECT_TRUE(schema.AddColumn({"diag", ColumnRole::kOther,
-                                ValueType::kString}).ok());
-  return schema;
-}
-
-TEST(LDiversityTest, MinimumDistinctSensitiveValuesPerBin) {
-  Table t(TwoColumnSchema());
-  // Bin "a": diagnoses {flu, flu, cold} -> 2 distinct.
-  // Bin "b": diagnoses {hiv} -> 1 distinct (homogeneity disclosure!).
-  for (const char* d : {"flu", "flu", "cold"}) {
-    ASSERT_TRUE(t.AppendRow({Value::String("a"), Value::String(d)}).ok());
-  }
-  ASSERT_TRUE(t.AppendRow({Value::String("b"), Value::String("hiv")}).ok());
-  auto level = LDiversityLevel(t, {0}, 1);
-  ASSERT_TRUE(level.ok());
-  EXPECT_EQ(*level, 1u);
-}
-
-TEST(LDiversityTest, DiverseTableScoresHigher) {
-  Table t(TwoColumnSchema());
-  for (const char* d : {"flu", "cold", "covid"}) {
-    ASSERT_TRUE(t.AppendRow({Value::String("a"), Value::String(d)}).ok());
-    ASSERT_TRUE(t.AppendRow({Value::String("b"), Value::String(d)}).ok());
-  }
-  EXPECT_EQ(*LDiversityLevel(t, {0}, 1), 3u);
-}
-
-TEST(LDiversityTest, Validation) {
-  Table t(TwoColumnSchema());
-  ASSERT_TRUE(t.AppendRow({Value::String("a"), Value::String("x")}).ok());
-  EXPECT_FALSE(LDiversityLevel(t, {0}, 9).ok());
-  EXPECT_FALSE(LDiversityLevel(t, {0, 1}, 1).ok());  // sensitive inside QI
-  Table empty(TwoColumnSchema());
-  EXPECT_EQ(*LDiversityLevel(empty, {0}, 1), 0u);
-}
-
-TEST(LDiversityTest, KAnonymityDoesNotImplyDiversity) {
-  // The motivating gap: a 3-anonymous table can still be 1-diverse.
-  Table t(TwoColumnSchema());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(t.AppendRow({Value::String("a"), Value::String("hiv")}).ok());
-  }
-  auto privacy = EvaluatePrivacy(t, {0});
-  ASSERT_TRUE(privacy.ok());
-  EXPECT_EQ(privacy->k_anonymity_level, 3u);
-  EXPECT_EQ(*LDiversityLevel(t, {0}, 1), 1u);
-}
-
 TEST(PrivacyPipelineTest, RawTableRiskyBinnedTableSafe) {
   MedicalDataSpec spec;
   spec.num_rows = 2000;
@@ -147,7 +85,6 @@ TEST(PrivacyPipelineTest, RawTableRiskyBinnedTableSafe) {
   EXPECT_GE(binned->k_anonymity_level, 10u);
   EXPECT_LE(binned->max_risk, 0.1);
   EXPECT_EQ(binned->unique_records, 0u);
-  EXPECT_TRUE(RowsBelowK(outcome.binned, qi, 10)->empty());
 }
 
 }  // namespace

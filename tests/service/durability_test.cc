@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -172,6 +173,56 @@ TEST(ServiceQueueAbandonTest, FailsQueuedPromisesAndClosesIntake) {
 
 // ---- Per-request deadlines ------------------------------------------------
 
+// Holds a session's strand on one request. The gated request's completion
+// blocks until Open(), and the strand pops its next request only after
+// that completion returns (service.h completion contract), so everything
+// queued behind it waits exactly as long as the test says. Declare the
+// gate after the service: its destructor opens it, so a failed assertion
+// cannot leave the service's drain waiting on the strand.
+class StrandGate {
+ public:
+  ~StrandGate() { Open(); }
+
+  ServiceFuture Submit(PrivmarkService* service, ServiceRequest request) {
+    auto result = std::make_shared<std::promise<Result<ServiceResponse>>>();
+    ServiceFuture future = result->get_future();
+    service->Submit(std::move(request),
+                    [result, opened = opened_](Result<ServiceResponse> r) {
+                      result->set_value(std::move(r));
+                      opened.wait();
+                    });
+    return future;
+  }
+
+  void Open() {
+    if (open_) return;
+    open_ = true;
+    release_.set_value();
+  }
+
+ private:
+  bool open_ = false;
+  std::promise<void> release_;
+  std::shared_future<void> opened_ = release_.get_future().share();
+};
+
+// An ingest of the whole table that never expires.
+ServiceRequest UnboundedIngest(const Env& env) {
+  ServiceRequest request;
+  request.kind = RequestKind::kProtectBatch;
+  request.session = "ward";
+  request.table = env.dataset->table.Clone();
+  request.deadline_ms = 0;
+  return request;
+}
+
+// Keeps the gate shut until requests submitted with a 1ms deadline have
+// been queued for longer than that.
+void OutwaitOneMillisecondDeadlines(StrandGate* gate) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  gate->Open();
+}
+
 TEST(ServiceDeadlineTest, QueuedPastDeadlineFailsWithoutExecuting) {
   Env env = MakeEnv();
   ServiceConfig service_config;
@@ -179,24 +230,25 @@ TEST(ServiceDeadlineTest, QueuedPastDeadlineFailsWithoutExecuting) {
   PrivmarkService service(service_config);
   ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
 
-  // A full-pipeline flush keeps the strand busy for far longer than the
-  // 1ms deadline of the flush queued behind it.
-  auto ingest = service.ProtectBatch("ward", env.dataset->table);
-  auto slow_flush = service.Flush("ward");
+  StrandGate gate;
+  auto ingest = gate.Submit(&service, UnboundedIngest(env));
   ServiceRequest late;
   late.kind = RequestKind::kFlush;
   late.session = "ward";
   late.deadline_ms = 1;
   auto expired = service.Submit(std::move(late));
+  auto flush = service.Flush("ward");
+  OutwaitOneMillisecondDeadlines(&gate);
 
   ASSERT_TRUE(ingest.get().ok());
-  ASSERT_TRUE(slow_flush.get().ok());
   auto result = expired.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 
-  // The expired flush never executed: the session still holds exactly
-  // the one epoch the slow flush sealed.
+  // The expired flush never executed: the rows were still buffered for
+  // the flush behind it, and the session holds exactly its one epoch.
+  auto flushed = flush.get();
+  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
   auto stats = service.CloseSession("ward").get();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->stats.epochs.size(), 1u);
@@ -210,8 +262,8 @@ TEST(ServiceDeadlineTest, DefaultDeadlineComesFromConfig) {
   PrivmarkService service(service_config);
   ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
 
-  auto ingest = service.ProtectBatch("ward", env.dataset->table);
-  auto slow_flush = service.Flush("ward");
+  StrandGate gate;
+  auto ingest = gate.Submit(&service, UnboundedIngest(env));
   // Inherits the 1ms service default...
   auto expired = service.Flush("ward");
   // ...while an explicit 0 opts out of any deadline.
@@ -220,23 +272,14 @@ TEST(ServiceDeadlineTest, DefaultDeadlineComesFromConfig) {
   unbounded.session = "ward";
   unbounded.deadline_ms = 0;
   auto no_deadline = service.Submit(std::move(unbounded));
+  OutwaitOneMillisecondDeadlines(&gate);
 
-  // The first two requests carry the 1ms default too, so accept either
-  // outcome for them; the contract under test is the tail pair.
-  (void)ingest.get();
-  (void)slow_flush.get();
+  ASSERT_TRUE(ingest.get().ok());
   auto expired_result = expired.get();
-  if (!expired_result.ok()) {
-    EXPECT_EQ(expired_result.status().code(),
-              StatusCode::kDeadlineExceeded);
-  }
+  ASSERT_FALSE(expired_result.ok());
+  EXPECT_EQ(expired_result.status().code(), StatusCode::kDeadlineExceeded);
   auto unbounded_result = no_deadline.get();
-  if (!unbounded_result.ok()) {
-    // Never a deadline error: 0 means none. (It may legitimately fail
-    // with "nothing to flush" if every earlier flush expired.)
-    EXPECT_NE(unbounded_result.status().code(),
-              StatusCode::kDeadlineExceeded);
-  }
+  EXPECT_TRUE(unbounded_result.ok()) << unbounded_result.status().ToString();
 }
 
 // ---- Queue-depth shedding -------------------------------------------------

@@ -283,8 +283,12 @@ TEST(PrivmarkServiceTest, DetectFingerprintScansRegistryUnderAGrant) {
   Random rng(5);
   ASSERT_TRUE(registry->Add(GenerateKey("decoy", 10, &rng)).ok());
 
-  auto scanned =
-      service.DetectFingerprint("ward", emitted.Clone(), registry).get();
+  ServiceRequest request;
+  request.kind = RequestKind::kDetectFingerprint;
+  request.session = "ward";
+  request.table = emitted.Clone();
+  request.registry = registry;
+  auto scanned = service.Submit(std::move(request)).get();
   ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   EXPECT_EQ(scanned->kind, RequestKind::kDetectFingerprint);
   EXPECT_GE(scanned->threads_granted, 1u);
@@ -297,8 +301,11 @@ TEST(PrivmarkServiceTest, DetectFingerprintScansRegistryUnderAGrant) {
   EXPECT_FALSE(report.collusion);
 
   // A missing registry fails the request without killing the strand.
-  auto missing =
-      service.DetectFingerprint("ward", emitted.Clone(), nullptr).get();
+  ServiceRequest unkeyed;
+  unkeyed.kind = RequestKind::kDetectFingerprint;
+  unkeyed.session = "ward";
+  unkeyed.table = emitted.Clone();
+  auto missing = service.Submit(std::move(unkeyed)).get();
   EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(service.Detect("ward", emitted.Clone()).get().ok());
 }

@@ -2,10 +2,10 @@
 // that streaming is an ordering of the one-shot scan, never a different
 // computation:
 //
-//  1. In process: DetectFingerprint with a sink, over a 300+-key
-//     registry, across thread counts, must emit shards whose
+//  1. In process: a kDetectFingerprint request with a sink, over a
+//     300+-key registry, across thread counts, must emit shards whose
 //     concatenation is byte-identical (exact doubles, full DetectReports)
-//     to the sink-less DetectFingerprint response — and the streamed
+//     to the sink-less request's response — and the streamed
 //     call's own terminal response must equal it too (verdicts, ranking,
 //     margins, collusion).
 //  2. Over the wire: a v2 streamed scan's kPartial shards and reassembled
@@ -125,6 +125,20 @@ struct Fixture {
   ServiceResponse baseline;       // one-shot fingerprint at 1 thread
 };
 
+// A kDetectFingerprint request scanning the fixture's suspect table
+// against its registry.
+ServiceRequest ScanRequest(const Fixture& f, FingerprintShardSink sink,
+                           size_t num_threads) {
+  ServiceRequest request;
+  request.kind = RequestKind::kDetectFingerprint;
+  request.session = "audit";
+  request.table = f.suspect.Clone();
+  request.registry = f.registry;
+  request.fingerprint_sink = std::move(sink);
+  request.num_threads = num_threads;
+  return request;
+}
+
 // Built once: a two-epoch protected stream, a 301-key registry (the
 // embedding key + 300 decoys), and the serial one-shot scan every other
 // run is measured against.
@@ -193,11 +207,8 @@ Fixture& SharedFixture() {
       }
     }
 
-    auto baseline = f->service
-                        ->DetectFingerprint("audit", f->suspect.Clone(),
-                                            f->registry, /*sink=*/nullptr,
-                                            /*num_threads=*/1)
-                        .get();
+    auto baseline =
+        f->service->Submit(ScanRequest(*f, /*sink=*/nullptr, 1)).get();
     EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
     EXPECT_EQ(baseline->fingerprints.size(), 2u);
     f->baseline = *std::move(baseline);
@@ -226,12 +237,12 @@ TEST(StreamedFingerprintTest, ShardsConcatenateToTheOneShotScan) {
     std::vector<FingerprintShard> shards;
     auto streamed =
         f.service
-            ->DetectFingerprint(
-                "audit", f.suspect.Clone(), f.registry,
+            ->Submit(ScanRequest(
+                f,
                 [&shards](const FingerprintShard& shard) {
                   shards.push_back(shard);
                 },
-                threads)
+                threads))
             .get();
     ASSERT_TRUE(streamed.ok()) << what << ": " << streamed.status().ToString();
 
@@ -263,11 +274,8 @@ TEST(StreamedFingerprintTest, ShardsConcatenateToTheOneShotScan) {
 
 TEST(StreamedFingerprintTest, NullSinkIsExactlyTheOneShotCall) {
   Fixture& f = SharedFixture();
-  auto scanned = f.service
-                     ->DetectFingerprint("audit", f.suspect.Clone(),
-                                         f.registry, nullptr,
-                                         /*num_threads=*/2)
-                     .get();
+  auto scanned =
+      f.service->Submit(ScanRequest(f, /*sink=*/nullptr, 2)).get();
   ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   ASSERT_EQ(scanned->fingerprints.size(), f.baseline.fingerprints.size());
   for (size_t e = 0; e < scanned->fingerprints.size(); ++e) {

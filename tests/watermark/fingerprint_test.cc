@@ -17,7 +17,6 @@
 #include "watermark/detect_index.h"
 #include "watermark/hierarchical.h"
 #include "watermark/ownership.h"
-#include "watermark/single_level.h"
 
 namespace privmark {
 namespace {
@@ -123,42 +122,24 @@ TEST(DetectIndexTest, IndexTallyMatchesFusedDetectHierarchical) {
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   EXPECT_EQ(index->num_rows, marked.num_rows());
   EXPECT_EQ(index->num_columns(), 1u);
-  auto tally = TallyDetect(*index, env.key, HashAlgorithm::kSha1, wm.size(),
-                           embed->wmd_size, nullptr);
+  auto tally = MultiKeyTally(*index, {env.key}, HashAlgorithm::kSha1,
+                             wm.size(), embed->wmd_size, nullptr);
   ASSERT_TRUE(tally.ok()) << tally.status().ToString();
-  ExpectSameReport(*fused, *tally, "hierarchical");
-}
-
-TEST(DetectIndexTest, IndexTallyMatchesFusedDetectSingleLevel) {
-  Env env = MakeSetup();
-  SingleLevelWatermarker single(std::vector<size_t>{1}, 0,
-                                std::vector<GeneralizationSet>{env.Ultimate()},
-                                env.key, {});
-  Table marked = env.table.Clone();
-  const BitVector wm = TestMark();
-  auto embed = single.Embed(&marked, wm);
-  ASSERT_TRUE(embed.ok());
-  auto fused = single.Detect(marked, wm.size(), embed->wmd_size);
-  ASSERT_TRUE(fused.ok());
-
-  auto index = BuildDetectIndex(single, marked);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  auto tally = TallyDetect(*index, env.key, HashAlgorithm::kSha1, wm.size(),
-                           embed->wmd_size, nullptr);
-  ASSERT_TRUE(tally.ok());
-  ExpectSameReport(*fused, *tally, "single-level");
+  ASSERT_EQ(tally->size(), 1u);
+  ExpectSameReport(*fused, tally->front(), "hierarchical");
 }
 
 TEST(DetectIndexTest, TallyValidatesSizesLikeDetect) {
   Env env = MakeSetup();
   auto index = BuildDetectIndex(*env.watermarker, env.table);
   ASSERT_TRUE(index.ok());
+  const std::vector<WatermarkKey> keys = {env.key};
   EXPECT_FALSE(
-      TallyDetect(*index, env.key, HashAlgorithm::kSha1, 0, 20, nullptr).ok());
+      MultiKeyTally(*index, keys, HashAlgorithm::kSha1, 0, 20, nullptr).ok());
   EXPECT_FALSE(
-      TallyDetect(*index, env.key, HashAlgorithm::kSha1, 20, 0, nullptr).ok());
+      MultiKeyTally(*index, keys, HashAlgorithm::kSha1, 20, 0, nullptr).ok());
   EXPECT_FALSE(
-      TallyDetect(*index, env.key, HashAlgorithm::kSha1, 20, 30, nullptr)
+      MultiKeyTally(*index, keys, HashAlgorithm::kSha1, 20, 30, nullptr)
           .ok());
 }
 
@@ -179,12 +160,14 @@ TEST(MultiKeyTallyTest, MatchesSerialTalliesAcrossThreadCounts) {
                                2 + i % 4, &rng).key);
   }
 
+  // Reference: each key tallied alone, serially.
   std::vector<DetectReport> serial;
   for (const WatermarkKey& key : keys) {
-    auto one = TallyDetect(*index, key, HashAlgorithm::kSha1, wm.size(),
-                           embed->wmd_size, nullptr);
+    auto one = MultiKeyTally(*index, {key}, HashAlgorithm::kSha1, wm.size(),
+                             embed->wmd_size, nullptr);
     ASSERT_TRUE(one.ok());
-    serial.push_back(*std::move(one));
+    ASSERT_EQ(one->size(), 1u);
+    serial.push_back(std::move(one->front()));
   }
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{16}}) {
@@ -378,29 +361,6 @@ TEST(FingerprintScanTest, ValidatesRegistryAndExpectedMark) {
   EXPECT_FALSE(
       ScanForFingerprints(*env.watermarker, env.table, registry, config)
           .ok());
-}
-
-TEST(FingerprintScanTest, SingleLevelScanDetectsEmbeddedKey) {
-  Env env = MakeSetup();
-  SingleLevelWatermarker single(std::vector<size_t>{1}, 0,
-                                std::vector<GeneralizationSet>{env.Ultimate()},
-                                env.key, {});
-  Table marked = env.table.Clone();
-  const BitVector wm = TestMark();
-  auto embed = single.Embed(&marked, wm);
-  ASSERT_TRUE(embed.ok());
-  KeyRegistry registry;
-  ASSERT_TRUE(registry.Add(NamedKey{"owner", env.key}).ok());
-  Random rng(41);
-  ASSERT_TRUE(registry.Add(GenerateKey("decoy", 3, &rng)).ok());
-  FingerprintConfig config;
-  config.wm_size = wm.size();
-  config.wmd_size = embed->wmd_size;
-  config.expected_mark = wm;
-  auto report = ScanForFingerprints(single, marked, registry, config);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->verdicts[report->ranking[0]].key_name, "owner");
-  EXPECT_TRUE(report->verdicts[report->ranking[0]].detected);
 }
 
 TEST(ThresholdConstantTest, SharedByEveryConsumer) {

@@ -226,8 +226,8 @@ TEST(HierarchicalWatermarkTest, ZeroEtaIsInvalidArgumentNotACrash) {
 
   auto index = BuildDetectIndex(*env.watermarker, env.table);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_EQ(TallyDetect(*index, env.key, HashAlgorithm::kSha1, wm.size(),
-                        wm.size(), nullptr)
+  EXPECT_EQ(MultiKeyTally(*index, {env.key}, HashAlgorithm::kSha1, wm.size(),
+                          wm.size(), nullptr)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
