@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "bench_util.h"
 #include "binning/binning_engine.h"
+#include "common/binenc.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/session.h"
@@ -26,6 +28,7 @@
 #include "service/client.h"
 #include "service/daemon.h"
 #include "service/service.h"
+#include "service/wire.h"
 #include "watermark/detect_index.h"
 #include "watermark/hierarchical.h"
 #include "watermark/key_registry.h"
@@ -572,6 +575,60 @@ BENCHMARK(BM_StreamedFingerprintLoopback)
     ->Arg(128)
     ->Iterations(2)
     ->Unit(benchmark::kMillisecond);
+
+void BM_WireTableCodec(benchmark::State& state) {
+  // The codec half of one daemon ingest round trip: a 500-row batch and
+  // its binned, marked emission, each encoded, framed, unframed and
+  // decoded. Every iteration uses fresh per-connection codecs warmed on
+  // the previous 500 rows (untimed), so the QI vocabulary is already in
+  // the dictionaries and the identifiers are new, as on a live
+  // connection. `bytes` is both frames' size.
+  SharedState& s = State();
+  const Table warm_batch = s.env.original().Slice(0, 500);
+  const Table batch = s.env.original().Slice(500, 1000);
+  const Table warm_emission = s.marked.Slice(0, 500);
+  const Table emission = s.marked.Slice(500, 1000);
+  const auto round_trip = [](const Table& table, WireTableEncoder* encoder,
+                             WireTableDecoder* decoder) {
+    WireFrame frame;
+    frame.type = WireFrameType::kIngest;
+    encoder->Encode(table, &frame.payload);
+    const std::string encoded =
+        Unwrap(EncodeWireFrame(frame, kWireProtocolV2), "frame");
+    const size_t body_length =
+        Unwrap(WireFrameBodyLength(encoded.data()), "frame length");
+    const WireFrame unframed = Unwrap(
+        DecodeWireFrameBody(encoded.data(),
+                            encoded.data() + kWireFrameHeaderBytes,
+                            body_length),
+        "unframe");
+    BinReader reader(unframed.payload);
+    Table decoded = Unwrap(decoder->Decode(&reader), "decode");
+    benchmark::DoNotOptimize(decoded);
+    return encoded.size();
+  };
+  // Held outside the loop so the previous iteration's codecs are
+  // destroyed while the timer is paused.
+  std::optional<WireTableEncoder> request_encoder;
+  std::optional<WireTableDecoder> request_decoder;
+  std::optional<WireTableEncoder> response_encoder;
+  std::optional<WireTableDecoder> response_decoder;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    request_encoder.emplace();
+    request_decoder.emplace(batch.schema());
+    response_encoder.emplace();
+    response_decoder.emplace(emission.schema());
+    round_trip(warm_batch, &*request_encoder, &*request_decoder);
+    round_trip(warm_emission, &*response_encoder, &*response_decoder);
+    state.ResumeTiming();
+    bytes = round_trip(batch, &*request_encoder, &*request_decoder) +
+            round_trip(emission, &*response_encoder, &*response_decoder);
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_WireTableCodec)->Unit(benchmark::kMicrosecond);
 
 void BM_EncodeView20k(benchmark::State& state) {
   // Cost of the dictionary-encoding pass itself: resolving every QI cell

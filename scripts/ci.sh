@@ -5,7 +5,8 @@
 #      (halt_on_error) so misaligned loads in the multi-buffer SHA-1
 #      backends or either AES-128 backend fail the job instead of
 #      merely printing, and the same for the joint-search suites (the
-#      bin counter's key shifts and table probes), then the parser
+#      bin counter's key shifts and table probes) and the wire and
+#      journal byte loops (CRC-32, table codec), then the parser
 #      suites (the `alloccap` label) under a 1 GiB ASan allocation cap
 #   2. Debug + thread sanitizer over the parallel-labeled suites (pool
 #      substrate incl. concurrent submission/leases, binning,
@@ -65,6 +66,17 @@ echo "=== Joint search under UBSan (findings made fatal) ==="
  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
  ctest --output-on-failure -j "${JOBS}" \
    -R 'MultiBinTest|IsJointlyKAnonymousTest|MultiAttributeGoldenTest')
+
+echo "=== Wire and journal byte loops under UBSan (findings made fatal) ==="
+# The slicing-by-8 CRC-32 shifts bytes by up to 24 bits, and the table
+# codec writes fixed-width runs into buffers it has just resized; any
+# shift, overflow or bounds finding there fails the job. Covers the
+# journal (CRC known answers and sweep), the table codec and the pinned
+# wire payload digests.
+(cd build-asan && \
+ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+ ctest --output-on-failure -j "${JOBS}" \
+   -R 'SessionJournalTest|WireTableCodecTest|WireGoldenTest')
 
 echo "=== Parser suites under an ASan allocation cap ==="
 # Every hand-written decoder must size its allocations from bytes it has

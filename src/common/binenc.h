@@ -27,6 +27,20 @@ inline void AppendLe32(std::string* out, uint32_t v) {
   out->push_back(static_cast<char>((v >> 24) & 0xff));
 }
 
+/// \brief Writes v little-endian into p[0..4): the in-place twin of
+/// AppendLe32, for a region the caller has already sized.
+inline void StoreLe32(char* p, uint32_t v) {
+  p[0] = static_cast<char>(v & 0xff);
+  p[1] = static_cast<char>((v >> 8) & 0xff);
+  p[2] = static_cast<char>((v >> 16) & 0xff);
+  p[3] = static_cast<char>((v >> 24) & 0xff);
+}
+
+inline void StoreLe64(char* p, uint64_t v) {
+  StoreLe32(p, static_cast<uint32_t>(v & 0xffffffffu));
+  StoreLe32(p + 4, static_cast<uint32_t>(v >> 32));
+}
+
 inline uint32_t ReadLe32(const char* p) {
   const auto* u = reinterpret_cast<const unsigned char*>(p);
   return static_cast<uint32_t>(u[0]) | (static_cast<uint32_t>(u[1]) << 8) |

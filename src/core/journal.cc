@@ -50,22 +50,40 @@ Result<ValueType> TypeFromString(const std::string& text) {
 
 }  // namespace
 
+// Slicing-by-8 over the reflected IEEE polynomial: table k maps a byte
+// to its CRC contribution k bytes further on, so one step folds eight
+// input bytes with eight lookups. Same values as the byte-at-a-time loop
+// (table 0 alone), which still runs the tail.
 uint32_t JournalCrc32(const void* data, size_t size) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+  using Tables = std::array<std::array<uint32_t, 256>, 8>;
+  static const Tables t = [] {
+    Tables tables{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      tables[0][i] = c;
     }
-    return t;
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = tables[k - 1][i];
+        tables[k][i] = tables[0][prev & 0xffu] ^ (prev >> 8);
+      }
+    }
+    return tables;
   }();
   uint32_t crc = 0xffffffffu;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  const auto* p = static_cast<const char*>(data);
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = crc ^ ReadLe32(p);
+    const uint32_t hi = ReadLe32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ static_cast<unsigned char>(*p)) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }
@@ -144,16 +162,15 @@ Status SessionJournal::AppendRecord(JournalRecordType type,
                            path_ + "'");
   }
 
-  std::string crc_input;
-  crc_input.reserve(1 + payload.size());
-  crc_input.push_back(static_cast<char>(type));
-  crc_input.append(payload);
-
+  // Build the record once; the CRC covers it from the type byte on.
   std::string record;
   record.reserve(kRecordHeaderSize + payload.size());
   AppendLe32(&record, static_cast<uint32_t>(payload.size()));
-  AppendLe32(&record, JournalCrc32(crc_input.data(), crc_input.size()));
-  record.append(crc_input);
+  AppendLe32(&record, 0);  // the CRC, stored below
+  record.push_back(static_cast<char>(type));
+  record.append(payload);
+  StoreLe32(record.data() + 4, JournalCrc32(record.data() + 8,
+                                            record.size() - 8));
 
   const off_t start = ::lseek(fd_, 0, SEEK_END);
   if (start < 0) {

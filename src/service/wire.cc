@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <cstring>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -411,21 +412,23 @@ Result<std::string> EncodeWireFrame(const WireFrame& frame, uint8_t version) {
     return Status::InvalidArgument(
         "wire: a partial frame cannot be final");
   }
-  std::string crc_input;
-  crc_input.reserve(1 + kWireEnvelopeBytes + frame.payload.size());
-  crc_input.push_back(static_cast<char>(frame.type));
-  AppendLe64(&crc_input, frame.request_id);
   uint8_t flags = 0;
   if (frame.final_frame) flags |= kWireFlagFinal;
   if (frame.streamed) flags |= kWireFlagStreamed;
-  crc_input.push_back(static_cast<char>(flags));
-  crc_input.append(frame.payload);
-
+  // Build the frame once; the CRC covers its body, which starts past the
+  // header.
   std::string encoded;
-  encoded.reserve(kWireFrameHeaderBytes + crc_input.size());
+  encoded.reserve(kWireFrameHeaderBytes + 1 + kWireEnvelopeBytes +
+                  frame.payload.size());
   AppendLe32(&encoded, static_cast<uint32_t>(frame.payload.size()));
-  AppendLe32(&encoded, JournalCrc32(crc_input.data(), crc_input.size()));
-  encoded.append(crc_input);
+  AppendLe32(&encoded, 0);  // the CRC, stored below
+  encoded.push_back(static_cast<char>(frame.type));
+  AppendLe64(&encoded, frame.request_id);
+  encoded.push_back(static_cast<char>(flags));
+  encoded.append(frame.payload);
+  StoreLe32(encoded.data() + 4,
+            JournalCrc32(encoded.data() + kWireFrameHeaderBytes,
+                         encoded.size() - kWireFrameHeaderBytes));
   return encoded;
 }
 
@@ -475,11 +478,24 @@ Result<WireFrame> DecodeWireFrameBody(const char* header, const char* body,
 
 // ---- columnar table codec ------------------------------------------------
 
+namespace {
+
+// Extends *out by `n` bytes and returns where they start: the region a
+// fixed-width run is then written into in place.
+char* ExtendBy(std::string* out, size_t n) {
+  const size_t at = out->size();
+  out->resize(at + n);
+  return out->data() + at;
+}
+
+}  // namespace
+
 void WireTableEncoder::Encode(const Table& batch, std::string* out) {
   const size_t rows = batch.num_rows();
   const size_t cols = batch.num_columns();
   AppendLe32(out, static_cast<uint32_t>(rows));
   AppendLe32(out, static_cast<uint32_t>(cols));
+  if (dicts_.size() < cols) dicts_.resize(cols);
   for (size_t c = 0; c < cols; ++c) {
     bool all_int = rows > 0;
     bool all_double = rows > 0;
@@ -492,32 +508,38 @@ void WireTableEncoder::Encode(const Table& batch, std::string* out) {
     }
     if (all_int) {
       out->push_back(static_cast<char>(WireColumnEncoding::kInt64Dense));
-      for (size_t r = 0; r < rows; ++r) {
-        AppendLe64(out, static_cast<uint64_t>(batch.at(r, c).AsInt64()));
+      char* p = ExtendBy(out, 8 * rows);
+      for (size_t r = 0; r < rows; ++r, p += 8) {
+        StoreLe64(p, static_cast<uint64_t>(batch.at(r, c).AsInt64()));
       }
     } else if (all_double) {
       out->push_back(static_cast<char>(WireColumnEncoding::kDoubleDense));
-      for (size_t r = 0; r < rows; ++r) {
-        AppendDoubleBits(out, batch.at(r, c).AsDouble());
+      char* p = ExtendBy(out, 8 * rows);
+      for (size_t r = 0; r < rows; ++r, p += 8) {
+        const double v = batch.at(r, c).AsDouble();
+        uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        StoreLe64(p, bits);
       }
     } else if (all_string) {
       out->push_back(static_cast<char>(WireColumnEncoding::kStringDict));
       auto& dict = dicts_[c];
-      // First pass: collect entries this batch introduces, in
-      // first-occurrence order, so the decoder can append them to its
-      // dictionary and land on identical ids.
-      std::vector<const std::string*> fresh;
+      // One probe per cell: it assigns a fresh string the next id and
+      // yields every cell's id. Fresh entries are kept in first-occurrence
+      // order, so the decoder appends them to its dictionary and lands on
+      // identical ids.
+      fresh_.clear();
+      ids_.clear();
       for (size_t r = 0; r < rows; ++r) {
-        const std::string& s = batch.at(r, c).AsString();
-        if (dict.emplace(s, static_cast<uint32_t>(dict.size())).second) {
-          fresh.push_back(&dict.find(s)->first);
-        }
+        const auto [it, inserted] = dict.try_emplace(
+            batch.at(r, c).AsString(), static_cast<uint32_t>(dict.size()));
+        if (inserted) fresh_.push_back(&it->first);
+        ids_.push_back(it->second);
       }
-      AppendLe32(out, static_cast<uint32_t>(fresh.size()));
-      for (const std::string* s : fresh) AppendLengthPrefixed(out, *s);
-      for (size_t r = 0; r < rows; ++r) {
-        AppendLe32(out, dict.find(batch.at(r, c).AsString())->second);
-      }
+      AppendLe32(out, static_cast<uint32_t>(fresh_.size()));
+      for (const std::string* s : fresh_) AppendLengthPrefixed(out, *s);
+      char* p = ExtendBy(out, 4 * rows);
+      for (size_t r = 0; r < rows; ++r, p += 4) StoreLe32(p, ids_[r]);
     } else {
       // Mixed or Null-bearing column: per-cell tags (the journal codec).
       out->push_back(static_cast<char>(WireColumnEncoding::kCells));
@@ -540,29 +562,32 @@ Result<Table> WireTableDecoder::Decode(BinReader* reader) {
         "wire: table block has " + std::to_string(cols) +
         " columns, schema has " + std::to_string(schema_.num_columns()));
   }
-  std::vector<std::vector<Value>> columns(cols);
+  // Every encoding spends at least one byte per cell, so a block claiming
+  // more cells than bytes left is a lie, and so are rows with no columns
+  // to carry them: refuse both before sizing anything from the claim.
+  if (cols == 0 || uint64_t{rows} * cols > reader->remaining()) {
+    return Truncated("table block");
+  }
+  // Each cell is decoded straight into its row.
+  std::vector<Row> decoded(rows);
+  for (Row& row : decoded) row.reserve(cols);
   for (uint32_t c = 0; c < cols; ++c) {
     uint8_t encoding = 0;
     if (!reader->ReadU8(&encoding)) return Truncated("table column");
-    // Every encoding spends at least one byte per row, so a row count
-    // beyond the bytes left is a lie: refuse it before sizing anything
-    // from it.
-    if (reader->remaining() < rows) return Truncated("table column");
-    columns[c].reserve(rows);
     if (encoding == static_cast<uint8_t>(WireColumnEncoding::kInt64Dense)) {
       if (reader->remaining() / 8 < rows) return Truncated("int64 column");
-      for (uint32_t r = 0; r < rows; ++r) {
+      for (Row& row : decoded) {
         uint64_t bits = 0;
         reader->ReadU64(&bits);
-        columns[c].push_back(Value::Int64(static_cast<int64_t>(bits)));
+        row.push_back(Value::Int64(static_cast<int64_t>(bits)));
       }
     } else if (encoding ==
                static_cast<uint8_t>(WireColumnEncoding::kDoubleDense)) {
       if (reader->remaining() / 8 < rows) return Truncated("double column");
-      for (uint32_t r = 0; r < rows; ++r) {
+      for (Row& row : decoded) {
         double v = 0;
         reader->ReadDoubleBits(&v);
-        columns[c].push_back(Value::Double(v));
+        row.push_back(Value::Double(v));
       }
     } else if (encoding ==
                static_cast<uint8_t>(WireColumnEncoding::kStringDict)) {
@@ -581,7 +606,7 @@ Result<Table> WireTableDecoder::Decode(BinReader* reader) {
         dict.push_back(std::move(entry));
       }
       if (reader->remaining() / 4 < rows) return Truncated("string ids");
-      for (uint32_t r = 0; r < rows; ++r) {
+      for (Row& row : decoded) {
         uint32_t id = 0;
         reader->ReadU32(&id);
         if (id >= dict.size()) {
@@ -590,18 +615,16 @@ Result<Table> WireTableDecoder::Decode(BinReader* reader) {
               " out of range (dictionary holds " +
               std::to_string(dict.size()) + ")");
         }
-        columns[c].push_back(Value::String(dict[id]));
+        row.push_back(Value::String(dict[id]));
       }
     } else if (encoding == static_cast<uint8_t>(WireColumnEncoding::kCells)) {
-      for (uint32_t r = 0; r < rows; ++r) {
+      for (Row& row : decoded) {
         uint8_t tag = 0;
-        Value cell;
-        if (!ReadCell(reader, kMaxWireFrameBytes, &tag, &cell)) {
+        if (!ReadCell(reader, kMaxWireFrameBytes, &tag, &row.emplace_back())) {
           if (!reader->ok()) return Truncated("cell column");
           return Status::InvalidArgument(
               "wire: table cell has unknown tag " + std::to_string(tag));
         }
-        columns[c].push_back(std::move(cell));
       }
     } else {
       return Status::InvalidArgument(
@@ -609,12 +632,7 @@ Result<Table> WireTableDecoder::Decode(BinReader* reader) {
     }
   }
   Table table(schema_);
-  for (uint32_t r = 0; r < rows; ++r) {
-    Row row;
-    row.reserve(cols);
-    for (uint32_t c = 0; c < cols; ++c) {
-      row.push_back(std::move(columns[c][r]));
-    }
+  for (Row& row : decoded) {
     PRIVMARK_RETURN_NOT_OK(table.AppendRow(std::move(row)));
   }
   return table;

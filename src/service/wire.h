@@ -41,7 +41,13 @@
 // type tags. Dictionary state lives in the codec instances
 // (WireTableEncoder / WireTableDecoder), one pair per connection
 // direction; because a connection's frames are strictly ordered, the
-// decoder's dictionary replays the encoder's exactly. The codec is
+// decoder's dictionary replays the encoder's exactly. The encoder makes
+// one dictionary probe per string cell, which both assigns a fresh
+// string its id and yields the cell's id, and writes fixed-width runs
+// into a pre-sized region of the output. The decoder decodes each cell
+// straight into its row. Every encoding spends at least one byte per
+// cell, so the decoder refuses a block whose rows × cols exceeds the
+// bytes left before it sizes anything from the row count. The codec is
 // lossless (doubles bit for bit, Null distinct from "", NUL-safe
 // strings), which is what lets a remote client byte-compare its
 // stream's output against serial in-process replay.
@@ -175,9 +181,12 @@ class WireTableEncoder {
   void Encode(const Table& batch, std::string* out);
 
  private:
-  // column index -> string -> dictionary id (ids are append-ordered).
-  std::unordered_map<size_t, std::unordered_map<std::string, uint32_t>>
-      dicts_;
+  // Per column: string -> dictionary id (ids are append-ordered).
+  std::vector<std::unordered_map<std::string, uint32_t>> dicts_;
+  // Per-column scratch, kept to reuse its capacity: the entries a column
+  // introduces, in first-occurrence order, and every cell's id.
+  std::vector<const std::string*> fresh_;
+  std::vector<uint32_t> ids_;
 };
 
 /// \brief Decode side; must see every block its encoder produced, in
@@ -185,7 +194,8 @@ class WireTableEncoder {
 /// this by making any decode error fatal to the connection).
 class WireTableDecoder {
  public:
-  explicit WireTableDecoder(Schema schema) : schema_(std::move(schema)) {}
+  explicit WireTableDecoder(Schema schema)
+      : schema_(std::move(schema)), dicts_(schema_.num_columns()) {}
 
   /// Consumes one table block from `reader`. InvalidArgument on
   /// truncation, unknown encodings, out-of-range dictionary ids, or a
@@ -196,7 +206,8 @@ class WireTableDecoder {
 
  private:
   Schema schema_;
-  std::unordered_map<size_t, std::vector<std::string>> dicts_;
+  // Per schema column: dictionary id -> string.
+  std::vector<std::vector<std::string>> dicts_;
 };
 
 // ---- request payloads ----------------------------------------------------

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -192,6 +194,40 @@ TEST(SessionJournalTest, CorruptCrcEndsTheValidPrefixMidFile) {
   EXPECT_EQ(contents->records.size(), 1u);
   EXPECT_TRUE(contents->tail_truncated);
   EXPECT_EQ(contents->records[0].type, JournalRecordType::kConfig);
+}
+
+// The reflected IEEE CRC-32 one byte at a time: the definition the
+// journal's and the wire's checksums are pinned to.
+uint32_t BytewiseCrc32(const unsigned char* data, size_t size) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xedb88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(SessionJournalTest, Crc32KnownAnswers) {
+  EXPECT_EQ(JournalCrc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(JournalCrc32("", 0), 0u);
+  EXPECT_EQ(JournalCrc32(nullptr, 0), 0u);
+}
+
+TEST(SessionJournalTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..300 from every start offset 0..8 covers each
+  // alignment of the eight-byte steps and every tail length after them.
+  std::mt19937 rng(20050405);
+  std::vector<unsigned char> buffer(8 + 300);
+  for (unsigned char& byte : buffer) byte = static_cast<unsigned char>(rng());
+  for (size_t offset = 0; offset <= 8; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const unsigned char* data = buffer.data() + offset;
+      ASSERT_EQ(JournalCrc32(data, length), BytewiseCrc32(data, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(SessionJournalTest, ConfigFingerprintDetectsMismatches) {

@@ -393,6 +393,79 @@ TEST(WireTableCodecTest, HostileRowCountRefusedBeforeAllocating) {
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
         << "encoding " << tag;
   }
+  // A 32 MiB block claiming 32Mi rows of 6 columns, the first a run of
+  // 32Mi one-byte Null cells: each column alone fits the bytes left, but
+  // the block's 192Mi cells do not. Sizing a column from the claim
+  // before that check is a 1.25 GiB allocation.
+  {
+    constexpr uint32_t kClaimedRows = uint32_t{32} << 20;
+    std::vector<ColumnSpec> columns;
+    for (int c = 0; c < 6; ++c) {
+      columns.push_back({"c" + std::to_string(c), ColumnRole::kOther,
+                         ValueType::kString});
+    }
+    const Schema wide(columns);
+    std::string block;
+    AppendLe32(&block, kClaimedRows);
+    AppendLe32(&block, 6);
+    block.push_back(static_cast<char>(WireColumnEncoding::kCells));
+    block.append(kClaimedRows, static_cast<char>(ValueType::kNull));
+    WireTableDecoder decoder(wide);
+    auto decoded = DecodeTable(&decoder, block);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Rows with no columns spend no bytes at all, so a column-less schema
+  // refuses any row count rather than size rows from it.
+  {
+    std::string block;
+    AppendLe32(&block, 0xffffffffu);
+    AppendLe32(&block, 0);
+    WireTableDecoder decoder{Schema()};
+    auto decoded = DecodeTable(&decoder, block);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(WireTableCodecTest, DictionaryBytesAreExact) {
+  // Batch 1 introduces "a", repeats it, then introduces "b"; batch 2
+  // mixes "b", a new "c" and "a". Each block ships only its fresh
+  // entries, in first-occurrence order, then every cell's id.
+  Schema narrow({{"city", ColumnRole::kOther, ValueType::kString}});
+  const auto make = [&](std::vector<std::string> cells) {
+    Table table(narrow);
+    for (std::string& cell : cells) {
+      EXPECT_TRUE(table.AppendRow({Value::String(std::move(cell))}).ok());
+    }
+    return table;
+  };
+  const auto expected = [](std::vector<std::string> fresh,
+                           std::vector<uint32_t> ids) {
+    std::string block;
+    AppendLe32(&block, static_cast<uint32_t>(ids.size()));
+    AppendLe32(&block, 1);
+    block.push_back(static_cast<char>(WireColumnEncoding::kStringDict));
+    AppendLe32(&block, static_cast<uint32_t>(fresh.size()));
+    for (const std::string& entry : fresh) AppendLengthPrefixed(&block, entry);
+    for (uint32_t id : ids) AppendLe32(&block, id);
+    return block;
+  };
+  const Table first = make({"a", "a", "b"});
+  const Table second = make({"b", "c", "a"});
+  WireTableEncoder encoder;
+  const std::string first_block = EncodeTable(&encoder, first);
+  const std::string second_block = EncodeTable(&encoder, second);
+  EXPECT_EQ(first_block, expected({"a", "b"}, {0, 0, 1}));
+  EXPECT_EQ(second_block, expected({"c"}, {1, 2, 0}));
+
+  WireTableDecoder decoder(narrow);
+  auto first_decoded = DecodeTable(&decoder, first_block);
+  ASSERT_TRUE(first_decoded.ok()) << first_decoded.status().ToString();
+  ExpectTablesEqual(first, *first_decoded);
+  auto second_decoded = DecodeTable(&decoder, second_block);
+  ASSERT_TRUE(second_decoded.ok()) << second_decoded.status().ToString();
+  ExpectTablesEqual(second, *second_decoded);
 }
 
 // ---- request / response payloads -----------------------------------------
