@@ -351,7 +351,7 @@ void BM_ServiceThroughput(benchmark::State& state) {
   // 20k table in 500-row ProtectBatch requests plus one Flush, on one
   // shared pool of `cap` workers. Reported rate = requests/sec across
   // all sessions (items == requests); sessions x cap sweeps how the
-  // admission controller multiplexes the cap.
+  // sessions' turns share the cap workers.
   SharedState& s = State();
   const size_t num_sessions = static_cast<size_t>(state.range(0));
   const size_t cap = static_cast<size_t>(state.range(1));

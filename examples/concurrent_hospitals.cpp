@@ -4,9 +4,9 @@
 //
 // Each hospital is a named session: its batches serialize in arrival
 // order (so its epoch output is byte-identical to running the stream
-// alone), while different hospitals' requests execute concurrently on
-// the service's one shared worker pool, gated by the admission
-// controller. Every hospital uses its own secret keys and its own data;
+// alone), while different hospitals' requests take turns on the
+// service's one shared worker pool, whose size caps the service's
+// threads. Every hospital uses its own secret keys and its own data;
 // the service only multiplexes compute.
 //
 // The demo drives three hospitals from three submitter threads, then

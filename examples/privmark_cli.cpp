@@ -70,16 +70,15 @@
 //
 //   privmark_cli daemon [--port=0] [--cap=N] [--journal-dir=DIR]
 //                [--default-deadline-ms=0] [--max-queue-depth=0]
-//                [--max-admission-waiters=0] [--shutdown-deadline-ms=-1]
+//                [--shutdown-deadline-ms=-1]
 //       run the network daemon on 127.0.0.1:<port> (0 = ephemeral; the
 //       bound port is printed, so tests can parse it). Serves the wire
 //       protocol of service/wire.h: any number of clients, one session
-//       strand per stream, shared worker pool of --cap threads. The
-//       shedding knobs mirror ServiceConfig: --max-queue-depth bounds a
-//       session's queue, --max-admission-waiters bounds the thread
-//       admission queue; shed requests come back ResourceExhausted with
-//       a typed retry_after_ms hint. Runs until stdin reaches EOF or
-//       SIGINT/SIGTERM, then drains with
+//       strand per stream, every strand taking turns on one worker pool
+//       of --cap threads. The shedding knob mirrors ServiceConfig:
+//       --max-queue-depth bounds a session's queue; shed requests come
+//       back ResourceExhausted with a typed retry_after_ms hint. Runs
+//       until stdin reaches EOF or SIGINT/SIGTERM, then drains with
 //       Shutdown(--shutdown-deadline-ms) (-1 = wait forever).
 //
 //   privmark_cli serve <script> [--cap=N] [--journal-dir=DIR]
@@ -1060,8 +1059,7 @@ int CmdDaemon(const Args& args) {
     std::fprintf(stderr,
                  "usage: privmark_cli daemon [--port=0] [--cap=N] "
                  "[--journal-dir=DIR] [--default-deadline-ms=0] "
-                 "[--max-queue-depth=0] [--max-admission-waiters=0] "
-                 "[--shutdown-deadline-ms=-1]\n");
+                 "[--max-queue-depth=0] [--shutdown-deadline-ms=-1]\n");
     return 2;
   }
   const uint64_t port = args.FlagU64("port", 0);
@@ -1077,8 +1075,6 @@ int CmdDaemon(const Args& args) {
   config.service.default_deadline_ms =
       static_cast<int64_t>(args.FlagU64("default-deadline-ms", 0));
   config.service.max_queue_depth = args.FlagU64("max-queue-depth", 0);
-  config.service.max_admission_waiters =
-      args.FlagU64("max-admission-waiters", 0);
 
   PrivmarkDaemon daemon(std::move(config));
   if (auto st = daemon.Start(static_cast<uint16_t>(port)); !st.ok()) {

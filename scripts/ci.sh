@@ -112,6 +112,10 @@ cmake -B build-tsan -S . \
   -DPRIVMARK_SANITIZE=thread
 cmake --build build-tsan -j "${JOBS}"
 (cd build-tsan && ctest --output-on-failure -j "${JOBS}" -L parallel -LE slow)
+# Session strands are turns on the service's pool: repeat the service
+# suites so rare turn/shutdown interleavings get a chance to race.
+./build-tsan/tests/service_service_test --gtest_repeat=20
+./build-tsan/tests/service_durability_test --gtest_repeat=20
 ./build-tsan/tests/properties_parallel_equivalence_test
 ./build-tsan/tests/properties_fingerprint_equivalence_test
 ./build-tsan/tests/properties_streaming_equivalence_test \

@@ -23,11 +23,13 @@ std::vector<ShardRange> ShardRanges(size_t count, size_t num_shards) {
   return ranges;
 }
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads_ = num_threads;
+size_t NormalizeThreadCount(size_t num_threads) {
+  if (num_threads != 0) return num_threads;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(size_t num_threads)
+    : num_threads_(NormalizeThreadCount(num_threads)) {
   workers_.reserve(num_threads_ - 1);
   for (size_t i = 0; i + 1 < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -64,23 +66,45 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
-    if (stop_) return;
-    // Copy the front batch under the lock: a worker holding the
-    // shared_ptr after the submitter retired the batch sees a live,
-    // fully-claimed object — never a dangling pointer. Fully claimed
-    // batches are retired here so later batches become the front (the
-    // submitter also erases its own batch when it finishes waiting).
-    std::shared_ptr<Batch> batch = pending_.front();
-    if (batch->next_task.load(std::memory_order_relaxed) >=
-        batch->num_tasks) {
-      pending_.erase(pending_.begin());
-      continue;
+    work_cv_.wait(lock, [&] {
+      return stop_ || !pending_.empty() || !posted_.empty();
+    });
+    if (!pending_.empty()) {
+      // Copy the front batch under the lock: a worker holding the
+      // shared_ptr after the submitter retired the batch sees a live,
+      // fully-claimed object — never a dangling pointer. Fully claimed
+      // batches are retired here so later batches become the front (the
+      // submitter also erases its own batch when it finishes waiting).
+      std::shared_ptr<Batch> batch = pending_.front();
+      if (batch->next_task.load(std::memory_order_relaxed) >=
+          batch->num_tasks) {
+        pending_.erase(pending_.begin());
+        continue;
+      }
+      lock.unlock();
+      ExecuteTasks(batch.get());
+      lock.lock();
+    } else if (!posted_.empty()) {
+      std::function<void()> task = std::move(posted_.front());
+      posted_.pop_front();
+      lock.unlock();
+      task();
+      task = nullptr;  // its captures die outside the lock
+      lock.lock();
+    } else {
+      return;  // stop_, and nothing is left to run
     }
-    lock.unlock();
-    ExecuteTasks(batch.get());
-    lock.lock();
   }
+}
+
+void ThreadPool::Post(std::function<void()> task) {
+  assert(parent_ == nullptr && !workers_.empty() &&
+         "Post needs a pool with background workers");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    posted_.push_back(std::move(task));
+  }
+  work_cv_.notify_one();
 }
 
 void ThreadPool::ExecuteTasks(Batch* batch) {

@@ -37,6 +37,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -66,6 +67,10 @@ struct ShardRange {
 /// count == 0. num_shards == 0 is treated as 1.
 std::vector<ShardRange> ShardRanges(size_t count, size_t num_shards);
 
+/// \brief A thread count with 0 meaning one per hardware thread (at
+/// least 1); any other count is returned as is.
+size_t NormalizeThreadCount(size_t num_threads);
+
 /// \brief A fixed-size worker pool for fork-join batches.
 ///
 /// The pool holds num_threads - 1 background workers; the thread calling
@@ -79,10 +84,13 @@ std::vector<ShardRange> ShardRanges(size_t count, size_t num_shards);
 /// batch first, and a submitter only executes tasks of its *own* batch,
 /// so one request's compute never blocks inside another's. Tasks must
 /// still not call Run() on their own pool (no nesting).
+///
+/// Post() hands the background workers one-shot tasks (the service's
+/// session turns); a posted task may call Run() on the pool.
 class ThreadPool {
  public:
   /// \param num_threads total workers including the caller; 0 means
-  ///        std::thread::hardware_concurrency() (at least 1).
+  ///        one per hardware thread (NormalizeThreadCount).
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
@@ -93,10 +101,10 @@ class ThreadPool {
   /// from num_threads() and forwards Run() to the parent. Agents shard by
   /// pool->num_threads(), so a lease makes them cut at most `limit`
   /// tasks per batch — at most `limit` of the shared workers ever execute
-  /// this lease's work concurrently. That is how an admission controller
-  /// hands a request `granted` threads of one shared pool: the lease's
-  /// limit IS the grant (see service/admission.h). The view owns no
-  /// threads and must not outlive `parent`; `parent` must not be null.
+  /// this lease's work concurrently. That is how the service runs a
+  /// request `width` threads wide on one shared pool: the lease's limit
+  /// IS the width (see service/service.h). The view owns no threads and
+  /// must not outlive `parent`; `parent` must not be null.
   static std::unique_ptr<ThreadPool> Lease(ThreadPool* parent, size_t limit);
 
   size_t num_threads() const {
@@ -108,7 +116,7 @@ class ThreadPool {
   /// \brief True for Lease() views (no owned workers; Run forwards).
   bool is_lease() const { return parent_ != nullptr; }
 
-  /// \brief Re-caps a lease (admission grants change per request). 0 is
+  /// \brief Re-caps a lease (request widths change per request). 0 is
   /// clamped to 1 — a lease is never smaller than the calling thread.
   /// Callers must not resize a lease that has a Run() in flight; the
   /// per-session serialization of the service guarantees that. No-op
@@ -122,6 +130,15 @@ class ThreadPool {
   /// completion (or throws) and the exception from the lowest-numbered
   /// throwing task is rethrown on the calling thread.
   void Run(size_t num_tasks, const std::function<void(size_t)>& task);
+
+  /// \brief Runs `task` once on a background worker, never on the caller.
+  /// A worker takes a waiting Run() batch before a posted task, and
+  /// posted tasks in FIFO order. A posted task may call Run() on this
+  /// pool: a batch's submitter always finishes its own unclaimed tasks,
+  /// so the batch never waits for a busy worker. `task` must not throw.
+  /// Workers run every posted task before the destructor joins them.
+  /// Requires background workers (num_threads >= 2) and a non-lease pool.
+  void Post(std::function<void()> task);
 
  private:
   struct Batch {
@@ -142,13 +159,14 @@ class ThreadPool {
   std::atomic<size_t> limit_{0};          // lease views only
   std::vector<std::thread> workers_;
   std::mutex mu_;
-  std::condition_variable work_cv_;  // workers: a new batch was published
+  std::condition_variable work_cv_;  // workers: a batch or task was queued
   std::condition_variable done_cv_;  // Run(): some batch fully completed
   // FIFO of batches with (possibly) unclaimed tasks. Workers copy the
   // front shared_ptr under mu_, so a worker that wakes after a submitter
   // already retired its batch still holds a live (but fully claimed)
   // object instead of a dangling pointer.
   std::vector<std::shared_ptr<Batch>> pending_;  // guarded by mu_
+  std::deque<std::function<void()>> posted_;     // guarded by mu_
   bool stop_ = false;                            // guarded by mu_
 };
 

@@ -38,7 +38,7 @@ enum class StatusCode {
   /// An operation's deadline expired before it completed.
   kDeadlineExceeded,
   /// The system is over capacity; retry later (retry_after_ms() carries
-  /// a typed hint when the admission layer can estimate one).
+  /// a typed hint when the shedding layer can estimate one).
   kResourceExhausted,
 };
 
@@ -96,7 +96,7 @@ class Status {
 
   /// \brief Typed backpressure hint: milliseconds to wait before
   /// retrying the failed operation. -1 = no hint. Shedding paths
-  /// (queue depth, admission waiters) attach it to ResourceExhausted
+  /// (the service queue depth cap) attach it to ResourceExhausted
   /// statuses via WithRetryAfterMs; callers must never parse message
   /// text for it.
   int64_t retry_after_ms() const { return retry_after_ms_; }

@@ -157,7 +157,7 @@ ProtectionSession::ProtectionSession(UsageMetrics metrics,
   // injected a pool for either agent, the *other* agent is backfilled
   // with that same pool — never with a fresh pool built from the
   // num_threads knobs, which describe what was requested, not what the
-  // caller (e.g. the service's admission controller) actually granted.
+  // caller (e.g. the service, per request) actually gave it.
   // pool_ is only built, and stays null, for a fully serial session.
   ThreadPool* injected = config_.binning.pool != nullptr
                              ? config_.binning.pool
@@ -229,7 +229,8 @@ Status ProtectionSession::InitSchema(const Schema& schema) {
   return Status::OK();
 }
 
-Result<IngestResult> ProtectionSession::Ingest(const Table& batch) {
+Result<IngestResult> ProtectionSession::Ingest(const Table& batch,
+                                               Table* owned) {
   PRIVMARK_RETURN_NOT_OK(InitSchema(batch.schema()));
 
   // Write-ahead: the batch reaches the journal before any session state
@@ -255,9 +256,10 @@ Result<IngestResult> ProtectionSession::Ingest(const Table& batch) {
   }
 
   // Buffer toward the next flush.
-  PRIVMARK_RETURN_NOT_OK(buffer_.Append(batch));
-  PRIVMARK_RETURN_NOT_OK(buffer_view_.Append(view));
   rows_since_epoch_ += batch.num_rows();
+  PRIVMARK_RETURN_NOT_OK(owned != nullptr ? buffer_.Append(std::move(*owned))
+                                          : buffer_.Append(batch));
+  PRIVMARK_RETURN_NOT_OK(buffer_view_.Append(view));
 
   IngestResult out;
   out.epoch = epochs_.size();
@@ -582,7 +584,7 @@ Result<RecoveredSession> ProtectionSession::Recover(
         }
         PRIVMARK_ASSIGN_OR_RETURN(
             Table batch, SessionJournal::DecodeBatch(record.payload, *schema));
-        Result<IngestResult> result = session->Ingest(batch);
+        Result<IngestResult> result = session->Ingest(std::move(batch));
         ++out.batches_applied;
         // A non-OK Ingest failed identically (and statelessly) in the
         // original run: the journal is write-ahead, so the record's

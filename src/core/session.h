@@ -137,7 +137,7 @@ struct EpochOutput {
 /// ("hardware") when either agent asks for hardware concurrency,
 /// otherwise the larger agent ask. One definition shared by the
 /// session's own pool sizing and the service front-end's default
-/// admission ask, so granted widths cannot drift from session
+/// request width, so served widths cannot drift from session
 /// semantics.
 size_t SessionThreadAsk(const FrameworkConfig& config);
 
@@ -207,8 +207,13 @@ class ProtectionSession {
       bool resume_journaling = true);
 
   /// \brief Feeds one batch of original (cleartext) rows. The first batch
-  /// fixes the session's schema; every later batch must match it.
-  Result<IngestResult> Ingest(const Table& batch);
+  /// fixes the session's schema; every later batch must match it. The
+  /// rvalue form moves a buffered batch's rows into the buffer instead
+  /// of copying them.
+  Result<IngestResult> Ingest(const Table& batch) {
+    return Ingest(batch, nullptr);
+  }
+  Result<IngestResult> Ingest(Table&& batch) { return Ingest(batch, &batch); }
 
   /// \brief Forces an epoch boundary: selects generalizations from the
   /// buffered rows' counts, materializes + watermarks those rows, and
@@ -282,6 +287,8 @@ class ProtectionSession {
   };
 
   Status InitSchema(const Schema& schema);
+  // `owned` is null, or `batch` itself when the caller gave it up.
+  Result<IngestResult> Ingest(const Table& batch, Table* owned);
   Result<EpochOutput> FlushBuffer();
   Result<IngestResult> EmitFrozen(const Table& batch, const EncodedView& view);
   // `bin_counts` is BinHistograms(binning): per column, rows per bin.

@@ -1,6 +1,8 @@
 #include "relation/table.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace privmark {
 
@@ -15,13 +17,14 @@ Status Table::AppendRow(Row row) {
   return Status::OK();
 }
 
-Status Table::Append(const Table& other) {
+Status Table::Append(Table other) {
   if (other.num_rows() > 0 && other.num_columns() != num_columns()) {
     return Status::InvalidArgument(
         "Append: table has " + std::to_string(other.num_columns()) +
         " columns, schema has " + std::to_string(num_columns()));
   }
-  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
+  rows_.insert(rows_.end(), std::make_move_iterator(other.rows_.begin()),
+               std::make_move_iterator(other.rows_.end()));
   return Status::OK();
 }
 

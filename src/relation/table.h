@@ -48,8 +48,9 @@ class Table {
 
   /// \brief Appends every row of `other`, in order, after checking that
   /// its arity matches. A table with no rows appends as a no-op whatever
-  /// its schema (a default-constructed Table included).
-  Status Append(const Table& other);
+  /// its schema (a default-constructed Table included). The rows are
+  /// moved in, so pass an rvalue to append without copying.
+  Status Append(Table other);
 
   const Row& row(size_t r) const { return rows_[r]; }
   const Value& at(size_t r, size_t c) const { return rows_[r][c]; }

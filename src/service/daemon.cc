@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -26,60 +27,94 @@ Status SocketError(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
-// Shared write-side state of one connection, owned jointly by its
-// reader and every completion and sink it handed the service. Every
-// frame write — and every response-payload ENCODE, so dictionary order
-// equals wire order — happens under mu. `broken` latches the first
-// write failure; later writes become no-ops (the reader tears down).
+// One frame queued for a connection's writer: a streamed fingerprint
+// shard (kPartial) or a request's terminal response.
+struct Outbound {
+  uint64_t request_id = 0;
+  bool partial = false;
+  bool streamed = false;     // terminal: the tails-only streamed payload
+  FingerprintShard shard;    // partial
+  WireResponse response;     // terminal
+};
+
+// Shared state of one connection, owned jointly by its reader, its
+// writer and every completion and sink the reader handed the service.
+// Completions and sinks only queue frames, so a pool worker never
+// blocks on this peer's socket. `broken` latches the first write
+// failure; later frames are dropped unwritten (the reader tears down).
 struct MuxConnection {
   int fd = -1;
   std::mutex mu;
-  std::condition_variable drained;  // signalled when inflight drops
-  WireTableEncoder encoder;         // guarded by mu
+  std::condition_variable ready;    // outbound grew, or closing was set
+  std::condition_variable drained;  // inflight dropped
+  std::deque<Outbound> outbound;    // guarded by mu
+  size_t inflight = 0;              // guarded by mu: read, not yet answered
   bool broken = false;              // guarded by mu
-  size_t inflight = 0;              // guarded by mu: submitted, unanswered
+  bool closing = false;             // guarded by mu: the reader stopped
 };
 
-// Frames and writes one payload; requires mux->mu held. The first
-// failure latches `broken` and turns later writes into no-ops.
-void SendLocked(MuxConnection* mux, const WireFrame& frame) {
-  if (mux->broken) return;
-  Result<std::string> encoded = EncodeWireFrame(frame, kWireProtocolV2);
-  if (!encoded.ok() ||
-      !WriteFullySocket(mux->fd, encoded->data(), encoded->size())) {
-    mux->broken = true;
+void Queue(MuxConnection* mux, Outbound frame) {
+  {
+    std::lock_guard<std::mutex> lock(mux->mu);
+    mux->outbound.push_back(std::move(frame));
   }
+  mux->ready.notify_one();
 }
 
-// Encodes and writes `response` as its request's terminal frame.
-// `streamed` selects the tails-only payload of a streamed response.
-void WriteResponse(MuxConnection* mux, const WireResponse& response,
-                   bool streamed) {
-  std::lock_guard<std::mutex> lock(mux->mu);
-  if (mux->broken) return;
-  WireFrame frame;
-  frame.type = WireFrameType::kResponse;
-  frame.request_id = response.request_id;
-  frame.final_frame = true;
-  frame.streamed = streamed;
-  // Encode under mu: the encoder's dictionary mutations must land on
-  // the wire in the order they happened (an unencodable frame breaks
-  // the connection, as the dictionary already advanced).
-  frame.payload = streamed ? EncodeWireResponseStreamedTails(response)
-                           : EncodeWireResponse(response, &mux->encoder);
-  SendLocked(mux, frame);
-}
-
-void WritePartial(MuxConnection* mux, uint64_t request_id,
-                  const FingerprintShard& shard) {
-  WireFrame frame;
-  frame.type = WireFrameType::kPartial;
+void QueueResponse(MuxConnection* mux, uint64_t request_id,
+                   WireResponse response, bool streamed) {
+  Outbound frame;
   frame.request_id = request_id;
-  frame.final_frame = false;
-  frame.streamed = true;
-  frame.payload = EncodeWireFingerprintShard(shard);
-  std::lock_guard<std::mutex> lock(mux->mu);
-  SendLocked(mux, frame);
+  frame.streamed = streamed;
+  frame.response = std::move(response);
+  Queue(mux, std::move(frame));
+}
+
+// Encodes and writes one queued frame. Only the writer encodes, so the
+// response encoder's dictionary mutations land on the wire in the order
+// they happened.
+bool Send(int fd, WireTableEncoder* encoder, const Outbound& next) {
+  WireFrame frame;
+  frame.type = next.partial ? WireFrameType::kPartial : WireFrameType::kResponse;
+  frame.request_id = next.request_id;
+  frame.final_frame = !next.partial;
+  frame.streamed = next.partial || next.streamed;
+  frame.payload = next.partial    ? EncodeWireFingerprintShard(next.shard)
+                  : next.streamed ? EncodeWireResponseStreamedTails(next.response)
+                                  : EncodeWireResponse(next.response, encoder);
+  Result<std::string> encoded = EncodeWireFrame(frame, kWireProtocolV2);
+  return encoded.ok() &&
+         WriteFullySocket(fd, encoded->data(), encoded->size());
+}
+
+// The connection's writer thread: writes queued frames in queue order,
+// and returns once the reader has stopped and every request it read has
+// answered. A peer that stops reading blocks only this thread.
+void WriteLoop(MuxConnection* mux) {
+  WireTableEncoder encoder;
+  std::unique_lock<std::mutex> lock(mux->mu);
+  for (;;) {
+    mux->ready.wait(lock, [mux] {
+      return !mux->outbound.empty() || (mux->closing && mux->inflight == 0);
+    });
+    if (mux->outbound.empty()) return;
+    bool answered = false;
+    bool ok = true;
+    {
+      const Outbound next = std::move(mux->outbound.front());
+      mux->outbound.pop_front();
+      answered = !next.partial;
+      const bool broken = mux->broken;
+      lock.unlock();
+      if (!broken) ok = Send(mux->fd, &encoder, next);
+    }  // the response's tables are freed here, off the lock
+    lock.lock();
+    if (!ok) mux->broken = true;
+    if (answered) {
+      --mux->inflight;
+      mux->drained.notify_all();
+    }
+  }
 }
 
 }  // namespace
@@ -189,10 +224,11 @@ void PrivmarkDaemon::ServeConnection(int fd) {
     return;
   }
 
-  // Shared with every completion and sink this connection hands the
-  // service, which run on strand threads.
+  // Shared with the writer and with every completion and sink this
+  // connection hands the service, which run on the service's workers.
   auto mux = std::make_shared<MuxConnection>();
   mux->fd = fd;
+  std::thread writer([mux] { WriteLoop(mux.get()); });
   WireTableDecoder decoder(config_.schema);
 
   for (;;) {
@@ -217,65 +253,70 @@ void PrivmarkDaemon::ServeConnection(int fd) {
     if (!request.ok()) break;  // codec state unknowable: hang up
     const bool streamed = frame->streamed;
     const uint64_t request_id = frame->request_id;
+    {
+      // Backpressure: stop reading at the inflight cap. A request counts
+      // until its answer has left the writer, so a peer that stops
+      // reading stops its own intake.
+      std::unique_lock<std::mutex> lock(mux->mu);
+      mux->drained.wait(lock, [&] {
+        return mux->inflight < kMaxInflightPerConnection;
+      });
+      ++mux->inflight;
+    }
 
     if (frame->type == WireFrameType::kOpen) {
       // Inline on the reader: the open must complete before any later
       // pipelined request for the new session is submitted.
-      WireResponse response = ExecuteOpen(*request);
-      response.request_id = request_id;
-      WriteResponse(mux.get(), response, false);
+      QueueResponse(mux.get(), request_id, ExecuteOpen(*request), false);
     } else if (Result<ServiceRequest> service_request =
                    ToServiceRequest(*std::move(request));
                !service_request.ok()) {
       // Conversion failures (e.g. an unparsable registry) are
       // service-level: answer, keep the connection.
-      WireResponse response = ToWireResponse(
-          frame->type, Result<ServiceResponse>(service_request.status()));
-      response.request_id = request_id;
-      WriteResponse(mux.get(), response, false);
+      QueueResponse(mux.get(), request_id,
+                    ToWireResponse(frame->type, Result<ServiceResponse>(
+                                                    service_request.status())),
+                    false);
     } else {
       if (streamed) {
         service_request->fingerprint_sink =
             [mux, request_id](const FingerprintShard& shard) {
-              WritePartial(mux.get(), request_id, shard);
+              Outbound partial;
+              partial.request_id = request_id;
+              partial.partial = true;
+              partial.shard = shard;
+              Queue(mux.get(), std::move(partial));
             };
-      }
-      {
-        // Backpressure: stop reading at the inflight cap.
-        std::unique_lock<std::mutex> lock(mux->mu);
-        mux->drained.wait(lock, [&] {
-          return mux->inflight < kMaxInflightPerConnection;
-        });
-        ++mux->inflight;
       }
       // Submit on the reader so same-session submission order equals
       // frame arrival order (the strand executes in that order). The
-      // completion answers on whichever thread finishes the request —
-      // the strand, or this reader for an early rejection — and runs
-      // after every partial the strand streamed for it, so the terminal
-      // frame always trails its partials on the wire.
+      // completion queues the answer from whichever thread finishes the
+      // request — the pool worker running the session's turn, or this
+      // reader for an early rejection — after every partial the turn
+      // queued for it, so the terminal frame always trails its partials
+      // on the wire.
       service_.Submit(
           *std::move(service_request),
           [mux, request_id, type = frame->type,
            streamed](Result<ServiceResponse> result) {
-            WireResponse response = ToWireResponse(type, std::move(result));
-            response.request_id = request_id;
-            WriteResponse(mux.get(), response, streamed);
-            std::lock_guard<std::mutex> lock(mux->mu);
-            --mux->inflight;
-            mux->drained.notify_all();
+            QueueResponse(mux.get(), request_id,
+                          ToWireResponse(type, std::move(result)), streamed);
           });
     }
     std::lock_guard<std::mutex> lock(mux->mu);
     if (mux->broken) break;
   }
 
-  // Teardown: stop reading and wait until every dispatched request has
-  // answered (accepted work always executes — its partials and response
-  // simply fail to write if the socket is gone), then hang up. The
-  // accept loop closes the fd once this thread has finished.
-  std::unique_lock<std::mutex> lock(mux->mu);
-  mux->drained.wait(lock, [&] { return mux->inflight == 0; });
+  // Teardown: stop reading; the writer returns once every dispatched
+  // request has answered (accepted work always executes — its partials
+  // and response are simply dropped if the socket is gone). Then hang
+  // up. The accept loop closes the fd once this thread has finished.
+  {
+    std::lock_guard<std::mutex> lock(mux->mu);
+    mux->closing = true;
+  }
+  mux->ready.notify_one();
+  writer.join();
   ::shutdown(fd, SHUT_RDWR);
 }
 

@@ -2,36 +2,38 @@
 // the wire protocol of service/wire.h so remote hospital streams reach
 // the service without linking it in-process.
 //
-// Execution model: one accept-loop thread and one reader thread per
-// connection (no event loop, no new dependencies); the daemon keeps no
-// other threads and no session state of its own. After the handshake
-// the reader decodes and submits pipelined requests as they arrive
-// (same-session order = submission order = the strand's execution
-// order). Each request's response is encoded and written by whichever
-// thread completes it — normally the session's strand, right after it
-// executes the request — in any order across sessions, demultiplexed by
-// the echoed request_id. A streamed kFingerprint request's verdict
-// shards are written as kPartial frames from the same strand, before
-// its terminal response. A client that stops reading therefore stalls
-// only the strands writing to it, never a thread-admission grant (the
-// grant is released before the response is written). Close responses
-// carry the per-epoch manifests the service built from the session
-// itself.
+// Execution model: one accept-loop thread, and one reader and one
+// writer thread per connection (no event loop, no new dependencies);
+// the daemon keeps no other threads and no session state of its own.
+// After the handshake the reader decodes and submits pipelined requests
+// as they arrive (same-session order = submission order = the strand's
+// execution order). Whichever thread completes a request — normally the
+// pool worker running the session's turn, right after it executes the
+// request — only queues its response on the connection; the writer
+// encodes and writes queued frames in queue order, so responses leave in
+// any order across sessions, demultiplexed by the echoed request_id. A
+// streamed kFingerprint request's verdict shards are queued as kPartial
+// frames from the same turn, before its terminal response. A client
+// that stops reading therefore stalls only its own writer (and, at the
+// in-flight cap, its own reader), never a service worker. Close
+// responses carry the per-epoch manifests the service built from the
+// session itself.
 //
-// kMaxInflightPerConnection bounds submitted-but-unanswered requests:
-// at the cap the reader stops reading (TCP backpressure). The same
-// counter is the connection's teardown barrier — the reader returns
-// only once every submitted request has answered — and the accept loop
-// reaps finished connections (joins the thread, closes the fd), so a
+// kMaxInflightPerConnection bounds read-but-unanswered requests (so
+// also the writer's queue of responses): at the cap the reader stops
+// reading (TCP backpressure). The same counter is the connection's
+// teardown barrier — the reader stops the writer and returns only once
+// every request has answered — and the accept loop reaps finished
+// connections (joins the thread, closes the fd), so a
 // long-lived daemon holds fds and threads for live connections only.
 // An accept that fails for lack of fds or memory backs off and retries;
 // the loop ends only at Shutdown.
 //
-// All writes on a connection — partials and responses from strand
-// threads, inline open responses from the reader — serialize on one
-// mutex, and response payloads are ENCODED under that mutex too, so the
-// table codec's dictionary mutation order always equals the wire order
-// the client's decoder replays.
+// All writes on a connection — partials and responses from the pool
+// workers running strand turns, inline open responses from the
+// reader — go through its one writer, which also ENCODES every response
+// payload, so the table codec's dictionary mutation order always equals
+// the wire order the client's decoder replays.
 //
 // Protocol errors (bad magic, malformed frame, unknown flags, a
 // kPartial/kResponse frame from a client, undecodable payload) are

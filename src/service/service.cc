@@ -1,6 +1,5 @@
 #include "service/service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -60,30 +59,23 @@ const char* RequestKindToString(RequestKind kind) {
 }
 
 bool ServiceQueue::Push(Item&& item) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-  }
-  cv_.notify_one();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return false;
+  items_.push_back(std::move(item));
   return true;
 }
 
 bool ServiceQueue::Pop(Item* item) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-  if (items_.empty()) return false;  // closed and drained
+  std::lock_guard<std::mutex> lock(mu_);
+  if (items_.empty()) return false;
   *item = std::move(items_.front());
   items_.pop_front();
   return true;
 }
 
 void ServiceQueue::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  closed_ = true;
 }
 
 size_t ServiceQueue::size() const {
@@ -98,7 +90,6 @@ size_t ServiceQueue::Abandon(const Status& status) {
     closed_ = true;
     taken.swap(items_);
   }
-  cv_.notify_all();
   // Completions run outside mu_: one may call back into the queue.
   for (Item& item : taken) item.done(Result<ServiceResponse>(status));
   return taken.size();
@@ -111,8 +102,10 @@ bool ServiceQueue::closed() const {
 
 PrivmarkService::PrivmarkService(ServiceConfig config)
     : config_(std::move(config)),
-      admission_(config_.thread_cap),
-      pool_(MakeThreadPool(admission_.capacity())) {}
+      thread_cap_(NormalizeThreadCount(config_.thread_cap)),
+      // One slot more than the cap: the pool counts its caller, and here
+      // the callers of Run() are the cap workers' own turns.
+      pool_(std::make_unique<ThreadPool>(thread_cap_ + 1)) {}
 
 PrivmarkService::~PrivmarkService() { Shutdown(); }
 
@@ -140,39 +133,29 @@ Status PrivmarkService::OpenSession(const std::string& name,
   if (shutdown_) {
     return Status::InvalidArgument("OpenSession: service is shut down");
   }
-  ReapFinishedLocked();
   auto it = strands_.find(name);
   if (it != strands_.end()) {
     if (!it->second->closing) {
       return Status::AlreadyExists("OpenSession: session '" + name +
                                    "' is already open");
     }
-    // Closed but still draining accepted requests. Joining here would
+    // Closed but still draining accepted requests. Waiting here would
     // hold mu_ — and with it every other session's intake — for the
-    // whole drain, so the caller retries instead; the reap above frees
-    // the name the moment the strand finishes.
+    // whole drain, so the caller retries instead; the turn that drains
+    // the strand frees the name.
     return Status::AlreadyExists("OpenSession: session '" + name +
                                  "' is still draining; retry shortly");
   }
 
   auto strand = std::make_unique<Strand>();
+  strand->name = name;
   strand->default_ask = SessionThreadAsk(config);
-  if (pool_ != nullptr) {
-    // All sessions of one service share the one pool; per-request grants
-    // re-cap the lease, so whatever pools or thread counts the caller
-    // configured are overridden — the admission controller, not the
-    // session config, decides how wide a request runs.
-    strand->lease = ThreadPool::Lease(pool_.get(), 1);
-    config.binning.pool = strand->lease.get();
-    config.watermark.pool = strand->lease.get();
-  } else {
-    // thread_cap == 1: every request runs serial on its strand. Zero the
-    // knobs too, or the session would build a private pool of its own.
-    config.binning.pool = nullptr;
-    config.watermark.pool = nullptr;
-    config.binning.num_threads = 1;
-    config.watermark.num_threads = 1;
-  }
+  // All sessions of one service share the one pool; each request re-caps
+  // the lease to its width, so whatever pools the caller configured are
+  // overridden.
+  strand->lease = ThreadPool::Lease(pool_.get(), 1);
+  config.binning.pool = strand->lease.get();
+  config.watermark.pool = strand->lease.get();
   SessionRecovery recovered;
   if (config_.journal_dir.empty()) {
     strand->session = std::make_unique<ProtectionSession>(
@@ -208,9 +191,7 @@ Status PrivmarkService::OpenSession(const std::string& name,
     }
   }
   if (recovery != nullptr) *recovery = std::move(recovered);
-  Strand* raw = strand.get();
   strands_.emplace(name, std::move(strand));
-  raw->thread = std::thread([this, raw] { RunStrand(raw); });
   return Status::OK();
 }
 
@@ -235,7 +216,6 @@ Status PrivmarkService::Enqueue(ServiceRequest request,
   if (shutdown_) {
     return Status::InvalidArgument("Submit: service is shut down");
   }
-  ReapFinishedLocked();
   auto it = strands_.find(request.session);
   if (it == strands_.end()) {
     return Status::KeyError("Submit: unknown session '" + request.session +
@@ -284,6 +264,11 @@ Status PrivmarkService::Enqueue(ServiceRequest request,
     strand->closing = true;
     strand->queue.Close();
   }
+  if (!strand->scheduled) {
+    strand->scheduled = true;
+    ++scheduled_;
+    pool_->Post([this, strand] { RunTurn(strand); });
+  }
   return Status::OK();
 }
 
@@ -323,51 +308,52 @@ ServiceFuture PrivmarkService::CloseSession(const std::string& session) {
   return Submit(std::move(request));
 }
 
-void PrivmarkService::RunStrand(Strand* strand) {
-  for (;;) {
-    // Scoped per request, so a completion's captures die with its
-    // request rather than waiting for the session's next one.
+void PrivmarkService::RunTurn(Strand* strand) {
+  {
+    // Scoped to the turn, so a completion's captures die with its
+    // request. The queue is empty here only if Shutdown abandoned it.
     ServiceQueue::Item item;
-    if (!strand->queue.Pop(&item)) break;
-    if (item.has_deadline &&
-        std::chrono::steady_clock::now() >= item.deadline) {
-      // Expired while queued: fail without executing. The session state
-      // is untouched, so the stream stays byte-identical to a replay
-      // that never submitted this request.
-      item.done(Result<ServiceResponse>(Status::DeadlineExceeded(
-          std::string("request '") + RequestKindToString(item.request.kind) +
-          "' spent its whole deadline queued; it was not executed")));
-      continue;
-    }
-    // Execute has returned — and released the admission grant — before
-    // the completion runs.
-    item.done(Execute(strand, &item));
-  }
-  strand->finished.store(true, std::memory_order_release);
-}
-
-void PrivmarkService::ReapFinishedLocked() {
-  for (auto it = strands_.begin(); it != strands_.end();) {
-    Strand& strand = *it->second;
-    if (strand.closing &&
-        strand.finished.load(std::memory_order_acquire)) {
-      if (strand.thread.joinable()) strand.thread.join();  // instant
-      it = strands_.erase(it);
-    } else {
-      ++it;
+    if (strand->queue.Pop(&item)) {
+      if (item.has_deadline &&
+          std::chrono::steady_clock::now() >= item.deadline) {
+        // Expired while queued: fail without executing. The session
+        // state is untouched, so the stream stays byte-identical to a
+        // replay that never submitted this request.
+        item.done(Result<ServiceResponse>(Status::DeadlineExceeded(
+            std::string("request '") +
+            RequestKindToString(item.request.kind) +
+            "' spent its whole deadline queued; it was not executed")));
+      } else {
+        item.done(Execute(strand, &item.request));
+      }
     }
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (strand->queue.size() > 0) {
+    // To the back of the pool's queue: other sessions' turns go first.
+    pool_->Post([this, strand] { RunTurn(strand); });
+    return;
+  }
+  strand->scheduled = false;
+  // A closing strand is now drained for good: free it and its name (no
+  // open can have reused the name yet). Once Shutdown has taken every
+  // strand the find misses, leaving the strand to Shutdown. Erase by
+  // iterator: strand->name dies with the node.
+  if (strand->closing) {
+    auto it = strands_.find(strand->name);
+    if (it != strands_.end()) strands_.erase(it);
+  }
+  if (--scheduled_ == 0) idle_.notify_all();
 }
 
 Result<ServiceResponse> PrivmarkService::Execute(Strand* strand,
-                                                 ServiceQueue::Item* item) {
-  ServiceRequest* request = &item->request;
+                                                 ServiceRequest* request) {
   ServiceResponse response;
   response.kind = request->kind;
 
   if (request->kind == RequestKind::kCloseSession) {
-    // Pure bookkeeping — no data-parallel work, so no admission round
-    // trip; earlier requests already drained (FIFO strand).
+    // Pure bookkeeping — no data-parallel work; earlier requests already
+    // drained (FIFO strand).
     const ProtectionSession& session = *strand->session;
     response.stats.rows_ingested = session.rows_ingested();
     response.stats.rows_emitted = session.rows_emitted();
@@ -382,35 +368,19 @@ Result<ServiceResponse> PrivmarkService::Execute(Strand* strand,
   const size_t ask = request->num_threads == kSessionThreads
                          ? strand->default_ask
                          : request->num_threads;
-  // Admission waits at most the request's remaining deadline, and sheds
-  // outright behind max_admission_waiters queued peers.
-  int64_t admission_timeout_ms = -1;
-  if (item->has_deadline) {
-    const auto remaining = item->deadline - std::chrono::steady_clock::now();
-    admission_timeout_ms = std::max<int64_t>(
-        0, std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-               .count());
-  }
-  size_t granted = 0;
-  PRIVMARK_ASSIGN_OR_RETURN(
-      granted, admission_.AcquireWithin(ask, admission_timeout_ms,
-                                        config_.max_admission_waiters));
-  struct GrantGuard {
-    AdmissionController* controller;
-    size_t granted;
-    ~GrantGuard() { controller->Release(granted); }
-  } grant_guard{&admission_, granted};
-  response.threads_granted = granted;
-  // The grant IS the lease width: agents shard by the lease's reported
-  // worker count, so at most `granted` of the shared workers ever touch
-  // this request (the small-fix guarantee: granted, not requested).
-  if (strand->lease != nullptr) strand->lease->set_limit(granted);
+  const size_t width = ask == 0 || ask > thread_cap_ ? thread_cap_ : ask;
+  response.threads_granted = width;
+  // The width IS the lease's limit: agents shard by the lease's reported
+  // worker count, so at most `width` of the shared workers ever touch
+  // this request.
+  strand->lease->set_limit(width);
 
   try {
     switch (request->kind) {
       case RequestKind::kProtectBatch: {
         PRIVMARK_ASSIGN_OR_RETURN(response.ingest,
-                                  strand->session->Ingest(request->table));
+                                  strand->session->Ingest(
+                                      std::move(request->table)));
         break;
       }
       case RequestKind::kFlush: {
@@ -459,42 +429,38 @@ void PrivmarkService::Shutdown() {
 }
 
 Status PrivmarkService::Shutdown(int64_t deadline_ms) {
-  // Take ownership of every strand under the lock: a concurrent (or
-  // repeated) Shutdown finds an empty registry and has nothing to join,
-  // so no strand is ever joined twice or destroyed under an iterator.
+  // Take ownership of every strand under the lock: a turn that drains a
+  // taken strand leaves it here, and a repeated Shutdown finds an empty
+  // registry. Every caller waits for the turns still scheduled.
   std::unordered_map<std::string, std::unique_ptr<Strand>> taken;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-    for (auto& [name, strand] : strands_) {
-      strand->queue.Close();  // idempotent; accepted items still drain
-    }
-    taken = std::move(strands_);
-    strands_.clear();
+  std::unique_lock<std::mutex> lock(mu_);
+  shutdown_ = true;
+  for (auto& [name, strand] : strands_) {
+    strand->queue.Close();  // idempotent; accepted items still drain
   }
+  taken = std::move(strands_);
+  strands_.clear();
+  const auto idle = [this] { return scheduled_ == 0; };
   size_t abandoned = 0;
-  if (deadline_ms >= 0) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(deadline_ms);
+  // A zero deadline does not wait at all: even a wait that times out at
+  // once releases mu_, and the workers could drain the very queues the
+  // caller asked to abandon.
+  if (deadline_ms >= 0 && !idle() &&
+      (deadline_ms == 0 ||
+       !idle_.wait_for(lock, std::chrono::milliseconds(deadline_ms), idle))) {
+    // Abandon outside mu_: the failed requests' completions run here.
+    lock.unlock();
     for (auto& [name, strand] : taken) {
-      // The strand sets `finished` as its last action; poll it rather
-      // than joining, because a join cannot be abandoned halfway.
-      while (!strand->finished.load(std::memory_order_acquire) &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      if (!strand->finished.load(std::memory_order_acquire)) {
-        abandoned += strand->queue.Abandon(Status::DeadlineExceeded(
-            "service shutdown deadline passed before this request ran"));
-      }
+      abandoned += strand->queue.Abandon(Status::DeadlineExceeded(
+          "service shutdown deadline passed before this request ran"));
     }
+    lock.lock();
   }
-  // Joins are bounded once queues are drained or abandoned: each blocks
-  // only for the strand's in-flight request, which always completes —
-  // it cannot be safely interrupted mid-epoch.
-  for (auto& [name, strand] : taken) {
-    if (strand->thread.joinable()) strand->thread.join();
-  }
+  // Bounded once queues are drained or abandoned: the wait covers only
+  // the in-flight requests, which always complete — one cannot be
+  // safely interrupted mid-epoch.
+  idle_.wait(lock, idle);
+  lock.unlock();
   if (abandoned > 0) {
     return Status::DeadlineExceeded(
         "Shutdown: abandoned " + std::to_string(abandoned) +

@@ -20,30 +20,34 @@
 // Execution model — the two properties everything else hangs off:
 //
 //  1. Same-session requests SERIALIZE in arrival order. Each session is a
-//     strand: one FIFO ServiceQueue drained by one thread owning the
-//     session. A session's epoch output is therefore byte-identical to a
-//     serial replay of the same request sequence — concurrency never
-//     reorders a stream (proven by the service-equivalence property
-//     suite across thread caps).
+//     strand: one FIFO ServiceQueue that owns no thread. While its queue
+//     is non-empty the strand is posted to the service's worker pool,
+//     and each turn runs ONE request before the strand goes to the back
+//     of the pool's queue again, so sessions take turns. A session's
+//     epoch output is therefore byte-identical to a serial replay of the
+//     same request sequence — concurrency never reorders a stream
+//     (proven by the service-equivalence property suite across caps).
 //
-//  2. Different-session requests run CONCURRENTLY on one shared
-//     ThreadPool, gated by an AdmissionController: each request asks for
-//     its session's num_threads (or a per-request override) and is
-//     granted at most the free share of the thread cap — excess work
-//     queues FIFO instead of oversubscribing (service/admission.h). The
-//     grant reaches the agents through a ThreadPool lease whose reported
-//     worker count IS the grant, so they shard exactly that wide.
+//  2. Different-session requests run CONCURRENTLY on that one pool of
+//     thread_cap workers. The pool is the only place service work runs,
+//     so the cap is the service's thread count whatever the number of
+//     sessions. Each request runs `width` threads wide: its session's
+//     num_threads (or a per-request override), 0 and asks above the cap
+//     meaning the cap. The width reaches the agents through a ThreadPool
+//     lease whose reported worker count IS the width, so they shard
+//     exactly that wide; a turn that shards helps run its own batch, so
+//     a width-w request holds at most w workers.
 //
 // Shutdown drains: once a request is accepted (Submit did not reject
-// it), it executes — Shutdown() closes intake, lets every strand drain
-// its queue, and joins. Accepted work is never dropped. The deadline form,
-// Shutdown(deadline_ms), trades that guarantee for boundedness: when
-// the deadline passes, still-queued requests fail DeadlineExceeded
-// without executing (in-flight ones always finish — they cannot be
-// safely interrupted) and the call reports how many were abandoned. An
-// abandoned request fails visibly, so its caller can resubmit after
-// recovery; everything that DID execute before the deadline is already
-// in the journal and survives.
+// it), it executes — Shutdown() closes intake and waits until every
+// strand has drained its queue. Accepted work is never dropped. The
+// deadline form, Shutdown(deadline_ms), trades that guarantee for
+// boundedness: when the deadline passes, still-queued requests fail
+// DeadlineExceeded without executing (in-flight ones always finish —
+// they cannot be safely interrupted) and the call reports how many were
+// abandoned. An abandoned request fails visibly, so its caller can
+// resubmit after recovery; everything that DID execute before the
+// deadline is already in the journal and survives.
 //
 // Durability: give ServiceConfig a journal_dir and every session writes
 // a write-ahead journal at <journal_dir>/<name>.wal (core/journal.h).
@@ -54,11 +58,10 @@
 // the in-flight batch.
 //
 // Overload control: per-request deadlines (deadline_ms, counted from
-// Submit) fail still-queued or admission-starved requests with
-// DeadlineExceeded instead of letting them camp; queue-depth and
-// admission-waiter caps shed new load with ResourceExhausted (the
-// Status carries a typed retry_after_ms() hint) instead of growing
-// unbounded.
+// Submit) fail still-queued requests with DeadlineExceeded instead of
+// letting them camp; a queue-depth cap sheds new load with
+// ResourceExhausted (the Status carries a typed retry_after_ms() hint)
+// instead of growing unbounded.
 
 #ifndef PRIVMARK_SERVICE_SERVICE_H_
 #define PRIVMARK_SERVICE_SERVICE_H_
@@ -72,7 +75,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -80,12 +82,11 @@
 #include "common/status.h"
 #include "core/manifest.h"
 #include "core/session.h"
-#include "service/admission.h"
 
 namespace privmark {
 
-/// \brief Ask for "whatever the session's config requests" (the default
-/// per-request thread ask).
+/// \brief Run "as wide as the session's config asks" (the default
+/// per-request width).
 inline constexpr size_t kSessionThreads = static_cast<size_t>(-1);
 
 /// \brief Per-request deadline sentinel: use the service config's
@@ -124,19 +125,20 @@ struct ServiceRequest {
   /// kDetectFingerprint only: when non-null, per-key-shard verdicts are
   /// streamed through this sink as each epoch's scan completes them, in
   /// deterministic (epoch, shard) order, BEFORE the request's completion
-  /// runs. The sink runs on the session's strand thread, so it must not
-  /// block on the request's own result. The concatenation of the
+  /// runs. The sink runs on the pool worker running the session's turn,
+  /// so it must not block on the request's own result, and a slow sink
+  /// holds one of the cap workers. The concatenation of the
   /// streamed shard verdicts is byte-identical to the final response's
   /// per-epoch FingerprintReport verdicts (fingerprint.h contract).
   FingerprintShardSink fingerprint_sink;
-  /// Admission ask for this request; kSessionThreads = the session
-  /// config's own num_threads knobs. 0 = the whole thread cap.
+  /// Thread ask for this request; kSessionThreads = the session
+  /// config's own num_threads knobs. 0 = the whole thread cap, and an
+  /// ask above the cap runs at the cap.
   size_t num_threads = kSessionThreads;
   /// Deadline in milliseconds, counted from Submit(). The request fails
   /// with DeadlineExceeded if it is still queued when the deadline
-  /// passes (it never executes) and its admission wait is bounded by
-  /// the time remaining. kDeadlineFromConfig (-1) = the service's
-  /// default_deadline_ms; 0 = no deadline.
+  /// passes (it never executes). kDeadlineFromConfig (-1) = the
+  /// service's default_deadline_ms; 0 = no deadline.
   int64_t deadline_ms = kDeadlineFromConfig;
 };
 
@@ -160,8 +162,9 @@ struct ServiceResponse {
   /// kDetectFingerprint: one registry scan per epoch, in epoch order.
   std::vector<FingerprintReport> fingerprints;
   SessionStats stats;                 // kCloseSession
-  /// Threads the admission controller granted this request (1 for
-  /// kCloseSession, which does no data-parallel work).
+  /// The width the request ran at: its thread ask with 0 and asks above
+  /// the cap normalized to the cap (1 for kCloseSession, which does no
+  /// data-parallel work).
   size_t threads_granted = 1;
   /// The session's sticky journal state as of this request
   /// (ProtectionSession::journal_status): OK until an epoch seals in
@@ -183,10 +186,9 @@ using ServiceCompletion = std::function<void(Result<ServiceResponse>)>;
 
 /// \brief Thread-safe FIFO of pending requests — one per session strand.
 ///
-/// Push() after Close() fails (intake closed); Pop() drains whatever was
-/// accepted before the close and only then returns false. That ordering
-/// is the drain guarantee: closing a queue can never drop an accepted
-/// item.
+/// Push() after Close() fails (intake closed); Pop() still drains
+/// whatever was accepted before the close. That ordering is the drain
+/// guarantee: closing a queue can never drop an accepted item.
 class ServiceQueue {
  public:
   struct Item {
@@ -201,7 +203,8 @@ class ServiceQueue {
   /// \brief Enqueues; false iff the queue was closed (item untouched).
   bool Push(Item&& item);
 
-  /// \brief Blocks for the next item; false when closed *and* drained.
+  /// \brief Takes the next item; false when the queue is empty. Never
+  /// blocks.
   bool Pop(Item* item);
 
   /// \brief Closes intake; queued items remain poppable.
@@ -218,15 +221,15 @@ class ServiceQueue {
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<Item> items_;  // guarded by mu_
   bool closed_ = false;     // guarded by mu_
 };
 
 /// \brief Service-wide configuration.
 struct ServiceConfig {
-  /// Aggregate worker cap: the shared pool's size and the admission
-  /// controller's budget. 0 = hardware concurrency.
+  /// The shared pool's worker count, which is every thread that runs
+  /// service work, and the widest a request runs. 0 = hardware
+  /// concurrency.
   size_t thread_cap = 0;
   /// Directory for per-session write-ahead journals; empty = no
   /// durability. Each session journals to <journal_dir>/<name>.wal with
@@ -241,9 +244,6 @@ struct ServiceConfig {
   /// Submit sheds with ResourceExhausted when the target session's
   /// queue already holds this many requests. 0 = unbounded.
   size_t max_queue_depth = 0;
-  /// A request sheds with ResourceExhausted rather than joining the
-  /// thread-admission queue behind this many waiters. 0 = unbounded.
-  size_t max_admission_waiters = 0;
 };
 
 /// \brief What OpenSession found in a pre-existing journal (all zeros
@@ -265,7 +265,7 @@ struct SessionRecovery {
 class PrivmarkService {
  public:
   explicit PrivmarkService(ServiceConfig config = ServiceConfig());
-  /// Drains and joins (Shutdown()).
+  /// Drains (Shutdown()), then joins the pool's workers.
   ~PrivmarkService();
 
   PrivmarkService(const PrivmarkService&) = delete;
@@ -274,7 +274,7 @@ class PrivmarkService {
   /// \brief Registers a named stream: builds its ProtectionSession with
   /// the service's shared pool leased in (any pool the caller put into
   /// `config` is overridden — sessions of one service share one pool by
-  /// construction) and starts its strand. AlreadyExists for a live name
+  /// construction) and registers its strand. AlreadyExists for a live name
   /// and for a closed name whose strand is still draining (retry; the
   /// name frees the moment the drain finishes — OpenSession never
   /// blocks the registry on another session's backlog). InvalidArgument
@@ -300,10 +300,12 @@ class PrivmarkService {
   /// the service's registry lock held.
   ///  - An early rejection (unknown or closed session, shut-down
   ///    service, a full queue) runs it inline, before Submit returns.
-  ///  - An executed request runs it on the session's strand thread
-  ///    after Execute returns, so the request's admission grant is
-  ///    already released; the strand pops its next request only after
-  ///    `done` returns, so a slow completion delays its own session.
+  ///  - An executed request runs it on the pool worker running the
+  ///    session's turn, after Execute returns; the strand takes its next
+  ///    turn only after `done` returns, so a slow completion delays its
+  ///    own session AND holds one of the cap workers meanwhile. It must
+  ///    not wait for another request of this service: at cap 1 that
+  ///    request needs the very worker the completion holds.
   ///  - A request that expires while queued, or that Shutdown(deadline)
   ///    abandons, runs it with DeadlineExceeded without executing.
   /// A kDetectFingerprint request's sink calls all happen before `done`.
@@ -324,8 +326,8 @@ class PrivmarkService {
                        size_t num_threads = kSessionThreads);
   ServiceFuture CloseSession(const std::string& session);
 
-  /// \brief Closes intake on every session, drains every queue, joins
-  /// every strand. Idempotent. Called by the destructor.
+  /// \brief Closes intake on every session and waits until every queue
+  /// has drained. Idempotent. Called by the destructor.
   void Shutdown();
 
   /// \brief Deadline-bounded Shutdown. Closes intake and drains until
@@ -335,52 +337,53 @@ class PrivmarkService {
   /// DeadlineExceeded naming how many requests were abandoned. An
   /// abandoned request never executed, so its caller can resubmit it
   /// after recovery; everything executed before the deadline is already
-  /// journaled. deadline_ms < 0 waits forever (== Shutdown()).
+  /// journaled. deadline_ms < 0 waits forever (== Shutdown()); 0
+  /// abandons whatever is queued at the call, without waiting.
   Status Shutdown(int64_t deadline_ms);
 
   /// \brief Live (not yet closed) sessions.
   size_t num_sessions() const;
 
-  /// \brief All strands still held, including closed ones not yet
-  /// reaped (diagnostic; reaping happens on OpenSession/Submit).
+  /// \brief All strands still held, including closed ones whose queue
+  /// has not yet drained (diagnostic; a closed strand is freed by the
+  /// turn that drains it).
   size_t num_strands() const;
 
-  const AdmissionController& admission() const { return admission_; }
-  size_t thread_cap() const { return admission_.capacity(); }
+  size_t thread_cap() const { return thread_cap_; }
 
  private:
-  // One named stream: session + its capped pool lease + request strand.
+  // One named stream: session + its capped pool lease + request queue.
   struct Strand {
+    std::string name;
     std::unique_ptr<ThreadPool> lease;  // capped view of the shared pool
     std::unique_ptr<ProtectionSession> session;
     ServiceQueue queue;
-    std::thread thread;
     size_t default_ask = 1;  // the session config's own thread ask
     bool closing = false;    // guarded by service mu_: CloseSession seen
-    // Set by the strand thread as its last action; once true, joining is
-    // instantaneous and the strand is reclaimable (ReapFinishedLocked).
-    std::atomic<bool> finished{false};
+    bool scheduled = false;  // guarded by service mu_: a turn is posted
   };
 
-  void RunStrand(Strand* strand);
-  Result<ServiceResponse> Execute(Strand* strand, ServiceQueue::Item* item);
-  // Joins and erases closed strands whose thread has exited — called on
-  // every OpenSession/Submit so a long-lived service does not accumulate
-  // retired sessions' state. Requires mu_ held.
-  void ReapFinishedLocked();
+  // One turn of `strand` on a pool worker: runs its next request, then
+  // posts the strand again if more are queued.
+  void RunTurn(Strand* strand);
+  Result<ServiceResponse> Execute(Strand* strand, ServiceRequest* request);
   // Submit's registry half: queues the request with `*done` moved into
   // its item, or returns the rejection (leaving `*done` to the caller,
   // which runs it after mu_ is released).
   Status Enqueue(ServiceRequest request, ServiceCompletion* done);
 
   const ServiceConfig config_;
-  AdmissionController admission_;
-  std::unique_ptr<ThreadPool> pool_;  // null iff thread_cap == 1 (serial)
+  const size_t thread_cap_;
 
   mutable std::mutex mu_;
-  // unique_ptr values: strands must not move once their thread runs.
+  std::condition_variable idle_;  // scheduled_ dropped to 0
+  // unique_ptr values: a posted turn holds its strand's address.
   std::unordered_map<std::string, std::unique_ptr<Strand>> strands_;
+  size_t scheduled_ = 0;  // guarded by mu_: strands with a turn posted
   bool shutdown_ = false;
+  // Declared last, so it is destroyed first: its workers are joined
+  // before anything a turn touches goes away.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace privmark

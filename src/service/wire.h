@@ -54,7 +54,8 @@
 //
 // Responses carry the service Status (code + message + the typed
 // retry_after_ms backpressure hint — clients must not parse message
-// text), the session's sticky journal status, and the admission grant.
+// text), the session's sticky journal status, and the width the request
+// ran at.
 //
 // Every payload message (request, response, detect report, verdict,
 // fingerprint report, epoch summary, shard, streamed terminal) has one
@@ -222,7 +223,7 @@ struct WireOpenRequest {
   uint64_t k = 20;
   bool enforce_joint = false;
   bool auto_epsilon = false;
-  /// The session's own num_threads knob (its default admission ask).
+  /// The session's own num_threads knob (its default thread ask).
   uint64_t num_threads = 1;
   std::string passphrase;
   std::string k1;
@@ -242,7 +243,7 @@ struct WireOpenRequest {
 struct WireRequest {
   WireFrameType type = WireFrameType::kOpen;
   std::string session;
-  /// Admission ask; UINT64_MAX encodes kSessionThreads.
+  /// Thread ask; UINT64_MAX encodes kSessionThreads.
   uint64_t ask = UINT64_MAX;
   /// Per-request deadline; -1 = the daemon's default_deadline_ms.
   int64_t deadline_ms = -1;

@@ -1,7 +1,8 @@
 // Unit tests for the deterministic parallel substrate: sharding math,
 // pool lifecycle and reuse, concurrent batch submission and capped
-// leases (the service's pool-sharing substrate), Status/exception
-// propagation, and the shard-order merge guarantee of ParallelReduce.
+// leases and posted tasks (the service's pool-sharing substrate),
+// Status/exception propagation, and the shard-order merge guarantee of
+// ParallelReduce.
 
 #include "common/parallel.h"
 
@@ -9,6 +10,7 @@
 
 #include <array>
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -331,9 +333,9 @@ TEST(ThreadPoolLeaseTest, RunForwardsToParentWorkers) {
 }
 
 TEST(ThreadPoolLeaseTest, ShardsCutToTheGrantNotTheParent) {
-  // The admission small-fix in one assertion: agents shard by
+  // The service's request width in one assertion: agents shard by
   // pool->num_threads(), so a leased pool must make them cut to the
-  // granted width, not the shared pool's full width.
+  // lease's width, not the shared pool's full width.
   ThreadPool pool(8);
   const auto lease = ThreadPool::Lease(&pool, 3);
   EXPECT_EQ(ShardRanges(1000, lease->num_threads()).size(), 3u);
@@ -348,6 +350,29 @@ TEST(ThreadPoolLeaseTest, ShardsCutToTheGrantNotTheParent) {
           });
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 3u);  // three shards — the grant, not eight
+}
+
+TEST(ThreadPoolPostTest, PostedTasksRunOffTheCallerAndMayRunBatches) {
+  // Each posted task submits a batch to the same pool, as a service turn
+  // does. Two background workers run six such tasks without deadlock,
+  // and none of the work lands on the posting thread.
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<size_t> tasks_on_caller{0};
+  std::atomic<size_t> batch_hits{0};
+  std::vector<std::promise<void>> done(6);
+  std::vector<std::future<void>> finished;
+  for (std::promise<void>& promise : done) {
+    finished.push_back(promise.get_future());
+    pool.Post([&, promise = &promise] {
+      if (std::this_thread::get_id() == caller) ++tasks_on_caller;
+      pool.Run(4, [&](size_t) { ++batch_hits; });
+      promise->set_value();
+    });
+  }
+  for (std::future<void>& future : finished) future.wait();
+  EXPECT_EQ(tasks_on_caller.load(), 0u);
+  EXPECT_EQ(batch_hits.load(), 24u);
 }
 
 TEST(ParallelReduceTest, MapErrorPropagatesLowestShard) {

@@ -411,10 +411,10 @@ TEST(ProtectionSessionTest, CallerOwnedPoolWins) {
 }
 
 TEST(ProtectionSessionTest, InjectedPoolBackfillsTheOtherAgent) {
-  // The admission-control contract: when a caller (the service) injects
-  // a granted pool for one agent, the other agent must inherit that same
-  // pool — never a fresh one built from the num_threads knobs, which
-  // record the *requested* width, not the granted one.
+  // When a caller (the service) injects a pool for one agent, the other
+  // agent must inherit that same pool — never a fresh one built from the
+  // num_threads knobs, which record the *requested* width, not the one
+  // the caller gave.
   Env env = MakeEnv(/*num_threads=*/8);  // the request: 8 threads
   const auto granted = MakeThreadPool(2);  // the grant: 2 threads
   env.config.binning.pool = granted.get();

@@ -5,12 +5,12 @@
 // caps {1, 2, hardware}.
 //
 // This is the service's whole determinism contract in one claim: the
-// strand-per-session design may interleave *different* sessions'
-// compute arbitrarily on the shared pool (and the admission controller
-// may grant any width the cap allows), but a session's own request
-// sequence serializes in arrival order, and every pipeline stage is
-// byte-identical for any worker count — so nothing the scheduler or the
-// controller does can show up in the bytes.
+// strand-per-session design may interleave *different* sessions' turns
+// arbitrarily on the shared pool (and a request may run at any width the
+// cap allows), but a session's own request sequence serializes in
+// arrival order, and every pipeline stage is byte-identical for any
+// worker count — so nothing the scheduler does can show up in the
+// bytes.
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,8 @@
 // Daemon robustness suite: the network front-end against well-formed
 // clients, hostile peers (bad magic, oversized lengths, unknown tags,
-// CRC damage, mid-frame disconnects), injected socket faults, and
-// overload (typed retry_after_ms shedding over the wire). A protocol
+// CRC damage, mid-frame disconnects), injected socket faults, overload
+// (typed retry_after_ms shedding over the wire), and a peer that stops
+// reading its responses. A protocol
 // error must be fatal to the offending connection only — the daemon
 // keeps serving everyone else.
 
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -685,6 +687,158 @@ TEST(DaemonMultiplexTest, PipelinedIngestsLeaveNoThreadsBehind) {
   }
   EXPECT_EQ(CountEntries("/proc/self/task"), threads_after_open);
   EXPECT_TRUE(env.daemon->Shutdown().ok());
+}
+
+// ---- a peer that stops reading --------------------------------------------
+
+// A raw peer with a tiny receive buffer (set before connect, so the
+// window stays small) on a cap-1 daemon. It opens a session, freezes its
+// bins (ingest + flush), so every later ingest answers with its whole
+// batch emitted, then pipelines 16 big ingests whose answers hold about
+// three times what the loopback buffers take. It reads its answers only
+// as the test says.
+class StalledPeer {
+ public:
+  explicit StalledPeer(uint16_t port) {
+    MedicalDataSpec spec;
+    spec.num_rows = 12000;
+    spec.seed = 737373;
+    const MedicalDataset big =
+        std::move(GenerateMedicalDataset(spec)).ValueOrDie();
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int rcvbuf = 4096;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    char echo[kWireMagicSize];
+    connected_ =
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+            0 &&
+        WriteFullySocket(fd_, kWireMagic, kWireMagicSize) &&
+        ReadFullySocket(fd_, echo, sizeof(echo));
+
+    WireTableEncoder encoder;
+    uint64_t request_id = 0;
+    auto append = [&](const WireRequest& request) {
+      WireFrame frame;
+      frame.type = request.type;
+      frame.request_id = ++request_id;
+      frame.payload = EncodeWireRequest(request, &encoder);
+      bytes_ += EncodeWireFrame(frame, kWireProtocolV2).ValueOrDie();
+    };
+    append(OpenRequest("stalled"));
+    WireRequest ingest;
+    ingest.type = WireFrameType::kIngest;
+    ingest.session = "stalled";
+    ingest.table = big.table.Slice(0, 2000);
+    append(ingest);
+    WireRequest flush;
+    flush.type = WireFrameType::kFlush;
+    flush.session = "stalled";
+    append(flush);
+    ingest.table = big.table.Clone();
+    for (int i = 0; i < 16; ++i) append(ingest);
+  }
+
+  ~StalledPeer() { ::close(fd_); }
+
+  bool connected() const { return connected_; }
+
+  // Sends every request from a thread of its own (the daemon's reader
+  // may stop reading at its in-flight cap).
+  void SendAll() {
+    sender_ = std::thread([this] {
+      (void)WriteFullySocket(fd_, bytes_.data(), bytes_.size());
+    });
+  }
+
+  // Reads `chunk` bytes of its answers every `period` until HangUp.
+  void Trickle(size_t chunk, std::chrono::milliseconds period) {
+    reader_ = std::thread([this, chunk, period] {
+      std::vector<char> buffer(chunk);
+      while (!hung_up_.load()) {
+        if (::recv(fd_, buffer.data(), buffer.size(), 0) <= 0) return;
+        std::this_thread::sleep_for(period);
+      }
+    });
+  }
+
+  void HangUp() {
+    hung_up_.store(true);
+    ::shutdown(fd_, SHUT_RDWR);
+    if (sender_.joinable()) sender_.join();
+    if (reader_.joinable()) reader_.join();
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+  std::string bytes_;
+  std::thread sender_;
+  std::thread reader_;
+  std::atomic<bool> hung_up_{false};
+};
+
+// A well-behaved client opens a session and ingests; true iff both
+// answered OK.
+bool ServeBystander(const Env& env) {
+  DaemonClient client(MedicalSchema());
+  if (!client.Connect("127.0.0.1", env.daemon->port()).ok()) return false;
+  auto open = client.Call(OpenRequest("bystander"));
+  if (!open.ok() || !open->status.ok()) return false;
+  WireRequest request;
+  request.type = WireFrameType::kIngest;
+  request.session = "bystander";
+  request.table = env.dataset->table.Clone();
+  auto response = client.Call(request);
+  return response.ok() && response->status.ok();
+}
+
+// Starts `peer`, lets its answers fill the loopback buffers (each is
+// ~700 KB, so a handful do, about 0.6 s in, in a Release build), then
+// checks that a bystander on the same cap-1 daemon is still served. A
+// service worker blocked writing to the peer would stall every session's
+// turn; the connection's own writer blocks instead.
+void ExpectBystanderServed(Env* env, StalledPeer* peer) {
+  peer->SendAll();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  auto served =
+      std::async(std::launch::async, [env] { return ServeBystander(*env); });
+  const bool answered =
+      served.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(answered) << "a peer that does not read stalled another client";
+
+  // Unblock everything either way: hang up the stalled peer, then shut
+  // the daemon down (which also fails a client call still waiting).
+  peer->HangUp();
+  EXPECT_TRUE(env->daemon->Shutdown().ok());
+  const bool ok = served.get();
+  if (answered) {
+    EXPECT_TRUE(ok);
+  }
+}
+
+TEST(DaemonStalledPeerTest, NonReadingPeerDoesNotStallOtherClients) {
+  ServiceConfig service_config;
+  service_config.thread_cap = 1;
+  Env env = StartDaemon(service_config);
+  StalledPeer peer(env.daemon->port());
+  ASSERT_TRUE(peer.connected());
+  ExpectBystanderServed(&env, &peer);
+}
+
+TEST(DaemonStalledPeerTest, TricklingPeerDoesNotStallOtherClients) {
+  // A peer that reads a little every second keeps each write making
+  // progress, so no per-write timeout would ever fire on it.
+  ServiceConfig service_config;
+  service_config.thread_cap = 1;
+  Env env = StartDaemon(service_config);
+  StalledPeer peer(env.daemon->port());
+  ASSERT_TRUE(peer.connected());
+  peer.Trickle(512, std::chrono::milliseconds(1000));
+  ExpectBystanderServed(&env, &peer);
 }
 
 // ---- connection lifetime ---------------------------------------------------

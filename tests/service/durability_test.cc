@@ -1,12 +1,11 @@
 // Durability and overload-control tests for the service front-end:
-// timed admission (AcquireWithin), queue abandonment, per-request
-// deadlines, queue-depth shedding, journal-backed OpenSession recovery,
-// and the deadline-bounded Shutdown. The crash-under-kill acceptance
+// queue abandonment, per-request deadlines, queue-depth shedding,
+// journal-backed OpenSession recovery, and the deadline-bounded
+// Shutdown. The crash-under-kill acceptance
 // suite lives in tests/integration/crash_recovery_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -21,7 +20,6 @@
 #include "core/session.h"
 #include "datagen/medical_data.h"
 #include "relation/csv.h"
-#include "service/admission.h"
 #include "service/service.h"
 #include "testing/temp_dir.h"
 
@@ -70,77 +68,6 @@ void AppendAll(Table* all, const Table& rows) {
   for (size_t r = 0; r < rows.num_rows(); ++r) {
     ASSERT_TRUE(all->AppendRow(rows.row(r)).ok());
   }
-}
-
-// ---- AdmissionController::AcquireWithin -----------------------------------
-
-TEST(AdmissionTimeoutTest, TimesOutWhileSaturated) {
-  AdmissionController admission(2);
-  const size_t held = *admission.AcquireWithin(2, -1);
-  const auto start = std::chrono::steady_clock::now();
-  auto late = admission.AcquireWithin(1, /*timeout_ms=*/20);
-  const auto waited = std::chrono::steady_clock::now() - start;
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(waited)
-                .count(),
-            20);
-  admission.Release(held);
-  EXPECT_EQ(admission.in_use(), 0u);
-}
-
-TEST(AdmissionTimeoutTest, AbandonedTicketDoesNotStallTheFifo) {
-  AdmissionController admission(1);
-  const size_t held = *admission.AcquireWithin(1, -1);
-  // This waiter's ticket is between `held` and the acquire below; when
-  // it times out, the cursor must skip it or the queue deadlocks.
-  auto dead = admission.AcquireWithin(1, /*timeout_ms=*/10);
-  ASSERT_FALSE(dead.ok());
-  std::atomic<bool> granted{false};
-  std::thread waiter([&] {
-    const size_t grant = *admission.AcquireWithin(1, -1);
-    granted.store(true);
-    admission.Release(grant);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  admission.Release(held);
-  waiter.join();
-  EXPECT_TRUE(granted.load());
-  EXPECT_EQ(admission.in_use(), 0u);
-}
-
-TEST(AdmissionTimeoutTest, ShedsBehindTooManyWaiters) {
-  AdmissionController admission(1);
-  const size_t held = *admission.AcquireWithin(1, -1);
-  std::atomic<bool> granted{false};
-  std::thread waiter([&] {
-    const size_t grant = *admission.AcquireWithin(1, -1);
-    granted.store(true);
-    admission.Release(grant);
-  });
-  // Wait for the waiter to be queued, then a max_waiters=1 acquire must
-  // shed instead of joining behind it.
-  while (admission.waiters() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  auto shed = admission.AcquireWithin(1, /*timeout_ms=*/1000,
-                                      /*max_waiters=*/1);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_GT(shed.status().retry_after_ms(), 0)
-      << "shed status lacked the typed backpressure hint";
-  admission.Release(held);
-  waiter.join();
-  EXPECT_TRUE(granted.load());
-}
-
-TEST(AdmissionTimeoutTest, UnboundedTimeoutAndZeroWaiterCapNeverShed) {
-  AdmissionController admission(2);
-  auto grant = admission.AcquireWithin(1, /*timeout_ms=*/-1,
-                                       /*max_waiters=*/0);
-  ASSERT_TRUE(grant.ok());
-  EXPECT_EQ(*grant, 1u);
-  admission.Release(*grant);
 }
 
 // ---- ServiceQueue::Abandon ------------------------------------------------

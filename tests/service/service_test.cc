@@ -1,18 +1,22 @@
 // Unit tests for the async service front-end (service/service.h):
-// queue semantics, session lifecycle, admission-control edges (asks
-// above the cap, zero-thread asks, partial grants), same-session
-// serialization (Detect racing Flush), and the shutdown drain
-// guarantee. The byte-identity claims against serial replay live in
+// queue semantics, session lifecycle, request widths (asks above the
+// cap, zero-thread asks), same-session serialization (Detect racing
+// Flush), the shutdown drain guarantee, and the thread bound: strands
+// are turns on the cap workers, whatever the session count. The
+// byte-identity claims against serial replay live in
 // tests/properties/service_equivalence_test.cc.
 
 #include "service/service.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +25,6 @@
 #include "core/framework.h"
 #include "datagen/medical_data.h"
 #include "relation/csv.h"
-#include "service/admission.h"
 #include "watermark/key_registry.h"
 
 namespace privmark {
@@ -67,57 +70,6 @@ Env MakeEnv(size_t num_threads = 1) {
   env.config.watermark.num_threads = num_threads;
   env.config.key = {"svc-k1", "svc-k2", /*eta=*/10};
   return env;
-}
-
-// ---- AdmissionController --------------------------------------------------
-
-TEST(AdmissionControllerTest, NormalizesAndClampsAsks) {
-  AdmissionController admission(4);
-  EXPECT_EQ(admission.capacity(), 4u);
-  // Demand above the cap is clamped, never rejected.
-  const size_t over = *admission.AcquireWithin(64, -1);
-  EXPECT_EQ(over, 4u);
-  admission.Release(over);
-  // A zero ask means "all of it" (the hardware-concurrency convention).
-  const size_t all = *admission.AcquireWithin(0, -1);
-  EXPECT_EQ(all, 4u);
-  admission.Release(all);
-  EXPECT_EQ(admission.in_use(), 0u);
-}
-
-TEST(AdmissionControllerTest, ZeroCapacityMeansHardware) {
-  AdmissionController admission(0);
-  EXPECT_GE(admission.capacity(), 1u);
-}
-
-TEST(AdmissionControllerTest, PartialGrantWhenCapacityIsShort) {
-  AdmissionController admission(4);
-  const size_t first = *admission.AcquireWithin(3, -1);
-  EXPECT_EQ(first, 3u);
-  // Work-conserving: one worker is free, so a wide ask takes the partial
-  // grant instead of idling it.
-  const size_t second = *admission.AcquireWithin(3, -1);
-  EXPECT_EQ(second, 1u);
-  EXPECT_EQ(admission.in_use(), 4u);
-  admission.Release(first);
-  admission.Release(second);
-}
-
-TEST(AdmissionControllerTest, BlocksWhileSaturatedAndWakesOnRelease) {
-  AdmissionController admission(2);
-  const size_t held = *admission.AcquireWithin(2, -1);
-  std::atomic<bool> granted{false};
-  std::thread waiter([&] {
-    const size_t grant = *admission.AcquireWithin(1, -1);
-    granted.store(true);
-    admission.Release(grant);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(granted.load());  // saturated: the waiter queues
-  admission.Release(held);
-  waiter.join();
-  EXPECT_TRUE(granted.load());
-  EXPECT_EQ(admission.in_use(), 0u);
 }
 
 // ---- ServiceQueue ---------------------------------------------------------
@@ -311,6 +263,7 @@ TEST(PrivmarkServiceTest, DetectFingerprintScansRegistryUnderAGrant) {
 }
 
 TEST(PrivmarkServiceTest, AdmissionClampsDemandAboveTheCap) {
+  // A request's width is its ask, clamped to the cap.
   Env env = MakeEnv(/*num_threads=*/64);  // session demands 64 threads
   ServiceConfig service_config;
   service_config.thread_cap = 2;
@@ -400,8 +353,8 @@ TEST(PrivmarkServiceTest, ShutdownDrainsEveryAcceptedRequest) {
 
 TEST(PrivmarkServiceTest, ClosedSessionsAreReclaimed) {
   // A long-lived service must not accumulate retired sessions' state:
-  // closed strands (session epochs, lease, exited thread) are reaped on
-  // the next OpenSession/Submit once their strand has finished.
+  // a closed strand (session epochs, lease, queue) is freed by the turn
+  // that drains its queue.
   Env env = MakeEnv();
   ServiceConfig service_config;
   service_config.thread_cap = 1;
@@ -413,9 +366,9 @@ TEST(PrivmarkServiceTest, ClosedSessionsAreReclaimed) {
     ASSERT_TRUE(service.ProtectBatch(name, batch.Clone()).get().ok());
     ASSERT_TRUE(service.CloseSession(name).get().ok());
   }
-  // The close futures resolved, so every strand is finished (or is
-  // about to set its flag); the next registry operation reaps. Allow a
-  // bounded wait for the last strand's flag.
+  // The close futures resolved, so every strand's last turn has run its
+  // completion and is about to free the strand. Allow a bounded wait for
+  // the last one.
   size_t strands = service.num_strands();
   for (int spin = 0; spin < 200 && strands > 1; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -447,9 +400,117 @@ TEST(PrivmarkServiceTest, ConcurrentSessionsShareThePoolUnderTheCap) {
   for (ServiceFuture& future : futures) {
     auto result = future.get();
     ASSERT_TRUE(result.ok());
-    // The cap is a hard aggregate bound on every grant.
+    // No request runs wider than the cap.
     EXPECT_LE(result->threads_granted, 2u);
     EXPECT_GE(result->threads_granted, 1u);
+  }
+}
+
+// ---- Thread bound ---------------------------------------------------------
+
+// The process's thread count, from the Threads: line of /proc/self/status.
+size_t ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return static_cast<size_t>(std::stoul(line.substr(8)));
+    }
+  }
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return 0;
+}
+
+TEST(ServiceThreadBoundTest, ThreadCountIsTheCapWhateverTheSessionCount) {
+  Env env = MakeEnv();
+  // The sanitizer runtimes start a helper thread with the process's
+  // first thread; start one first, so the baseline counts the helper.
+  std::thread([] {}).join();
+  const size_t before = ProcessThreads();
+  ServiceConfig service_config;
+  service_config.thread_cap = 2;
+  PrivmarkService service(service_config);
+  const Table batch = env.dataset->table.Slice(0, kBatch);
+  std::vector<ServiceFuture> futures;
+  for (size_t i = 0; i < 64; ++i) {
+    const std::string name = "ward-" + std::to_string(i);
+    ASSERT_TRUE(service.OpenSession(name, env.metrics, env.config).ok());
+    futures.push_back(service.ProtectBatch(name, batch.Clone()));
+  }
+  // Every session holds a request in flight (or just answered one): the
+  // pool's cap workers are still the only threads the service added.
+  EXPECT_LE(ProcessThreads(), before + service_config.thread_cap);
+  for (ServiceFuture& future : futures) ASSERT_TRUE(future.get().ok());
+  EXPECT_LE(ProcessThreads(), before + service_config.thread_cap);
+}
+
+TEST(ServiceThreadBoundTest, SessionsTakeTurnsOnOneWorker) {
+  Env env = MakeEnv();
+  ServiceConfig service_config;
+  service_config.thread_cap = 1;
+  PrivmarkService service(service_config);
+  ASSERT_TRUE(service.OpenSession("a", env.metrics, env.config).ok());
+  ASSERT_TRUE(service.OpenSession("b", env.metrics, env.config).ok());
+
+  std::mutex mu;
+  std::vector<std::string> order;  // guarded by mu: completion order
+  // Declared after the service, so a failed assertion still opens the
+  // gate before the service drains.
+  struct Gate {
+    std::promise<void> promise;
+    bool open = false;
+    void Open() {
+      if (!open) promise.set_value();
+      open = true;
+    }
+    ~Gate() { Open(); }
+  } gate;
+  std::shared_future<void> opened = gate.promise.get_future().share();
+
+  const Table batch = env.dataset->table.Slice(0, kBatch);
+  std::vector<std::future<void>> done;
+  auto submit = [&](const std::string& session, const std::string& tag,
+                    bool gated) {
+    auto finished = std::make_shared<std::promise<void>>();
+    done.push_back(finished->get_future());
+    ServiceRequest request;
+    request.kind = RequestKind::kProtectBatch;
+    request.session = session;
+    request.table = batch.Clone();
+    service.Submit(std::move(request),
+                   [&mu, &order, tag, gated, opened,
+                    finished](Result<ServiceResponse> result) {
+                     EXPECT_TRUE(result.ok()) << tag;
+                     if (gated) opened.wait();
+                     {
+                       std::lock_guard<std::mutex> lock(mu);
+                       order.push_back(tag);
+                     }
+                     finished->set_value();
+                   });
+  };
+  // a1's completion holds the only worker; a2..a5 queue behind it, and
+  // b1 arrives last.
+  submit("a", "a1", /*gated=*/true);
+  for (int i = 2; i <= 5; ++i) {
+    submit("a", "a" + std::to_string(i), /*gated=*/false);
+  }
+  submit("b", "b1", /*gated=*/false);
+  gate.Open();
+  for (std::future<void>& future : done) future.wait();
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(order.size(), 6u);
+  const auto position = [&order](const std::string& tag) {
+    return std::find(order.begin(), order.end(), tag) - order.begin();
+  };
+  // One request per turn: b's turn was posted while a1 ran, so it comes
+  // before a's remaining requests — certainly before a5.
+  EXPECT_LT(position("b1"), position("a5"));
+  // Same-session order is still arrival order.
+  for (int i = 2; i <= 5; ++i) {
+    EXPECT_LT(position("a" + std::to_string(i - 1)),
+              position("a" + std::to_string(i)));
   }
 }
 

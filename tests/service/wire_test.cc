@@ -19,7 +19,6 @@
 #include "core/journal.h"
 #include "relation/schema.h"
 #include "relation/table.h"
-#include "service/admission.h"
 
 namespace privmark {
 namespace {
