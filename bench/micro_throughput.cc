@@ -213,6 +213,7 @@ BENCHMARK(BM_MultiKeyDetect20k)
     ->Args({1, 1})
     ->Args({16, 1})
     ->Args({16, 4})
+    ->Args({64, 1})  // the audit workload's registry, serial
     ->Args({256, 1})
     ->Args({256, 4})
     ->Args({256, 8})

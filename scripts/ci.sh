@@ -51,11 +51,13 @@ echo "=== Crypto kernels under UBSan (alignment findings made fatal) ==="
 # (unaligned loads of caller blocks) side by side, skipping the AES-NI
 # cases on CPUs without it. SchemeGoldenTest runs the pinned end-to-end
 # embed/detect digests, so every keyed hash the watermark pads into the
-# SHA-1 lane array is checked here too.
+# SHA-1 lane array is checked here too. SelectionRuleTest runs Eq. (5)'s
+# multiply-and-rotate divisibility rule from odd eta (s = 0, where a
+# rotate written as two shifts could shift by 64) up to eta = 2^63.
 (cd build-asan && \
  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
  ctest --output-on-failure -j "${JOBS}" \
-   -R 'Sha1|Md5|KeyedHash|HashAlgorithm|Aes|SchemeGoldenTest')
+   -R 'Sha1|Md5|KeyedHash|HashAlgorithm|Aes|SchemeGoldenTest|SelectionRule')
 
 echo "=== Joint search under UBSan (findings made fatal) ==="
 # The joint search's bin counter builds flat-table keys as

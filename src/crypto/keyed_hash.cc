@@ -60,20 +60,19 @@ inline void PutBytes(const char* src, size_t len, size_t pos, uint8_t* out,
   }
 }
 
-// Writes the padded SHA-1 blocks of key || 0x00 || message (at most
-// kMaxKeyedTotal bytes), block b at out + row * b: the bytes, 0x80, zeros,
-// and the big-endian bit length in the last 8 bytes of the last block.
-// Returns the block count.
-size_t PadKeyedBlocks(std::string_view key, std::string_view message,
-                      uint8_t* out, size_t row) {
-  const size_t total = key.size() + 1 + message.size();
+// Pads key || 0x00 || message (at most kMaxKeyedTotal bytes) into the
+// blocks at out + row * b. `head` is the call's template: key || 0x00,
+// then zeros through kMaxKeyedBlocks blocks. Each block starts as a
+// fixed-size copy of its template block, so per lane only the message,
+// 0x80 and the big-endian bit length are written. Returns the block count.
+size_t PadFromTemplate(const uint8_t* head, size_t prefix,
+                       std::string_view message, uint8_t* out, size_t row) {
+  const size_t total = prefix + message.size();
   const size_t num_blocks = NumKeyedBlocks(total);
   for (size_t b = 0; b < num_blocks; ++b) {
-    std::memset(out + row * b, 0, kBlockSize);
+    std::memcpy(out + row * b, head + kBlockSize * b, kBlockSize);
   }
-  // The zero left after the key is the separator.
-  PutBytes(key.data(), key.size(), 0, out, row);
-  PutBytes(message.data(), message.size(), key.size() + 1, out, row);
+  PutBytes(message.data(), message.size(), prefix, out, row);
   out[row * (total / kBlockSize) + total % kBlockSize] = 0x80;
   // One 8-byte store: the kernels read the length back as two 4-byte
   // words, and a word assembled from several narrower stores cannot be
@@ -142,9 +141,8 @@ std::vector<uint8_t> KeyedDigest(HashAlgorithm algo, std::string_view key,
 uint64_t KeyedHash64(HashAlgorithm algo, std::string_view key,
                      std::string_view message) {
   if (algo == HashAlgorithm::kSha1) {
-    const KeyedHashInput input = {key, message};
     uint64_t out = 0;
-    KeyedHash64Batch(algo, &input, 1, &out);
+    KeyedHash64Batch(algo, key, &message, 1, &out);
     return out;
   }
   uint8_t digest[Md5::kDigestSize];
@@ -159,41 +157,52 @@ uint64_t KeyedHash64(HashAlgorithm algo, std::string_view key,
   return TruncateBe64(digest);
 }
 
-void KeyedHash64Batch(HashAlgorithm algo, const KeyedHashInput* inputs,
-                      size_t n, uint64_t* outs) {
+void KeyedHash64Batch(HashAlgorithm algo, std::string_view key,
+                      const std::string_view* messages, size_t n,
+                      uint64_t* outs) {
   if (algo != HashAlgorithm::kSha1) {
     // MD5 has no multi-buffer kernel; values still match the scalar call.
     for (size_t i = 0; i < n; ++i) {
-      outs[i] = KeyedHash64(algo, inputs[i].key, inputs[i].message);
+      outs[i] = KeyedHash64(algo, key, messages[i]);
     }
     return;
   }
-  // Inputs go to the kernel in chunks of one widest lane group, each padded
-  // straight into a block-major lane array (~4 KiB on the stack): input i's
-  // block b at kBlockSize * (b * m + i). An input over kMaxKeyedTotal holds
-  // a zero one-block lane and streams instead.
+  auto streamed = [algo, key](std::string_view message) {
+    return TruncateBe64(KeyedDigest(algo, key, message).data());
+  };
+  const size_t prefix = key.size() + 1;
+  if (prefix > kMaxKeyedTotal) {
+    for (size_t i = 0; i < n; ++i) outs[i] = streamed(messages[i]);
+    return;
+  }
+  // The key and its separator are written once, into the template every
+  // lane's blocks are copied from.
+  uint8_t head[kMaxKeyedBlocks * kBlockSize] = {};
+  std::memcpy(head, key.data(), key.size());
+  // Messages go to the kernel in chunks of one widest lane group, each
+  // padded straight into a block-major lane array (~4 KiB on the stack):
+  // message i's block b at kBlockSize * (b * m + i). A message over
+  // kMaxKeyedTotal holds a zero one-block lane and streams instead.
   constexpr size_t kChunk = Sha1MultiBuffer::kMaxLanes;
   uint8_t blocks[kMaxKeyedBlocks * kChunk * kBlockSize];
   size_t num_blocks[kChunk];
-  auto fits = [](const KeyedHashInput& in) {
-    return in.key.size() + 1 + in.message.size() <= kMaxKeyedTotal;
-  };
+  const size_t max_message = kMaxKeyedTotal - prefix;
   for (size_t base = 0; base < n; base += kChunk) {
-    const KeyedHashInput* in = inputs + base;
+    const std::string_view* in = messages + base;
     const size_t m = n - base < kChunk ? n - base : kChunk;
     const size_t row = kBlockSize * m;
     size_t rows = 1;
     bool streams = false;
     for (size_t i = 0; i < m; ++i) {
       uint8_t* lane = blocks + kBlockSize * i;
-      if (fits(in[i])) {
-        num_blocks[i] = PadKeyedBlocks(in[i].key, in[i].message, lane, row);
+      if (in[i].size() <= max_message) {
+        num_blocks[i] = PadFromTemplate(head, prefix, in[i], lane, row);
+        if (num_blocks[i] > rows) rows = num_blocks[i];
       } else {
         streams = true;
         num_blocks[i] = 1;
         std::memset(lane, 0, kBlockSize);
       }
-      if (num_blocks[i] > rows) rows = num_blocks[i];
     }
     // Lanes whose message has ended ride along on these slots.
     for (size_t i = 0; rows > 1 && i < m; ++i) {
@@ -203,25 +212,8 @@ void KeyedHash64Batch(HashAlgorithm algo, const KeyedHashInput* inputs,
     }
     Sha1MultiBuffer::HashPaddedBlocks64(blocks, num_blocks, m, outs + base);
     for (size_t i = 0; streams && i < m; ++i) {
-      if (!fits(in[i])) {
-        outs[base + i] = TruncateBe64(
-            KeyedDigest(algo, in[i].key, in[i].message).data());
-      }
+      if (in[i].size() > max_message) outs[base + i] = streamed(in[i]);
     }
-  }
-}
-
-void KeyedHash64Batch(HashAlgorithm algo, std::string_view key,
-                      const std::string_view* messages, size_t n,
-                      uint64_t* outs) {
-  constexpr size_t kChunk = 2 * Sha1MultiBuffer::kMaxLanes;
-  KeyedHashInput inputs[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t m = n - base < kChunk ? n - base : kChunk;
-    for (size_t i = 0; i < m; ++i) {
-      inputs[i] = {key, messages[base + i]};
-    }
-    KeyedHash64Batch(algo, inputs, m, outs + base);
   }
 }
 

@@ -38,32 +38,24 @@ std::vector<uint8_t> KeyedDigest(HashAlgorithm algo, std::string_view key,
 uint64_t KeyedHash64(HashAlgorithm algo, std::string_view key,
                      std::string_view message);
 
-/// \brief One (key, message) pair for batched keyed hashing. Views must
-/// outlive the KeyedHash64Batch call.
-struct KeyedHashInput {
-  std::string_view key;
-  std::string_view message;
-};
-
-/// \brief Batched KeyedHash64: outs[i] = KeyedHash64(algo, inputs[i].key,
-/// inputs[i].message), value-identical to the scalar call.
+/// \brief Batched KeyedHash64 under one key: outs[i] = KeyedHash64(algo,
+/// key, messages[i]), value-identical to the scalar call. The one batch
+/// entry point.
 ///
-/// SHA-1 is one path: each 16-input chunk's keyed inputs are padded
-/// straight into one block-major lane array (block b of input i at
-/// 64 * (b * chunk + i)) and hashed by Sha1MultiBuffer::HashPaddedBlocks64
-/// (4–16 interleaved lanes, see crypto/sha1_multibuffer.h), whatever each
-/// input's block count; the result is read from the chaining state with no
-/// digest bytes in between. Padding stops at a fixed cap of 4 blocks
-/// (key + 1 + message <= 247 bytes); a longer input streams through Sha1.
-/// MD5 falls back to the scalar path per element. The watermark
-/// embed/detect loops hand whole blocks of tuples (and multi-key detection
-/// whole key groups) to this entry point instead of hashing one tuple at a
-/// time.
-void KeyedHash64Batch(HashAlgorithm algo, const KeyedHashInput* inputs,
-                      size_t n, uint64_t* outs);
-
-/// \brief Single-key convenience overload: outs[i] = KeyedHash64(algo, key,
-/// messages[i]).
+/// SHA-1: the call writes key || 0x00 once into a zeroed template of 4
+/// blocks. Each 16-message chunk is padded straight into one block-major
+/// lane array (block b of message i at 64 * (b * chunk + i)): every lane
+/// block starts as a fixed-size 64-byte copy of its template block, and
+/// only the message, 0x80 and the bit length are written per lane. The
+/// array is hashed by Sha1MultiBuffer::HashPaddedBlocks64 (4–16
+/// interleaved lanes, see crypto/sha1_multibuffer.h), whatever each
+/// message's block count, and the result is read from the chaining state.
+/// Padding stops at a fixed cap of 4 blocks (key + 1 + message <= 247
+/// bytes); a longer input streams through Sha1, and a key with key + 1 >
+/// 247 streams the whole call. MD5 falls back to the scalar path per
+/// message. The watermark embed/detect loops hand whole row blocks (and
+/// multi-key detection one call per key) to this entry point instead of
+/// hashing one tuple at a time.
 void KeyedHash64Batch(HashAlgorithm algo, std::string_view key,
                       const std::string_view* messages, size_t n,
                       uint64_t* outs);

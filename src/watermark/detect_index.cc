@@ -17,105 +17,96 @@ using watermark_internal::VoteShard;
 
 // Keys per multi-key tally group. It also sets the streamed
 // FingerprintShard boundaries, so it stays 8 although the widest SHA-1
-// kernel (AVX-512) runs 16 lanes: one block's selection batch is already
-// 8 keys x 64 rows = 512 inputs, 32 full 16-lane groups.
+// kernel (AVX-512) runs 16 lanes: each key's selection call per row block
+// is already 64 idents, four full 16-lane groups.
 constexpr size_t kKeyLanes = 8;
+
+// Rows per position-hash span: every key's queued position messages are
+// hashed in one single-key call per span, so the message arena holds one
+// span's messages at most, whatever the shard size.
+constexpr size_t kSpanRows = 16 * WatermarkHasher::kBlockRows;
 
 // The multi-key twin of the fused Detect's VoteTally loop: tallies rows
 // [begin, end) for `num_keys` (<= kKeyLanes) keys at once into
-// shards[0..num_keys). Amortizes per-row work across the whole group —
-// identifier views are gathered once, selection hashes for all (key, row)
-// pairs of a block go through one batched call, and each voting
-// (row, column) position message is assembled once and then hashed per
-// selecting key. Per key the values, counters, and tallies are identical
-// to a single-key VoteTally pass.
+// shards[0..num_keys). Amortizes per-row work across the whole group:
+// identifier views are gathered once per row block and hashed per key in
+// one single-key call, and each voting (row, column) position message is
+// assembled once, queued for every selecting key, and hashed per key once
+// per span. Per key the values, counters, and tallies are identical to a
+// single-key VoteTally pass.
 void TallyRowsMultiKey(const DetectIndex& index, const WatermarkKey* keys,
                        size_t num_keys, HashAlgorithm algo, size_t wmd_size,
                        size_t begin, size_t end, VoteShard* shards) {
   const size_t num_cols = index.num_columns();
   constexpr size_t kRows = WatermarkHasher::kBlockRows;
+  std::vector<SelectionRule> rules;
+  rules.reserve(num_keys);
+  for (size_t k = 0; k < num_keys; ++k) rules.emplace_back(keys[k].eta);
   std::string_view idents[kRows];
-  std::vector<KeyedHashInput> sel_inputs;
-  std::vector<uint64_t> sel_hashes;
-  std::vector<uint8_t> selected;  // [key * kRows + row-in-block]
-  watermark_internal::MessageArena arena;
-  std::vector<int> msg_idx;  // [row-in-block * num_cols], -1 = no message
-  std::vector<KeyedHashInput> pos_inputs;
+  uint64_t sel_hashes[kRows];
+  uint8_t selected[kKeyLanes * kRows];  // [key * kRows + row-in-block]
+  watermark_internal::MessageArena arena;  // the span's position messages
+  std::vector<uint32_t> queued[kKeyLanes];  // arena index << 1 | vote bit
+  std::vector<std::string_view> views;
   std::vector<uint64_t> pos_hashes;
-  struct PendingVote {
-    uint32_t key;
-    uint8_t one;
-  };
-  std::vector<PendingVote> pending;
-  for (size_t b = begin; b < end; b += kRows) {
-    const size_t n = std::min(kRows, end - b);
-    for (size_t i = 0; i < n; ++i) idents[i] = index.ident(b + i);
-
-    // Selection for every (key, row) pair in one batch.
-    sel_inputs.clear();
-    for (size_t k = 0; k < num_keys; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        sel_inputs.push_back({keys[k].k1, idents[i]});
-      }
-    }
-    sel_hashes.resize(sel_inputs.size());
-    KeyedHash64Batch(algo, sel_inputs.data(), sel_inputs.size(),
-                     sel_hashes.data());
-    selected.assign(num_keys * kRows, 0);
-    for (size_t k = 0; k < num_keys; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        selected[k * kRows + i] =
-            sel_hashes[k * n + i] % keys[k].eta == 0 ? 1 : 0;
-      }
-    }
-
-    // Assemble each voting (row, column) message once — for rows any key
-    // selected — then hash it once per selecting key below.
+  for (size_t span = begin; span < end; span += kSpanRows) {
+    const size_t span_end = std::min(end, span + kSpanRows);
     arena.clear();
-    msg_idx.assign(n * num_cols, -1);
-    for (size_t i = 0; i < n; ++i) {
-      bool any = false;
-      for (size_t k = 0; k < num_keys && !any; ++k) {
-        any = selected[k * kRows + i] != 0;
+    for (size_t b = span; b < span_end; b += kRows) {
+      const size_t n = std::min(kRows, span_end - b);
+      for (size_t i = 0; i < n; ++i) idents[i] = index.ident(b + i);
+      for (size_t k = 0; k < num_keys; ++k) {
+        KeyedHash64Batch(algo, keys[k].k1, idents, n, sel_hashes);
+        for (size_t i = 0; i < n; ++i) {
+          selected[k * kRows + i] = rules[k].Selects(sel_hashes[i]) ? 1 : 0;
+        }
       }
-      if (!any) continue;
-      const size_t r = b + i;
-      for (size_t c = 0; c < num_cols; ++c) {
-        if (index.slots[r * num_cols + c] == SlotVote::kSkip) continue;
-        msg_idx[i * num_cols + c] = static_cast<int>(arena.size());
-        arena.Append(idents[i], index.column_names[c]);
-      }
-    }
-
-    pos_inputs.clear();
-    pending.clear();
-    for (size_t k = 0; k < num_keys; ++k) {
+      // Assemble each voting (row, column) message once, for rows any key
+      // selected, and queue it for every key that selected the row.
       for (size_t i = 0; i < n; ++i) {
-        if (selected[k * kRows + i] == 0) continue;
-        ++shards[k].tuples_selected;
-        const size_t r = b + i;
+        bool any = false;
+        for (size_t k = 0; k < num_keys && !any; ++k) {
+          any = selected[k * kRows + i] != 0;
+        }
+        if (!any) continue;
+        const SlotVote* votes = &index.slots[(b + i) * num_cols];
+        const uint32_t first = static_cast<uint32_t>(arena.size());
         for (size_t c = 0; c < num_cols; ++c) {
-          const SlotVote vote = index.slots[r * num_cols + c];
-          if (vote == SlotVote::kSkip) {
-            ++shards[k].slots_skipped;
-            continue;
+          if (votes[c] != SlotVote::kSkip) {
+            arena.Append(idents[i], index.column_names[c]);
           }
-          pos_inputs.push_back(
-              {keys[k].k2, arena.at(msg_idx[i * num_cols + c])});
-          pending.push_back({static_cast<uint32_t>(k),
-                             vote == SlotVote::kOne ? uint8_t{1}
-                                                    : uint8_t{0}});
+        }
+        for (size_t k = 0; k < num_keys; ++k) {
+          if (selected[k * kRows + i] == 0) continue;
+          ++shards[k].tuples_selected;
+          uint32_t message = first;
+          for (size_t c = 0; c < num_cols; ++c) {
+            if (votes[c] == SlotVote::kSkip) {
+              ++shards[k].slots_skipped;
+              continue;
+            }
+            queued[k].push_back(message++ << 1 |
+                                (votes[c] == SlotVote::kOne ? 1u : 0u));
+          }
         }
       }
     }
-    pos_hashes.resize(pos_inputs.size());
-    KeyedHash64Batch(algo, pos_inputs.data(), pos_inputs.size(),
-                     pos_hashes.data());
-    for (size_t j = 0; j < pending.size(); ++j) {
-      const size_t pos = static_cast<size_t>(pos_hashes[j] % wmd_size);
-      VoteShard& shard = shards[pending[j].key];
-      (pending[j].one != 0 ? shard.ones[pos] : shard.zeros[pos]) += 1.0;
-      ++shard.slots_read;
+    for (size_t k = 0; k < num_keys; ++k) {
+      std::vector<uint32_t>& queue = queued[k];
+      views.resize(queue.size());
+      pos_hashes.resize(queue.size());
+      for (size_t j = 0; j < queue.size(); ++j) {
+        views[j] = arena.at(queue[j] >> 1);
+      }
+      KeyedHash64Batch(algo, keys[k].k2, views.data(), views.size(),
+                       pos_hashes.data());
+      VoteShard& shard = shards[k];
+      for (size_t j = 0; j < queue.size(); ++j) {
+        const size_t pos = static_cast<size_t>(pos_hashes[j] % wmd_size);
+        ((queue[j] & 1) != 0 ? shard.ones[pos] : shard.zeros[pos]) += 1.0;
+      }
+      shard.slots_read += queue.size();
+      queue.clear();
     }
   }
 }

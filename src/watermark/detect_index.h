@@ -19,6 +19,13 @@
 // Detect() run for any thread count. MultiKeyTally flattens the
 // (key x row-shard) grid into one fork-join batch; each task owns its
 // (key, shard) cell, and cells merge per key in shard order.
+//
+// Hashing: a task walks its rows in 64-row blocks and hashes the block's
+// idents under each key's k1 in one single-key KeyedHash64Batch call.
+// Voting position messages are assembled once per row and queued per
+// selecting key, then hashed under that key's k2 in one call per
+// 1,024-row span, so a task's message arena holds one span's messages at
+// most, whatever its shard size.
 
 #ifndef PRIVMARK_WATERMARK_DETECT_INDEX_H_
 #define PRIVMARK_WATERMARK_DETECT_INDEX_H_

@@ -27,10 +27,21 @@ void BuildPermutationMessage(std::string_view ident, std::string_view column,
 
 }  // namespace
 
+SelectionRule::SelectionRule(uint64_t eta) {
+  assert(eta > 0);
+  if (eta == 0) return;
+  shift_ = static_cast<unsigned>(__builtin_ctzll(eta));
+  const uint64_t odd = eta >> shift_;
+  // Newton's iteration doubles the correct low bits: odd * odd == 1 mod 8
+  // gives 3, and five steps reach 96 >= 64.
+  inverse_ = odd;
+  for (int i = 0; i < 5; ++i) inverse_ *= 2 - odd * inverse_;
+  limit_ = ~uint64_t{0} / eta;
+}
+
 bool IsTupleSelected(const WatermarkKey& key, HashAlgorithm algo,
                      std::string_view ident) {
-  assert(key.eta > 0);
-  return KeyedHash64(algo, key.k1, ident) % key.eta == 0;
+  return SelectionRule(key.eta).Selects(KeyedHash64(algo, key.k1, ident));
 }
 
 size_t WmdPosition(const WatermarkKey& key, HashAlgorithm algo,
@@ -62,12 +73,11 @@ void WatermarkHasher::AppendPositionMessage(std::string_view ident,
 
 void WatermarkHasher::SelectBlock(const std::string_view* idents, size_t n,
                                   uint8_t* selected) {
-  assert(key_->eta > 0);
   assert(n <= kBlockRows);
   uint64_t hashes[kBlockRows];
   KeyedHash64Batch(algo_, key_->k1, idents, n, hashes);
   for (size_t i = 0; i < n; ++i) {
-    selected[i] = hashes[i] % key_->eta == 0 ? 1 : 0;
+    selected[i] = selection_.Selects(hashes[i]) ? 1 : 0;
   }
 }
 

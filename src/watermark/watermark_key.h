@@ -1,4 +1,9 @@
 // Watermarking key material and tuple selection (paper Sec. 5, Eq. 5).
+//
+// Selection tests H(k1, ident) mod eta == 0 through one SelectionRule per
+// key: a multiply, a rotate and a compare instead of a 64-bit divide.
+// IsTupleSelected, WatermarkHasher::SelectBlock and the multi-key tally
+// (detect_index.cc) all use it, so every path selects the same tuples.
 
 #ifndef PRIVMARK_WATERMARK_WATERMARK_KEY_H_
 #define PRIVMARK_WATERMARK_WATERMARK_KEY_H_
@@ -54,6 +59,33 @@ struct WatermarkOptions {
   ThreadPool* pool = nullptr;
 };
 
+/// \brief Eq. (5)'s test "h mod eta == 0", precomputed per key so a scan
+/// pays a multiply and a rotate per hash instead of a 64-bit divide.
+///
+/// With eta = odd * 2^s (odd odd, s = trailing zero bits of eta), h is a
+/// multiple of eta exactly when rotr(h * odd^-1 mod 2^64, s) <=
+/// floor((2^64 - 1) / eta). Multiplying by the inverse permutes the
+/// multiples of odd onto [0, floor((2^64 - 1) / odd)]; the rotate moves
+/// the product's low s bits, which are all zero exactly when 2^s divides
+/// h, to the top, where any set bit lies past the bound.
+class SelectionRule {
+ public:
+  /// `eta` must be positive (ValidateEta refuses 0 before any scan).
+  explicit SelectionRule(uint64_t eta);
+
+  bool Selects(uint64_t h) const {
+    const uint64_t x = h * inverse_;
+    // The mask keeps the left shift below 64 when shift_ is 0.
+    const uint64_t rotated = (x >> shift_) | (x << ((64 - shift_) & 63));
+    return rotated <= limit_;
+  }
+
+ private:
+  uint64_t inverse_ = 1;  // odd^-1 mod 2^64
+  unsigned shift_ = 0;    // s
+  uint64_t limit_ = 0;    // floor((2^64 - 1) / eta)
+};
+
 /// \brief Eq. (5): true iff the tuple with this (encrypted) identifier is
 /// chosen for embedding.
 bool IsTupleSelected(const WatermarkKey& key, HashAlgorithm algo,
@@ -89,7 +121,7 @@ class WatermarkHasher {
   static constexpr size_t kBlockRows = 64;
 
   WatermarkHasher(const WatermarkKey& key, HashAlgorithm algo)
-      : key_(&key), algo_(algo) {}
+      : key_(&key), algo_(algo), selection_(key.eta) {}
 
   /// \brief Batched Eq. (5): selected[i] = IsTupleSelected(key, algo,
   /// idents[i]) for a whole block at once (`n` <= kBlockRows). The
@@ -121,6 +153,7 @@ class WatermarkHasher {
  private:
   const WatermarkKey* key_;
   HashAlgorithm algo_;
+  SelectionRule selection_;
   std::string buf_;  // reused message assembly buffer
 };
 

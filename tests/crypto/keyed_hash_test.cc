@@ -127,25 +127,60 @@ TEST(KeyedHashBatchTest, SingleKeyMatchesScalarAcrossBatchSizes) {
   }
 }
 
-TEST(KeyedHashBatchTest, MixedKeyPairsMatchScalar) {
-  // The general (key, message) pair form with a different key per element,
-  // as MultiKeyTally issues it.
+TEST(KeyedHashBatchTest, KeysChangeBetweenCallsMatchScalar) {
+  // Each call writes its key into a fresh template. Back-to-back calls
+  // under five keys of different lengths (including two past one block),
+  // longest first and then shortest first, would show a stale template
+  // head left over from the previous key.
+  const std::string keys[] = {std::string(130, 'q'), std::string(70, 'r'),
+                              "key-forty-bytes-long-0123456789abcdefghi",
+                              "key-nine!", "k"};
   constexpr size_t kN = 37;
-  std::vector<std::string> keys;
   std::vector<std::string> msgs;
-  for (size_t i = 0; i < kN; ++i) {
-    keys.push_back("key-" + std::to_string(i % 5));
-    msgs.push_back(BatchMessage(i, 4 + (i * 7) % 60));
+  for (size_t i = 0; i < kN; ++i) msgs.push_back(BatchMessage(i, 4 + i * 3));
+  const std::vector<std::string_view> messages(msgs.begin(), msgs.end());
+  const size_t order[] = {0, 1, 2, 3, 4, 4, 3, 2, 1, 0};
+  for (size_t k : order) {
+    std::vector<uint64_t> out(kN, 0);
+    KeyedHash64Batch(HashAlgorithm::kSha1, keys[k], messages.data(), kN,
+                     out.data());
+    for (size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(out[i],
+                ReferenceHash64(HashAlgorithm::kSha1, keys[k], messages[i]))
+          << "key length " << keys[k].size() << " i=" << i;
+    }
   }
-  std::vector<KeyedHashInput> inputs;
-  for (size_t i = 0; i < kN; ++i) {
-    inputs.push_back({keys[i], msgs[i]});
-  }
-  std::vector<uint64_t> out(kN, 0);
-  KeyedHash64Batch(HashAlgorithm::kSha1, inputs.data(), kN, out.data());
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(out[i], ReferenceHash64(HashAlgorithm::kSha1, keys[i], msgs[i]))
-        << "i=" << i;
+}
+
+TEST(KeyedHashBatchTest, EmptyAndStreamingKeysAcrossBatchSizes) {
+  // An empty key (the separator opens the message), a key whose prefix
+  // fills the 4-block cap so only an empty message pads, and keys with
+  // key + 1 > 247 bytes, for which the whole call streams; each over the
+  // batch sizes around the 16-lane chunk.
+  const std::string keys[] = {"", std::string(246, 'p'),
+                              std::string(247, 's'), std::string(300, 't')};
+  for (const std::string& key : keys) {
+    for (size_t n : {0, 1, 15, 16, 17, 33}) {
+      std::vector<std::string> storage;
+      for (size_t i = 0; i < n; ++i) {
+        storage.push_back(BatchMessage(i, (i * 11) % 70));
+      }
+      storage.resize(n);
+      if (n > 0) storage[0].clear();
+      const std::vector<std::string_view> messages(storage.begin(),
+                                                   storage.end());
+      // One guard slot past the batch: the call writes outs[0, n) only.
+      std::vector<uint64_t> out(n + 1, 0x5a5a5a5a5a5a5a5aull);
+      KeyedHash64Batch(HashAlgorithm::kSha1, key, messages.data(), n,
+                       out.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i],
+                  ReferenceHash64(HashAlgorithm::kSha1, key, messages[i]))
+            << "key length " << key.size() << " n=" << n << " i=" << i;
+      }
+      EXPECT_EQ(out[n], 0x5a5a5a5a5a5a5a5aull)
+          << "key length " << key.size() << " n=" << n;
+    }
   }
 }
 

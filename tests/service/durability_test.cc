@@ -429,29 +429,68 @@ TEST(ServiceShutdownTest, DeadlineShutdownAbandonsQueuedWorkVisibly) {
   PrivmarkService service(service_config);
   ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
 
-  // Queue several full-pipeline cycles, then shut down with no grace:
-  // whatever is still queued must fail DeadlineExceeded promptly rather
-  // than executing or hanging.
+  // Declared after the service, so a failed assertion still opens the
+  // gate before the service drains.
+  struct Gate {
+    std::promise<void> promise;
+    bool open = false;
+    void Open() {
+      if (!open) promise.set_value();
+      open = true;
+    }
+    ~Gate() { Open(); }
+  } gate;
+  std::shared_future<void> opened = gate.promise.get_future().share();
+
+  // The first request's completion holds the cap-1 worker until the gate
+  // opens, so everything submitted after it is still queued at Shutdown.
+  std::promise<void> started;
+  std::promise<Status> first;
+  std::future<Status> first_status = first.get_future();
+  ServiceRequest request;
+  request.kind = RequestKind::kProtectBatch;
+  request.session = "ward";
+  request.table = env.dataset->table.Slice(0, kBatch);
+  service.Submit(std::move(request),
+                 [&started, &first, opened](Result<ServiceResponse> result) {
+                   started.set_value();
+                   if (result.ok()) opened.wait();
+                   first.set_value(result.status());
+                 });
+  started.get_future().wait();
+
+  constexpr size_t kQueued = 11;
   std::vector<ServiceFuture> futures;
-  for (size_t begin = 0; begin < kRows; begin += kBatch) {
-    futures.push_back(service.ProtectBatch(
-        "ward", env.dataset->table.Slice(begin, begin + kBatch)));
-    futures.push_back(service.Flush("ward"));
+  for (size_t i = 0; i < kQueued; ++i) {
+    futures.push_back(
+        i % 2 == 0 ? service.ProtectBatch(
+                         "ward", env.dataset->table.Slice(0, kBatch))
+                   : service.Flush("ward"));
   }
+  // Only Shutdown(0)'s abandon can complete the last queued request while
+  // the worker is held; once it has, let the held request finish.
+  std::thread opener([&futures, &gate] {
+    futures.back().wait();
+    gate.Open();
+  });
   const Status status = service.Shutdown(0);
+  opener.join();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(status.message().find("abandoned"), std::string::npos);
+  EXPECT_NE(status.message().find("abandoned " + std::to_string(kQueued) +
+                                  " queued request(s)"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(first_status.get().ok());
 
   size_t abandoned = 0;
   for (auto& future : futures) {
     auto result = future.get();  // every future completes either way
-    if (!result.ok()) {
-      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-      ++abandoned;
-    }
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+    ++abandoned;
   }
-  EXPECT_GT(abandoned, 0u);
+  EXPECT_EQ(abandoned, kQueued);
   // Idempotent afterwards.
   EXPECT_TRUE(service.Shutdown(0).ok());
 }

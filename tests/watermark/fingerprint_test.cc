@@ -184,6 +184,59 @@ TEST(MultiKeyTallyTest, MatchesSerialTalliesAcrossThreadCounts) {
   }
 }
 
+TEST(MultiKeyTallyTest, SpanAndLaneBoundariesMatchFusedDetect) {
+  // 2,113 rows: a serial tally crosses two 1,024-row position spans and
+  // ends on a one-row block. One full 8-key group mixes odd, even and
+  // power-of-two eta (the selection rule's rotate by 0, 1 and 6 bits) and
+  // one key whose 250-byte k2 makes every position message stream.
+  Env env = MakeSetup(1, 2113);
+  Table marked = env.table.Clone();
+  const BitVector wm = TestMark();
+  auto embed = env.watermarker->Embed(&marked, wm);
+  ASSERT_TRUE(embed.ok()) << embed.status().ToString();
+  auto index = BuildDetectIndex(*env.watermarker, marked);
+  ASSERT_TRUE(index.ok());
+
+  const uint64_t etas[] = {1, 2, 64, 75, 96, (uint64_t{1} << 33) + 1, 75, 75};
+  std::vector<WatermarkKey> keys;
+  for (size_t i = 0; i < 8; ++i) {
+    WatermarkKey key = env.key;
+    key.k1 += "-" + std::to_string(i);
+    key.k2 += "-" + std::to_string(i);
+    key.eta = etas[i];
+    keys.push_back(key);
+  }
+  keys[6].k2 = std::string(250, 'z');
+  keys[7] = env.key;  // the embedding key, at eta 75
+  keys[7].eta = 75;
+
+  std::vector<DetectReport> fused;
+  for (const WatermarkKey& key : keys) {
+    const HierarchicalWatermarker detector(
+        std::vector<size_t>{1}, 0,
+        std::vector<GeneralizationSet>{env.Maximal()},
+        std::vector<GeneralizationSet>{env.Ultimate()}, key,
+        WatermarkOptions{});
+    auto report = detector.Detect(marked, wm.size(), embed->wmd_size);
+    ASSERT_TRUE(report.ok());
+    fused.push_back(std::move(*report));
+  }
+  EXPECT_EQ(fused[0].tuples_selected, marked.num_rows());
+
+  auto pool = MakeThreadPool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), pool.get()}) {
+    auto tally = MultiKeyTally(*index, keys, HashAlgorithm::kSha1, wm.size(),
+                               embed->wmd_size, p);
+    ASSERT_TRUE(tally.ok()) << tally.status().ToString();
+    ASSERT_EQ(tally->size(), keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ExpectSameReport(fused[i], (*tally)[i],
+                       "key " + std::to_string(i) +
+                           (p == nullptr ? ", serial" : ", 4 threads"));
+    }
+  }
+}
+
 TEST(MultiKeyTallyTest, EmptyTableAndEmptyKeys) {
   Env env = MakeSetup();
   Table empty(env.table.schema());

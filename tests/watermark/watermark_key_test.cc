@@ -62,6 +62,55 @@ TEST(TupleSelectionTest, EtaOneSelectsEverything) {
   }
 }
 
+// --- SelectionRule: Eq. (5) without a divide -------------------------------
+
+uint64_t SplitMix64(uint64_t* state) {
+  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+TEST(SelectionRuleTest, MatchesModuloAtEdgesAndOnRandomValues) {
+  constexpr uint64_t kMax = ~uint64_t{0};
+  // Odd, even and power-of-two eta, both sides of 2^32, and the extremes
+  // (s = 0 rotates by nothing; s = 63 by all but one bit).
+  const uint64_t etas[] = {1,
+                           2,
+                           3,
+                           7,
+                           64,
+                           75,
+                           96,
+                           uint64_t{1} << 32,
+                           (uint64_t{1} << 32) + 1,
+                           uint64_t{1} << 63,
+                           kMax};
+  for (uint64_t eta : etas) {
+    const SelectionRule rule(eta);
+    const auto check = [&](uint64_t h) {
+      if (rule.Selects(h) != (h % eta == 0)) {
+        ADD_FAILURE() << "eta=" << eta << " h=" << h;
+      }
+    };
+    // Sums wrap mod 2^64 on purpose: they are just more values to check.
+    for (uint64_t h : {uint64_t{0}, uint64_t{1}, eta - 1, eta, eta + 1,
+                       5 * eta, kMax, kMax - eta + 1}) {
+      check(h);
+    }
+    uint64_t state = eta;
+    for (int i = 0; i < 100000; ++i) {
+      const uint64_t h = SplitMix64(&state);
+      check(h);
+      // A true multiple of eta, and its neighbours.
+      const uint64_t multiple = h - h % eta;
+      check(multiple);
+      check(multiple + 1);
+      check(multiple - 1);
+    }
+  }
+}
+
 TEST(WmdPositionTest, InRangeAndDeterministic) {
   WatermarkKey key;
   for (int i = 0; i < 200; ++i) {
