@@ -9,7 +9,9 @@
 # from the served output. A zero --eta or --k, a non-finite
 # --drift-threshold and a non-numeric or non-finite attack <fraction> or
 # dispute <claimed_v> must be usage errors (exit 2), and a dispute with
-# protect's printed v must establish ownership.
+# protect's printed v must establish ownership. The daemon and the
+# one-shot `protect` run with PRIVMARK_FAILPOINTS set to kill triggers:
+# only tests arm failpoints, so a shipped binary must ignore it.
 #
 # usage: cli_serve_smoke.sh <path/to/privmark_cli> <scratch dir>
 set -euo pipefail
@@ -78,9 +80,12 @@ grep -q '^\[icu\] shard (epoch 0' local.log \
   || fail "fingerprint --stream printed no shard lines"
 
 # 2. A separate daemon through --connect. Its stdin is a fifo this
-# script holds open; closing it stops the daemon.
+# script holds open; closing it stops the daemon. The environment would
+# kill it at its third frame read if shipped binaries armed failpoints
+# from it.
 mkfifo ctl
-"$cli" daemon --port=0 --cap=2 < ctl > daemon.log &
+PRIVMARK_FAILPOINTS="wire.read=kill:3" \
+  "$cli" daemon --port=0 --cap=2 < ctl > daemon.log &
 daemon_pid=$!
 exec 3> ctl
 port=
@@ -108,9 +113,11 @@ done
 grep -q 'clinic-owner' local/ward.man || fail "ward.man lacks the key_id"
 
 # 5. The freeze stream is the one-shot protect of the same rows, and
-# detect recovers protect's mark from the served output.
-"$cli" protect all.csv oneshot.csv oneshot.man --k=10 --key=owner.key \
-  > protect.log
+# detect recovers protect's mark from the served output. The environment
+# names a kill at the first flush, which protect must ignore.
+PRIVMARK_FAILPOINTS="session.flush=kill:1" \
+  "$cli" protect all.csv oneshot.csv oneshot.man --k=10 --key=owner.key \
+  > protect.log || fail "protect exited $?"
 cmp oneshot.csv local/ward.csv || fail "served freeze stream != protect"
 mark=$(sed -n 's/^mark (keep secret until dispute): //p' protect.log)
 [[ -n $mark ]] || fail "protect printed no mark"

@@ -17,11 +17,11 @@
 #      under a pooled agent; the serial-only replay/drift
 #      cases run in the Release job), and the 100-connection daemon
 #      loopback soak (slow-labeled, so invoked directly)
-#   3. Release with failpoints compiled in (everything, incl. the
-#      fork/kill crash-recovery acceptance suite)
+#   3. Release, the tier-1 tree build/ (everything, incl. the fork/kill
+#      crash-recovery acceptance suite: failpoints are in every build)
 # plus a fault-injection replay of the faultinject-labeled suites under
 # ASan with three fixed PRIVMARK_FAULT_SEED values, a short-min-time
-# benchmark smoke run on a failpoint-free Release build, gated
+# benchmark smoke run on a Release build, gated
 # by scripts/bench_check.py against the checked-in Release baseline
 # (set PRIVMARK_BENCH_OVERRIDE=1 to report without failing), and a
 # one-second perfbench run of every workload (scripts/perfbench_smoke.sh),
@@ -97,10 +97,10 @@ echo "=== Parser suites under an ASan allocation cap ==="
  ctest --output-on-failure -j "${JOBS}" -L alloccap)
 
 echo "=== Fault injection under ASan (three fixed seeds) ==="
-# Debug builds compile failpoints in; the seed feeds the probabilistic
-# fault-storm test, and the deterministic faultinject suites — including
-# the daemon suite's injected wire.read/wire.write socket faults and the
-# adversarial manifest cases — simply rerun.
+# The seed feeds the probabilistic fault-storm test, and the
+# deterministic faultinject suites — including the daemon suite's
+# injected wire.read/wire.write socket faults and the adversarial
+# manifest cases — simply rerun.
 # The fork/kill crash suite is slow-labeled and runs in the Release job.
 for seed in 101 202 303; do
   (cd build-asan && \
@@ -129,14 +129,12 @@ cmake --build build-tsan -j "${JOBS}"
 ./build-tsan/tests/integration_daemon_multiplex_soak_test
 
 echo "=== Release ==="
-# PRIVMARK_FAILPOINTS=ON keeps the crash-recovery acceptance suite alive in
-# the Release test tree; unarmed failpoints are a branch on a relaxed atomic
-# load, and the benchmark tree below is configured without them, so the
-# published numbers never carry the instrumentation. It gets its own tree
-# (build-fp/) so build/ keeps the default, failpoint-free configuration.
-cmake -B build-fp -S . -DCMAKE_BUILD_TYPE=Release -DPRIVMARK_FAILPOINTS=ON
-cmake --build build-fp -j "${JOBS}"
-(cd build-fp && ctest --output-on-failure -j "${JOBS}")
+# The tier-1 tree. Failpoints are compiled into every build, so this runs
+# the crash-recovery acceptance suite against the code that ships, and the
+# benchmark trees below measure that same code.
+cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build -j "${JOBS}"
+(cd build && ctest --output-on-failure -j "${JOBS}")
 
 echo "=== Benchmark smoke (Release-enforced, double-valued min_time) ==="
 # run_benches.sh builds its own dedicated Release tree (build-bench/, tests

@@ -1,6 +1,5 @@
 #include "common/failpoint.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <vector>
 
@@ -18,48 +17,12 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-Result<uint64_t> ParseCount(const std::string& text, const char* what) {
-  if (text.empty()) {
-    return Status::InvalidArgument(std::string("failpoint: empty ") + what);
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument(std::string("failpoint: ") + what +
-                                     " is not a number: " + text);
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      return Status::InvalidArgument(std::string("failpoint: ") + what +
-                                     " overflows: " + text);
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 }  // namespace
 
 FailpointRegistry& FailpointRegistry::Instance() {
-  static FailpointRegistry* registry = [] {
-    auto* r = new FailpointRegistry();
-    if (const char* spec = std::getenv("PRIVMARK_FAILPOINTS");
-        spec != nullptr && spec[0] != '\0') {
-      // Env misconfiguration must be loud, not silently ignored: a chaos
-      // run with a typo'd spec would otherwise report a clean pass.
-      const Status status = r->ConfigureFromSpec(spec);
-      if (!status.ok()) {
-        std::fprintf(stderr, "PRIVMARK_FAILPOINTS: %s\n",
-                     status.ToString().c_str());
-        std::abort();
-      }
-    }
-    return r;
-  }();
+  static FailpointRegistry* const registry = new FailpointRegistry();
   return *registry;
 }
-
-FailpointRegistry::FailpointRegistry() = default;
 
 Status FailpointRegistry::Configure(const std::string& name,
                                     const std::string& trigger) {
@@ -84,7 +47,8 @@ Status FailpointRegistry::Configure(const std::string& name,
       return Status::InvalidArgument("failpoint: '" + mode +
                                      "' needs exactly one count: " + trigger);
     }
-    PRIVMARK_ASSIGN_OR_RETURN(point.n, ParseCount(parts[1], "hit count"));
+    PRIVMARK_ASSIGN_OR_RETURN(
+        point.n, ParseDecimalU64(parts[1], "failpoint hit count"));
     if (point.n == 0) {
       return Status::InvalidArgument("failpoint: hit count is 1-based, got 0");
     }
@@ -97,12 +61,14 @@ Status FailpointRegistry::Configure(const std::string& name,
     }
     char* end = nullptr;
     point.probability = std::strtod(parts[1].c_str(), &end);
-    if (end == parts[1].c_str() || *end != '\0' || point.probability < 0.0 ||
-        point.probability > 1.0) {
+    // Written so that a NaN, which compares false to everything, fails.
+    if (end == parts[1].c_str() || *end != '\0' ||
+        !(point.probability >= 0.0 && point.probability <= 1.0)) {
       return Status::InvalidArgument("failpoint: probability must be in "
                                      "[0, 1], got '" + parts[1] + "'");
     }
-    PRIVMARK_ASSIGN_OR_RETURN(point.rng_state, ParseCount(parts[2], "seed"));
+    PRIVMARK_ASSIGN_OR_RETURN(point.rng_state,
+                              ParseDecimalU64(parts[2], "failpoint seed"));
     point.mode = Mode::kProb;
   } else {
     return Status::InvalidArgument("failpoint: unknown trigger '" + trigger +
@@ -111,29 +77,12 @@ Status FailpointRegistry::Configure(const std::string& name,
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = points_.insert_or_assign(name, point);
-  (void)it;
-  (void)inserted;
+  points_.insert_or_assign(name, point);
   uint64_t armed = 0;
   for (const auto& [point_name, p] : points_) {
     if (p.mode != Mode::kOff) ++armed;
   }
   armed_.store(armed, std::memory_order_release);
-  return Status::OK();
-}
-
-Status FailpointRegistry::ConfigureFromSpec(const std::string& spec) {
-  for (const std::string& raw : Split(spec, ';')) {
-    const std::string entry = Trim(raw);
-    if (entry.empty()) continue;
-    const size_t eq = entry.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument(
-          "failpoint spec: missing '=' in entry '" + entry + "'");
-    }
-    PRIVMARK_RETURN_NOT_OK(
-        Configure(entry.substr(0, eq), entry.substr(eq + 1)));
-  }
   return Status::OK();
 }
 

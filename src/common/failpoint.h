@@ -1,18 +1,16 @@
 // Deterministic failpoint registry for fault-injection testing.
 //
-// A failpoint is a named site in production code where a test (or the
-// PRIVMARK_FAILPOINTS environment variable) can inject a failure:
+// A failpoint is a named site in production code where a test can inject
+// a failure:
 //
 //   if (PRIVMARK_FAILPOINT("journal.append")) {
 //     return Status::IOError("failpoint 'journal.append' triggered");
 //   }
 //
-// The macro is the only thing call sites use. In builds without
-// PRIVMARK_FAILPOINTS_ENABLED it expands to the constant `false`, so
-// every failpoint compiles to nothing — zero code, zero branches on the
-// hot path. The CMake option PRIVMARK_FAILPOINTS (default ON for Debug,
-// OFF for Release) controls the define; the Release bench trees never
-// carry it, which is what keeps the bench-gate baselines honest.
+// The macro is the only thing call sites use. It is compiled into every
+// build, so the crash-recovery suite tests the code that ships. An
+// unarmed site costs one call and one acquire load: the sites run per
+// batch, per frame, per pool dispatch or per flush, never per row.
 //
 // Triggers are deterministic by construction so crash tests replay
 // exactly:
@@ -27,14 +25,13 @@
 //                kKillExitCode (no destructors, no flushes) — the
 //                crash-recovery suites' simulated power cut
 //
-// Configuration sources, in precedence order: explicit Configure() calls
-// (tests), then the PRIVMARK_FAILPOINTS env var, parsed once at first
-// use ("name=trigger;name2=trigger2").
+// Only an explicit Configure() call arms a failpoint. Nothing reads the
+// environment, so a shipped binary (the daemon, say) cannot be made to
+// fail or exit by whoever starts it.
 //
 // Thread safety: all registry operations are mutex-guarded; hits from
 // pool workers are serialized, which is fine for a test-only facility
-// (the fast path when *no* failpoint is armed is one relaxed atomic
-// load).
+// (when *no* failpoint is armed, Hit returns before taking the lock).
 
 #ifndef PRIVMARK_COMMON_FAILPOINT_H_
 #define PRIVMARK_COMMON_FAILPOINT_H_
@@ -62,10 +59,6 @@ class FailpointRegistry {
   /// off | always | nth:N | once:N | prob:P:SEED | kill:N.
   Status Configure(const std::string& name, const std::string& trigger);
 
-  /// \brief Parses a semicolon-separated "name=trigger;..." spec (the
-  /// PRIVMARK_FAILPOINTS env var format).
-  Status ConfigureFromSpec(const std::string& spec);
-
   /// \brief Disarms every failpoint and zeroes hit counters.
   void Reset();
 
@@ -88,7 +81,7 @@ class FailpointRegistry {
     uint64_t hits = 0;
   };
 
-  FailpointRegistry();
+  FailpointRegistry() = default;
   bool ShouldFireLocked(Point* point);
 
   mutable std::mutex mu_;
@@ -100,11 +93,7 @@ class FailpointRegistry {
 
 }  // namespace privmark
 
-#if defined(PRIVMARK_FAILPOINTS_ENABLED)
 #define PRIVMARK_FAILPOINT(name) \
   (::privmark::FailpointRegistry::Instance().Hit(name))
-#else
-#define PRIVMARK_FAILPOINT(name) (false)
-#endif
 
 #endif  // PRIVMARK_COMMON_FAILPOINT_H_

@@ -211,8 +211,6 @@ TEST(ManifestAdversarialTest, HugeSparseManifestIsRefusedBeforeAnyRead) {
       << loaded.status().ToString();
 }
 
-#if defined(PRIVMARK_FAILPOINTS_ENABLED)
-
 TEST(ManifestAdversarialTest, FsyncFaultSurfacesAsIOError) {
   ProtectionManifest previous;
   previous.mark_bits = 4;
@@ -246,8 +244,6 @@ TEST(ManifestAdversarialTest, FsyncFaultSurfacesAsIOError) {
   EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << tmp;
   std::remove(path.c_str());
 }
-
-#endif  // PRIVMARK_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace privmark

@@ -14,8 +14,8 @@
 // re-submitted), after an epoch committed but before its seal record,
 // and inside the seal's fsync.
 //
-// The whole suite skips in builds without PRIVMARK_FAILPOINTS_ENABLED
-// (Release), where failpoints compile to nothing.
+// Failpoints are compiled into every build, so the suite runs in the
+// Release tier-1 tree against the code that ships.
 
 #include <gtest/gtest.h>
 
@@ -190,13 +190,6 @@ void CrashAndRecover(const std::string& tag, size_t num_threads,
 
 class CrashRecoveryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-#if !defined(PRIVMARK_FAILPOINTS_ENABLED)
-    GTEST_SKIP() << "failpoints compiled out (Release); crash suite runs "
-                    "in PRIVMARK_FAILPOINTS=ON builds";
-#endif
-  }
-
   // Worker counts the acceptance bar demands: serial, two, hardware.
   static std::vector<size_t> ThreadCounts() {
     std::vector<size_t> counts = {1, 2};

@@ -277,8 +277,6 @@ TEST_F(FailureInjectionTest, ParallelDetectOnForeignTableYieldsNoVotes) {
 // journals a batch BEFORE applying it, so a failed append costs nothing
 // but the retry.
 
-#if defined(PRIVMARK_FAILPOINTS_ENABLED)
-
 class JournalFaultTest : public FailureInjectionTest {
  protected:
   void TearDown() override { FailpointRegistry::Instance().Reset(); }
@@ -473,8 +471,6 @@ TEST_F(JournalFaultTest, SeededFaultStormLeavesAByteIdenticalStream) {
   EXPECT_EQ(TableToCsv(recovered->emitted), TableToCsv(emitted))
       << "seed " << seed << " (" << injected << " injected faults)";
 }
-
-#endif  // PRIVMARK_FAILPOINTS_ENABLED
 
 TEST_F(FailureInjectionTest, DisputeWithCorruptedIdentifiersRejectsClaim) {
   BinningConfig config;

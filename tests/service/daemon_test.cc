@@ -424,8 +424,6 @@ TEST(DaemonTest, MidFrameDisconnectLeavesTheDaemonServing) {
 
 // ---- injected socket faults -----------------------------------------------
 
-#if defined(PRIVMARK_FAILPOINTS_ENABLED)
-
 TEST(DaemonFailpointTest, InjectedReadFaultFailsTheCallNotTheProcess) {
   Env env = StartDaemon();
   {
@@ -461,8 +459,6 @@ TEST(DaemonFailpointTest, InjectedWriteFaultFailsTheCallNotTheProcess) {
   ExpectStillServing(env.daemon.get(), "after-write-fault");
   EXPECT_TRUE(env.daemon->Shutdown().ok());
 }
-
-#endif  // PRIVMARK_FAILPOINTS_ENABLED
 
 // ---- overload: typed backpressure over the wire ---------------------------
 
