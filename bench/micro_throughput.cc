@@ -600,8 +600,8 @@ void BM_WireTableCodec(benchmark::State& state) {
         Unwrap(WireFrameBodyLength(encoded.data()), "frame length");
     const WireFrame unframed = Unwrap(
         DecodeWireFrameBody(encoded.data(),
-                            encoded.data() + kWireFrameHeaderBytes,
-                            body_length),
+                            encoded.substr(kWireFrameHeaderBytes,
+                                           body_length)),
         "unframe");
     BinReader reader(unframed.payload);
     Table decoded = Unwrap(decoder->Decode(&reader), "decode");

@@ -22,7 +22,8 @@
 #                   scripts/bench_baseline_release.json), so before/after
 #                   numbers travel together.
 #   CMAKE_ARGS      extra arguments appended to the cmake configure (CI
-#                   passes -DCMAKE_CXX_COMPILER_LAUNCHER=ccache).
+#                   sets CMAKE_CXX_COMPILER_LAUNCHER=ccache in the
+#                   environment instead, which cmake reads itself).
 #
 # Build-type validation: the binary records "privmark_build_type" into the
 # JSON context from its own NDEBUG state. We check that field, not the

@@ -301,14 +301,8 @@ Result<EpochOutput> ProtectionSession::Flush() {
 ProtectionSession::LiveEpoch ProtectionSession::SnapshotEpoch(
     const BinningOutcome& binning,
     const std::vector<std::vector<size_t>>& bin_counts,
-    const EpochRecord& record) const {
+    size_t effective_k) const {
   LiveEpoch live;
-  live.index = record.epoch;
-  live.ultimate = binning.ultimate;
-  live.mark = record.mark;
-  live.copies = std::max<size_t>(1, record.copies);
-  live.wmd_size = record.wmd_size;
-  live.effective_k = config_.binning.k + record.epsilon_used;
   live.basis_rows = rows_ingested_;
 
   // Established bins, read from the epoch's own emitted output: a bin is
@@ -320,14 +314,14 @@ ProtectionSession::LiveEpoch ProtectionSession::SnapshotEpoch(
   if (session_.policy != RebinPolicy::kFreezeBins) return live;
   if (config_.binning.enforce_joint) {
     for (const auto& [bin_key, count] : JointBinSizes(binning)) {
-      if (count >= live.effective_k) live.joint_established.insert(bin_key);
+      if (count >= effective_k) live.joint_established.insert(bin_key);
     }
   } else {
     live.established.resize(bin_counts.size());
     for (size_t c = 0; c < bin_counts.size(); ++c) {
       live.established[c].assign(bin_counts[c].size(), 0);
       for (size_t n = 0; n < bin_counts[c].size(); ++n) {
-        if (bin_counts[c][n] >= live.effective_k) live.established[c][n] = 1;
+        if (bin_counts[c][n] >= effective_k) live.established[c][n] = 1;
       }
     }
   }
@@ -440,7 +434,8 @@ Result<EpochOutput> ProtectionSession::FlushBuffer() {
   record.epsilon_used = outcome.epsilon_used;
   record.rows_emitted = outcome.watermarked.num_rows();
   record.rows_suppressed = outcome.binning.suppressed_rows + epoch_dropped;
-  live_ = SnapshotEpoch(outcome.binning, bin_counts, record);
+  live_ = SnapshotEpoch(outcome.binning, bin_counts,
+                        config_.binning.k + outcome.epsilon_used);
   epochs_.push_back(std::move(record));
   rows_emitted_ += outcome.watermarked.num_rows();
   rows_suppressed_ += outcome.binning.suppressed_rows + epoch_dropped;
@@ -467,8 +462,9 @@ Result<EpochOutput> ProtectionSession::FlushBuffer() {
 Result<IngestResult> ProtectionSession::EmitFrozen(const Table& batch,
                                                    const EncodedView& view) {
   const LiveEpoch& live = *live_;
+  EpochRecord& record = epochs_.back();
   IngestResult out;
-  out.epoch = live.index;
+  out.epoch = record.epoch;
 
   // Keep only rows of established bins; everything else cannot meet k
   // under the frozen generalization.
@@ -477,7 +473,7 @@ Result<IngestResult> ProtectionSession::EmitFrozen(const Table& batch,
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     for (size_t c = 0; c < qi_columns_.size(); ++c) {
       PRIVMARK_ASSIGN_OR_RETURN(
-          NodeId node, live.ultimate[c].NodeForLeaf(view.column(c).id(r)));
+          NodeId node, record.ultimate[c].NodeForLeaf(view.column(c).id(r)));
       if (config_.binning.enforce_joint) {
         key[c] = node;
       } else if (!live.established[c][node]) {
@@ -501,18 +497,19 @@ Result<IngestResult> ProtectionSession::EmitFrozen(const Table& batch,
 
   PRIVMARK_ASSIGN_OR_RETURN(
       out.emitted,
-      MaterializeProtected(kept, qi_columns_, ident_column_, live.ultimate,
+      MaterializeProtected(kept, qi_columns_, ident_column_, record.ultimate,
                            kept_view, cipher_, pool()));
 
   // Embed the frozen epoch's mark with its recorded copy count, so the
   // batch's slots land in the same wmd positions detection will read.
-  HierarchicalWatermarker watermarker = MakeWatermarker(live.ultimate);
+  HierarchicalWatermarker watermarker = MakeWatermarker(record.ultimate);
   PRIVMARK_ASSIGN_OR_RETURN(
-      out.embed, watermarker.Embed(&out.emitted, live.mark, live.copies));
+      out.embed, watermarker.Embed(&out.emitted, record.mark,
+                                   std::max<size_t>(1, record.copies)));
 
   out.rows_emitted = out.emitted.num_rows();
-  epochs_[live.index].rows_emitted += out.rows_emitted;
-  epochs_[live.index].rows_suppressed += out.rows_suppressed;
+  record.rows_emitted += out.rows_emitted;
+  record.rows_suppressed += out.rows_suppressed;
   rows_emitted_ += out.rows_emitted;
   rows_suppressed_ += out.rows_suppressed;
   return out;

@@ -267,19 +267,15 @@ class ProtectionSession {
   const std::optional<Schema>& schema() const { return schema_; }
 
  private:
-  // The frozen state of the most recent flush.
+  // What the most recent flush froze beyond its EpochRecord, which is
+  // epochs_.back().
   struct LiveEpoch {
-    size_t index = 0;
-    std::vector<GeneralizationSet> ultimate;
-    BitVector mark;
-    size_t copies = 1;
-    size_t wmd_size = 0;
-    size_t effective_k = 0;
     /// Rows accumulated session-wide when this epoch flushed (the drift
     /// denominator).
     size_t basis_rows = 0;
     /// Per-attribute mode: per column, by NodeId, whether the ultimate
-    /// node's bin reached effective_k rows in the epoch's emitted output.
+    /// node's bin reached k + epsilon_used rows in the epoch's emitted
+    /// output.
     std::vector<std::vector<char>> established;
     /// Joint mode: established joint bin keys (ultimate NodeIds, in
     /// qi-column order).
@@ -294,7 +290,7 @@ class ProtectionSession {
   // `bin_counts` is BinHistograms(binning): per column, rows per bin.
   LiveEpoch SnapshotEpoch(const BinningOutcome& binning,
                           const std::vector<std::vector<size_t>>& bin_counts,
-                          const EpochRecord& record) const;
+                          size_t effective_k) const;
   HierarchicalWatermarker MakeWatermarker(
       const std::vector<GeneralizationSet>& ultimate) const;
   // Splits `concatenated` into one slice per epoch by the recorded

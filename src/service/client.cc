@@ -148,20 +148,7 @@ Result<DaemonClient::PendingCall> DaemonClient::CallAsync(
 }
 
 Status DaemonClient::PumpOneFrame(int fd) {
-  char header[kWireFrameHeaderBytes];
-  if (!ReadFullySocket(fd, header, sizeof(header))) {
-    return Status::IOError(
-        "connection lost waiting for a response frame (the daemon closes "
-        "the connection on a protocol error)");
-  }
-  Result<size_t> body_length = WireFrameBodyLength(header);
-  if (!body_length.ok()) return body_length.status();
-  std::string body(*body_length, '\0');
-  if (!ReadFullySocket(fd, body.data(), body.size())) {
-    return Status::IOError("connection lost mid-response");
-  }
-  Result<WireFrame> frame =
-      DecodeWireFrameBody(header, body.data(), body.size());
+  Result<WireFrame> frame = ReadWireFrame(fd);
   if (!frame.ok()) return frame.status();
   if (frame->type != WireFrameType::kResponse &&
       frame->type != WireFrameType::kPartial) {

@@ -232,14 +232,7 @@ void PrivmarkDaemon::ServeConnection(int fd) {
   WireTableDecoder decoder(config_.schema);
 
   for (;;) {
-    char header[kWireFrameHeaderBytes];
-    if (!ReadFullySocket(fd, header, sizeof(header))) break;
-    Result<size_t> body_length = WireFrameBodyLength(header);
-    if (!body_length.ok()) break;
-    std::string body(*body_length, '\0');
-    if (!ReadFullySocket(fd, body.data(), body.size())) break;
-    Result<WireFrame> frame =
-        DecodeWireFrameBody(header, body.data(), body.size());
+    Result<WireFrame> frame = ReadWireFrame(fd);
     // Clients send single-frame request types only; the streamed flag is
     // only meaningful on a fingerprint request (asking for a streamed
     // response).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/journal.h"
@@ -11,6 +12,21 @@
 namespace privmark {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+// The point `ms` milliseconds from now; Clock::time_point::max() (no
+// deadline) when ms <= 0 or when the point lies past what the clock can
+// hold. Adding such a count to now() would overflow, and the deadline
+// would read as already past.
+Clock::time_point DeadlineAfter(int64_t ms) {
+  if (ms <= 0) return Clock::time_point::max();
+  const Clock::time_point now = Clock::now();
+  const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - now);
+  if (ms >= room.count()) return Clock::time_point::max();
+  return now + std::chrono::milliseconds(ms);
+}
 
 // Journals live in one flat directory, so session names must become
 // safe basename characters. The encoding is injective (percent-escapes,
@@ -56,48 +72,6 @@ const char* RequestKindToString(RequestKind kind) {
       return "CloseSession";
   }
   return "Unknown";
-}
-
-bool ServiceQueue::Push(Item&& item) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_) return false;
-  items_.push_back(std::move(item));
-  return true;
-}
-
-bool ServiceQueue::Pop(Item* item) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (items_.empty()) return false;
-  *item = std::move(items_.front());
-  items_.pop_front();
-  return true;
-}
-
-void ServiceQueue::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-}
-
-size_t ServiceQueue::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return items_.size();
-}
-
-size_t ServiceQueue::Abandon(const Status& status) {
-  std::deque<Item> taken;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    taken.swap(items_);
-  }
-  // Completions run outside mu_: one may call back into the queue.
-  for (Item& item : taken) item.done(Result<ServiceResponse>(status));
-  return taken.size();
-}
-
-bool ServiceQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
 }
 
 PrivmarkService::PrivmarkService(ServiceConfig config)
@@ -245,25 +219,12 @@ Status PrivmarkService::Enqueue(ServiceRequest request,
   const int64_t deadline_ms = request.deadline_ms == kDeadlineFromConfig
                                   ? config_.default_deadline_ms
                                   : request.deadline_ms;
-  ServiceQueue::Item item;
-  item.request = std::move(request);
-  item.done = std::move(*done);
-  if (deadline_ms > 0) {
-    item.has_deadline = true;
-    item.deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(deadline_ms);
-  }
-  if (!strand->queue.Push(std::move(item))) {
-    *done = std::move(item.done);  // Push left the item untouched
-    return Status::InvalidArgument("Submit: session queue is closed");
-  }
-  if (closes) {
-    // Mark-then-close under mu_: every earlier Submit already queued, no
-    // later one passes the `closing` check, and the strand drains what
-    // was accepted — the close request itself runs last.
-    strand->closing = true;
-    strand->queue.Close();
-  }
+  strand->queue.push_back(
+      {std::move(request), std::move(*done), DeadlineAfter(deadline_ms)});
+  // Under mu_: every earlier Submit already queued, no later one passes
+  // the `closing` check, and the strand drains what was accepted — the
+  // close request itself runs last.
+  if (closes) strand->closing = true;
   if (!strand->scheduled) {
     strand->scheduled = true;
     ++scheduled_;
@@ -312,24 +273,30 @@ void PrivmarkService::RunTurn(Strand* strand) {
   {
     // Scoped to the turn, so a completion's captures die with its
     // request. The queue is empty here only if Shutdown abandoned it.
-    ServiceQueue::Item item;
-    if (strand->queue.Pop(&item)) {
-      if (item.has_deadline &&
-          std::chrono::steady_clock::now() >= item.deadline) {
+    std::optional<Item> item;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!strand->queue.empty()) {
+        item.emplace(std::move(strand->queue.front()));
+        strand->queue.pop_front();
+      }
+    }
+    if (item.has_value()) {
+      if (Clock::now() >= item->deadline) {
         // Expired while queued: fail without executing. The session
         // state is untouched, so the stream stays byte-identical to a
         // replay that never submitted this request.
-        item.done(Result<ServiceResponse>(Status::DeadlineExceeded(
+        item->done(Result<ServiceResponse>(Status::DeadlineExceeded(
             std::string("request '") +
-            RequestKindToString(item.request.kind) +
+            RequestKindToString(item->request.kind) +
             "' spent its whole deadline queued; it was not executed")));
       } else {
-        item.done(Execute(strand, &item.request));
+        item->done(Execute(strand, &item->request));
       }
     }
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (strand->queue.size() > 0) {
+  if (!strand->queue.empty()) {
     // To the back of the pool's queue: other sessions' turns go first.
     pool_->Post([this, strand] { RunTurn(strand); });
     return;
@@ -435,25 +402,35 @@ Status PrivmarkService::Shutdown(int64_t deadline_ms) {
   std::unordered_map<std::string, std::unique_ptr<Strand>> taken;
   std::unique_lock<std::mutex> lock(mu_);
   shutdown_ = true;
-  for (auto& [name, strand] : strands_) {
-    strand->queue.Close();  // idempotent; accepted items still drain
-  }
   taken = std::move(strands_);
   strands_.clear();
   const auto idle = [this] { return scheduled_ == 0; };
-  size_t abandoned = 0;
   // A zero deadline does not wait at all: even a wait that times out at
   // once releases mu_, and the workers could drain the very queues the
-  // caller asked to abandon.
-  if (deadline_ms >= 0 && !idle() &&
-      (deadline_ms == 0 ||
-       !idle_.wait_for(lock, std::chrono::milliseconds(deadline_ms), idle))) {
-    // Abandon outside mu_: the failed requests' completions run here.
-    lock.unlock();
+  // caller asked to abandon. A deadline the clock cannot hold waits
+  // forever, like a negative one.
+  bool expired = deadline_ms == 0 && !idle();
+  if (deadline_ms > 0) {
+    const Clock::time_point until = DeadlineAfter(deadline_ms);
+    expired = until != Clock::time_point::max() &&
+              !idle_.wait_until(lock, until, idle);
+  }
+  size_t abandoned = 0;
+  if (expired) {
+    // Take the queued items under mu_, where turns pop, then fail them
+    // outside it: their completions run here.
+    std::vector<Item> items;
     for (auto& [name, strand] : taken) {
-      abandoned += strand->queue.Abandon(Status::DeadlineExceeded(
-          "service shutdown deadline passed before this request ran"));
+      for (Item& item : strand->queue) items.push_back(std::move(item));
+      strand->queue.clear();
     }
+    lock.unlock();
+    for (Item& item : items) {
+      item.done(Result<ServiceResponse>(Status::DeadlineExceeded(
+          "service shutdown deadline passed before this request ran")));
+    }
+    abandoned = items.size();
+    items.clear();
     lock.lock();
   }
   // Bounded once queues are drained or abandoned: the wait covers only

@@ -20,13 +20,14 @@
 // Execution model — the two properties everything else hangs off:
 //
 //  1. Same-session requests SERIALIZE in arrival order. Each session is a
-//     strand: one FIFO ServiceQueue that owns no thread. While its queue
-//     is non-empty the strand is posted to the service's worker pool,
-//     and each turn runs ONE request before the strand goes to the back
-//     of the pool's queue again, so sessions take turns. A session's
-//     epoch output is therefore byte-identical to a serial replay of the
-//     same request sequence — concurrency never reorders a stream
-//     (proven by the service-equivalence property suite across caps).
+//     strand: one FIFO of pending requests, kept under the service's one
+//     lock, that owns no thread. While its queue is non-empty the strand
+//     is posted to the service's worker pool, and each turn runs ONE
+//     request before the strand goes to the back of the pool's queue
+//     again, so sessions take turns. A session's epoch output is
+//     therefore byte-identical to a serial replay of the same request
+//     sequence — concurrency never reorders a stream (proven by the
+//     service-equivalence property suite across caps).
 //
 //  2. Different-session requests run CONCURRENTLY on that one pool of
 //     thread_cap workers. The pool is the only place service work runs,
@@ -138,7 +139,8 @@ struct ServiceRequest {
   /// Deadline in milliseconds, counted from Submit(). The request fails
   /// with DeadlineExceeded if it is still queued when the deadline
   /// passes (it never executes). kDeadlineFromConfig (-1) = the
-  /// service's default_deadline_ms; 0 = no deadline.
+  /// service's default_deadline_ms; 0 = no deadline, and so is one too
+  /// far off for the steady clock to hold (INT64_MAX, say).
   int64_t deadline_ms = kDeadlineFromConfig;
 };
 
@@ -183,47 +185,6 @@ using ServiceFuture = std::future<Result<ServiceResponse>>;
 /// \brief Receives one request's result (see PrivmarkService::Submit
 /// for when and where it runs).
 using ServiceCompletion = std::function<void(Result<ServiceResponse>)>;
-
-/// \brief Thread-safe FIFO of pending requests — one per session strand.
-///
-/// Push() after Close() fails (intake closed); Pop() still drains
-/// whatever was accepted before the close. That ordering is the drain
-/// guarantee: closing a queue can never drop an accepted item.
-class ServiceQueue {
- public:
-  struct Item {
-    ServiceRequest request;
-    ServiceCompletion done;
-    /// Absolute deadline, meaningful iff has_deadline: the strand fails
-    /// the item without executing it when popped past this point.
-    std::chrono::steady_clock::time_point deadline{};
-    bool has_deadline = false;
-  };
-
-  /// \brief Enqueues; false iff the queue was closed (item untouched).
-  bool Push(Item&& item);
-
-  /// \brief Takes the next item; false when the queue is empty. Never
-  /// blocks.
-  bool Pop(Item* item);
-
-  /// \brief Closes intake; queued items remain poppable.
-  void Close();
-
-  /// \brief Closes intake AND completes every still-queued item with
-  /// `status` (the deadline path of Shutdown). Returns how many
-  /// items were failed. The item currently executing — already popped —
-  /// is not affected.
-  size_t Abandon(const Status& status);
-
-  size_t size() const;
-  bool closed() const;
-
- private:
-  mutable std::mutex mu_;
-  std::deque<Item> items_;  // guarded by mu_
-  bool closed_ = false;     // guarded by mu_
-};
 
 /// \brief Service-wide configuration.
 struct ServiceConfig {
@@ -337,7 +298,8 @@ class PrivmarkService {
   /// DeadlineExceeded naming how many requests were abandoned. An
   /// abandoned request never executed, so its caller can resubmit it
   /// after recovery; everything executed before the deadline is already
-  /// journaled. deadline_ms < 0 waits forever (== Shutdown()); 0
+  /// journaled. deadline_ms < 0 waits forever (== Shutdown()), and so
+  /// does a deadline too far off for the steady clock to hold; 0
   /// abandons whatever is queued at the call, without waiting.
   Status Shutdown(int64_t deadline_ms);
 
@@ -352,15 +314,25 @@ class PrivmarkService {
   size_t thread_cap() const { return thread_cap_; }
 
  private:
+  // One accepted, not yet executed request.
+  struct Item {
+    ServiceRequest request;
+    ServiceCompletion done;
+    // The strand fails the item without executing it when popped at or
+    // past this point; time_point::max() = no deadline.
+    std::chrono::steady_clock::time_point deadline;
+  };
+
   // One named stream: session + its capped pool lease + request queue.
+  // Its queue and flags are guarded by the service's mu_.
   struct Strand {
     std::string name;
     std::unique_ptr<ThreadPool> lease;  // capped view of the shared pool
     std::unique_ptr<ProtectionSession> session;
-    ServiceQueue queue;
+    std::deque<Item> queue;  // FIFO; a turn pops the front
     size_t default_ask = 1;  // the session config's own thread ask
-    bool closing = false;    // guarded by service mu_: CloseSession seen
-    bool scheduled = false;  // guarded by service mu_: a turn is posted
+    bool closing = false;    // CloseSession accepted: intake is closed
+    bool scheduled = false;  // a turn is posted
   };
 
   // One turn of `strand` on a pool worker: runs its next request, then

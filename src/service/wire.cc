@@ -443,17 +443,16 @@ Result<size_t> WireFrameBodyLength(const char* header) {
   return static_cast<size_t>(length) + 1 + kWireEnvelopeBytes;
 }
 
-Result<WireFrame> DecodeWireFrameBody(const char* header, const char* body,
-                                      size_t body_length) {
+Result<WireFrame> DecodeWireFrameBody(const char* header, std::string body) {
   constexpr size_t kEnvelope = 1 + kWireEnvelopeBytes;
-  if (body_length < kEnvelope) {
+  if (body.size() < kEnvelope) {
     return Status::InvalidArgument("wire: truncated frame body");
   }
   const uint32_t expected_crc = ReadLe32(header + 4);
-  if (JournalCrc32(body, body_length) != expected_crc) {
+  if (JournalCrc32(body.data(), body.size()) != expected_crc) {
     return Status::InvalidArgument("wire: frame checksum mismatch");
   }
-  const uint8_t type = static_cast<uint8_t>(*body);
+  const uint8_t type = static_cast<uint8_t>(body[0]);
   if (type < static_cast<uint8_t>(WireFrameType::kOpen) ||
       type > static_cast<uint8_t>(WireFrameType::kPartial)) {
     return Status::InvalidArgument("wire: unknown frame type " +
@@ -461,7 +460,7 @@ Result<WireFrame> DecodeWireFrameBody(const char* header, const char* body,
   }
   WireFrame frame;
   frame.type = static_cast<WireFrameType>(type);
-  frame.request_id = ReadLe64(body + 1);
+  frame.request_id = ReadLe64(body.data() + 1);
   const uint8_t flags = static_cast<uint8_t>(body[9]);
   if ((flags & ~kWireFlagMask) != 0) {
     return Status::InvalidArgument("wire: unknown frame flags " +
@@ -472,8 +471,26 @@ Result<WireFrame> DecodeWireFrameBody(const char* header, const char* body,
   if (frame.type == WireFrameType::kPartial && frame.final_frame) {
     return Status::InvalidArgument("wire: a partial frame cannot be final");
   }
-  frame.payload.assign(body + kEnvelope, body_length - kEnvelope);
+  // Strip the envelope in place: the payload keeps the body's buffer.
+  body.erase(0, kEnvelope);
+  frame.payload = std::move(body);
   return frame;
+}
+
+Result<WireFrame> ReadWireFrame(int fd) {
+  char header[kWireFrameHeaderBytes];
+  if (!ReadFullySocket(fd, header, sizeof(header))) {
+    return Status::IOError(
+        "wire: connection lost waiting for a frame (a peer closes the "
+        "connection on a protocol error)");
+  }
+  PRIVMARK_ASSIGN_OR_RETURN(const size_t body_length,
+                            WireFrameBodyLength(header));
+  std::string body(body_length, '\0');
+  if (!ReadFullySocket(fd, body.data(), body.size())) {
+    return Status::IOError("wire: connection lost mid-frame");
+  }
+  return DecodeWireFrameBody(header, std::move(body));
 }
 
 // ---- columnar table codec ------------------------------------------------

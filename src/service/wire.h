@@ -150,11 +150,17 @@ Result<std::string> EncodeWireFrame(const WireFrame& frame, uint8_t version);
 Result<size_t> WireFrameBodyLength(const char* header);
 
 /// \brief Validates CRC, type, and envelope flags of a frame body read
-/// after WireFrameBodyLength and splits it into a WireFrame.
+/// after WireFrameBodyLength and splits it into a WireFrame, whose
+/// payload is `body` with the envelope stripped in place (no copy).
 /// InvalidArgument on CRC mismatch, an unknown type, unknown flag bits,
 /// or a kPartial frame claiming to be final.
-Result<WireFrame> DecodeWireFrameBody(const char* header, const char* body,
-                                      size_t body_length);
+Result<WireFrame> DecodeWireFrameBody(const char* header, std::string body);
+
+/// \brief Reads one frame off `fd`: the header (WireFrameBodyLength's
+/// length cap), then the body, decoded by DecodeWireFrameBody. IOError
+/// when the peer hangs up or a read fails; InvalidArgument on a
+/// malformed frame. The caller checks the frame type.
+Result<WireFrame> ReadWireFrame(int fd);
 
 // ---- columnar table codec ------------------------------------------------
 

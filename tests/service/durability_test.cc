@@ -1,5 +1,5 @@
 // Durability and overload-control tests for the service front-end:
-// queue abandonment, per-request deadlines, queue-depth shedding,
+// a closed strand's drain, per-request deadlines, queue-depth shedding,
 // journal-backed OpenSession recovery, and the deadline-bounded
 // Shutdown. The crash-under-kill acceptance
 // suite lives in tests/integration/crash_recovery_test.cc.
@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -70,34 +71,6 @@ void AppendAll(Table* all, const Table& rows) {
   }
 }
 
-// ---- ServiceQueue::Abandon ------------------------------------------------
-
-TEST(ServiceQueueAbandonTest, FailsQueuedPromisesAndClosesIntake) {
-  ServiceQueue queue;
-  std::vector<Status> completed;
-  for (size_t i = 0; i < 3; ++i) {
-    ServiceQueue::Item item;
-    item.request.session = "s";
-    item.done = [&completed](Result<ServiceResponse> result) {
-      completed.push_back(result.status());
-    };
-    ASSERT_TRUE(queue.Push(std::move(item)));
-  }
-  const size_t abandoned =
-      queue.Abandon(Status::DeadlineExceeded("shutdown deadline"));
-  EXPECT_EQ(abandoned, 3u);
-  EXPECT_TRUE(queue.closed());
-  EXPECT_EQ(queue.size(), 0u);
-  ASSERT_EQ(completed.size(), 3u);
-  for (const Status& status : completed) {
-    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  }
-  ServiceQueue::Item rejected;
-  EXPECT_FALSE(queue.Push(std::move(rejected)));
-  // Idempotent on an empty closed queue.
-  EXPECT_EQ(queue.Abandon(Status::DeadlineExceeded("again")), 0u);
-}
-
 // ---- Per-request deadlines ------------------------------------------------
 
 // Holds a session's strand on one request. The gated request's completion
@@ -133,12 +106,12 @@ class StrandGate {
   std::shared_future<void> opened_ = release_.get_future().share();
 };
 
-// An ingest of the whole table that never expires.
-ServiceRequest UnboundedIngest(const Env& env) {
+// An ingest of `batch` into "ward" that never expires.
+ServiceRequest UnboundedIngest(Table batch) {
   ServiceRequest request;
   request.kind = RequestKind::kProtectBatch;
   request.session = "ward";
-  request.table = env.dataset->table.Clone();
+  request.table = std::move(batch);
   request.deadline_ms = 0;
   return request;
 }
@@ -158,7 +131,8 @@ TEST(ServiceDeadlineTest, QueuedPastDeadlineFailsWithoutExecuting) {
   ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
 
   StrandGate gate;
-  auto ingest = gate.Submit(&service, UnboundedIngest(env));
+  auto ingest =
+      gate.Submit(&service, UnboundedIngest(env.dataset->table.Clone()));
   ServiceRequest late;
   late.kind = RequestKind::kFlush;
   late.session = "ward";
@@ -190,7 +164,8 @@ TEST(ServiceDeadlineTest, DefaultDeadlineComesFromConfig) {
   ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
 
   StrandGate gate;
-  auto ingest = gate.Submit(&service, UnboundedIngest(env));
+  auto ingest =
+      gate.Submit(&service, UnboundedIngest(env.dataset->table.Clone()));
   // Inherits the 1ms service default...
   auto expired = service.Flush("ward");
   // ...while an explicit 0 opts out of any deadline.
@@ -207,6 +182,79 @@ TEST(ServiceDeadlineTest, DefaultDeadlineComesFromConfig) {
   EXPECT_EQ(expired_result.status().code(), StatusCode::kDeadlineExceeded);
   auto unbounded_result = no_deadline.get();
   EXPECT_TRUE(unbounded_result.ok()) << unbounded_result.status().ToString();
+}
+
+TEST(ServiceDeadlineTest, DeadlinePastTheClockMeansNoDeadline) {
+  // INT64_MAX ms cannot be added to the steady clock: the deadline must
+  // read as none, not as already past.
+  constexpr int64_t kForever = std::numeric_limits<int64_t>::max();
+  Env env = MakeEnv();
+  ServiceConfig service_config;
+  service_config.thread_cap = 1;
+  service_config.default_deadline_ms = kForever;
+  PrivmarkService service(service_config);
+  ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
+
+  StrandGate gate;
+  auto held = gate.Submit(
+      &service, UnboundedIngest(env.dataset->table.Slice(0, kBatch)));
+  // Inherits the config's default...
+  auto ingest =
+      service.ProtectBatch("ward", env.dataset->table.Slice(kBatch, kRows));
+  // ...or asks for it itself.
+  ServiceRequest flush;
+  flush.kind = RequestKind::kFlush;
+  flush.session = "ward";
+  flush.deadline_ms = kForever;
+  auto flushed = service.Submit(std::move(flush));
+  OutwaitOneMillisecondDeadlines(&gate);
+
+  ASSERT_TRUE(held.get().ok());
+  auto ingested = ingest.get();
+  EXPECT_TRUE(ingested.ok()) << ingested.status().ToString();
+  auto epoch = flushed.get();
+  EXPECT_TRUE(epoch.ok()) << epoch.status().ToString();
+}
+
+// ---- Closing a strand -----------------------------------------------------
+
+TEST(ServiceCloseTest, ClosedStrandDrainsAcceptedWorkInOrder) {
+  Env env = MakeEnv();
+  ServiceConfig service_config;
+  service_config.thread_cap = 1;
+  PrivmarkService service(service_config);
+  ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
+
+  StrandGate gate;
+  auto held = gate.Submit(
+      &service, UnboundedIngest(env.dataset->table.Slice(0, kBatch)));
+  auto ingest =
+      service.ProtectBatch("ward", env.dataset->table.Slice(kBatch, kRows));
+  auto close = service.CloseSession("ward");
+
+  // Intake is closed the moment the close is accepted, while everything
+  // before it is still queued behind the gate: the refusal runs inline.
+  auto refused = service.Flush("ward");
+  ASSERT_EQ(refused.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(ingest.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  auto refusal = refused.get();
+  ASSERT_FALSE(refusal.ok());
+  EXPECT_EQ(refusal.status().code(), StatusCode::kInvalidArgument)
+      << refusal.status().ToString();
+
+  gate.Open();
+  ASSERT_TRUE(held.get().ok());
+  auto stats = close.get();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // FIFO: the ingest's completion returned before the close was popped,
+  // and the close's stats count its rows.
+  ASSERT_EQ(ingest.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  auto ingested = ingest.get();
+  EXPECT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_EQ(stats->stats.rows_ingested, kRows);
 }
 
 // ---- Queue-depth shedding -------------------------------------------------
@@ -428,6 +476,7 @@ TEST(ServiceShutdownTest, DeadlineShutdownAbandonsQueuedWorkVisibly) {
   service_config.thread_cap = 1;
   PrivmarkService service(service_config);
   ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
+  ASSERT_TRUE(service.OpenSession("clinic", env.metrics, env.config).ok());
 
   // Declared after the service, so a failed assertion still opens the
   // gate before the service drains.
@@ -459,18 +508,22 @@ TEST(ServiceShutdownTest, DeadlineShutdownAbandonsQueuedWorkVisibly) {
                  });
   started.get_future().wait();
 
-  constexpr size_t kQueued = 11;
+  // Both strands queue behind the one held worker.
+  constexpr size_t kQueuedWard = 11;
+  constexpr size_t kQueuedClinic = 4;
+  constexpr size_t kQueued = kQueuedWard + kQueuedClinic;
   std::vector<ServiceFuture> futures;
   for (size_t i = 0; i < kQueued; ++i) {
+    const std::string name = i < kQueuedWard ? "ward" : "clinic";
     futures.push_back(
         i % 2 == 0 ? service.ProtectBatch(
-                         "ward", env.dataset->table.Slice(0, kBatch))
-                   : service.Flush("ward"));
+                         name, env.dataset->table.Slice(0, kBatch))
+                   : service.Flush(name));
   }
-  // Only Shutdown(0)'s abandon can complete the last queued request while
-  // the worker is held; once it has, let the held request finish.
+  // Only Shutdown(0)'s abandon can complete the queued requests while the
+  // worker is held; once it has, let the held request finish.
   std::thread opener([&futures, &gate] {
-    futures.back().wait();
+    for (auto& future : futures) future.wait();
     gate.Open();
   });
   const Status status = service.Shutdown(0);
@@ -507,6 +560,43 @@ TEST(ServiceShutdownTest, GenerousDeadlineDrainsCleanly) {
   EXPECT_TRUE(service.Shutdown(60'000).ok());
   EXPECT_TRUE(ingest.get().ok());
   EXPECT_TRUE(flush.get().ok());
+}
+
+TEST(ServiceShutdownTest, DeadlinePastTheClockWaitsForEveryQueuedRequest) {
+  Env env = MakeEnv();
+  ServiceConfig service_config;
+  service_config.thread_cap = 1;
+  PrivmarkService service(service_config);
+  ASSERT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
+
+  StrandGate gate;
+  auto held = gate.Submit(
+      &service, UnboundedIngest(env.dataset->table.Slice(0, kBatch)));
+  std::vector<ServiceFuture> futures;
+  futures.push_back(
+      service.ProtectBatch("ward", env.dataset->table.Slice(kBatch, kRows)));
+  futures.push_back(service.Flush("ward"));
+  futures.push_back(service.CloseSession("ward"));
+
+  // Open the gate only once Shutdown has taken the strands, so the work
+  // is still queued when it starts waiting; the sleep gives a Shutdown
+  // that mistook the deadline for a past one the time to abandon it.
+  std::thread opener([&service, &gate] {
+    while (service.num_strands() > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.Open();
+  });
+  const Status status =
+      service.Shutdown(std::numeric_limits<int64_t>::max());
+  opener.join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(held.get().ok());
+  for (auto& future : futures) {
+    auto result = future.get();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the async service front-end (service/service.h):
-// queue semantics, session lifecycle, request widths (asks above the
+// session lifecycle, request widths (asks above the
 // cap, zero-thread asks), same-session serialization (Detect racing
 // Flush), the shutdown drain guarantee, and the thread bound: strands
 // are turns on the cap workers, whatever the session count. The
@@ -70,26 +70,6 @@ Env MakeEnv(size_t num_threads = 1) {
   env.config.watermark.num_threads = num_threads;
   env.config.key = {"svc-k1", "svc-k2", /*eta=*/10};
   return env;
-}
-
-// ---- ServiceQueue ---------------------------------------------------------
-
-TEST(ServiceQueueTest, FifoAndDrainAfterClose) {
-  ServiceQueue queue;
-  for (size_t i = 0; i < 3; ++i) {
-    ServiceQueue::Item item;
-    item.request.session = "s" + std::to_string(i);
-    ASSERT_TRUE(queue.Push(std::move(item)));
-  }
-  queue.Close();
-  ServiceQueue::Item rejected;
-  EXPECT_FALSE(queue.Push(std::move(rejected)));  // intake closed...
-  ServiceQueue::Item item;
-  for (size_t i = 0; i < 3; ++i) {  // ...but accepted items drain, FIFO
-    ASSERT_TRUE(queue.Pop(&item));
-    EXPECT_EQ(item.request.session, "s" + std::to_string(i));
-  }
-  EXPECT_FALSE(queue.Pop(&item));  // closed and drained
 }
 
 // ---- PrivmarkService ------------------------------------------------------

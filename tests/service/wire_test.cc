@@ -8,6 +8,8 @@
 #include "service/wire.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
@@ -95,8 +97,7 @@ Result<WireFrame> DecodeFrame(const std::string& encoded) {
     return Status::InvalidArgument("body length disagrees with the frame");
   }
   return DecodeWireFrameBody(encoded.data(),
-                             encoded.data() + kWireFrameHeaderBytes,
-                             body_length);
+                             encoded.substr(kWireFrameHeaderBytes));
 }
 
 // Re-stamps the CRC over a deliberately bent body, so the decoder sees
@@ -178,8 +179,76 @@ TEST(WireFrameTest, TruncatedBodyRefused) {
   ASSERT_TRUE(frame.ok());
   for (size_t body = 0; body < 1 + kWireEnvelopeBytes; ++body) {
     auto decoded = DecodeWireFrameBody(
-        frame->data(), frame->data() + kWireFrameHeaderBytes, body);
+        frame->data(), frame->substr(kWireFrameHeaderBytes, body));
     EXPECT_FALSE(decoded.ok()) << "body " << body;
+  }
+}
+
+// One end of a socket pair whose peer wrote `bytes` and hung up.
+class FrameStream {
+ public:
+  explicit FrameStream(const std::string& bytes) {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    EXPECT_TRUE(WriteFullySocket(fds[0], bytes.data(), bytes.size()));
+    ::close(fds[0]);
+    fd_ = fds[1];
+  }
+  ~FrameStream() { ::close(fd_); }
+  int fd() const { return fd_; }
+
+ private:
+  int fd_ = -1;
+};
+
+TEST(WireFrameTest, ReadWireFrameReadsBackToBackFramesOffASocket) {
+  WireFrame streamed;
+  streamed.type = WireFrameType::kPartial;
+  streamed.request_id = 9;
+  streamed.final_frame = false;
+  streamed.streamed = true;
+  streamed.payload = std::string("shard\0bytes", 11);
+  auto first = EncodeWireFrame(streamed, kWireProtocolV2);
+  auto second = EncodeFrame(WireFrameType::kClose, "", 10);
+  ASSERT_TRUE(first.ok() && second.ok());
+  FrameStream stream(*first + *second);
+
+  auto read = ReadWireFrame(stream.fd());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->type, WireFrameType::kPartial);
+  EXPECT_EQ(read->request_id, 9u);
+  EXPECT_FALSE(read->final_frame);
+  EXPECT_TRUE(read->streamed);
+  EXPECT_EQ(read->payload, streamed.payload);
+  read = ReadWireFrame(stream.fd());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->type, WireFrameType::kClose);
+  EXPECT_EQ(read->request_id, 10u);
+  EXPECT_EQ(read->payload, "");
+  // The peer hung up between frames.
+  read = ReadWireFrame(stream.fd());
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIOError);
+}
+
+TEST(WireFrameTest, ReadWireFrameRefusesDamagedAndTruncatedFrames) {
+  auto frame = EncodeFrame(WireFrameType::kDetect, "abcdef", 4);
+  ASSERT_TRUE(frame.ok());
+  std::string bent = *frame;
+  bent[bent.size() - 2] ^= 0x01;
+  EXPECT_EQ(ReadWireFrame(FrameStream(bent).fd()).status().code(),
+            StatusCode::kInvalidArgument);
+  std::string oversized = *frame;
+  const uint32_t huge = std::numeric_limits<uint32_t>::max();
+  std::memcpy(oversized.data(), &huge, sizeof(huge));
+  EXPECT_EQ(ReadWireFrame(FrameStream(oversized).fd()).status().code(),
+            StatusCode::kInvalidArgument);
+  // The peer hung up mid-header and mid-body.
+  for (const size_t cut : {size_t{3}, frame->size() - 1}) {
+    EXPECT_EQ(
+        ReadWireFrame(FrameStream(frame->substr(0, cut)).fd()).status().code(),
+        StatusCode::kIOError)
+        << "cut " << cut;
   }
 }
 
