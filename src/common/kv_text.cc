@@ -1,5 +1,6 @@
 #include "common/kv_text.h"
 
+#include <cctype>
 #include <set>
 
 #include "common/strings.h"
@@ -47,6 +48,16 @@ Result<KvText> ParseKvText(const std::string& text, const std::string& what,
     scope->fields.push_back(std::move(field));
   }
   return parsed;
+}
+
+bool IsKvTextValue(std::string_view value) {
+  auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  return !value.empty() && !is_space(value.front()) &&
+         !is_space(value.back()) &&
+         value.find_first_of(std::string_view("\n\r\0", 3)) ==
+             std::string_view::npos;
 }
 
 }  // namespace privmark

@@ -50,6 +50,12 @@ struct KvText {
 Result<KvText> ParseKvText(const std::string& text, const std::string& what,
                            bool header_line = false);
 
+/// \brief True when `value` reads back verbatim as a field value: non-empty,
+/// no '\n', '\r' or NUL, and no leading or trailing ASCII whitespace (the
+/// parser trims lines). A writer checks a caller's text with it before
+/// accepting it.
+bool IsKvTextValue(std::string_view value);
+
 }  // namespace privmark
 
 #endif  // PRIVMARK_COMMON_KV_TEXT_H_

@@ -151,13 +151,12 @@ Result<ProtectionManifest> ParseManifest(const std::string& text) {
       }
       saw_version = true;
     } else if (key == "hash") {
-      if (value == "SHA1") {
-        manifest.hash = HashAlgorithm::kSha1;
-      } else if (value == "MD5") {
-        manifest.hash = HashAlgorithm::kMd5;
-      } else {
-        return Status::InvalidArgument("manifest: unknown hash " + value);
+      // H is SHA-1 (crypto/keyed_hash.h); any other hash is refused.
+      if (value != "SHA1") {
+        return Status::InvalidArgument("manifest: unsupported hash '" + value +
+                                       "' (only SHA1)");
       }
+      manifest.hash = HashAlgorithm::kSha1;
     } else if (key == "key_id") {
       manifest.key_id = value;
     } else if (key == "name" || key == "ultimate" || key == "maximal") {

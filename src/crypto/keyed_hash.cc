@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "crypto/md5.h"
 #include "crypto/sha1.h"
 #include "crypto/sha1_multibuffer.h"
 
@@ -19,21 +18,6 @@ constexpr size_t kBlockSize = Sha1MultiBuffer::kBlockSize;
 // inputs stream through Sha1.
 constexpr size_t kMaxKeyedBlocks = 4;
 constexpr size_t kMaxKeyedTotal = kMaxKeyedBlocks * kBlockSize - 9;
-
-// MD5 keyed inputs up to this long are assembled as key || 0x00 || message
-// in one stack buffer (a single Update) instead of streamed in three
-// Update calls.
-constexpr size_t kAssembleMax = 192;
-
-// Assembles key || 0x00 || message into `buf` (>= kAssembleMax bytes).
-// Caller guarantees it fits.
-inline size_t AssembleKeyed(std::string_view key, std::string_view message,
-                            uint8_t* buf) {
-  std::memcpy(buf, key.data(), key.size());
-  buf[key.size()] = 0x00;
-  std::memcpy(buf + key.size() + 1, message.data(), message.size());
-  return key.size() + 1 + message.size();
-}
 
 // Padded SHA-1 blocks of a `total`-byte message: the 0x80 terminator plus
 // the 8-byte bit length must fit after it.
@@ -65,8 +49,12 @@ inline void PutBytes(const char* src, size_t len, size_t pos, uint8_t* out,
 // then zeros through kMaxKeyedBlocks blocks. Each block starts as a
 // fixed-size copy of its template block, so per lane only the message,
 // 0x80 and the big-endian bit length are written. Returns the block count.
-size_t PadFromTemplate(const uint8_t* head, size_t prefix,
-                       std::string_view message, uint8_t* out, size_t row) {
+// Runs once per lane: kept inline in KeyedHash64Batch and in the n = 1
+// copy of it that the compiler makes for KeyedHash64, where a call per
+// lane measurably slows the keyed-hash loop.
+[[gnu::always_inline]] inline size_t PadFromTemplate(
+    const uint8_t* head, size_t prefix, std::string_view message,
+    uint8_t* out, size_t row) {
   const size_t total = prefix + message.size();
   const size_t num_blocks = NumKeyedBlocks(total);
   for (size_t b = 0; b < num_blocks; ++b) {
@@ -94,16 +82,14 @@ inline uint64_t TruncateBe64(const uint8_t* digest) {
   return out;
 }
 
-// Streams key || 0x00 || message into `hasher` and finishes into `out`
-// (which must hold the algorithm's digest size). No heap allocation.
-template <typename Hasher>
-void StreamKeyedDigest(Hasher& hasher, std::string_view key,
-                       std::string_view message, uint8_t* out) {
-  hasher.Update(reinterpret_cast<const uint8_t*>(key.data()), key.size());
-  const uint8_t sep = 0x00;
-  hasher.Update(&sep, 1);
-  hasher.Update(reinterpret_cast<const uint8_t*>(message.data()),
-                message.size());
+// Streams key || 0x00 || message through Sha1 into `out` (Sha1::kDigestSize
+// bytes). No heap allocation.
+void StreamKeyedDigest(std::string_view key, std::string_view message,
+                       uint8_t* out) {
+  Sha1 hasher;
+  hasher.Update(key);
+  hasher.Update(std::string_view("\0", 1));
+  hasher.Update(message);
   hasher.FinishInto(out);
 }
 
@@ -113,62 +99,31 @@ const char* HashAlgorithmToString(HashAlgorithm algo) {
   switch (algo) {
     case HashAlgorithm::kSha1:
       return "SHA1";
-    case HashAlgorithm::kMd5:
-      return "MD5";
   }
   return "Unknown";
 }
 
-std::vector<uint8_t> KeyedDigest(HashAlgorithm algo, std::string_view key,
+std::vector<uint8_t> KeyedDigest(HashAlgorithm /*algo*/, std::string_view key,
                                  std::string_view message) {
-  switch (algo) {
-    case HashAlgorithm::kSha1: {
-      std::vector<uint8_t> digest(Sha1::kDigestSize);
-      Sha1 hasher;
-      StreamKeyedDigest(hasher, key, message, digest.data());
-      return digest;
-    }
-    case HashAlgorithm::kMd5: {
-      std::vector<uint8_t> digest(Md5::kDigestSize);
-      Md5 hasher;
-      StreamKeyedDigest(hasher, key, message, digest.data());
-      return digest;
-    }
-  }
-  return {};
+  std::vector<uint8_t> digest(Sha1::kDigestSize);
+  StreamKeyedDigest(key, message, digest.data());
+  return digest;
 }
 
 uint64_t KeyedHash64(HashAlgorithm algo, std::string_view key,
                      std::string_view message) {
-  if (algo == HashAlgorithm::kSha1) {
-    uint64_t out = 0;
-    KeyedHash64Batch(algo, key, &message, 1, &out);
-    return out;
-  }
-  uint8_t digest[Md5::kDigestSize];
-  Md5 hasher;
-  if (key.size() + 1 + message.size() <= kAssembleMax) {
-    uint8_t buf[kAssembleMax];
-    hasher.Update(buf, AssembleKeyed(key, message, buf));
-    hasher.FinishInto(digest);
-  } else {
-    StreamKeyedDigest(hasher, key, message, digest);
-  }
-  return TruncateBe64(digest);
+  uint64_t out = 0;
+  KeyedHash64Batch(algo, key, &message, 1, &out);
+  return out;
 }
 
-void KeyedHash64Batch(HashAlgorithm algo, std::string_view key,
+void KeyedHash64Batch(HashAlgorithm /*algo*/, std::string_view key,
                       const std::string_view* messages, size_t n,
                       uint64_t* outs) {
-  if (algo != HashAlgorithm::kSha1) {
-    // MD5 has no multi-buffer kernel; values still match the scalar call.
-    for (size_t i = 0; i < n; ++i) {
-      outs[i] = KeyedHash64(algo, key, messages[i]);
-    }
-    return;
-  }
-  auto streamed = [algo, key](std::string_view message) {
-    return TruncateBe64(KeyedDigest(algo, key, message).data());
+  auto streamed = [key](std::string_view message) {
+    uint8_t digest[Sha1::kDigestSize];
+    StreamKeyedDigest(key, message, digest);
+    return TruncateBe64(digest);
   };
   const size_t prefix = key.size() + 1;
   if (prefix > kMaxKeyedTotal) {

@@ -2,7 +2,7 @@
 //
 // The paper's watermarking algorithm keys all tuple-selection and
 // index-permutation decisions on "a cryptographic hash function e.g., MD5 or
-// SHA1" (Eq. 5 and Fig. 9). SHA-1 is the library default.
+// SHA1" (Eq. 5 and Fig. 9). SHA-1 is that hash (crypto/keyed_hash.h).
 //
 // SHA-1 is not collision resistant by modern standards; it is used here as a
 // keyed PRF-style selector exactly as in the 2005 paper, not for signatures.

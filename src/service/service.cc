@@ -7,6 +7,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/kv_text.h"
 #include "core/journal.h"
 
 namespace privmark {
@@ -96,6 +97,13 @@ Status PrivmarkService::OpenSession(const std::string& name,
   // Likewise k: every flush would fail in MonoAttributeBin.
   if (config.binning.k == 0) {
     return Status::InvalidArgument("OpenSession: anonymity level k is 0");
+  }
+  // The key_id is written into every manifest as `key_id = <id>`; one the
+  // text format cannot hold would make manifests ParseManifest refuses.
+  if (!config.key_id.empty() && !IsKvTextValue(config.key_id)) {
+    return Status::InvalidArgument(
+        "OpenSession: key_id '" + config.key_id +
+        "' must be on one line, without NUL bytes or surrounding whitespace");
   }
   // A NaN threshold compares false against every drift: the session
   // would silently never re-bin.

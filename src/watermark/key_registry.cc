@@ -52,8 +52,13 @@ NamedKey GenerateKey(const std::string& name, uint64_t eta, Random* rng) {
 }
 
 Status KeyRegistry::Add(NamedKey entry) {
-  if (entry.name.empty()) {
-    return Status::InvalidArgument("KeyRegistry: key name must not be empty");
+  // The name is written into key files as `name = <name>`; one the text
+  // format cannot hold would serialize into a file Parse refuses.
+  if (!IsKvTextValue(entry.name)) {
+    return Status::InvalidArgument(
+        "KeyRegistry: key name '" + entry.name +
+        "' must be non-empty, on one line, without NUL bytes or surrounding "
+        "whitespace");
   }
   if (entry.key.eta == 0) {
     return Status::InvalidArgument("KeyRegistry: key '" + entry.name +

@@ -34,7 +34,8 @@ struct WatermarkKey {
 
 /// \brief Detection-voting and hashing options.
 struct WatermarkOptions {
-  /// Hash H() used for Eq. (5) and Fig. 9 ("e.g., MD5 or SHA1").
+  /// Hash H() used for Eq. (5) and Fig. 9 (the paper's "e.g., MD5 or
+  /// SHA1"); SHA-1 is its one value (crypto/keyed_hash.h).
   HashAlgorithm hash = HashAlgorithm::kSha1;
   /// Weighted per-level voting (Sec. 5.3: "the copy from a higher level is
   /// more reliable than that from a lower level"). When false, all levels

@@ -26,6 +26,30 @@ TEST(KvTextTest, SplitsTopLevelFieldsAndSections) {
   EXPECT_TRUE(parsed->header.empty());
 }
 
+TEST(KvTextTest, ValuePredicateAcceptsOneLineValuesWithoutPadding) {
+  struct Case {
+    std::string value;
+    bool valid;
+  };
+  const Case cases[] = {
+      {"a", true},         {"clinic east", true},  {"x = y", true},
+      {"[s]", true},       {"", false},            {"a ", false},
+      {"a\t", false},      {" a", false},          {"\ta", false},
+      {"a\nb", false},     {"a\n[s]", false},      {"a\nb = c", false},
+      {"a\rb", false},     {std::string("a\0b", 3), false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(IsKvTextValue(c.value), c.valid) << "'" << c.value << "'";
+    if (!c.valid) continue;
+    // A valid value is one field of the line "k = <value>", verbatim.
+    auto parsed = ParseKvText("k = " + c.value + "\n", "test");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_TRUE(parsed->sections.empty());
+    ASSERT_EQ(parsed->top.fields.size(), 1u);
+    EXPECT_EQ(parsed->top.fields[0].value, c.value);
+  }
+}
+
 TEST(KvTextTest, DuplicateKeysAreRejectedPerScope) {
   auto top = ParseKvText("a = 1\na = 2\n", "thing");
   ASSERT_FALSE(top.ok());

@@ -173,6 +173,12 @@ TEST(ManifestAdversarialTest, StructurallyMalformedLinesAreRejected) {
       ParseManifest(std::string(kValidHeader) + "surprise = 1\n").ok());
   EXPECT_FALSE(
       ParseManifest(std::string(kValidHeader) + "hash = CRC32\n").ok());
+  // H is SHA-1; MD5, the paper's other example, is refused by name.
+  const auto md5 = ParseManifest(std::string(kValidHeader) + "hash = MD5\n");
+  ASSERT_FALSE(md5.ok());
+  EXPECT_EQ(md5.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(md5.status().message().find("'MD5'"), std::string::npos)
+      << md5.status().ToString();
   // Scalars belong before the first section, where the writer puts them.
   EXPECT_FALSE(ParseManifest(WithColumn("name = age\nultimate = a\n"
                                         "maximal = r\ncopies = 2\n"))

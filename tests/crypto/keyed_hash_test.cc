@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha1.h"
 #include "crypto/sha1_multibuffer.h"
 
 namespace privmark {
@@ -14,8 +15,6 @@ namespace {
 TEST(KeyedHashTest, Deterministic) {
   EXPECT_EQ(KeyedHash64(HashAlgorithm::kSha1, "k", "m"),
             KeyedHash64(HashAlgorithm::kSha1, "k", "m"));
-  EXPECT_EQ(KeyedHash64(HashAlgorithm::kMd5, "k", "m"),
-            KeyedHash64(HashAlgorithm::kMd5, "k", "m"));
 }
 
 TEST(KeyedHashTest, KeySeparation) {
@@ -35,14 +34,15 @@ TEST(KeyedHashTest, BoundarySeparator) {
             KeyedHash64(HashAlgorithm::kSha1, "a", "bc"));
 }
 
-TEST(KeyedHashTest, AlgorithmsDiffer) {
-  EXPECT_NE(KeyedHash64(HashAlgorithm::kSha1, "k", "m"),
-            KeyedHash64(HashAlgorithm::kMd5, "k", "m"));
+TEST(KeyedHashTest, DigestIsSha1OfKeySeparatorMessage) {
+  // H(m, k) is SHA-1 over key || 0x00 || message, nothing more.
+  EXPECT_EQ(KeyedDigest(HashAlgorithm::kSha1, "k", "m"),
+            Sha1::Hash(std::string_view("k\0m", 3)));
+  EXPECT_NE(KeyedDigest(HashAlgorithm::kSha1, "k", "m"), Sha1::Hash("km"));
 }
 
 TEST(KeyedHashTest, DigestSizesMatchAlgorithm) {
   EXPECT_EQ(KeyedDigest(HashAlgorithm::kSha1, "k", "m").size(), 20u);
-  EXPECT_EQ(KeyedDigest(HashAlgorithm::kMd5, "k", "m").size(), 16u);
 }
 
 TEST(KeyedHashTest, Hash64UsesLeadingDigestBytes) {
@@ -84,8 +84,8 @@ TEST(KeyedHashTest, OutputsSpreadAcrossRange) {
 // multi-buffer lane array, and the scalar SHA-1 KeyedHash64 is a batch of
 // one through the same padder, so comparing the two could not catch a
 // padding bug. Every test here takes its reference from the leading 8
-// bytes of KeyedDigest, which streams through the incremental Sha1 (or
-// Md5) instead: for every batch size (full lane groups plus every tail
+// bytes of KeyedDigest, which streams through the incremental Sha1
+// instead: for every batch size (full lane groups plus every tail
 // remainder), every block count, and inputs past the 4-block cap.
 
 // First 8 bytes of KeyedDigest as a big-endian uint64.
@@ -203,25 +203,6 @@ TEST(KeyedHashBatchTest, LongMessagesUseHeapAssemblyAndStillMatch) {
     EXPECT_EQ(out[i],
               ReferenceHash64(HashAlgorithm::kSha1, "long-key", messages[i]))
         << "len=" << lengths[i];
-  }
-}
-
-TEST(KeyedHashBatchTest, Md5FallbackMatchesScalar) {
-  // MD5 has no multi-buffer kernel; the batch must still give exact scalar
-  // values through its fallback loop.
-  std::vector<std::string> storage;
-  std::vector<std::string_view> messages;
-  for (size_t i = 0; i < 11; ++i) {
-    storage.push_back(BatchMessage(i, 3 + i * 20));
-  }
-  for (const std::string& s : storage) messages.push_back(s);
-  std::vector<uint64_t> out(11, 0);
-  KeyedHash64Batch(HashAlgorithm::kMd5, "md5-key", messages.data(), 11,
-                   out.data());
-  for (size_t i = 0; i < 11; ++i) {
-    EXPECT_EQ(out[i],
-              ReferenceHash64(HashAlgorithm::kMd5, "md5-key", messages[i]))
-        << "i=" << i;
   }
 }
 
@@ -343,7 +324,6 @@ TEST(KeyedHashBatchTest, BlockCountsMixWithinOneGroup) {
 
 TEST(HashAlgorithmTest, Names) {
   EXPECT_STREQ(HashAlgorithmToString(HashAlgorithm::kSha1), "SHA1");
-  EXPECT_STREQ(HashAlgorithmToString(HashAlgorithm::kMd5), "MD5");
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ TEST(TextFormatPropertyTest, ManifestWithEscapedLabels) {
   manifest.wmd_size = 40;
   manifest.copies = 2;
   manifest.epsilon = 3;
-  manifest.hash = HashAlgorithm::kMd5;
+  manifest.hash = HashAlgorithm::kSha1;
   manifest.key_id = "clinic-east";
   manifest.columns.push_back(
       {"age", {"[0,25)", "[25,50)|x", "a\\b"}, {"*"}});

@@ -130,6 +130,29 @@ TEST(PrivmarkServiceTest, NonFiniteDriftThresholdIsRefusedAtOpen) {
   EXPECT_TRUE(service.OpenSession("ward", env.metrics, env.config).ok());
 }
 
+TEST(PrivmarkServiceTest, KeyIdTheManifestCannotHoldIsRefusedAtOpen) {
+  // Every manifest of the session records `key_id = <id>`; an id that the
+  // text format cannot hold would be written into manifests that
+  // ParseManifest refuses ("ward\nb") or reads back as another id
+  // ("ward "). A remote peer sends key_id in kOpen.
+  Env env = MakeEnv();
+  PrivmarkService service;
+  for (const std::string& key_id :
+       {std::string("ward\nb"), std::string("ward "), std::string(" ward"),
+        std::string("a\rb"), std::string("x\n[column]")}) {
+    FrameworkConfig config = env.config;
+    config.key_id = key_id;
+    const Status refused = service.OpenSession("ward", env.metrics, config);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << "'" << key_id << "': " << refused.ToString();
+    EXPECT_EQ(service.num_sessions(), 0u) << "'" << key_id << "'";
+  }
+  // The name was never taken, and an id with inner spaces is fine.
+  FrameworkConfig named = env.config;
+  named.key_id = "clinic east";
+  EXPECT_TRUE(service.OpenSession("ward", env.metrics, named).ok());
+}
+
 TEST(PrivmarkServiceTest, ZeroEtaIsRefusedAtOpen) {
   Env env = MakeEnv();
   PrivmarkService service;

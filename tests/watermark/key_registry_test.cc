@@ -52,6 +52,29 @@ TEST(KeyRegistryTest, AddValidatesEntries) {
   EXPECT_EQ(registry.size(), 1u);
 }
 
+TEST(KeyRegistryTest, AddRefusesNamesTheKeyFileCannotHold) {
+  // Each name would serialize into a key file that Parse refuses
+  // ("x\n[key]" splits off a stray section, NUL is refused) or reads back
+  // as another name ("east " loses its trailing space). Leading
+  // whitespace is refused alike.
+  KeyRegistry registry;
+  Random rng(7);
+  for (const std::string& name :
+       {std::string("x\n[key]"), std::string("east "), std::string("\teast"),
+        std::string("a\rb"), std::string("a\0b", 3)}) {
+    const Status refused = registry.Add(GenerateKey(name, 50, &rng));
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << "'" << name << "': " << refused.ToString();
+  }
+  EXPECT_EQ(registry.size(), 0u);
+  // Inner spaces stay, and what Add accepts reads back unchanged.
+  ASSERT_TRUE(registry.Add(GenerateKey("clinic east", 50, &rng)).ok());
+  auto parsed = KeyRegistry::Parse(registry.Serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 1u);
+  EXPECT_EQ(parsed->keys()[0].name, "clinic east");
+}
+
 TEST(KeyRegistryTest, FindByName) {
   KeyRegistry registry;
   Random rng(7);

@@ -158,7 +158,9 @@ TEST(DeriveOwnershipMarkTest, SensitiveToStatistic) {
 TEST(DeriveOwnershipMarkTest, Validation) {
   EXPECT_FALSE(DeriveOwnershipMark(1.0, 0, HashAlgorithm::kSha1).ok());
   EXPECT_FALSE(DeriveOwnershipMark(1.0, 500, HashAlgorithm::kSha1).ok());
-  EXPECT_TRUE(DeriveOwnershipMark(1.0, 128, HashAlgorithm::kMd5).ok());
+  // A mark may use every bit of one 160-bit SHA-1 digest, and no more.
+  EXPECT_TRUE(DeriveOwnershipMark(1.0, 160, HashAlgorithm::kSha1).ok());
+  EXPECT_FALSE(DeriveOwnershipMark(1.0, 161, HashAlgorithm::kSha1).ok());
 }
 
 // End-to-end dispute fixture: protect a data set, then resolve claims.
